@@ -6,8 +6,9 @@ ratio mask.  Ships with an image-method scene simulator, SI-SNR style
 metrics, and a CLI (``hybridse``).
 """
 
-from .auxiva import (IvaConfig, auxiva_separate, demix, iva_macs_per_second,
-                     iva_sweep, order_sources, projection_back)
+from .auxiva import (IvaConfig, auxiva_separate, covariance_stats, demix,
+                     iva_macs_per_second, iva_sweep, order_sources,
+                     projection_back)
 from .bands import ErbFilterbank, band_merge, band_split, make_erb_filterbank
 from .dsp import StftConfig, istft, log_power, sqrt_hann, stft
 from .errors import (DegenerateInputError, HybridseError, InvalidInputError,

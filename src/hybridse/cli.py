@@ -114,6 +114,8 @@ def _read_stereo(path: str):
         raise InvalidInputError(f"{path}: expected {DEFAULT_SAMPLE_RATE} Hz, got {rate}")
     if wave.ndim != 2 or wave.shape[0] != 2:
         raise InvalidInputError(f"{path}: expected a stereo file")
+    if not np.all(np.isfinite(wave)):
+        raise InvalidInputError(f"{path}: non-finite samples")
     return wave
 
 

@@ -606,6 +606,8 @@ def enhance(wave: np.ndarray, w: ModelWeights, cfg: ModelConfig,
     wave = np.asarray(wave, dtype=np.float64)
     if wave.ndim != 2 or wave.shape[0] != 2:
         raise InvalidInputError(f"expected a [2, n] waveform, got shape {wave.shape}")
+    if not np.all(np.isfinite(wave)):
+        raise InvalidInputError("waveform contains non-finite samples")
     y = stft(wave, stft_cfg)
     bypass = not use_iva
     if use_iva and not np.any(y):

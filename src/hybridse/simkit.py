@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import InvalidInputError, SceneInfeasibleError
 
@@ -234,12 +233,14 @@ def early_target(speech: np.ndarray, rir: Rir, window: float = 0.050) -> np.ndar
     stop = min(dpi + int(round(window * rir.fs)), rir.taps.shape[1])
     kernel = rir.taps[0, :stop].copy()
     kernel[:dpi] = 0.0
+    from scipy.signal import fftconvolve  # deferred: scipy.signal loads scipy.stats
     return fftconvolve(speech, kernel)[: speech.size]
 
 
 def apply_rir(wave: np.ndarray, rir: Rir) -> np.ndarray:
     """Render the two-channel image of a mono signal (length preserved)."""
     wave = np.asarray(wave, dtype=np.float64).ravel()
+    from scipy.signal import fftconvolve  # deferred: scipy.signal loads scipy.stats
     return np.stack([fftconvolve(wave, rir.taps[m])[: wave.size] for m in range(2)])
 
 

@@ -292,6 +292,33 @@ def kurtosis_naive(v):
     return m4 / m2 ** 2 - 3.0
 
 
+def weighted_covariance_naive(spec, w, m, eps):
+    """Aux-IVA covariance of source m under the spherical Laplace prior.
+
+    Frame envelope ``r_l = max(eps, sqrt(sum_k |sum_c w[k, m, c] y[c, l, k]|^2))``
+    and ``v[k, a, b] = (1 / L) sum_l y[a, l, k] conj(y[b, l, k]) / r_l``,
+    returned as ``[bins, 2, 2]``.
+    """
+    n_ch, n_frames, n_bins = spec.shape
+    y = spec.tolist()
+    r = []
+    for l in range(n_frames):
+        acc = 0.0
+        for k in range(n_bins):
+            x = sum(complex(w[k, m, c]) * y[c][l][k] for c in range(n_ch))
+            acc += x.real ** 2 + x.imag ** 2
+        r.append(max(eps, math.sqrt(acc)))
+    v = np.zeros((n_bins, n_ch, n_ch), dtype=complex)
+    for k in range(n_bins):
+        for a in range(n_ch):
+            for b in range(n_ch):
+                acc = 0j
+                for l in range(n_frames):
+                    acc += y[a][l][k] * y[b][l][k].conjugate() / r[l]
+                v[k, a, b] = acc / n_frames
+    return v
+
+
 def convolve_naive(sig, kernel):
     """Direct O(N*K) full convolution, truncated to len(sig)."""
     n = len(sig)

@@ -1,13 +1,17 @@
 """Auxiliary-function IVA: sweep algebra, projection back, source ordering."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.stats
 
 import oracles
 from conftest import instantaneous_scene, separate_to_waves
-from hybridse import (IvaConfig, StftConfig, auxiva_separate, demix, istft,
-                      iva_macs_per_second, iva_sweep, order_sources,
-                      projection_back, si_snr, stft)
+from hybridse import (IvaConfig, StftConfig, auxiva_separate,
+                      covariance_stats, demix, iva_macs_per_second,
+                      iva_sweep, order_sources, projection_back, si_snr, stft)
+from hybridse.auxiva import _excess_kurtosis
 from hybridse.errors import (DegenerateInputError, InvalidInputError,
                              NumericalError)
 
@@ -19,6 +23,12 @@ def identity_w(n_bins=257):
 def random_spec(rng, frames=40, bins=257, scale=1.0):
     shape = (2, frames, bins)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def perturbed_w(rng, n_bins):
+    shape = (n_bins, 2, 2)
+    return identity_w(n_bins) + 0.4 * (rng.standard_normal(shape)
+                                       + 1j * rng.standard_normal(shape))
 
 
 class TestConfig:
@@ -51,6 +61,13 @@ class TestDemix:
     def test_identity_keeps_channels(self):
         spec = random_spec(np.random.default_rng(0), frames=5)
         np.testing.assert_array_equal(demix(spec, identity_w()), spec)
+
+    def test_channel_count_checked(self):
+        spec = random_spec(np.random.default_rng(0), frames=5, bins=4)
+        with pytest.raises(InvalidInputError):
+            demix(spec[:1], identity_w(4))
+        with pytest.raises(InvalidInputError):
+            demix(np.concatenate([spec, spec[:1]]), identity_w(4))
 
 
 class TestSweep:
@@ -121,7 +138,76 @@ class TestSweep:
             iva_sweep(np.zeros((2, 0, 4), dtype=complex), identity_w(4))
 
 
+class TestCovarianceStats:
+    def test_layout(self):
+        spec = random_spec(np.random.default_rng(20), frames=6, bins=5)
+        blocks = covariance_stats(spec).reshape(6, 4, 5) * 6
+        cross = spec[0] * np.conj(spec[1])
+        np.testing.assert_allclose(blocks[:, 0], np.abs(spec[0]) ** 2, rtol=1e-14)
+        np.testing.assert_allclose(blocks[:, 1], np.abs(spec[1]) ** 2, rtol=1e-14)
+        np.testing.assert_allclose(blocks[:, 2], cross.real, rtol=1e-14)
+        np.testing.assert_allclose(blocks[:, 3], cross.imag, rtol=1e-14)
+
+    def test_passed_stats_bit_identical_to_built(self):
+        rng = np.random.default_rng(21)
+        spec = random_spec(rng, frames=30, bins=33)
+        w = perturbed_w(rng, 33)
+        w_a, v_a = iva_sweep(spec, w)
+        w_b, v_b = iva_sweep(spec, w, IvaConfig(), covariance_stats(spec))
+        np.testing.assert_array_equal(w_a, w_b)
+        np.testing.assert_array_equal(v_a, v_b)
+
+    def test_wrong_shape_rejected(self):
+        spec = random_spec(np.random.default_rng(22), frames=5, bins=8)
+        with pytest.raises(InvalidInputError, match="stats"):
+            iva_sweep(spec, identity_w(8), IvaConfig(), covariance_stats(spec)[:-1])
+
+    def test_v_used_matches_loop_oracle(self):
+        rng = np.random.default_rng(23)
+        spec = random_spec(rng, frames=7, bins=5)
+        w_in = perturbed_w(rng, 5)
+        cfg = IvaConfig()
+        w_out, v = iva_sweep(spec, w_in, cfg)
+        # source 1 is updated against source 0's new row
+        w_mid = w_in.copy()
+        w_mid[:, 0, :] = w_out[:, 0, :]
+        for m, state in ((0, w_in), (1, w_mid)):
+            expect = oracles.weighted_covariance_naive(spec, state, m, cfg.eps)
+            np.testing.assert_allclose(v[m], expect, rtol=0, atol=1e-12)
+
+    def test_singular_input_takes_regularized_retry(self):
+        # a constant two-frame input has a rank-1 covariance in every bin:
+        # the plain solve fails and the used covariance carries the
+        # trace-scaled ridge on top of the oracle covariance
+        spec = np.ones((2, 2, 8), dtype=complex)
+        spec[1] *= 1j
+        cfg = IvaConfig()
+        w_in = identity_w(8)
+        w_out, v = iva_sweep(spec, w_in, cfg)
+        expect = oracles.weighted_covariance_naive(spec, w_in, 0, cfg.eps)
+        ridge = cfg.eps * np.real(np.trace(expect, axis1=1, axis2=2)) / 2.0 + cfg.eps
+        assert np.all(ridge > 1e-9)
+        np.testing.assert_allclose(v[0], expect + ridge[:, None, None] * np.eye(2),
+                                   rtol=0, atol=1e-15)
+        assert np.all(np.isfinite(w_out))
+
+
 class TestSeparate:
+    def test_matches_unrolled_sweeps_bit_for_bit(self):
+        # auxiva_separate shares one statistics array across sweeps; the
+        # result must equal sweeps that each build their own
+        mix, _, _ = instantaneous_scene(5)
+        spec = stft(mix, StftConfig())
+        cfg = IvaConfig(iterations=4, ref_channel=1)
+        w = identity_w()
+        for _ in range(cfg.iterations):
+            w, _ = iva_sweep(spec, w, cfg)
+        sources = projection_back(demix(spec, w), w, cfg.ref_channel)
+        order = order_sources(sources)
+        got_sources, got_w = auxiva_separate(spec, cfg)
+        np.testing.assert_array_equal(got_sources, sources[order])
+        np.testing.assert_array_equal(got_w, w[:, order, :])
+
     def test_already_separated_keeps_w_near_diagonal(self):
         # a diagonal mixture of independent nonstationary Laplacian sources
         # should leave the demixing solution close to diagonal in every bin
@@ -245,6 +331,46 @@ class TestOrderSources:
         ch = self.enveloped_spec(rng, rng.standard_normal(100))
         perm = order_sources(np.stack([ch, ch]))
         np.testing.assert_array_equal(perm, [0, 1])
+
+    @staticmethod
+    def scipy_reference(y):
+        """Envelope, scipy kurtosis and the permutation order_sources used to derive."""
+        env = np.sqrt(np.sum(np.abs(y) ** 2, axis=2))
+        if env.shape[1] >= 3:
+            env = env[:, :-1]
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            k = scipy.stats.kurtosis(env, axis=1, fisher=True, bias=True)
+        return env, k, np.argsort(-np.where(np.isfinite(k), k, -3.0), kind="stable")
+
+    @pytest.mark.parametrize("case", ["random", "constant", "rounding-flat",
+                                      "two-frame", "identical"])
+    def test_kurtosis_matches_scipy(self, case):
+        rng = np.random.default_rng(13)
+        if case == "random":
+            y = np.stack([self.enveloped_spec(rng, rng.standard_normal(50)),
+                          self.enveloped_spec(rng, rng.laplace(size=50))])
+        elif case == "constant":
+            y = np.ones((2, 20, 64), dtype=complex)
+            y[1] = self.enveloped_spec(rng, rng.laplace(size=20))
+        elif case == "rounding-flat":
+            # every frame holds the same magnitudes in a different bin order,
+            # so the envelope differs only by summation rounding
+            mags = rng.uniform(0.1, 3.0, 64)
+            flat = np.stack([rng.permutation(mags) for _ in range(30)])
+            y = np.stack([flat.astype(complex),
+                          self.enveloped_spec(rng, rng.standard_normal(30))])
+        elif case == "two-frame":
+            y = np.stack([self.enveloped_spec(rng, rng.standard_normal(2)),
+                          self.enveloped_spec(rng, rng.laplace(size=2))])
+        else:
+            ch = self.enveloped_spec(rng, rng.standard_normal(40))
+            y = np.stack([ch, ch])
+        env, expect, perm = self.scipy_reference(y)
+        np.testing.assert_array_equal(_excess_kurtosis(env), expect)
+        np.testing.assert_array_equal(order_sources(y), perm)
+        np.testing.assert_array_equal(order_sources(y[::-1]),
+                                      self.scipy_reference(y[::-1])[2])
 
     def test_matches_kurtosis_oracle(self):
         rng = np.random.default_rng(12)

@@ -1,16 +1,28 @@
 """Command-line behavior: subcommands, exit codes, config file, outputs."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from conftest import FS, instantaneous_scene
 from hybridse.cli import main
 from hybridse.loss import si_snr
 from hybridse.model import ModelConfig, init_random, save_weights
 from hybridse.wavio import read_wav, write_wav
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env():
+    """Environment for a fresh interpreter that imports the in-tree package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    return env
 
 
 @pytest.fixture()
@@ -112,6 +124,23 @@ class TestEnhance:
         assert rc == 0
         assert sorted(p.name for p in out_dir.iterdir()) == \
             ["m0.enhanced.wav", "m1.enhanced.wav"]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", [["enhance"], ["enhance", "--no-iva"],
+                                         ["separate"]])
+    def test_exit_2(self, tmp_path, capsys, command, bad):
+        # float WAVs can carry NaN/Inf; they are invalid input, not a
+        # numerical failure of the pipeline
+        wave = 0.1 * np.random.default_rng(6).standard_normal((4096, 2))
+        wave[1000, 1] = bad
+        path = tmp_path / "bad.wav"
+        wavfile.write(path, FS, wave.astype(np.float32))
+        assert main([command[0], str(path), "--out", str(tmp_path / "out"),
+                     *command[1:]]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSeparate:
@@ -289,7 +318,20 @@ class TestEntryPoint:
         assert "parameters" in proc.stdout
 
     def test_installed_script(self):
-        proc = subprocess.run(["hybridse", "inspect", "lps-s-m2"],
-                              capture_output=True, text=True)
+        # ``python -m hybridse`` reaches the same cli.main as the installed
+        # console script, without requiring the package to be installed
+        proc = subprocess.run([sys.executable, "-m", "hybridse", "inspect", "lps-s-m2"],
+                              capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0
         assert "25506 total" in proc.stdout
+
+    def test_import_leaves_scipy_stats_and_signal_unloaded(self):
+        # both cost most of the package's import time; only the simulator's
+        # convolutions need scipy.signal, and they import it on first use
+        code = ("import sys, hybridse, hybridse.cli; "
+                "print(sorted(m for m in ('scipy.stats', 'scipy.signal') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

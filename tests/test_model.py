@@ -384,3 +384,13 @@ class TestEnhance:
             enhance(np.zeros(2048), w, cfg)
         with pytest.raises(InvalidInputError):
             enhance(np.zeros((3, 2048)), w, cfg)
+
+    @pytest.mark.parametrize("use_iva", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, use_iva, bad):
+        cfg = ModelConfig()
+        w = init_random(cfg, 11)
+        wave = 0.1 * np.random.default_rng(15).standard_normal((2, 2048))
+        wave[1, 700] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            enhance(wave, w, cfg, use_iva=use_iva)
