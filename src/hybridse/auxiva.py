@@ -115,14 +115,23 @@ def _weighted_covariance(stats: np.ndarray, r: np.ndarray) -> np.ndarray:
     return v
 
 
+def _quad_form(wm: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.real(np.einsum("ka,kab,kb->k", np.conj(wm), v, wm))
+
+
+def _positive(quad: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(quad) & (quad > 0)))
+
+
 def iva_sweep(spec: np.ndarray, w: np.ndarray, cfg: IvaConfig = IvaConfig(),
               stats: Optional[np.ndarray] = None):
     """One full update sweep over both sources.
 
     Returns ``(w_new, v)`` where ``v[m]`` is the per-bin auxiliary covariance
     actually used for source m's update; after the sweep
-    ``w_m^H v[m] w_m = 1`` holds for every bin.  A singular system is
-    regularized once with a trace-scaled identity; if it stays singular a
+    ``w_m^H v[m] w_m = 1`` holds for every bin.  A system that is singular,
+    gives a non-finite update or a non-positive normalization ``w^H v w`` is
+    regularized once with a trace-scaled identity; if it still fails a
     :class:`NumericalError` is raised.
 
     The rank-1 terms ``y y^H`` of the covariance come from ``stats``, the
@@ -152,9 +161,10 @@ def iva_sweep(spec: np.ndarray, w: np.ndarray, cfg: IvaConfig = IvaConfig(),
         v = _weighted_covariance(stats, r)
         try:
             wm = _solve_rows(w @ v, m)
-            if not np.all(np.isfinite(wm)):
-                raise np.linalg.LinAlgError
+            quad = _quad_form(wm, v) if np.all(np.isfinite(wm)) else None
         except np.linalg.LinAlgError:
+            quad = None
+        if quad is None or not _positive(quad):
             tr = np.real(v[:, 0, 0] + v[:, 1, 1]) / 2.0
             v = v + (cfg.eps * tr + cfg.eps)[:, None, None] * np.eye(2)
             try:
@@ -163,9 +173,9 @@ def iva_sweep(spec: np.ndarray, w: np.ndarray, cfg: IvaConfig = IvaConfig(),
                 raise NumericalError("singular demixing update") from exc
             if not np.all(np.isfinite(wm)):
                 raise NumericalError("demixing update diverged")
-        quad = np.real(np.einsum("ka,kab,kb->k", np.conj(wm), v, wm))
-        if np.any(quad <= 0) or not np.all(np.isfinite(quad)):
-            raise NumericalError("non-positive normalization in demixing update")
+            quad = _quad_form(wm, v)
+            if not _positive(quad):
+                raise NumericalError("non-positive normalization in demixing update")
         wm = wm / np.sqrt(quad)[:, None]
         w[:, m, :] = np.conj(wm)
         v_used[m] = v

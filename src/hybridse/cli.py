@@ -313,7 +313,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WEIGHTS
     except (InvalidInputError, DegenerateInputError, SceneInfeasibleError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except NumericalError as exc:

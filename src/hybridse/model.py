@@ -357,10 +357,6 @@ def _bn_p(w: ModelWeights, name: str) -> nn.BatchNormParams:
                               running_var=w[f"{name}.var"])
 
 
-def _gru_p(w: ModelWeights, name: str) -> nn.GruParams:
-    return nn.GruParams(w_x=w[f"{name}.w_x"], w_h=w[f"{name}.w_h"], bias=w[f"{name}.bias"])
-
-
 def gtconv_block(x: np.ndarray, w: ModelWeights, prefix: str, dilation: int,
                  cfg: ModelConfig) -> np.ndarray:
     """Half-identity grouped temporal conv block.
@@ -418,36 +414,49 @@ def encode(x: np.ndarray, w: ModelWeights, cfg: ModelConfig):
     return latent, latent
 
 
+def _stacked_gru(w: ModelWeights, names) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return tuple(np.stack([w[f"{n}.{k}"] for n in names]) for k in ("w_x", "w_h", "bias"))
+
+
 def gdprnn(latent: np.ndarray, w: ModelWeights, cfg: ModelConfig) -> np.ndarray:
     """Grouped dual-path block: bidirectional GRUs over bands within each
     frame, then causal GRUs over time within each band, each followed by a
     linear projection back to group width, a channel shuffle, and a residual
-    add.  Output shape equals input shape."""
+    add.  Output shape equals input shape.
+
+    Each path is one :func:`nn.gru_scan`: the intra path stacks the forward
+    and the band-reversed inputs of every group (``S = 2 * groups``), the
+    inter path stacks the groups (``S = groups``).  The projections are
+    batched over groups, the intra one summing the two directions' halves.
+    """
     b, c, t, f = latent.shape
     groups = cfg.dprnn_groups
     if c % groups != 0:
         raise InvalidInputError(f"{c} channels not divisible by {groups} groups")
     gw = c // groups
 
-    x = latent
-    outs = []
-    for g in range(groups):
-        xg = x[:, g * gw:(g + 1) * gw]
-        seq = xg.transpose(3, 0, 2, 1).reshape(f, b * t, gw)
-        h = nn.gru_sequence(seq, (_gru_p(w, f"dprnn.intra.g{g}.fwd"),
-                                  _gru_p(w, f"dprnn.intra.g{g}.bwd")), "bidirectional")
-        p = h @ w[f"dprnn.intra.g{g}.proj.kernel"] + w[f"dprnn.intra.g{g}.proj.bias"]
-        outs.append(p.reshape(f, b, t, gw).transpose(1, 3, 2, 0))
-    x = x + nn.channel_shuffle(np.concatenate(outs, axis=1), groups)
+    # intra: [groups, bands, batch * frames, gw], scanned over the bands
+    seq = latent.reshape(b, groups, gw, t, f).transpose(1, 4, 0, 3, 2)
+    seq = seq.reshape(groups, f, b * t, gw)
+    intra = [f"dprnn.intra.g{g}" for g in range(groups)]
+    h = nn.gru_scan(np.concatenate([seq, seq[:, ::-1]]),
+                    *_stacked_gru(w, [f"{n}.fwd" for n in intra] + [f"{n}.bwd" for n in intra]))
+    k = np.stack([w[f"{n}.proj.kernel"] for n in intra])[:, None]
+    hid = cfg.intra_hidden
+    p = np.matmul(h[:groups], k[:, :, :hid])
+    p += np.matmul(h[groups:], k[:, :, hid:])[:, ::-1]
+    p += np.stack([w[f"{n}.proj.bias"] for n in intra])[:, None, None]
+    p = p.reshape(groups, f, b, t, gw).transpose(2, 0, 4, 3, 1).reshape(b, c, t, f)
+    x = latent + nn.channel_shuffle(p, groups)
 
-    outs = []
-    for g in range(groups):
-        xg = x[:, g * gw:(g + 1) * gw]
-        seq = xg.transpose(2, 0, 3, 1).reshape(t, b * f, gw)
-        h = nn.gru_sequence(seq, _gru_p(w, f"dprnn.inter.g{g}.gru"), "forward")
-        p = h @ w[f"dprnn.inter.g{g}.proj.kernel"] + w[f"dprnn.inter.g{g}.proj.bias"]
-        outs.append(p.reshape(t, b, f, gw).transpose(1, 3, 0, 2))
-    return x + nn.channel_shuffle(np.concatenate(outs, axis=1), groups)
+    # inter: [groups, frames, batch * bands, gw], scanned over the frames
+    seq = x.reshape(b, groups, gw, t, f).transpose(1, 3, 0, 4, 2).reshape(groups, t, b * f, gw)
+    inter = [f"dprnn.inter.g{g}" for g in range(groups)]
+    h = nn.gru_scan(seq, *_stacked_gru(w, [f"{n}.gru" for n in inter]))
+    p = np.matmul(h, np.stack([w[f"{n}.proj.kernel"] for n in inter])[:, None])
+    p += np.stack([w[f"{n}.proj.bias"] for n in inter])[:, None, None]
+    p = p.reshape(groups, t, b, f, gw).transpose(2, 0, 4, 1, 3).reshape(b, c, t, f)
+    return x + nn.channel_shuffle(p, groups)
 
 
 def decode(z: np.ndarray, w: ModelWeights, cfg: ModelConfig) -> np.ndarray:

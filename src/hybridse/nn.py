@@ -6,6 +6,14 @@ exported from the usual deep-learning frameworks drop in unchanged.  Time
 padding is causal (left only) when requested; frequency padding is always
 symmetric "same"-style, total ``(kf - 1) * dilation``.  Functions preserve
 the dtype of their inputs and keep no hidden state.
+
+Recurrences run through one kernel, :func:`gru_scan`, which advances ``S``
+independent forward GRUs in lockstep.  Its inputs are stacked on a leading
+axis, ``x`` [S, time, batch, input], with weights ``w_x`` [S, input, 3H],
+``w_h`` [S, H, 3H] and ``bias`` [S, 3H] (gate columns: update, reset,
+candidate), so a caller folds groups and directions into ``S``; a backward
+GRU is a forward one over the time-reversed input.  :func:`gru_sequence` is
+the single-GRU [time, batch, input] view of the same kernel.
 """
 
 from dataclasses import dataclass
@@ -37,10 +45,6 @@ class GruParams:
     w_x: np.ndarray               # [input, 3*hidden]
     w_h: np.ndarray               # [hidden, 3*hidden]
     bias: np.ndarray              # [3*hidden]
-
-    @property
-    def hidden(self) -> int:
-        return self.w_h.shape[0]
 
 
 def _pads(kt, kf, dt, df, causal_pad_time):
@@ -156,29 +160,48 @@ def tanh_act(x: np.ndarray) -> np.ndarray:
     return np.tanh(x)
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """In-place logistic ``0.5 * tanh(0.5 * x) + 0.5``: one transcendental
+    pass, no masking, and no overflow for any finite input."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x *= 0.5
+    x += 0.5
+    return x
 
 
-def _gru_pass(x: np.ndarray, p: GruParams) -> np.ndarray:
-    t_len, batch, _ = x.shape
-    h_dim = p.hidden
-    pre = x @ p.w_x + p.bias
-    h = np.zeros((batch, h_dim), dtype=x.dtype)
-    out = np.empty((t_len, batch, h_dim), dtype=x.dtype)
-    wz, wr, wc = p.w_h[:, :h_dim], p.w_h[:, h_dim:2 * h_dim], p.w_h[:, 2 * h_dim:]
+def gru_scan(x: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
+             bias: np.ndarray) -> np.ndarray:
+    """Run ``S`` independent forward GRUs in lockstep from a zero state.
+
+    ``x`` is [S, time, batch, input]; the weights are stacked per GRU,
+    ``w_x`` [S, input, 3H], ``w_h`` [S, H, 3H], ``bias`` [S, 3H], gate
+    columns ordered (update, reset, candidate).  Returns the hidden states
+    [S, time, batch, H].  Each step projects only that step's input and
+    advances every gate of every GRU with one batched ``h @ w_h``.
+    """
+    s, t_len, batch, d_in = x.shape
+    h_dim = w_h.shape[1]
+    # gate-major copies, [S, 3, in|H, H], so every gate plane is contiguous
+    wx = w_x.reshape(s, d_in, 3, h_dim).transpose(0, 2, 1, 3).copy()
+    wh = w_h.reshape(s, h_dim, 3, h_dim).transpose(0, 2, 1, 3).copy()
+    b = bias.reshape(s, 3, 1, h_dim)
+    out = np.empty((s, t_len, batch, h_dim), dtype=x.dtype)
+    h = np.zeros((s, batch, h_dim), dtype=x.dtype)
     for t in range(t_len):
-        z = _sigmoid(pre[t, :, :h_dim] + h @ wz)
-        r = _sigmoid(pre[t, :, h_dim:2 * h_dim] + h @ wr)
-        c = np.tanh(pre[t, :, 2 * h_dim:] + r * (h @ wc))
+        pre = np.matmul(x[:, t, None], wx)
+        pre += b
+        rec = np.matmul(h[:, None], wh)
+        zr = _logistic(pre[:, :2] + rec[:, :2])
+        c = np.tanh(pre[:, 2] + zr[:, 1] * rec[:, 2])
+        z = zr[:, 0]
         h = (1.0 - z) * c + z * h
-        out[t] = h
+        out[:, t] = h
     return out
+
+
+def _gru_run(x: np.ndarray, p: GruParams) -> np.ndarray:
+    return gru_scan(x[None], p.w_x[None], p.w_h[None], p.bias[None])[0]
 
 
 def gru_sequence(x: np.ndarray,
@@ -188,22 +211,17 @@ def gru_sequence(x: np.ndarray,
 
     ``direction`` is "forward", "backward", or "bidirectional"; the latter
     takes ``p = (forward_params, backward_params)`` and concatenates both
-    hidden sequences on the feature axis.
+    hidden sequences on the feature axis.  A shape adapter over
+    :func:`gru_scan` (``S = 1``, one scan per direction).
     """
     if direction == "bidirectional":
         pf, pb = p
-        if x.shape[0] == 0:
-            return np.empty((0, x.shape[1], pf.hidden + pb.hidden), dtype=x.dtype)
-        fwd = _gru_pass(x, pf)
-        bwd = _gru_pass(x[::-1], pb)[::-1]
-        return np.concatenate([fwd, bwd], axis=-1)
+        return np.concatenate([_gru_run(x, pf), _gru_run(x[::-1], pb)[::-1]], axis=-1)
     if direction not in ("forward", "backward"):
         raise InvalidInputError(f"unknown direction {direction!r}")
-    if x.shape[0] == 0:
-        return np.empty((0, x.shape[1], p.hidden), dtype=x.dtype)
     if direction == "backward":
-        return _gru_pass(x[::-1], p)[::-1]
-    return _gru_pass(x, p)
+        return _gru_run(x[::-1], p)[::-1]
+    return _gru_run(x, p)
 
 
 def channel_shuffle(x: np.ndarray, groups: int) -> np.ndarray:

@@ -223,6 +223,65 @@ def channel_shuffle_naive(x, groups):
     return out
 
 
+def _linear_naive(h, kernel, bias):
+    """``h @ kernel + bias`` over the last axis of a [time, batch, in] array."""
+    t_len, batch, d_in = h.shape
+    out = np.zeros((t_len, batch, kernel.shape[1]))
+    for t in range(t_len):
+        for n in range(batch):
+            for j in range(kernel.shape[1]):
+                acc = bias[j]
+                for i in range(d_in):
+                    acc += h[t, n, i] * kernel[i, j]
+                out[t, n, j] = acc
+    return out
+
+
+def _gru_weights(w, name):
+    return w[f"{name}.w_x"], w[f"{name}.w_h"], w[f"{name}.bias"]
+
+
+def gdprnn_naive(x, w, groups):
+    """Grouped dual-path block composed group by group from :func:`gru_naive`.
+
+    ``x`` is [batch, channel, time, freq]; ``w`` maps the ``dprnn.*`` tensor
+    names to arrays.  Per group, a bidirectional GRU runs over the bands of
+    every frame and a forward GRU over the frames of every band; each is
+    projected back to group width, channel-shuffled and added residually.
+    """
+    b, c, t_len, f = x.shape
+    gw = c // groups
+    x = np.array(x, dtype=np.float64)
+    for path in ("intra", "inter"):
+        # sequence axis: bands (intra) or frames (inter); batch: the other
+        seq_len, other = (f, t_len) if path == "intra" else (t_len, f)
+        y = np.zeros_like(x)
+        for g in range(groups):
+            name = f"dprnn.{path}.g{g}"
+            seq = np.zeros((seq_len, b * other, gw))
+            for n in range(b):
+                for o in range(other):
+                    for s in range(seq_len):
+                        ti, fi = (o, s) if path == "intra" else (s, o)
+                        for ch in range(gw):
+                            seq[s, n * other + o, ch] = x[n, g * gw + ch, ti, fi]
+            if path == "intra":
+                fwd = gru_naive(seq, *_gru_weights(w, f"{name}.fwd"))
+                bwd = gru_naive(seq[::-1], *_gru_weights(w, f"{name}.bwd"))[::-1]
+                h = np.concatenate([fwd, bwd], axis=-1)
+            else:
+                h = gru_naive(seq, *_gru_weights(w, f"{name}.gru"))
+            p = _linear_naive(h, w[f"{name}.proj.kernel"], w[f"{name}.proj.bias"])
+            for n in range(b):
+                for o in range(other):
+                    for s in range(seq_len):
+                        ti, fi = (o, s) if path == "intra" else (s, o)
+                        for ch in range(gw):
+                            y[n, g * gw + ch, ti, fi] = p[s, n * other + o, ch]
+        x = x + channel_shuffle_naive(y, groups)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Band mapping and feature stacking
 # ---------------------------------------------------------------------------

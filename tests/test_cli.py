@@ -99,6 +99,18 @@ class TestEnhance:
     def test_missing_input_exit_2(self, tmp_path, capsys):
         assert main(["enhance", str(tmp_path / "nope.wav")]) == 2
 
+    def test_input_directory_exit_2(self, tmp_path, capsys):
+        folder = tmp_path / "folder.wav"
+        folder.mkdir()
+        assert main(["enhance", str(folder), "--out", str(tmp_path / "o.wav")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_weights_directory_exit_2(self, tmp_path, stereo_wav, capsys):
+        assert main(["enhance", str(stereo_wav), "--out", str(tmp_path / "o.wav"),
+                     "--weights", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o.wav").exists()
+
     def test_corrupt_weights_exit_3(self, tmp_path, stereo_wav, weights_file, capsys):
         bad = tmp_path / "bad.gtcw"
         bad.write_bytes(weights_file.read_bytes()[:-9])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hybridse.auxiva import IvaConfig
@@ -224,6 +226,20 @@ class TestGdprnn:
         b = gdprnn(x2, w, cfg)
         np.testing.assert_array_equal(a[:, :, :6], b[:, :, :6])
 
+    def test_matches_per_group_naive_composition(self):
+        cfg = ModelConfig()
+        w = init_random(cfg, 11)
+        x = np.random.default_rng(11).standard_normal((1, 16, 3, 33)).astype(np.float32)
+        got = gdprnn(x, w, cfg)
+        want = oracles.gdprnn_naive(x, w, cfg.dprnn_groups)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-5
+
+    def test_preserves_float32(self):
+        cfg = ModelConfig()
+        w = init_random(cfg, 12)
+        x = np.random.default_rng(12).standard_normal((2, 16, 4, 33)).astype(np.float32)
+        assert gdprnn(x, w, cfg).dtype == np.float32
+
     def test_indivisible_channels_rejected(self):
         cfg = ModelConfig()
         w = init_random(cfg, 0)
@@ -368,6 +384,20 @@ class TestEnhance:
         with pytest.warns(UserWarning, match="fewer than 2 frames"):
             r = enhance(wave, w, cfg)
         assert not r.used_iva
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(257, 512), st.integers(0, 2 ** 32 - 1))
+    @example(300, 3)
+    @example(400, 10)
+    def test_two_frame_input_enhances(self, length, seed):
+        # two frames give a rank-deficient covariance, which can make the
+        # normalization w^H v w non-positive; that is regularized, not fatal
+        cfg = ModelConfig()
+        w = init_random(cfg, 0)
+        wave = np.random.default_rng(seed).standard_normal((2, length))
+        r = enhance(wave, w, cfg)
+        assert r.used_iva
+        assert np.all(np.isfinite(r.wave))
 
     def test_explicit_bypass(self):
         cfg = ModelConfig()

@@ -1,5 +1,7 @@
 """Inference primitives against naive-loop references."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ import oracles
 from hybridse.errors import InvalidInputError
 from hybridse.nn import (BatchNormParams, Conv2dParams, GruParams,
                          batch_norm_infer, channel_shuffle, conv2d,
-                         conv_transpose2d, gru_sequence, prelu, tanh_act)
+                         conv_transpose2d, gru_scan, gru_sequence, prelu,
+                         tanh_act)
 
 
 def rel_linf(got, want):
@@ -228,6 +231,39 @@ class TestGru:
         np.testing.assert_allclose(out[..., 3:],
                                    gru_sequence(x, pb, direction="backward"),
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_scan_matches_separate_naive_runs(self, dtype):
+        rng = np.random.default_rng(25)
+        s, d_in, hidden = 3, 5, 4
+        x = rng.standard_normal((s, 7, 2, d_in)).astype(dtype)
+        w_x = (0.5 * rng.standard_normal((s, d_in, 3 * hidden))).astype(dtype)
+        w_h = (0.5 * rng.standard_normal((s, hidden, 3 * hidden))).astype(dtype)
+        bias = (0.5 * rng.standard_normal((s, 3 * hidden))).astype(dtype)
+        got = gru_scan(x, w_x, w_h, bias)
+        assert got.shape == (s, 7, 2, hidden)
+        assert got.dtype == dtype
+        for i in range(s):
+            want = oracles.gru_naive(x[i], w_x[i], w_h[i], bias[i])
+            assert rel_linf(got[i], want) < 1e-5
+
+    def test_saturated_gates_are_exact_and_silent(self):
+        # pre-activations of +-1e4 saturate the logistic to exactly 0 or 1
+        # without an overflow warning; GRU 0 keeps its zero state (z = 1),
+        # GRU 1 forgets it (z = 0) and resets the recurrence (r = 0)
+        hidden = 3
+        w_x = np.zeros((2, 2, 3 * hidden), np.float32)
+        w_h = np.ones((2, hidden, 3 * hidden), np.float32)
+        bias = np.zeros((2, 3 * hidden), np.float32)
+        bias[0, :hidden] = 1e4
+        bias[1, :2 * hidden] = -1e4
+        bias[:, 2 * hidden:] = 0.5
+        x = np.ones((2, 4, 1, 2), np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = gru_scan(x, w_x, w_h, bias)
+        np.testing.assert_array_equal(out[0], 0.0)
+        np.testing.assert_array_equal(out[1], np.tanh(np.float32(0.5)))
 
     def test_empty_sequence(self):
         p = self.random_params(np.random.default_rng(21), 4, 3)
