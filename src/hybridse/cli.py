@@ -140,7 +140,10 @@ def _enhance_one(path, args_tuple):
         w = init_random(cfg, seed)
     wave = _read_stereo(path)
     iva_cfg = IvaConfig(iterations=iva_iters)
-    res = enhance(wave, w, cfg, iva_cfg=iva_cfg, use_iva=not no_iva)
+    try:
+        res = enhance(wave, w, cfg, iva_cfg=iva_cfg, use_iva=not no_iva)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
     if not np.all(np.isfinite(res.wave)):
         raise NumericalError(f"{path}: enhancement produced non-finite samples")
     target = _out_path(out, path, ".enhanced.wav", multi)

@@ -28,8 +28,11 @@ def sqrt_hann(length: int) -> np.ndarray:
     return np.sqrt(0.5 * (1.0 - np.cos(2.0 * np.pi * n / length)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StftConfig:
+    """STFT geometry.  The window is stored as a read-only float64 copy, so
+    one instance can be shared (as a default argument, say); configs compare
+    and hash by value, window included."""
     fft_size: int = 512
     hop: int = 256
     sample_rate: int = DEFAULT_SAMPLE_RATE
@@ -41,9 +44,24 @@ class StftConfig:
         if self.hop <= 0 or self.fft_size % self.hop != 0:
             raise InvalidInputError(f"hop must divide fft_size, got hop={self.hop}")
         if self.window is None:
-            object.__setattr__(self, "window", sqrt_hann(self.fft_size))
-        elif len(self.window) != self.fft_size:
-            raise InvalidInputError("window length must equal fft_size")
+            window = sqrt_hann(self.fft_size)
+        else:
+            window = np.array(self.window, dtype=np.float64)
+            if window.shape != (self.fft_size,):
+                raise InvalidInputError("window length must equal fft_size")
+        window.flags.writeable = False
+        object.__setattr__(self, "window", window)
+
+    def _key(self):
+        return (self.fft_size, self.hop, self.sample_rate, self.window.tobytes())
+
+    def __eq__(self, other):
+        if not isinstance(other, StftConfig):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n_bins(self) -> int:

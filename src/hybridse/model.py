@@ -313,7 +313,8 @@ def load_weights(data: bytes, cfg: ModelConfig) -> ModelWeights:
 def build_features(y: np.ndarray, y_iva: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Real feature planes [planes, frames, bins] from the noisy and IVA
     spectrograms: Re/Im of both noisy channels, then the configured IVA
-    planes (Re/Im pairs or log-power, speech channel first)."""
+    planes (Re/Im pairs or log-power, speech channel first).  Raises
+    :class:`InvalidInputError` when a plane leaves the float32 range."""
     y = np.asarray(y)
     y_iva = np.asarray(y_iva)
     if y.shape != y_iva.shape or y.ndim != 3 or y.shape[0] != 2:
@@ -327,7 +328,11 @@ def build_features(y: np.ndarray, y_iva: np.ndarray, cfg: ModelConfig) -> np.nda
             planes.append(y_iva[ch].imag)
         else:
             planes.append(log_power(y_iva[ch]))
-    return np.stack(planes).astype(np.float32)
+    feats = np.stack(planes)
+    limit = np.finfo(np.float32).max
+    if feats.max() > limit or feats.min() < -limit:
+        raise InvalidInputError("input too loud: spectrogram exceeds the float32 range")
+    return feats.astype(np.float32)
 
 
 def sfe(x: np.ndarray, kernel: int = 3) -> np.ndarray:

@@ -7,6 +7,12 @@ padding is causal (left only) when requested; frequency padding is always
 symmetric "same"-style, total ``(kf - 1) * dilation``.  Functions preserve
 the dtype of their inputs and keep no hidden state.
 
+Grouped convolutions advance every group at once: :func:`conv2d` views its
+input as [batch, groups, in/groups, time, freq] and takes one batched
+product per kernel tap over all groups, a broadcast product when each group
+has a single input channel (depthwise), and :func:`conv_transpose2d`
+scatter-adds one batched ``kernel^T @ x`` per tap.
+
 Recurrences run through one kernel, :func:`gru_scan`, which advances ``S``
 independent forward GRUs in lockstep.  Its inputs are stacked on a leading
 axis, ``x`` [S, time, batch, input], with weights ``w_x`` [S, input, 3H],
@@ -70,27 +76,33 @@ def conv2d(x: np.ndarray, p: Conv2dParams,
     if out_ch % groups != 0:
         raise InvalidInputError("output channels must be divisible by groups")
 
+    b, c_in, t_in, f_in = x.shape
     pt, pf_l, pf_r = _pads(kt, kf, dt, df, causal_pad_time)
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, 0), (pf_l, pf_r)))
-    b, _, tp, fp = xp.shape
+    if pt or pf_l or pf_r:
+        xp = np.zeros((b, c_in, t_in + pt, f_in + pf_l + pf_r), dtype=x.dtype)
+        xp[:, :, pt:, pf_l:pf_l + f_in] = x
+    else:
+        xp = x
+    tp, fp = xp.shape[2:]
     t_out = (tp - ((kt - 1) * dt + 1)) // st + 1
     f_out = (fp - ((kf - 1) * df + 1)) // sf + 1
     if t_out <= 0 or f_out <= 0:
         raise InvalidInputError("input smaller than the (dilated) kernel")
 
     o_per_g = out_ch // groups
-    out = np.zeros((b, out_ch, t_out, f_out), dtype=x.dtype)
-    for g in range(groups):
-        xg = xp[:, g * in_per_g:(g + 1) * in_per_g]
-        kg = p.kernel[g * o_per_g:(g + 1) * o_per_g]
-        acc = np.zeros((b, o_per_g, t_out * f_out), dtype=x.dtype)
-        for i in range(kt):
-            for j in range(kf):
-                patch = xg[:, :,
-                           i * dt:i * dt + (t_out - 1) * st + 1:st,
-                           j * df:j * df + (f_out - 1) * sf + 1:sf]
-                acc += np.matmul(kg[:, :, i, j], patch.reshape(b, in_per_g, -1))
-        out[:, g * o_per_g:(g + 1) * o_per_g] = acc.reshape(b, o_per_g, t_out, f_out)
+    xg = xp.reshape(b, groups, in_per_g, tp, fp)
+    kg = p.kernel.reshape(groups, o_per_g, in_per_g, kt, kf)
+    acc = np.zeros((b, groups, o_per_g, t_out, f_out), dtype=x.dtype)
+    for i in range(kt):
+        for j in range(kf):
+            patch = xg[..., i * dt:i * dt + (t_out - 1) * st + 1:st,
+                       j * df:j * df + (f_out - 1) * sf + 1:sf]
+            if in_per_g == 1:      # [groups, out/g, 1, 1] * [b, groups, 1, t, f]
+                acc += kg[:, :, :, i, j, None] * patch
+            else:
+                acc += np.matmul(kg[:, :, :, i, j], patch.reshape(b, groups, in_per_g, -1)
+                                 ).reshape(acc.shape)
+    out = acc.reshape(b, out_ch, t_out, f_out)
     if p.bias is not None:
         out += p.bias[None, :, None, None]
     return out
@@ -126,17 +138,16 @@ def conv_transpose2d(x: np.ndarray, p: Conv2dParams,
     f_full = (f_in - 1) * sf + (kf - 1) * df + 1
     i_per_g = in_ch // groups
     out_ch = o_per_g * groups
-    full = np.zeros((b, out_ch, t_full, f_full), dtype=x.dtype)
-    for g in range(groups):
-        xg = x[:, g * i_per_g:(g + 1) * i_per_g]
-        kg = p.kernel[g * i_per_g:(g + 1) * i_per_g]
-        for i in range(kt):
-            for j in range(kf):
-                contrib = np.matmul(kg[:, :, i, j].T, xg.reshape(b, i_per_g, -1))
-                full[:, g * o_per_g:(g + 1) * o_per_g,
-                     i * dt:i * dt + (t_in - 1) * st + 1:st,
-                     j * df:j * df + (f_in - 1) * sf + 1:sf] += \
-                    contrib.reshape(b, o_per_g, t_in, f_in)
+    full = np.zeros((b, groups, o_per_g, t_full, f_full), dtype=x.dtype)
+    xg = x.reshape(b, groups, i_per_g, t_in * f_in)
+    kg = p.kernel.reshape(groups, i_per_g, o_per_g, kt, kf)
+    for i in range(kt):
+        for j in range(kf):
+            contrib = np.matmul(kg[:, :, :, i, j].transpose(0, 2, 1), xg)
+            full[..., i * dt:i * dt + (t_in - 1) * st + 1:st,
+                 j * df:j * df + (f_in - 1) * sf + 1:sf] += \
+                contrib.reshape(b, groups, o_per_g, t_in, f_in)
+    full = full.reshape(b, out_ch, t_full, f_full)
     out = full[:, :, pt:t_full, pf_l:f_full - pf_r]
     if p.bias is not None:
         out = out + p.bias[None, :, None, None]
@@ -151,9 +162,17 @@ def batch_norm_infer(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
 
 
 def prelu(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Per-channel parametric ReLU."""
+    """Per-channel parametric ReLU, as ``max(x, 0) + alpha * min(x, 0)``.
+
+    Equal to ``x if x >= 0 else alpha * x`` for every input, NaN and +-inf
+    included, bit for bit except the sign of a zero result: it can be +0.0
+    where that expression gives -0.0.
+    """
     alpha = np.asarray(alpha)
-    return np.where(x >= 0, x, alpha[None, :, None, None] * x)
+    out = np.minimum(x, 0)
+    out *= alpha[None, :, None, None]
+    out += np.maximum(x, 0)
+    return out
 
 
 def tanh_act(x: np.ndarray) -> np.ndarray:

@@ -154,6 +154,18 @@ class TestNonFiniteInput:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--no-iva"]])
+    def test_beyond_float32_spectrum_exit_2(self, tmp_path, capsys, extra):
+        # finite float samples near the float32 limit overflow the network's
+        # float32 features; that is invalid input, not a numerical failure
+        wave = 3e38 * np.random.default_rng(7).uniform(-1, 1, (4096, 2))
+        path = tmp_path / "loud.wav"
+        wavfile.write(path, FS, wave.astype(np.float32))
+        assert main(["enhance", str(path), "--out", str(tmp_path / "out"), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "float32" in err and "loud.wav" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSeparate:
     def test_low_snr_mixture_improves(self, tmp_path, capsys):
@@ -325,7 +337,7 @@ class TestConfigFile:
 class TestEntryPoint:
     def test_console_script_smoke(self):
         proc = subprocess.run([sys.executable, "-m", "hybridse.cli", "inspect"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0
         assert "parameters" in proc.stdout
 

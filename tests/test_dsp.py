@@ -46,6 +46,30 @@ class TestConfig:
         assert cfg.n_frames(257) == 2
         assert cfg.n_frames(16000) == 63
 
+    def test_equal_configs_compare_and_hash_equal(self):
+        a, b = StftConfig(), StftConfig(window=sqrt_hann(512))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b, StftConfig()}) == 1
+        assert StftConfig(hop=128) != a
+
+    def test_window_alone_distinguishes_configs(self):
+        w = sqrt_hann(512)
+        w[0] = 1e-3
+        assert StftConfig(window=w) != StftConfig()
+        assert StftConfig(window=np.hanning(512)) != StftConfig()
+
+    def test_stored_window_is_read_only(self):
+        # one default instance is shared by every function that takes it as
+        # a default argument; a caller's array is copied, not aliased
+        with pytest.raises(ValueError):
+            stft.__defaults__[0].window[0] = 1.0
+        w = sqrt_hann(512)
+        cfg = StftConfig(window=w)
+        w[:] = 0.0
+        assert not cfg.window.flags.writeable
+        assert cfg == StftConfig()
+
 
 class TestStft:
     def test_zero_waveform_gives_zero_spectrogram(self):

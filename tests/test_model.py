@@ -1,5 +1,7 @@
 """Mask-refinement network: features, blocks, forward pass, cost accounting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -90,6 +92,16 @@ class TestBuildFeatures:
             build_features(y, yi[:, :-1], ModelConfig())
         with pytest.raises(InvalidInputError):
             build_features(y[0], yi[0], ModelConfig())
+
+    @pytest.mark.parametrize("feature", ["lps", "complex"])
+    def test_plane_beyond_float32_rejected(self, feature):
+        y, yi = rand_specs(4)
+        yi[1, 3, 7] = -1e39 + 1j
+        cfg = ModelConfig(feature=feature, iva_channels="s_and_n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="float32"):
+                build_features(1e38 * y if feature == "lps" else y, yi, cfg)
 
 
 class TestSfe:
@@ -424,3 +436,23 @@ class TestEnhance:
         wave[1, 700] = bad
         with pytest.raises(InvalidInputError, match="non-finite"):
             enhance(wave, w, cfg, use_iva=use_iva)
+
+    @pytest.mark.parametrize("use_iva", [True, False])
+    def test_spectrum_beyond_float32_rejected(self, use_iva):
+        # finite samples whose spectrum leaves the float32 range of the
+        # network's features are invalid input, not a NaN output
+        cfg = ModelConfig()
+        w = init_random(cfg, 11)
+        wave = 3e38 * np.random.default_rng(16).uniform(-1, 1, (2, 2048))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="float32"):
+                enhance(wave, w, cfg, use_iva=use_iva)
+
+    @pytest.mark.parametrize("use_iva", [True, False])
+    def test_loud_input_within_float32_enhances(self, use_iva):
+        cfg = ModelConfig()
+        w = init_random(cfg, 11)
+        wave = 1e30 * np.random.default_rng(16).uniform(-1, 1, (2, 2048))
+        r = enhance(wave, w, cfg, use_iva=use_iva)
+        assert np.all(np.isfinite(r.wave))

@@ -82,6 +82,33 @@ class TestConv2d:
         p = Conv2dParams(np.zeros((2, 2, 1, 1), dtype=np.float32))
         assert conv2d(x, p).dtype == np.float32
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("multiplier", [1, 2])
+    def test_one_input_channel_per_group_matches_naive(self, multiplier, dtype):
+        # in/groups == 1 takes the broadcast-product branch: depthwise
+        # (multiplier 1) and depth multiplier 2, strided, dilated, causal
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((2, 4, 9, 11)).astype(dtype)
+        k = rng.standard_normal((4 * multiplier, 1, 3, 3)).astype(dtype)
+        b = rng.standard_normal(4 * multiplier).astype(dtype)
+        got = conv2d(x, Conv2dParams(k, b), stride=(1, 2), dilation=(2, 1), groups=4)
+        want = oracles.conv2d_naive(x, k, b, stride=(1, 2), dilation=(2, 1), groups=4)
+        assert got.dtype == dtype
+        assert got.shape == want.shape == (2, 4 * multiplier, 9, 6)
+        assert rel_linf(got, want) < 1e-5
+
+    def test_pointwise_leaves_input_alone(self):
+        # a 1x1 conv needs no padding and reads its input in place; the
+        # result is still a fresh array
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((1, 3, 5, 7))
+        before = x.copy()
+        k = rng.standard_normal((4, 3, 1, 1))
+        out = conv2d(x, Conv2dParams(k, np.ones(4)))
+        np.testing.assert_array_equal(x, before)
+        assert not np.shares_memory(out, x)
+        assert rel_linf(out, oracles.conv2d_naive(x, k, np.ones(4))) < 1e-5
+
 
 class TestConvTranspose2d:
     def test_identity_kernel(self):
@@ -107,6 +134,19 @@ class TestConvTranspose2d:
         b = rng.standard_normal(6)
         got = conv_transpose2d(x, Conv2dParams(k, b), stride=(1, 2), groups=2)
         want = oracles.conv_transpose2d_naive(x, k, b, stride=(1, 2), groups=2)
+        assert rel_linf(got, want) < 1e-5
+
+    @pytest.mark.parametrize("groups, o_per_g", [(2, 3), (6, 1), (6, 2)])
+    def test_grouped_and_depthwise_match_naive(self, groups, o_per_g):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((2, 6, 5, 7))
+        k = rng.standard_normal((6, o_per_g, 2, 3))
+        b = rng.standard_normal(groups * o_per_g)
+        got = conv_transpose2d(x, Conv2dParams(k, b), stride=(1, 2),
+                               dilation=(2, 1), groups=groups)
+        want = oracles.conv_transpose2d_naive(x, k, b, stride=(1, 2),
+                                              dilation=(2, 1), groups=groups)
+        assert got.shape == want.shape == (2, groups * o_per_g, 5, 13)
         assert rel_linf(got, want) < 1e-5
 
     def test_adjoint_of_conv2d(self):
@@ -175,6 +215,24 @@ class TestActivations:
         alpha = rng.uniform(0.0, 1.0, 3)
         want = oracles.prelu_naive(x, alpha)
         np.testing.assert_array_equal(prelu(x, alpha), want)
+
+    @pytest.mark.parametrize("slope", [-0.5, 0.0, 1.75])
+    def test_prelu_special_values_match_naive(self, slope):
+        # every nonzero or NaN output carries the naive bits; a zero output
+        # can be +0.0 where the naive branch gives -0.0 (from x == -0.0, or
+        # from a zero slope times a negative x), so zeros compare by value
+        special = [-0.0, 0.0, np.inf, -np.inf, np.nan, -3.0, 2.5, -1e-30]
+        x = np.array(special * 2, dtype=np.float32).reshape(1, 2, 1, 8)
+        alpha = np.array([slope, 0.25], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # 0 * inf
+            got = prelu(x, alpha)
+            want = oracles.prelu_naive(x, alpha)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+        nonzero = want != 0
+        np.testing.assert_array_equal(got.view(np.uint32)[nonzero],
+                                      want.view(np.uint32)[nonzero])
 
     def test_tanh_range_and_values(self):
         x = np.random.default_rng(15).standard_normal((1, 2, 3, 3)) * 5
