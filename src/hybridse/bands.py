@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import DEFAULT_SAMPLE_RATE
 from .errors import InvalidInputError
 
 N_BINS = 257
@@ -40,13 +41,15 @@ class ErbFilterbank:
     n_bands: int = N_BANDS
 
 
-def make_erb_filterbank(sample_rate: int = 16000, fft_size: int = 512) -> ErbFilterbank:
-    """Build the 64-band ERB pooling for the high 192 bins.
+def make_erb_filterbank() -> ErbFilterbank:
+    """Build the 64-band ERB pooling for the high 192 bins of the 512-point
+    STFT at 16 kHz, the only geometry the band layout fits.
 
     Band edges are uniform on the ERB-rate scale from the frequency of bin 65
     up to Nyquist; a bin joins the band whose edge interval contains it, so
     bin 65 lands in band 0 and the Nyquist bin in band 63.
     """
+    sample_rate, fft_size = DEFAULT_SAMPLE_RATE, 2 * (N_BINS - 1)
     bin_hz = np.arange(N_BINS) * sample_rate / fft_size
     erb = hz_to_erb_rate(bin_hz[N_LOW:])
     edges = np.linspace(erb[0], hz_to_erb_rate(sample_rate / 2), N_ERB + 1)

@@ -13,6 +13,7 @@ the leading double dash); explicit command-line flags win.
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -131,15 +132,8 @@ def _out_path(out, in_path: str, suffix: str, multi: bool) -> Path:
     return out / f"{stem}{suffix}"
 
 
-def _enhance_one(path, args_tuple):
-    (preset, weights_path, iva_iters, no_iva, seed, out, multi) = args_tuple
-    cfg = preset_config(preset)
-    if weights_path:
-        w = load_weights(Path(weights_path).read_bytes(), cfg)
-    else:
-        w = init_random(cfg, seed)
+def _enhance_one(path, cfg, w, iva_cfg, no_iva, out, multi):
     wave = _read_stereo(path)
-    iva_cfg = IvaConfig(iterations=iva_iters)
     try:
         res = enhance(wave, w, cfg, iva_cfg=iva_cfg, use_iva=not no_iva)
     except InvalidInputError as exc:
@@ -152,14 +146,19 @@ def _enhance_one(path, args_tuple):
 
 
 def cmd_enhance(args) -> int:
-    packed = (args.preset, args.weights, args.iva_iters, args.no_iva,
-              args.seed, args.out, len(args.inputs) > 1)
+    cfg = preset_config(args.preset)
+    if args.weights:
+        w = load_weights(Path(args.weights).read_bytes(), cfg)
+    else:
+        w = init_random(cfg, args.seed)
+    enhance_file = partial(_enhance_one, cfg=cfg, w=w,
+                           iva_cfg=IvaConfig(iterations=args.iva_iters),
+                           no_iva=args.no_iva, out=args.out, multi=len(args.inputs) > 1)
     if args.jobs > 1 and len(args.inputs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            written = list(pool.map(_enhance_one, args.inputs,
-                                    [packed] * len(args.inputs)))
+            written = list(pool.map(enhance_file, args.inputs))
     else:
-        written = [_enhance_one(path, packed) for path in args.inputs]
+        written = [enhance_file(path) for path in args.inputs]
     for path in written:
         print(path)
     return EXIT_OK
@@ -270,7 +269,6 @@ def cmd_inspect(args) -> int:
     print(f"parameters: {total} total")
     for layer, n in params.items():
         print(f"  {layer:28s} {n:8d}")
-    assert total == sum(params.values())
     macs = macs_breakdown(cfg, iva_cfg=iva_cfg)
     print(f"MACs/s: {count_macs(cfg, iva_cfg=iva_cfg) / 1e6:.2f} M total")
     for layer, n in macs.items():

@@ -10,12 +10,16 @@ channel.
 
 Everything below the feature stage runs in float32 on the framework-free
 primitives from :mod:`hybridse.nn`.  Weights live in a flat name->tensor
-mapping; the layer inventory for a configuration is generated by
-:func:`expected_shapes`, and loading validates against it exactly.
+mapping.  One private layer table, ``_layers(cfg)``, is the single
+description of the architecture's weights and costs: the tensor inventory
+(:func:`expected_shapes`, which loading validates against exactly), the
+parameter counts and the MAC accounting are all read from it.  The forward
+pass is written out directly and reads exactly that inventory.
 """
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Tuple
@@ -24,7 +28,8 @@ import numpy as np
 
 from . import nn
 from .auxiva import IvaConfig, auxiva_separate, iva_macs_per_second
-from .bands import ErbFilterbank, band_merge, band_split, make_erb_filterbank
+from .bands import (N_BANDS, N_BINS, N_LOW, ErbFilterbank, band_merge, band_split,
+                    make_erb_filterbank)
 from .dsp import StftConfig, istft, log_power, stft
 from .errors import InvalidInputError, WeightFormatError
 from .weights import deserialize_tensors, serialize_tensors
@@ -75,6 +80,13 @@ class ModelConfig:
                 raise InvalidInputError("channel widths must be divisible by their groups")
         if self.dual_branch_channels % 2 != 0:
             raise InvalidInputError("dual_branch_channels must be even")
+        # the decoder mirrors the strided band axis only when no band is
+        # dropped: 129 -> f1 -> f2 must each divide evenly
+        st, sf = self.conv_stride
+        if st != 1 or sf < 1 or (N_BANDS - 1) % sf or ((N_BANDS - 1) // sf) % sf:
+            raise InvalidInputError(
+                f"conv_stride must be (1, s) with s dividing {N_BANDS - 1} and "
+                f"{N_BANDS - 1} / s, got {self.conv_stride}")
 
     @property
     def iva_planes(self) -> int:
@@ -109,117 +121,96 @@ def preset_config(name: str) -> ModelConfig:
 
 
 # --------------------------------------------------------------------------
-# layer inventory
+# layer table
 
 
-def _conv_shapes(d, name, out_ch, in_per_g, kt, kf):
-    d[f"{name}.kernel"] = (out_ch, in_per_g, kt, kf)
-    d[f"{name}.bias"] = (out_ch,)
+def _layers(cfg: ModelConfig):
+    """The architecture as one ordered table of ``(layer, {leaf: shape},
+    mac_entry, bands)`` rows, in weight-file order.
 
-
-def _bn_shapes(d, name, ch):
-    for leaf in ("gamma", "beta", "mean", "var"):
-        d[f"{name}.{leaf}"] = (ch,)
-
-
-def _gt_shapes(d, name, ch, expand, kernel):
-    half = ch // 2
-    kt, kf = kernel
-    _conv_shapes(d, f"{name}.pconv1", expand, half, 1, 1)
-    _bn_shapes(d, f"{name}.bn1", expand)
-    d[f"{name}.prelu1.alpha"] = (expand,)
-    d[f"{name}.dwconv.kernel"] = (expand, 1, kt, kf)
-    d[f"{name}.dwconv.bias"] = (expand,)
-    _bn_shapes(d, f"{name}.bn2", expand)
-    d[f"{name}.prelu2.alpha"] = (expand,)
-    _conv_shapes(d, f"{name}.pconv2", half, expand, 1, 1)
-
-
-def _gru_shapes(d, name, in_dim, hidden):
-    d[f"{name}.w_x"] = (in_dim, 3 * hidden)
-    d[f"{name}.w_h"] = (hidden, 3 * hidden)
-    d[f"{name}.bias"] = (3 * hidden,)
-
-
-def _encoder_branch_shapes(d, prefix, in_planes, width, cfg):
+    ``mac_entry`` is the :func:`macs_breakdown` item (the layer itself, or
+    the G-T-conv block or G-DPRNN path it belongs to) that the layer's
+    ``kernel``, ``w_x`` and ``w_h`` entries count towards, each applied once
+    per band of a frame, at ``bands`` bands: f1 after one strided conv, f2
+    after two.  Batch norms and PReLUs have ``None`` for both.
+    """
+    sf = cfg.conv_stride[1]
+    f1 = (N_BANDS - 1) // sf + 1
+    f2 = (f1 - 1) // sf + 1
     kt, kf = cfg.conv_kernel
-    _conv_shapes(d, f"{prefix}.conv1", width, in_planes, kt, kf)
-    _bn_shapes(d, f"{prefix}.bn1", width)
-    d[f"{prefix}.prelu1.alpha"] = (width,)
-    _conv_shapes(d, f"{prefix}.conv2", width, width // cfg.conv2_groups, kt, kf)
-    _bn_shapes(d, f"{prefix}.bn2", width)
-    d[f"{prefix}.prelu2.alpha"] = (width,)
+    c = e = cfg.gtconv_channels             # latent width; G-T-conv expansion width
+    rows = []
+
+    def weighted(layer, kernel, n_out, mac=None, bands=f2):
+        rows.append((layer, {"kernel": kernel, "bias": (n_out,)}, mac or layer, bands))
+
+    def norm_act(bn, prelu, ch):
+        rows.append((bn, dict.fromkeys(("gamma", "beta", "mean", "var"), (ch,)), None, None))
+        rows.append((prelu, {"alpha": (ch,)}, None, None))
+
+    def gru(layer, n_in, hidden, mac):
+        rows.append((layer, {"w_x": (n_in, 3 * hidden), "w_h": (hidden, 3 * hidden),
+                             "bias": (3 * hidden,)}, mac, f2))
+
+    def gt(prefix, ch):
+        half = ch // 2
+        weighted(f"{prefix}.pconv1", (e, half, 1, 1), e, prefix)          # expand
+        norm_act(f"{prefix}.bn1", f"{prefix}.prelu1", e)
+        weighted(f"{prefix}.dwconv", (e, 1, *cfg.gtconv_kernel), e, prefix)
+        norm_act(f"{prefix}.bn2", f"{prefix}.prelu2", e)
+        weighted(f"{prefix}.pconv2", (half, e, 1, 1), half, prefix)      # squeeze
+
+    def branch(prefix, in_planes, width):
+        weighted(f"{prefix}.conv1", (width, in_planes, kt, kf), width, bands=f1)
+        norm_act(f"{prefix}.bn1", f"{prefix}.prelu1", width)
+        weighted(f"{prefix}.conv2", (width, width // cfg.conv2_groups, kt, kf), width)
+        norm_act(f"{prefix}.bn2", f"{prefix}.prelu2", width)
+        for i in range(len(cfg.gtconv_dilations)):
+            gt(f"{prefix}.gt{i}", width)
+
+    if cfg.encoder == "single":
+        branch("enc", cfg.sfe_kernel * cfg.feature_planes, c)
+    else:
+        bc = cfg.dual_branch_channels
+        branch("enc.main", cfg.sfe_kernel * 4, bc)
+        branch("enc.aux", cfg.sfe_kernel * cfg.iva_planes, bc)
+        weighted("enc.fuse", (c, 2 * bc, 1, 1), c)
+        norm_act("enc.fuse_bn", "enc.fuse_prelu", c)
+
+    gw = c // cfg.dprnn_groups
+    hi, he = cfg.intra_hidden, cfg.inter_hidden
+    for g in range(cfg.dprnn_groups):
+        gru(f"dprnn.intra.g{g}.fwd", gw, hi, "dprnn.intra")
+        gru(f"dprnn.intra.g{g}.bwd", gw, hi, "dprnn.intra")
+        weighted(f"dprnn.intra.g{g}.proj", (2 * hi, gw), gw, "dprnn.intra")
+    for g in range(cfg.dprnn_groups):
+        gru(f"dprnn.inter.g{g}.gru", gw, he, "dprnn.inter")
+        weighted(f"dprnn.inter.g{g}.proj", (he, gw), gw, "dprnn.inter")
+
     for i in range(len(cfg.gtconv_dilations)):
-        _gt_shapes(d, f"{prefix}.gt{i}", width, cfg.gtconv_channels, cfg.gtconv_kernel)
+        gt(f"dec.gt{i}", c)
+    # transposed kernels are [in, out / groups, kt, kf], counted per input band
+    weighted("dec.deconv1", (c, c // cfg.conv2_groups, kt, kf), c)
+    norm_act("dec.bn1", "dec.prelu1", c)
+    weighted("dec.deconv2", (c, 2, kt, kf), 2, bands=f1)
+    return rows
 
 
 def expected_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
     """Ordered name -> shape inventory of every tensor the config requires."""
-    d: Dict[str, Tuple[int, ...]] = {}
-    c = cfg.gtconv_channels
-    if cfg.encoder == "single":
-        _encoder_branch_shapes(d, "enc", cfg.sfe_kernel * cfg.feature_planes, c, cfg)
-    else:
-        bc = cfg.dual_branch_channels
-        _encoder_branch_shapes(d, "enc.main", cfg.sfe_kernel * 4, bc, cfg)
-        _encoder_branch_shapes(d, "enc.aux", cfg.sfe_kernel * cfg.iva_planes, bc, cfg)
-        _conv_shapes(d, "enc.fuse", c, 2 * bc, 1, 1)
-        _bn_shapes(d, "enc.fuse_bn", c)
-        d["enc.fuse_prelu.alpha"] = (c,)
-
-    gw = c // cfg.dprnn_groups
-    for g in range(cfg.dprnn_groups):
-        _gru_shapes(d, f"dprnn.intra.g{g}.fwd", gw, cfg.intra_hidden)
-        _gru_shapes(d, f"dprnn.intra.g{g}.bwd", gw, cfg.intra_hidden)
-        d[f"dprnn.intra.g{g}.proj.kernel"] = (2 * cfg.intra_hidden, gw)
-        d[f"dprnn.intra.g{g}.proj.bias"] = (gw,)
-    for g in range(cfg.dprnn_groups):
-        _gru_shapes(d, f"dprnn.inter.g{g}.gru", gw, cfg.inter_hidden)
-        d[f"dprnn.inter.g{g}.proj.kernel"] = (cfg.inter_hidden, gw)
-        d[f"dprnn.inter.g{g}.proj.bias"] = (gw,)
-
-    for i in range(len(cfg.gtconv_dilations)):
-        _gt_shapes(d, f"dec.gt{i}", c, cfg.gtconv_channels, cfg.gtconv_kernel)
-    kt, kf = cfg.conv_kernel
-    d["dec.deconv1.kernel"] = (c, c // cfg.conv2_groups, kt, kf)
-    d["dec.deconv1.bias"] = (c,)
-    _bn_shapes(d, "dec.bn1", c)
-    d["dec.prelu1.alpha"] = (c,)
-    d["dec.deconv2.kernel"] = (c, 2, kt, kf)
-    d["dec.deconv2.bias"] = (2,)
-    return d
-
-
-_STAT_LEAVES = (".mean", ".var")
-
-
-def param_count(shapes) -> int:
-    """Learnable scalars in a shape inventory (BN running stats excluded)."""
-    total = 0
-    for name, shp in shapes.items():
-        if name.endswith(_STAT_LEAVES):
-            continue
-        total += int(np.prod(shp, dtype=np.int64))
-    return total
-
-
-def count_params(cfg: ModelConfig) -> int:
-    return param_count(expected_shapes(cfg))
-
-
-def _layer_of(name: str) -> str:
-    return name.rsplit(".", 1)[0]
+    return {f"{layer}.{leaf}": shape for layer, leaves, _, _ in _layers(cfg)
+            for leaf, shape in leaves.items()}
 
 
 def param_breakdown(cfg: ModelConfig) -> Dict[str, int]:
-    """Per-layer learnable parameter counts; values sum to count_params."""
-    out: Dict[str, int] = {}
-    for name, shp in expected_shapes(cfg).items():
-        if name.endswith(_STAT_LEAVES):
-            continue
-        layer = _layer_of(name)
-        out[layer] = out.get(layer, 0) + int(np.prod(shp, dtype=np.int64))
-    return out
+    """Per-layer learnable parameter counts (BN running stats excluded)."""
+    return {layer: sum(math.prod(shape) for leaf, shape in leaves.items()
+                       if leaf not in ("mean", "var"))
+            for layer, leaves, _, _ in _layers(cfg)}
+
+
+def count_params(cfg: ModelConfig) -> int:
+    return sum(param_breakdown(cfg).values())
 
 
 # --------------------------------------------------------------------------
@@ -473,7 +464,7 @@ def decode(z: np.ndarray, w: ModelWeights, cfg: ModelConfig) -> np.ndarray:
                             groups=cfg.conv2_groups)
     z = nn.prelu(nn.batch_norm_infer(z, _bn_p(w, "dec.bn1")), w["dec.prelu1.alpha"])
     z = nn.conv_transpose2d(z, _conv_p(w, "dec.deconv2"), stride=cfg.conv_stride)
-    return nn.tanh_act(z)
+    return np.tanh(z)
 
 
 def forward(y: np.ndarray, y_iva: np.ndarray, w: ModelWeights, cfg: ModelConfig,
@@ -515,24 +506,11 @@ def apply_mask(mask: np.ndarray, y: np.ndarray, y_iva: np.ndarray,
 # analytic cost accounting
 
 
-def _band_trace(cfg: ModelConfig, n_bands: int):
-    sf = cfg.conv_stride[1]
-    f1 = (n_bands - 1) // sf + 1
-    f2 = (f1 - 1) // sf + 1
-    return f1, f2
-
-
-def _branch_macs(cfg: ModelConfig, in_planes: int, width: int, f1: int, f2: int,
-                 out: Dict[str, float], prefix: str):
-    kt, kf = cfg.conv_kernel
-    out[f"{prefix}.conv1"] = f1 * width * in_planes * kt * kf
-    out[f"{prefix}.conv2"] = f2 * width * (width // cfg.conv2_groups) * kt * kf
-    gkt, gkf = cfg.gtconv_kernel
-    e = cfg.gtconv_channels
-    for i in range(len(cfg.gtconv_dilations)):
-        out[f"{prefix}.gt{i}"] = f2 * (e * (width // 2)      # expand
-                                       + e * gkt * gkf       # depthwise
-                                       + (width // 2) * e)   # squeeze
+def _check_band_geometry(stft_cfg: StftConfig):
+    if stft_cfg.n_bins != N_BINS:
+        raise InvalidInputError(
+            f"the band pipeline needs {N_BINS} STFT bins, got {stft_cfg.n_bins} "
+            f"(fft_size {stft_cfg.fft_size})")
 
 
 def macs_breakdown(cfg: ModelConfig, stft_cfg: StftConfig = StftConfig(),
@@ -546,45 +524,17 @@ def macs_breakdown(cfg: ModelConfig, stft_cfg: StftConfig = StftConfig(),
     norms and activations fold into their neighbors and are not counted.
     The IVA term comes from :func:`iva_macs_per_second`.
     """
-    fps = stft_cfg.frames_per_second
-    n_bins = stft_cfg.n_bins
-    n_bands = 129
-    n_high = n_bins - 65
-    f1, f2 = _band_trace(cfg, n_bands)
-    c = cfg.gtconv_channels
-    per_frame: Dict[str, float] = {}
-    per_frame["band_merge"] = cfg.feature_planes * n_high
-    if cfg.encoder == "single":
-        _branch_macs(cfg, cfg.sfe_kernel * cfg.feature_planes, c, f1, f2,
-                     per_frame, "enc")
-    else:
-        bc = cfg.dual_branch_channels
-        _branch_macs(cfg, cfg.sfe_kernel * 4, bc, f1, f2, per_frame, "enc.main")
-        _branch_macs(cfg, cfg.sfe_kernel * cfg.iva_planes, bc, f1, f2,
-                     per_frame, "enc.aux")
-        per_frame["enc.fuse"] = f2 * c * 2 * bc
-
-    gw = c // cfg.dprnn_groups
-    hi = cfg.intra_hidden
-    per_frame["dprnn.intra"] = (
-        f2 * 2 * cfg.dprnn_groups * 3 * (gw * hi + hi * hi)
-        + f2 * cfg.dprnn_groups * 2 * hi * gw)
-    he = cfg.inter_hidden
-    per_frame["dprnn.inter"] = (
-        f2 * cfg.dprnn_groups * 3 * (gw * he + he * he)
-        + f2 * cfg.dprnn_groups * he * gw)
-
-    gkt, gkf = cfg.gtconv_kernel
-    e = cfg.gtconv_channels
-    for i in range(len(cfg.gtconv_dilations)):
-        per_frame[f"dec.gt{i}"] = f2 * (e * (c // 2) + e * gkt * gkf + (c // 2) * e)
-    kt, kf = cfg.conv_kernel
-    per_frame["dec.deconv1"] = f2 * c * (c // cfg.conv2_groups) * kt * kf
-    per_frame["dec.deconv2"] = f1 * c * 2 * kt * kf
+    _check_band_geometry(stft_cfg)
+    n_high = stft_cfg.n_bins - N_LOW
+    per_frame: Dict[str, float] = {"band_merge": cfg.feature_planes * n_high}
+    for _, leaves, mac, bands in _layers(cfg):
+        if mac is not None:
+            taps = sum(math.prod(leaves[k]) for k in ("kernel", "w_x", "w_h") if k in leaves)
+            per_frame[mac] = per_frame.get(mac, 0) + bands * taps
     per_frame["band_split"] = 2 * n_high
-    per_frame["apply_mask"] = 4 * n_bins
+    per_frame["apply_mask"] = 4 * stft_cfg.n_bins
 
-    out = {name: v * fps for name, v in per_frame.items()}
+    out = {name: v * stft_cfg.frames_per_second for name, v in per_frame.items()}
     if iva_cfg is not None:
         out["auxiva"] = iva_macs_per_second(iva_cfg, stft_cfg)
     return out
@@ -617,6 +567,7 @@ def enhance(wave: np.ndarray, w: ModelWeights, cfg: ModelConfig,
             use_iva: bool = True,
             fb: Optional[ErbFilterbank] = None) -> EnhanceResult:
     """Enhance a two-channel waveform [2, n] into mono speech of length n."""
+    _check_band_geometry(stft_cfg)
     wave = np.asarray(wave, dtype=np.float64)
     if wave.ndim != 2 or wave.shape[0] != 2:
         raise InvalidInputError(f"expected a [2, n] waveform, got shape {wave.shape}")

@@ -175,10 +175,6 @@ def prelu(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return out
 
 
-def tanh_act(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
 def _logistic(x: np.ndarray) -> np.ndarray:
     """In-place logistic ``0.5 * tanh(0.5 * x) + 0.5``: one transcendental
     pass, no masking, and no overflow for any finite input."""

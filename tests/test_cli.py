@@ -137,6 +137,27 @@ class TestEnhance:
         assert sorted(p.name for p in out_dir.iterdir()) == \
             ["m0.enhanced.wav", "m1.enhanced.wav"]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_model_built_once_per_call(self, tmp_path, capsys, monkeypatch, jobs):
+        calls = []
+
+        def counting_init(cfg, seed):
+            calls.append(seed)
+            return init_random(cfg, seed)
+
+        monkeypatch.setattr("hybridse.cli.init_random", counting_init)
+        rng = np.random.default_rng(4)
+        paths = []
+        for i in range(3):
+            p = tmp_path / f"m{i}.wav"
+            write_wav(p, FS, 0.1 * rng.standard_normal((2, 3000)))
+            paths.append(str(p))
+        out_dir = tmp_path / "outs"
+        assert main(["enhance", *paths, "--out", str(out_dir), "--jobs", jobs]) == 0
+        assert calls == [0]
+        assert sorted(p.name for p in out_dir.iterdir()) == \
+            ["m0.enhanced.wav", "m1.enhanced.wav", "m2.enhanced.wav"]
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

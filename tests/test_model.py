@@ -50,10 +50,19 @@ class TestConfig:
         {"sfe_kernel": 2},
         {"gtconv_channels": 15},
         {"gtconv_channels": 18, "dprnn_groups": 4},
+        {"conv_stride": (1, 3)},
+        {"conv_stride": (2, 2)},
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):
             ModelConfig(**kwargs)
+
+    @pytest.mark.parametrize("stride", [(1, 1), (1, 2), (1, 4)])
+    def test_mirrorable_strides_enhance(self, stride):
+        cfg = ModelConfig(conv_stride=stride)
+        wave = 0.1 * np.random.default_rng(5).standard_normal((2, 2048))
+        r = enhance(wave, init_random(cfg, 0), cfg, use_iva=False)
+        assert r.wave.shape == (2048,)
 
     def test_feature_plane_counts(self):
         assert ModelConfig(feature="lps", iva_channels="s_and_n").feature_planes == 6
@@ -298,6 +307,20 @@ class TestForward:
             m = forward(y, yi, init_random(cfg, 0), cfg)
             assert m.shape == (2, 5, 257), name
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_reads_exactly_the_inventory(self, name):
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        read = set()
+        cfg = preset_config(name)
+        w = init_random(cfg, 0)
+        w.tensors = Recording(w.tensors)
+        forward(*rand_specs(4, frames=3), w, cfg)
+        assert read == set(expected_shapes(cfg))
+
 
 class TestApplyMask:
     def test_unit_real_mask_is_identity(self):
@@ -335,6 +358,10 @@ class TestCostAccounting:
         assert count_params(ModelConfig()) == 25746
         assert count_params(preset_config("lps-s-m2")) == 25506
         assert count_params(preset_config("lps-sn-m2-dual")) == 27190
+        assert count_params(preset_config("cplx-s-m1")) == 25746
+        assert count_params(preset_config("cplx-s-m2")) == 25746
+        assert count_params(preset_config("cplx-sn-m1")) == 26226
+        assert count_params(preset_config("lps-s-m1")) == 25506
         assert count_params(preset_config("lps-s-m2")) < count_params(ModelConfig())
 
     def test_breakdown_sums_to_total(self):
@@ -361,6 +388,37 @@ class TestCostAccounting:
         assert count_macs(cfg) == pytest.approx(sum(bd.values()))
         from hybridse.auxiva import iva_macs_per_second
         assert bd["auxiva"] == iva_macs_per_second(IvaConfig(), StftConfig())
+
+    @pytest.mark.parametrize("name, total", [
+        ("cplx-s-m1", 53322250.0), ("cplx-s-m2", 53322250.0),
+        ("cplx-sn-m1", 55296250.0), ("lps-s-m1", 52335250.0),
+        ("lps-s-m2", 52335250.0), ("lps-sn-m2", 53322250.0),
+        ("lps-sn-m2-dual", 54499750.0),
+    ])
+    def test_network_macs_per_preset(self, name, total):
+        assert count_macs(preset_config(name), iva_cfg=None) == total
+
+    def test_macs_breakdown_pinned(self):
+        gt, dprnn = 825000.0, {"dprnn.intra": 33792000.0, "dprnn.inter": 5280000.0}
+        dec = {"dec.gt0": gt, "dec.gt1": gt, "dec.gt2": gt,
+               "dec.deconv1": 1320000.0, "dec.deconv2": 650000.0,
+               "band_split": 24000.0, "apply_mask": 64250.0}
+        assert macs_breakdown(preset_config("lps-sn-m2")) == {
+            "band_merge": 72000.0, "enc.conv1": 5850000.0, "enc.conv2": 1320000.0,
+            "enc.gt0": gt, "enc.gt1": gt, "enc.gt2": gt, **dprnn, **dec}
+        branch_gt = 693000.0
+        assert macs_breakdown(preset_config("lps-sn-m2-dual")) == {
+            "band_merge": 72000.0,
+            "enc.main.conv1": 2925000.0, "enc.main.conv2": 742500.0,
+            "enc.main.gt0": branch_gt, "enc.main.gt1": branch_gt, "enc.main.gt2": branch_gt,
+            "enc.aux.conv1": 1462500.0, "enc.aux.conv2": 742500.0,
+            "enc.aux.gt0": branch_gt, "enc.aux.gt1": branch_gt, "enc.aux.gt2": branch_gt,
+            "enc.fuse": 792000.0, **dprnn, **dec}
+
+    def test_macs_need_the_band_pipeline_bins(self):
+        with pytest.raises(InvalidInputError, match="257 STFT bins"):
+            macs_breakdown(ModelConfig(), StftConfig(fft_size=1024, hop=512))
+        assert count_macs(ModelConfig(), StftConfig(hop=128), None) == 2 * 53322250.0
 
     def test_macs_without_iva_smaller(self):
         cfg = ModelConfig()
@@ -426,6 +484,15 @@ class TestEnhance:
             enhance(np.zeros(2048), w, cfg)
         with pytest.raises(InvalidInputError):
             enhance(np.zeros((3, 2048)), w, cfg)
+
+    def test_stft_geometry_must_give_the_band_bins(self):
+        cfg = ModelConfig()
+        w = init_random(cfg, 11)
+        wave = 0.1 * np.random.default_rng(15).standard_normal((2, 4096))
+        with pytest.raises(InvalidInputError, match="257 STFT bins"):
+            enhance(wave, w, cfg, stft_cfg=StftConfig(fft_size=1024, hop=512))
+        r = enhance(wave, w, cfg, stft_cfg=StftConfig(hop=128))
+        assert r.wave.shape == (4096,) and r.mask.shape == (2, 32, 257)
 
     @pytest.mark.parametrize("use_iva", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

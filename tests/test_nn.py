@@ -9,8 +9,7 @@ import oracles
 from hybridse.errors import InvalidInputError
 from hybridse.nn import (BatchNormParams, Conv2dParams, GruParams,
                          batch_norm_infer, channel_shuffle, conv2d,
-                         conv_transpose2d, gru_scan, gru_sequence, prelu,
-                         tanh_act)
+                         conv_transpose2d, gru_scan, gru_sequence, prelu)
 
 
 def rel_linf(got, want):
@@ -233,12 +232,6 @@ class TestActivations:
         nonzero = want != 0
         np.testing.assert_array_equal(got.view(np.uint32)[nonzero],
                                       want.view(np.uint32)[nonzero])
-
-    def test_tanh_range_and_values(self):
-        x = np.random.default_rng(15).standard_normal((1, 2, 3, 3)) * 5
-        out = tanh_act(x)
-        assert np.all(np.abs(out) < 1.0)
-        np.testing.assert_allclose(out, np.vectorize(np.tanh)(x), atol=1e-12)
 
 
 class TestGru:
