@@ -29,14 +29,11 @@ from .errors import DegenerateInputError, InvalidInputError, NumericalError
 class IvaConfig:
     iterations: int = 20
     eps: float = 1e-8
-    contrast: str = "laplace"
     ref_channel: int = 0
 
     def __post_init__(self):
         if self.iterations < 0:
             raise InvalidInputError("iterations must be >= 0")
-        if self.contrast != "laplace":
-            raise InvalidInputError(f"unsupported contrast {self.contrast!r}")
         if not 0 <= self.ref_channel < 2:
             raise InvalidInputError("ref_channel must be 0 or 1")
         if self.eps <= 0:

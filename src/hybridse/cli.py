@@ -23,9 +23,9 @@ from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, stft, istft
 from .errors import (DegenerateInputError, InvalidInputError, NumericalError,
                      SceneInfeasibleError, WeightFormatError)
 from .loss import si_snr
-from .model import (DEFAULT_PRESET, EnhanceResult, ModelConfig, count_macs,
-                    count_params, enhance, init_random, load_weights,
-                    macs_breakdown, param_breakdown, preset_config)
+from .model import (DEFAULT_PRESET, count_macs, count_params, enhance,
+                    init_random, load_weights, macs_breakdown, param_breakdown,
+                    preset_config)
 from .simkit import (SceneConstraints, render_scene, sample_scene,
                      write_manifest)
 from .wavio import read_wav, write_wav
@@ -67,15 +67,6 @@ def _build_parser():
         description="Dual-channel low-SNR speech enhancement (IVA + refinement network)")
     parser.add_argument("--config", help="key=value file preloading any flag")
     sub = parser.add_subparsers(dest="command", required=True)
-    children = []
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for random weights / scene generation")
-        p.add_argument("--out", help="output file or directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for multi-file commands")
-        children.append(p)
 
     p = sub.add_parser("enhance", help="enhance stereo WAV files to mono speech")
     p.add_argument("inputs", nargs="+", help="stereo 16 kHz WAV files")
@@ -84,29 +75,32 @@ def _build_parser():
     p.add_argument("--iva-iters", type=int, default=IvaConfig.iterations)
     p.add_argument("--no-iva", action="store_true",
                    help="feed the noisy spectrogram in place of the IVA output")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for the random weights")
+    p.add_argument("--out", help="output file or directory")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel worker processes over the input files")
 
     p = sub.add_parser("separate", help="Aux-IVA separation only")
     p.add_argument("inputs", nargs="+", help="stereo 16 kHz WAV files")
     p.add_argument("--iva-iters", type=int, default=IvaConfig.iterations)
-    common(p)
+    p.add_argument("--out", help="output file or directory")
 
     p = sub.add_parser("simulate", help="render random scenes from dry corpora")
     p.add_argument("--speech-dir", required=True)
     p.add_argument("--noise-dir", required=True)
     p.add_argument("--n-scenes", type=int, required=True)
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for scene generation")
+    p.add_argument("--out", help="output directory (default: scenes)")
 
     p = sub.add_parser("eval", help="SI-SNR report for estimate/reference pairs")
     p.add_argument("--est-dir", required=True)
     p.add_argument("--ref-dir", required=True)
-    common(p)
+    p.add_argument("--out", help="also write the report to this file")
 
     p = sub.add_parser("inspect", help="parameter and MAC accounting for a preset")
     p.add_argument("preset", nargs="?", default=DEFAULT_PRESET)
     p.add_argument("--iva-iters", type=int, default=IvaConfig.iterations)
-    common(p)
-    return parser, children
+    return parser, list(sub.choices.values())
 
 
 def _read_stereo(path: str):
@@ -115,8 +109,6 @@ def _read_stereo(path: str):
         raise InvalidInputError(f"{path}: expected {DEFAULT_SAMPLE_RATE} Hz, got {rate}")
     if wave.ndim != 2 or wave.shape[0] != 2:
         raise InvalidInputError(f"{path}: expected a stereo file")
-    if not np.all(np.isfinite(wave)):
-        raise InvalidInputError(f"{path}: non-finite samples")
     return wave
 
 

@@ -28,40 +28,23 @@ def sqrt_hann(length: int) -> np.ndarray:
     return np.sqrt(0.5 * (1.0 - np.cos(2.0 * np.pi * n / length)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StftConfig:
-    """STFT geometry.  The window is stored as a read-only float64 copy, so
-    one instance can be shared (as a default argument, say); configs compare
-    and hash by value, window included."""
+    """STFT geometry.  The window is the periodic square-root Hann of length
+    ``fft_size``, stored read-only so one instance can be shared (as a
+    default argument, say)."""
     fft_size: int = 512
     hop: int = 256
-    sample_rate: int = DEFAULT_SAMPLE_RATE
-    window: np.ndarray = field(default=None, repr=False)
+    window: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.fft_size <= 0 or (self.fft_size & (self.fft_size - 1)) != 0:
             raise InvalidInputError(f"fft_size must be a power of two, got {self.fft_size}")
         if self.hop <= 0 or self.fft_size % self.hop != 0:
             raise InvalidInputError(f"hop must divide fft_size, got hop={self.hop}")
-        if self.window is None:
-            window = sqrt_hann(self.fft_size)
-        else:
-            window = np.array(self.window, dtype=np.float64)
-            if window.shape != (self.fft_size,):
-                raise InvalidInputError("window length must equal fft_size")
+        window = sqrt_hann(self.fft_size)
         window.flags.writeable = False
         object.__setattr__(self, "window", window)
-
-    def _key(self):
-        return (self.fft_size, self.hop, self.sample_rate, self.window.tobytes())
-
-    def __eq__(self, other):
-        if not isinstance(other, StftConfig):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def n_bins(self) -> int:
@@ -69,7 +52,7 @@ class StftConfig:
 
     @property
     def frames_per_second(self) -> float:
-        return self.sample_rate / self.hop
+        return DEFAULT_SAMPLE_RATE / self.hop
 
     def n_frames(self, n_samples: int) -> int:
         """Frame count so that every sample is covered by at least one frame."""

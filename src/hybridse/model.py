@@ -17,12 +17,10 @@ parameter counts and the MAC accounting are all read from it.  The forward
 pass is written out directly and reads exactly that inventory.
 """
 
-import hashlib
-import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -42,23 +40,32 @@ _ENCODERS = ("single", "dual")
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The four design axes the paper compares: the IVA feature type, the
+    IVA channels fed to the network, the masking target and the encoder.
+
+    The refinement net itself has GTCRN's fixed lightweight geometry (Rong
+    et al., ICASSP 2024), given by the class constants below.
+    """
     feature: str = "lps"
     iva_channels: str = "s_and_n"
     masking: str = "mask2_noisy"
     encoder: str = "single"
-    sfe_kernel: int = 3
-    gtconv_channels: int = 16
-    gtconv_kernel: Tuple[int, int] = (3, 3)
-    gtconv_dilations: Tuple[int, ...] = (1, 2, 5)
-    conv_kernel: Tuple[int, int] = (1, 5)
-    conv_stride: Tuple[int, int] = (1, 2)
-    conv2_groups: int = 2
-    dprnn_groups: int = 2
+
+    sfe_kernel: ClassVar[int] = 3
+    gtconv_channels: ClassVar[int] = 16
+    gtconv_kernel: ClassVar[Tuple[int, int]] = (3, 3)
+    gtconv_dilations: ClassVar[Tuple[int, ...]] = (1, 2, 5)
+    conv_kernel: ClassVar[Tuple[int, int]] = (1, 5)
+    # (1, s): the decoder mirrors the band axis only when s divides both
+    # N_BANDS - 1 and (N_BANDS - 1) / s, so no band is dropped
+    conv_stride: ClassVar[Tuple[int, int]] = (1, 2)
+    conv2_groups: ClassVar[int] = 2
+    dprnn_groups: ClassVar[int] = 2
     # Recurrent widths per group; sized so the default single-encoder
     # configuration totals about 25k learnable parameters.
-    intra_hidden: int = 32
-    inter_hidden: int = 16
-    dual_branch_channels: int = 12
+    intra_hidden: ClassVar[int] = 32
+    inter_hidden: ClassVar[int] = 16
+    dual_branch_channels: ClassVar[int] = 12
 
     def __post_init__(self):
         if self.feature not in _FEATURES:
@@ -69,24 +76,6 @@ class ModelConfig:
             raise InvalidInputError(f"masking must be one of {_MASKINGS}")
         if self.encoder not in _ENCODERS:
             raise InvalidInputError(f"encoder must be one of {_ENCODERS}")
-        if self.sfe_kernel < 1 or self.sfe_kernel % 2 == 0:
-            raise InvalidInputError("sfe_kernel must be odd")
-        if self.gtconv_channels % 2 != 0:
-            raise InvalidInputError("gtconv_channels must be even")
-        for width, groups in ((self.gtconv_channels, self.conv2_groups),
-                              (self.gtconv_channels, self.dprnn_groups),
-                              (self.dual_branch_channels, self.conv2_groups)):
-            if width % groups != 0:
-                raise InvalidInputError("channel widths must be divisible by their groups")
-        if self.dual_branch_channels % 2 != 0:
-            raise InvalidInputError("dual_branch_channels must be even")
-        # the decoder mirrors the strided band axis only when no band is
-        # dropped: 129 -> f1 -> f2 must each divide evenly
-        st, sf = self.conv_stride
-        if st != 1 or sf < 1 or (N_BANDS - 1) % sf or ((N_BANDS - 1) // sf) % sf:
-            raise InvalidInputError(
-                f"conv_stride must be (1, s) with s dividing {N_BANDS - 1} and "
-                f"{N_BANDS - 1} / s, got {self.conv_stride}")
 
     @property
     def iva_planes(self) -> int:
@@ -219,18 +208,11 @@ def count_params(cfg: ModelConfig) -> int:
 
 @dataclass
 class ModelWeights:
-    """Flat tensor map plus provenance metadata (config hash, init seed)."""
+    """Flat name -> tensor map, in inventory order."""
     tensors: Dict[str, np.ndarray]
-    config_hash: str
-    seed: Optional[int] = None
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
-
-
-def config_hash(cfg: ModelConfig) -> str:
-    blob = json.dumps(asdict(cfg), sort_keys=True, default=list)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def _fan_in_bound(name: str, shp) -> float:
@@ -267,7 +249,7 @@ def init_random(cfg: ModelConfig, seed: int) -> ModelWeights:
         else:
             raise InvalidInputError(f"unknown tensor leaf in {name}")
         tensors[name] = arr
-    return ModelWeights(tensors=tensors, config_hash=config_hash(cfg), seed=int(seed))
+    return ModelWeights(tensors)
 
 
 def save_weights(w: ModelWeights) -> bytes:
@@ -294,7 +276,7 @@ def load_weights(data: bytes, cfg: ModelConfig) -> ModelWeights:
         if name not in shapes:
             raise WeightFormatError(f"unexpected tensor {name!r} for this config")
     ordered = {name: raw[name] for name in shapes}
-    return ModelWeights(tensors=ordered, config_hash=config_hash(cfg), seed=None)
+    return ModelWeights(ordered)
 
 
 # --------------------------------------------------------------------------
@@ -353,8 +335,7 @@ def _bn_p(w: ModelWeights, name: str) -> nn.BatchNormParams:
                               running_var=w[f"{name}.var"])
 
 
-def gtconv_block(x: np.ndarray, w: ModelWeights, prefix: str, dilation: int,
-                 cfg: ModelConfig) -> np.ndarray:
+def gtconv_block(x: np.ndarray, w: ModelWeights, prefix: str, dilation: int) -> np.ndarray:
     """Half-identity grouped temporal conv block.
 
     The second channel half goes through pointwise expand, causal dilated
@@ -389,7 +370,7 @@ def _encode_branch(x: np.ndarray, w: ModelWeights, prefix: str,
     x = nn.prelu(nn.batch_norm_infer(x, _bn_p(w, f"{prefix}.bn2")),
                  w[f"{prefix}.prelu2.alpha"])
     for i, d in enumerate(cfg.gtconv_dilations):
-        x = gtconv_block(x, w, f"{prefix}.gt{i}", d, cfg)
+        x = gtconv_block(x, w, f"{prefix}.gt{i}", d)
     return x
 
 
@@ -459,7 +440,7 @@ def decode(z: np.ndarray, w: ModelWeights, cfg: ModelConfig) -> np.ndarray:
     """Latent-plus-skip [batch, 16, time, 33] to a two-plane mask at 129
     bands, squashed to (-1, 1) by the final tanh."""
     for i, d in enumerate(reversed(cfg.gtconv_dilations)):
-        z = gtconv_block(z, w, f"dec.gt{i}", d, cfg)
+        z = gtconv_block(z, w, f"dec.gt{i}", d)
     z = nn.conv_transpose2d(z, _conv_p(w, "dec.deconv1"), stride=cfg.conv_stride,
                             groups=cfg.conv2_groups)
     z = nn.prelu(nn.batch_norm_infer(z, _bn_p(w, "dec.bn1")), w["dec.prelu1.alpha"])

@@ -17,7 +17,10 @@ _SCALE = {
 
 
 def read_wav(path):
-    """Returns ``(sample_rate, wave)`` with wave [n] or [channels, n] float64."""
+    """Returns ``(sample_rate, wave)`` with wave [n] or [channels, n] float64.
+
+    Raises :class:`InvalidInputError` naming the path on an unreadable file,
+    an unsupported sample format, or a NaN/Inf sample in a float file."""
     try:
         rate, data = wavfile.read(path)
     except ValueError as exc:
@@ -28,6 +31,8 @@ def read_wav(path):
         wave = (data.astype(np.float64) - 128.0) / 128.0
     elif data.dtype in (np.float32, np.float64):
         wave = data.astype(np.float64)
+        if not np.all(np.isfinite(wave)):
+            raise InvalidInputError(f"{path}: non-finite samples")
     else:
         raise InvalidInputError(f"{path}: unsupported WAV sample format {data.dtype}")
     if wave.ndim == 2:

@@ -36,12 +36,10 @@ class TestConfig:
         cfg = IvaConfig()
         assert cfg.iterations == 20
         assert cfg.eps == 1e-8
-        assert cfg.contrast == "laplace"
         assert cfg.ref_channel == 0
 
     @pytest.mark.parametrize("kwargs", [
-        {"iterations": -1}, {"eps": 0.0}, {"contrast": "cauchy"},
-        {"ref_channel": 2},
+        {"iterations": -1}, {"eps": 0.0}, {"ref_channel": 2},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):

@@ -3,10 +3,13 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from conftest import FS, instantaneous_scene
@@ -188,6 +191,54 @@ class TestNonFiniteInput:
         assert not (tmp_path / "out").exists()
 
 
+_SPECIAL_SAMPLES = (np.nan, np.inf, -np.inf, 3e38, -3e38, 3.4e38, -3.4e38)
+
+
+@st.composite
+def wav_data(draw):
+    """``(rate, samples)`` for any WAV the reader might be given: 1-3
+    channels, 0-3 frames, u8/i16/i32/f32/f64 samples, and in float files
+    NaN, Inf and samples near the float32 limit."""
+    rate = draw(st.one_of(st.just(FS), st.integers(1, 192000)))
+    channels = draw(st.one_of(st.just(2), st.integers(1, 3)))
+    frames = draw(st.integers(0, 3))
+    dtype = np.dtype(draw(st.sampled_from(["u1", "i2", "i4", "f4", "f8"])))
+    if dtype.kind == "f":
+        sample = st.one_of(st.sampled_from(_SPECIAL_SAMPLES), st.floats(-1, 1),
+                           st.floats(allow_nan=False, allow_infinity=False, width=32))
+    else:
+        sample = st.integers(np.iinfo(dtype).min, np.iinfo(dtype).max)
+    values = draw(st.lists(sample, min_size=frames * channels, max_size=frames * channels))
+    data = np.array(values, dtype=dtype).reshape(frames, channels)
+    return rate, data[:, 0] if channels == 1 else data
+
+
+class TestWavBoundary:
+    @pytest.mark.filterwarnings("ignore:.*skipping IVA")
+    @settings(max_examples=30, deadline=None)
+    @given(wav_data())
+    def test_any_wav_exits_0_or_2(self, wav):
+        # every file a user can hand to enhance is enhanced or rejected as
+        # invalid input; none escapes as an exception or a numerical failure
+        rate, data = wav
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.wav"
+            wavfile.write(path, rate, data)
+            for extra in ([], ["--no-iva"]):
+                assert main(["enhance", str(path), "--out", str(Path(tmp) / "out.wav"),
+                             *extra]) in (0, 2)
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [["inspect", "--jobs", "2"],
+                                      ["separate", "x.wav", "--seed", "1"]])
+    def test_flag_a_subcommand_ignores_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestSeparate:
     def test_low_snr_mixture_improves(self, tmp_path, capsys):
         mix, speech_img, noise_img = instantaneous_scene(0)
@@ -253,6 +304,18 @@ class TestSimulate:
                    "--out", str(tmp_path / "scenes")])
         assert rc == 2
 
+    def test_non_finite_speech_exit_2(self, tmp_path, capsys):
+        sp_dir, nz_dir = self._corpus(tmp_path)
+        speech = np.zeros(16000, np.float32)
+        speech[100] = np.nan
+        wavfile.write(sp_dir / "s.wav", FS, speech)
+        out = tmp_path / "scenes"
+        rc = main(["simulate", "--speech-dir", str(sp_dir), "--noise-dir",
+                   str(nz_dir), "--n-scenes", "1", "--out", str(out)])
+        assert rc == 2
+        assert "s.wav: non-finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_zero_scenes_ok(self, tmp_path):
         (tmp_path / "se").mkdir()
         (tmp_path / "ne").mkdir()
@@ -299,6 +362,17 @@ class TestEval:
         out = capsys.readouterr().out
         assert rc == 2
         assert "unpaired\textra.wav" in out
+
+    def test_non_finite_estimate_exit_2(self, tmp_path, capsys):
+        est, ref = self._dirs(tmp_path)
+        bad = np.zeros(4000, np.float32)
+        bad[10] = np.nan
+        wavfile.write(est / "b.wav", FS, bad)
+        rc = main(["eval", "--est-dir", str(est), "--ref-dir", str(ref)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "b.wav: non-finite" in captured.err
+        assert "nan" not in captured.out
 
     def test_empty_dirs_ok(self, tmp_path, capsys):
         est, ref = tmp_path / "e", tmp_path / "r"

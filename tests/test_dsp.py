@@ -24,7 +24,7 @@ class TestConfig:
         assert cfg.fft_size == 512
         assert cfg.hop == 256
         assert cfg.n_bins == 257
-        assert cfg.sample_rate == 16000
+        assert cfg.frames_per_second == 62.5
 
     def test_fft_size_power_of_two_and_hop_divides(self):
         cfg = StftConfig()
@@ -47,28 +47,18 @@ class TestConfig:
         assert cfg.n_frames(16000) == 63
 
     def test_equal_configs_compare_and_hash_equal(self):
-        a, b = StftConfig(), StftConfig(window=sqrt_hann(512))
+        a, b = StftConfig(), StftConfig(512, 256)
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b, StftConfig()}) == 1
         assert StftConfig(hop=128) != a
 
-    def test_window_alone_distinguishes_configs(self):
-        w = sqrt_hann(512)
-        w[0] = 1e-3
-        assert StftConfig(window=w) != StftConfig()
-        assert StftConfig(window=np.hanning(512)) != StftConfig()
-
     def test_stored_window_is_read_only(self):
         # one default instance is shared by every function that takes it as
-        # a default argument; a caller's array is copied, not aliased
+        # a default argument
         with pytest.raises(ValueError):
             stft.__defaults__[0].window[0] = 1.0
-        w = sqrt_hann(512)
-        cfg = StftConfig(window=w)
-        w[:] = 0.0
-        assert not cfg.window.flags.writeable
-        assert cfg == StftConfig()
+        np.testing.assert_array_equal(StftConfig(256, 128).window, sqrt_hann(256))
 
 
 class TestStft:

@@ -1,5 +1,7 @@
 """Mask-refinement network: features, blocks, forward pass, cost accounting."""
 
+import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -33,6 +35,14 @@ def zero_block(w, prefix):
     return w
 
 
+_ABBREV = {"complex": "cplx", "lps": "lps", "s": "s", "s_and_n": "sn",
+           "mask1_iva": "m1", "mask2_noisy": "m2", "single": "", "dual": "dual"}
+
+
+def design_point_id(axes):
+    return "-".join(filter(None, (_ABBREV[a] for a in axes)))
+
+
 class TestConfig:
     def test_presets_resolve(self):
         for name in PRESETS:
@@ -47,22 +57,19 @@ class TestConfig:
         {"iva_channels": "both"},
         {"masking": "mask3"},
         {"encoder": "triple"},
-        {"sfe_kernel": 2},
-        {"gtconv_channels": 15},
-        {"gtconv_channels": 18, "dprnn_groups": 4},
-        {"conv_stride": (1, 3)},
-        {"conv_stride": (2, 2)},
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):
             ModelConfig(**kwargs)
 
-    @pytest.mark.parametrize("stride", [(1, 1), (1, 2), (1, 4)])
-    def test_mirrorable_strides_enhance(self, stride):
-        cfg = ModelConfig(conv_stride=stride)
-        wave = 0.1 * np.random.default_rng(5).standard_normal((2, 2048))
-        r = enhance(wave, init_random(cfg, 0), cfg, use_iva=False)
-        assert r.wave.shape == (2048,)
+    def test_settable_fields(self):
+        def init_fields(cls):
+            return [f.name for f in dataclasses.fields(cls) if f.init]
+
+        assert init_fields(ModelConfig) == ["feature", "iva_channels", "masking", "encoder"]
+        assert init_fields(StftConfig) == ["fft_size", "hop"]
+        assert init_fields(IvaConfig) == ["iterations", "eps", "ref_channel"]
+        assert [f.name for f in dataclasses.fields(StftConfig)] == ["fft_size", "hop", "window"]
 
     def test_feature_plane_counts(self):
         assert ModelConfig(feature="lps", iva_channels="s_and_n").feature_planes == 6
@@ -146,7 +153,7 @@ class TestGtconvBlock:
         cfg = ModelConfig()
         w = zero_block(init_random(cfg, 0), "enc.gt0")
         x = np.random.default_rng(2).standard_normal((1, 16, 6, 33)).astype(np.float32)
-        out = gtconv_block(x, w, "enc.gt0", 1, cfg)
+        out = gtconv_block(x, w, "enc.gt0", 1)
         from hybridse.nn import channel_shuffle
         expect = channel_shuffle(
             np.concatenate([x[:, :8], np.zeros_like(x[:, :8])], axis=1), 2)
@@ -157,7 +164,7 @@ class TestGtconvBlock:
         cfg = ModelConfig()
         w = init_random(cfg, 3)
         x = np.random.default_rng(4).standard_normal((2, 16, 9, 33)).astype(np.float32)
-        assert gtconv_block(x, w, "enc.gt1", dilation, cfg).shape == x.shape
+        assert gtconv_block(x, w, "enc.gt1", dilation).shape == x.shape
 
     @pytest.mark.parametrize("dilation", [1, 2, 5])
     def test_causal_in_time(self, dilation):
@@ -166,15 +173,15 @@ class TestGtconvBlock:
         x = np.random.default_rng(6).standard_normal((1, 16, 12, 33)).astype(np.float32)
         x2 = x.copy()
         x2[:, :, 7:] += 1.0
-        a = gtconv_block(x, w, "enc.gt2", dilation, cfg)
-        b = gtconv_block(x2, w, "enc.gt2", dilation, cfg)
+        a = gtconv_block(x, w, "enc.gt2", dilation)
+        b = gtconv_block(x2, w, "enc.gt2", dilation)
         np.testing.assert_array_equal(a[:, :, :7], b[:, :, :7])
 
     def test_odd_channels_rejected(self):
         cfg = ModelConfig()
         w = init_random(cfg, 0)
         with pytest.raises(InvalidInputError):
-            gtconv_block(np.zeros((1, 15, 4, 33), np.float32), w, "enc.gt0", 1, cfg)
+            gtconv_block(np.zeros((1, 15, 4, 33), np.float32), w, "enc.gt0", 1)
 
 
 class TestEncodeDecode:
@@ -307,19 +314,23 @@ class TestForward:
             m = forward(y, yi, init_random(cfg, 0), cfg)
             assert m.shape == (2, 5, 257), name
 
-    @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_reads_exactly_the_inventory(self, name):
+    # all 16 points of the design space, named as the presets are
+    @pytest.mark.parametrize("axes", list(itertools.product(
+        ("complex", "lps"), ("s", "s_and_n"), ("mask1_iva", "mask2_noisy"),
+        ("single", "dual"))), ids=design_point_id)
+    def test_reads_exactly_the_inventory(self, axes):
         class Recording(dict):
             def __getitem__(self, key):
                 read.add(key)
                 return super().__getitem__(key)
 
         read = set()
-        cfg = preset_config(name)
+        cfg = ModelConfig(*axes)
         w = init_random(cfg, 0)
         w.tensors = Recording(w.tensors)
-        forward(*rand_specs(4, frames=3), w, cfg)
+        mask = forward(*rand_specs(4, frames=3), w, cfg)
         assert read == set(expected_shapes(cfg))
+        assert np.all(np.isfinite(mask))
 
 
 class TestApplyMask:
@@ -368,10 +379,6 @@ class TestCostAccounting:
         for name in ("lps-sn-m2", "cplx-s-m1", "lps-sn-m2-dual"):
             cfg = preset_config(name)
             assert sum(param_breakdown(cfg).values()) == count_params(cfg)
-
-    def test_param_monotone_in_width(self):
-        small = ModelConfig(gtconv_channels=8)
-        assert count_params(small) < count_params(ModelConfig(gtconv_channels=16))
 
     def test_running_stats_not_counted(self):
         cfg = ModelConfig()
