@@ -39,7 +39,8 @@ class TestConfig:
         assert cfg.ref_channel == 0
 
     @pytest.mark.parametrize("kwargs", [
-        {"iterations": -1}, {"eps": 0.0}, {"ref_channel": 2},
+        {"iterations": -1}, {"eps": 0.0}, {"ref_channel": -1},
+        {"ref_channel": 2},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):
