@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dsp import StftConfig
 from .errors import DegenerateInputError, InvalidInputError, NumericalError
 
 
@@ -266,7 +267,7 @@ def order_sources(y_sep: np.ndarray) -> np.ndarray:
     return np.argsort(-k, kind="stable")
 
 
-def iva_macs_per_second(cfg: IvaConfig, stft_cfg=None) -> float:
+def iva_macs_per_second(cfg: IvaConfig, stft_cfg: StftConfig = StftConfig()) -> float:
     """Real multiply-accumulates per second of audio for ``cfg.iterations``
     sweeps, counting one complex MAC as four real MACs.
 
@@ -280,9 +281,6 @@ def iva_macs_per_second(cfg: IvaConfig, stft_cfg=None) -> float:
     written; :func:`auxiva_separate` builds the rank-1 terms once per
     utterance rather than once per sweep, so it performs fewer.
     """
-    if stft_cfg is None:
-        from .dsp import StftConfig
-        stft_cfg = StftConfig()
     n_bins = stft_cfg.n_bins
     frames_per_second = stft_cfg.frames_per_second
     m = 2

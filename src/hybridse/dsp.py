@@ -12,6 +12,7 @@ axis is dropped for mono input), with ``n_bins = fft_size // 2 + 1``.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
 
@@ -80,9 +81,7 @@ def stft(wave: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
     n_frames = cfg.n_frames(n)
     padded = np.zeros((wave.shape[0], (n_frames - 1) * cfg.hop + cfg.fft_size), dtype=np.float64)
     padded[:, :n] = wave
-    offsets = np.arange(n_frames) * cfg.hop
-    idx = offsets[:, None] + np.arange(cfg.fft_size)[None, :]
-    frames = padded[:, idx] * cfg.window
+    frames = sliding_window_view(padded, cfg.fft_size, axis=-1)[:, ::cfg.hop] * cfg.window
     spec = np.fft.rfft(frames, n=cfg.fft_size, axis=-1)
     return spec[0] if squeeze else spec
 

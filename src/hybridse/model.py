@@ -9,12 +9,15 @@ and multiplied onto either the IVA speech channel or the raw reference
 channel.
 
 Everything below the feature stage runs in float32 on the framework-free
-primitives from :mod:`hybridse.nn`.  Weights live in a flat name->tensor
-mapping.  One private layer table, ``_layers(cfg)``, is the single
-description of the architecture's weights and costs: the tensor inventory
-(:func:`expected_shapes`, which loading validates against exactly), the
-parameter counts and the MAC accounting are all read from it.  The forward
-pass is written out directly and reads exactly that inventory.
+primitives from :mod:`hybridse.nn`.  Weights are a plain ordered ``dict``
+of name -> float32 array, and every layer hands its tensors from that map
+straight to the kernels.  One private layer table, ``_layers(cfg)``, is the
+single description of the architecture's weights and costs: the tensor
+inventory (:func:`expected_shapes`, which loading validates against
+exactly), the parameter counts and the MAC accounting are all read from
+it.  The forward pass is written out directly and reads exactly that
+inventory; each of the table's ``weighted`` + ``norm_act`` pairings runs
+as one conv -> BN -> PReLU step, :func:`_conv_bn_prelu`.
 """
 
 import math
@@ -26,8 +29,7 @@ import numpy as np
 
 from . import nn
 from .auxiva import IvaConfig, auxiva_separate, iva_macs_per_second
-from .bands import (N_BANDS, N_BINS, N_LOW, ErbFilterbank, band_merge, band_split,
-                    make_erb_filterbank)
+from .bands import N_BANDS, N_BINS, N_LOW, band_merge, band_split, make_erb_filterbank
 from .dsp import StftConfig, istft, log_power, stft
 from .errors import InvalidInputError, WeightFormatError
 from .weights import deserialize_tensors, serialize_tensors
@@ -206,15 +208,6 @@ def count_params(cfg: ModelConfig) -> int:
 # weights
 
 
-@dataclass
-class ModelWeights:
-    """Flat name -> tensor map, in inventory order."""
-    tensors: Dict[str, np.ndarray]
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
-
-
 def _fan_in_bound(name: str, shp) -> float:
     leaf = name.rsplit(".", 1)[1]
     if leaf in ("w_x", "w_h"):
@@ -226,7 +219,7 @@ def _fan_in_bound(name: str, shp) -> float:
     raise InvalidInputError(f"no fan-in rule for {name}")
 
 
-def init_random(cfg: ModelConfig, seed: int) -> ModelWeights:
+def init_random(cfg: ModelConfig, seed: int) -> Dict[str, np.ndarray]:
     """Seeded random weights: uniform +-1/sqrt(fan_in) for kernels and their
     biases, 1/sqrt(hidden) for all GRU tensors, identity batch norms, and
     PReLU slopes at 0.25."""
@@ -249,14 +242,14 @@ def init_random(cfg: ModelConfig, seed: int) -> ModelWeights:
         else:
             raise InvalidInputError(f"unknown tensor leaf in {name}")
         tensors[name] = arr
-    return ModelWeights(tensors)
+    return tensors
 
 
-def save_weights(w: ModelWeights) -> bytes:
-    return serialize_tensors(w.tensors)
+def save_weights(w: Dict[str, np.ndarray]) -> bytes:
+    return serialize_tensors(w)
 
 
-def load_weights(data: bytes, cfg: ModelConfig) -> ModelWeights:
+def load_weights(data: bytes, cfg: ModelConfig) -> Dict[str, np.ndarray]:
     """Parse a weight blob and validate it against the config's inventory.
 
     Any missing, extra, misshapen, or non-finite tensor raises
@@ -275,8 +268,7 @@ def load_weights(data: bytes, cfg: ModelConfig) -> ModelWeights:
     for name in raw:
         if name not in shapes:
             raise WeightFormatError(f"unexpected tensor {name!r} for this config")
-    ordered = {name: raw[name] for name in shapes}
-    return ModelWeights(ordered)
+    return {name: raw[name] for name in shapes}
 
 
 # --------------------------------------------------------------------------
@@ -325,17 +317,21 @@ def sfe(x: np.ndarray, kernel: int = 3) -> np.ndarray:
     return gathered.transpose(0, 1, 3, 2, 4).reshape(b, c * kernel, t, f)
 
 
-def _conv_p(w: ModelWeights, name: str) -> nn.Conv2dParams:
-    return nn.Conv2dParams(kernel=w[f"{name}.kernel"], bias=w[f"{name}.bias"])
+def _conv(x: np.ndarray, w: Dict[str, np.ndarray], layer: str, op=nn.conv2d,
+          **kw) -> np.ndarray:
+    return op(x, w[f"{layer}.kernel"], w[f"{layer}.bias"], **kw)
 
 
-def _bn_p(w: ModelWeights, name: str) -> nn.BatchNormParams:
-    return nn.BatchNormParams(gamma=w[f"{name}.gamma"], beta=w[f"{name}.beta"],
-                              running_mean=w[f"{name}.mean"],
-                              running_var=w[f"{name}.var"])
+def _conv_bn_prelu(x: np.ndarray, w: Dict[str, np.ndarray], conv: str, bn: str,
+                   prelu: str, **kw) -> np.ndarray:
+    """Conv (``kw`` as for :func:`_conv`), inference BN, then PReLU."""
+    x = _conv(x, w, conv, **kw)
+    x = nn.batch_norm_infer(x, *(w[f"{bn}.{k}"] for k in ("gamma", "beta", "mean", "var")))
+    return nn.prelu(x, w[f"{prelu}.alpha"])
 
 
-def gtconv_block(x: np.ndarray, w: ModelWeights, prefix: str, dilation: int) -> np.ndarray:
+def gtconv_block(x: np.ndarray, w: Dict[str, np.ndarray], prefix: str,
+                 dilation: int) -> np.ndarray:
     """Half-identity grouped temporal conv block.
 
     The second channel half goes through pointwise expand, causal dilated
@@ -348,33 +344,25 @@ def gtconv_block(x: np.ndarray, w: ModelWeights, prefix: str, dilation: int) -> 
         raise InvalidInputError("gtconv block needs an even channel count")
     half = ch // 2
     keep, transform = x[:, :half], x[:, half:]
-    t = nn.conv2d(transform, _conv_p(w, f"{prefix}.pconv1"))
-    t = nn.prelu(nn.batch_norm_infer(t, _bn_p(w, f"{prefix}.bn1")),
-                 w[f"{prefix}.prelu1.alpha"])
-    t = nn.conv2d(t, nn.Conv2dParams(w[f"{prefix}.dwconv.kernel"],
-                                     w[f"{prefix}.dwconv.bias"]),
-                  dilation=(dilation, 1), groups=t.shape[1], causal_pad_time=True)
-    t = nn.prelu(nn.batch_norm_infer(t, _bn_p(w, f"{prefix}.bn2")),
-                 w[f"{prefix}.prelu2.alpha"])
-    t = nn.conv2d(t, _conv_p(w, f"{prefix}.pconv2"))
+    t = _conv_bn_prelu(transform, w, f"{prefix}.pconv1", f"{prefix}.bn1", f"{prefix}.prelu1")
+    t = _conv_bn_prelu(t, w, f"{prefix}.dwconv", f"{prefix}.bn2", f"{prefix}.prelu2",
+                       dilation=(dilation, 1), groups=t.shape[1])
+    t = _conv(t, w, f"{prefix}.pconv2")
     return nn.channel_shuffle(np.concatenate([keep, t], axis=1), 2)
 
 
-def _encode_branch(x: np.ndarray, w: ModelWeights, prefix: str,
+def _encode_branch(x: np.ndarray, w: Dict[str, np.ndarray], prefix: str,
                    cfg: ModelConfig) -> np.ndarray:
-    x = nn.conv2d(x, _conv_p(w, f"{prefix}.conv1"), stride=cfg.conv_stride)
-    x = nn.prelu(nn.batch_norm_infer(x, _bn_p(w, f"{prefix}.bn1")),
-                 w[f"{prefix}.prelu1.alpha"])
-    x = nn.conv2d(x, _conv_p(w, f"{prefix}.conv2"), stride=cfg.conv_stride,
-                  groups=cfg.conv2_groups)
-    x = nn.prelu(nn.batch_norm_infer(x, _bn_p(w, f"{prefix}.bn2")),
-                 w[f"{prefix}.prelu2.alpha"])
+    x = _conv_bn_prelu(x, w, f"{prefix}.conv1", f"{prefix}.bn1", f"{prefix}.prelu1",
+                       stride=cfg.conv_stride)
+    x = _conv_bn_prelu(x, w, f"{prefix}.conv2", f"{prefix}.bn2", f"{prefix}.prelu2",
+                       stride=cfg.conv_stride, groups=cfg.conv2_groups)
     for i, d in enumerate(cfg.gtconv_dilations):
         x = gtconv_block(x, w, f"{prefix}.gt{i}", d)
     return x
 
 
-def encode(x: np.ndarray, w: ModelWeights, cfg: ModelConfig):
+def encode(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig):
     """Feature tensor [batch, 3P, time, 129] to ``(latent, skip)``, both
     [batch, 16, time, 33]; the skip is the latent itself."""
     if x.ndim != 4:
@@ -385,17 +373,16 @@ def encode(x: np.ndarray, w: ModelWeights, cfg: ModelConfig):
         n_main = 4 * cfg.sfe_kernel
         main = _encode_branch(x[:, :n_main], w, "enc.main", cfg)
         aux = _encode_branch(x[:, n_main:], w, "enc.aux", cfg)
-        fused = nn.conv2d(np.concatenate([main, aux], axis=1), _conv_p(w, "enc.fuse"))
-        latent = nn.prelu(nn.batch_norm_infer(fused, _bn_p(w, "enc.fuse_bn")),
-                          w["enc.fuse_prelu.alpha"])
+        latent = _conv_bn_prelu(np.concatenate([main, aux], axis=1), w,
+                                "enc.fuse", "enc.fuse_bn", "enc.fuse_prelu")
     return latent, latent
 
 
-def _stacked_gru(w: ModelWeights, names) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stacked_gru(w: Dict[str, np.ndarray], names) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.stack([w[f"{n}.{k}"] for n in names]) for k in ("w_x", "w_h", "bias"))
 
 
-def gdprnn(latent: np.ndarray, w: ModelWeights, cfg: ModelConfig) -> np.ndarray:
+def gdprnn(latent: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig) -> np.ndarray:
     """Grouped dual-path block: bidirectional GRUs over bands within each
     frame, then causal GRUs over time within each band, each followed by a
     linear projection back to group width, a channel shuffle, and a residual
@@ -436,27 +423,25 @@ def gdprnn(latent: np.ndarray, w: ModelWeights, cfg: ModelConfig) -> np.ndarray:
     return x + nn.channel_shuffle(p, groups)
 
 
-def decode(z: np.ndarray, w: ModelWeights, cfg: ModelConfig) -> np.ndarray:
+def decode(z: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig) -> np.ndarray:
     """Latent-plus-skip [batch, 16, time, 33] to a two-plane mask at 129
     bands, squashed to (-1, 1) by the final tanh."""
     for i, d in enumerate(reversed(cfg.gtconv_dilations)):
         z = gtconv_block(z, w, f"dec.gt{i}", d)
-    z = nn.conv_transpose2d(z, _conv_p(w, "dec.deconv1"), stride=cfg.conv_stride,
-                            groups=cfg.conv2_groups)
-    z = nn.prelu(nn.batch_norm_infer(z, _bn_p(w, "dec.bn1")), w["dec.prelu1.alpha"])
-    z = nn.conv_transpose2d(z, _conv_p(w, "dec.deconv2"), stride=cfg.conv_stride)
+    z = _conv_bn_prelu(z, w, "dec.deconv1", "dec.bn1", "dec.prelu1", op=nn.conv_transpose2d,
+                       stride=cfg.conv_stride, groups=cfg.conv2_groups)
+    z = _conv(z, w, "dec.deconv2", op=nn.conv_transpose2d, stride=cfg.conv_stride)
     return np.tanh(z)
 
 
-def forward(y: np.ndarray, y_iva: np.ndarray, w: ModelWeights, cfg: ModelConfig,
-            fb: Optional[ErbFilterbank] = None) -> np.ndarray:
+def forward(y: np.ndarray, y_iva: np.ndarray, w: Dict[str, np.ndarray],
+            cfg: ModelConfig) -> np.ndarray:
     """Complex ratio mask [2, frames, 257] for the given spectrograms.
 
     Plane 0 is the real mask, plane 1 the imaginary mask; both lie in
     [-1, 1] (tanh output propagated through the convex band split).
     """
-    if fb is None:
-        fb = make_erb_filterbank()
+    fb = make_erb_filterbank()
     feats = build_features(y, y_iva, cfg)
     merged = band_merge(feats, fb).astype(np.float32)
     x = sfe(merged[None], cfg.sfe_kernel)
@@ -542,11 +527,10 @@ class EnhanceResult:
     used_iva: bool
 
 
-def enhance(wave: np.ndarray, w: ModelWeights, cfg: ModelConfig,
+def enhance(wave: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig,
             stft_cfg: StftConfig = StftConfig(),
             iva_cfg: IvaConfig = IvaConfig(),
-            use_iva: bool = True,
-            fb: Optional[ErbFilterbank] = None) -> EnhanceResult:
+            use_iva: bool = True) -> EnhanceResult:
     """Enhance a two-channel waveform [2, n] into mono speech of length n."""
     _check_band_geometry(stft_cfg)
     wave = np.asarray(wave, dtype=np.float64)
@@ -563,7 +547,7 @@ def enhance(wave: np.ndarray, w: ModelWeights, cfg: ModelConfig,
         warnings.warn("fewer than 2 frames; skipping IVA", stacklevel=2)
         bypass = True
     y_iva = y if bypass else auxiva_separate(y, iva_cfg)[0]
-    mask = forward(y, y_iva, w, cfg, fb=fb)
+    mask = forward(y, y_iva, w, cfg)
     est = apply_mask(mask, y, y_iva, cfg.masking)
     out = istft(est, stft_cfg, length=wave.shape[1])
     return EnhanceResult(wave=out, mask=mask, est_spec=est, noisy_spec=y,

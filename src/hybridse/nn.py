@@ -5,7 +5,10 @@ Convolutions use cross-correlation semantics (no kernel flip) so weights
 exported from the usual deep-learning frameworks drop in unchanged.  Time
 padding is causal (left only) when requested; frequency padding is always
 symmetric "same"-style, total ``(kf - 1) * dilation``.  Functions preserve
-the dtype of their inputs and keep no hidden state.
+the dtype of their inputs and keep no hidden state.  Layer tensors are
+passed as plain arrays: a conv kernel is [out, in/groups, kt, kf], a
+transposed-conv kernel [in, out/groups, kt, kf], and batch norm takes its
+affine pair and running statistics one per channel.
 
 Grouped convolutions advance every group at once: :func:`conv2d` views its
 input as [batch, groups, in/groups, time, freq] and takes one batched
@@ -31,21 +34,6 @@ from .errors import InvalidInputError
 
 
 @dataclass
-class Conv2dParams:
-    kernel: np.ndarray            # conv: [out, in/groups, kt, kf]; transpose: [in, out/groups, kt, kf]
-    bias: Optional[np.ndarray] = None
-
-
-@dataclass
-class BatchNormParams:
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    eps: float = 1e-5
-
-
-@dataclass
 class GruParams:
     """One GRU direction; gate columns ordered (update, reset, candidate)."""
     w_x: np.ndarray               # [input, 3*hidden]
@@ -59,20 +47,23 @@ def _pads(kt, kf, dt, df, causal_pad_time):
     return pt, total_f // 2, total_f - total_f // 2
 
 
-def conv2d(x: np.ndarray, p: Conv2dParams,
+def conv2d(x: np.ndarray, kernel: np.ndarray, bias: Optional[np.ndarray] = None,
            stride: Tuple[int, int] = (1, 1),
            dilation: Tuple[int, int] = (1, 1),
            groups: int = 1,
            causal_pad_time: bool = True) -> np.ndarray:
-    """Grouped dilated 2-D convolution (cross-correlation)."""
+    """Grouped dilated 2-D convolution (cross-correlation).
+
+    ``kernel`` is [out, in / groups, kt, kf]; ``bias``, if given, is [out].
+    """
     if x.ndim != 4:
         raise InvalidInputError(f"expected [batch, channel, time, freq], got shape {x.shape}")
-    out_ch, in_per_g, kt, kf = p.kernel.shape
+    out_ch, in_per_g, kt, kf = kernel.shape
     st, sf = stride
     dt, df = dilation
     if x.shape[1] != in_per_g * groups:
         raise InvalidInputError(
-            f"{x.shape[1]} input channels incompatible with kernel {p.kernel.shape} and groups={groups}")
+            f"{x.shape[1]} input channels incompatible with kernel {kernel.shape} and groups={groups}")
     if out_ch % groups != 0:
         raise InvalidInputError("output channels must be divisible by groups")
 
@@ -91,7 +82,7 @@ def conv2d(x: np.ndarray, p: Conv2dParams,
 
     o_per_g = out_ch // groups
     xg = xp.reshape(b, groups, in_per_g, tp, fp)
-    kg = p.kernel.reshape(groups, o_per_g, in_per_g, kt, kf)
+    kg = kernel.reshape(groups, o_per_g, in_per_g, kt, kf)
     acc = np.zeros((b, groups, o_per_g, t_out, f_out), dtype=x.dtype)
     for i in range(kt):
         for j in range(kf):
@@ -103,18 +94,22 @@ def conv2d(x: np.ndarray, p: Conv2dParams,
                 acc += np.matmul(kg[:, :, :, i, j], patch.reshape(b, groups, in_per_g, -1)
                                  ).reshape(acc.shape)
     out = acc.reshape(b, out_ch, t_out, f_out)
-    if p.bias is not None:
-        out += p.bias[None, :, None, None]
+    if bias is not None:
+        out += bias[None, :, None, None]
     return out
 
 
-def conv_transpose2d(x: np.ndarray, p: Conv2dParams,
+def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
+                     bias: Optional[np.ndarray] = None,
                      stride: Tuple[int, int] = (1, 1),
                      dilation: Tuple[int, int] = (1, 1),
                      groups: int = 1,
                      causal_pad_time: bool = True) -> np.ndarray:
     """Transposed convolution: the adjoint of :func:`conv2d` with the same
     stride/dilation/padding arguments.
+
+    ``kernel`` is [in, out / groups, kt, kf], the layout of the matching
+    conv2d's kernel; ``bias``, if given, is [out].
 
     Output extents are ``(n - 1) * stride + 1`` per axis (scatter-add of the
     dilated kernel, then the conv2d padding margins are trimmed), which
@@ -123,12 +118,12 @@ def conv_transpose2d(x: np.ndarray, p: Conv2dParams,
     """
     if x.ndim != 4:
         raise InvalidInputError(f"expected [batch, channel, time, freq], got shape {x.shape}")
-    in_ch, o_per_g, kt, kf = p.kernel.shape
+    in_ch, o_per_g, kt, kf = kernel.shape
     st, sf = stride
     dt, df = dilation
     if x.shape[1] != in_ch:
         raise InvalidInputError(
-            f"{x.shape[1]} input channels incompatible with kernel {p.kernel.shape}")
+            f"{x.shape[1]} input channels incompatible with kernel {kernel.shape}")
     if in_ch % groups != 0:
         raise InvalidInputError("input channels must be divisible by groups")
 
@@ -140,7 +135,7 @@ def conv_transpose2d(x: np.ndarray, p: Conv2dParams,
     out_ch = o_per_g * groups
     full = np.zeros((b, groups, o_per_g, t_full, f_full), dtype=x.dtype)
     xg = x.reshape(b, groups, i_per_g, t_in * f_in)
-    kg = p.kernel.reshape(groups, i_per_g, o_per_g, kt, kf)
+    kg = kernel.reshape(groups, i_per_g, o_per_g, kt, kf)
     for i in range(kt):
         for j in range(kf):
             contrib = np.matmul(kg[:, :, :, i, j].transpose(0, 2, 1), xg)
@@ -149,15 +144,17 @@ def conv_transpose2d(x: np.ndarray, p: Conv2dParams,
                 contrib.reshape(b, groups, o_per_g, t_in, f_in)
     full = full.reshape(b, out_ch, t_full, f_full)
     out = full[:, :, pt:t_full, pf_l:f_full - pf_r]
-    if p.bias is not None:
-        out = out + p.bias[None, :, None, None]
+    if bias is not None:
+        out = out + bias[None, :, None, None]
     return out
 
 
-def batch_norm_infer(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
-    """Inference batch norm over the channel axis."""
-    scale = p.gamma / np.sqrt(p.running_var + p.eps)
-    shift = p.beta - p.running_mean * scale
+def batch_norm_infer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                     mean: np.ndarray, var: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Inference batch norm over the channel axis with running ``mean`` and
+    ``var``."""
+    scale = gamma / np.sqrt(var + eps)
+    shift = beta - mean * scale
     return x * scale[None, :, None, None] + shift[None, :, None, None]
 
 

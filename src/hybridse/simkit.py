@@ -12,15 +12,15 @@ source files reproduce the audio bit for bit.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .dsp import DEFAULT_SAMPLE_RATE
 from .errors import InvalidInputError, SceneInfeasibleError
 
 SPEED_OF_SOUND = 343.0
-DEFAULT_FS = 16000
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +74,7 @@ class SceneSpec:
 class Rir:
     taps: np.ndarray               # [2, n] at fs
     direct_path_index: np.ndarray  # [2] sample of first arrival per mic
-    fs: int = DEFAULT_FS
+    fs: int = DEFAULT_SAMPLE_RATE
 
 
 def _inside(p, dims, margin) -> bool:
@@ -105,10 +105,7 @@ def sample_scene(seed: int, constraints: SceneConstraints = SceneConstraints()) 
     for _ in range(c.max_attempts):
         dims = rng.uniform(c.room_low, c.room_high)
         rt60 = float(rng.uniform(*c.rt60_range))
-        volume = float(np.prod(dims))
-        surface = 2.0 * float(dims[0] * dims[1] + dims[0] * dims[2]
-                              + dims[1] * dims[2])
-        if 0.1611 * volume / (surface * rt60) < 1.0:
+        if _sabine_alpha(dims, rt60) < 1.0:
             break
     else:
         raise SceneInfeasibleError(
@@ -146,15 +143,18 @@ def sample_scene(seed: int, constraints: SceneConstraints = SceneConstraints()) 
         f"no admissible geometry after {c.max_attempts} attempts (seed {seed})")
 
 
+def _sabine_alpha(room_dims, rt60: float) -> float:
+    """Sabine's 0.1611 V / (S T60), with no range checks."""
+    lx, ly, lz = (float(v) for v in room_dims)
+    return 0.1611 * (lx * ly * lz) / (2.0 * (lx * ly + lx * lz + ly * lz) * rt60)
+
+
 def sabine_absorption(room_dims, rt60: float) -> float:
     """Uniform wall absorption alpha per Sabine; errors if the geometry
     cannot reach the requested RT60 (alpha would hit 1)."""
-    lx, ly, lz = (float(v) for v in room_dims)
-    if min(lx, ly, lz) <= 0 or rt60 <= 0:
+    if min(float(v) for v in room_dims) <= 0 or rt60 <= 0:
         raise InvalidInputError("room dims and rt60 must be positive")
-    volume = lx * ly * lz
-    surface = 2.0 * (lx * ly + lx * lz + ly * lz)
-    alpha = 0.1611 * volume / (surface * rt60)
+    alpha = _sabine_alpha(room_dims, rt60)
     if alpha >= 1.0:
         raise InvalidInputError(
             f"requested rt60={rt60:.3f}s needs absorption {alpha:.2f} >= 1 for this room")
@@ -168,8 +168,7 @@ def _axis_images(src: float, length: float, n_max: int):
     return coords, refl
 
 
-def image_rir(scene: SceneSpec, max_order: Optional[int] = None,
-              fs: int = DEFAULT_FS) -> Rir:
+def image_rir(scene: SceneSpec, max_order: Optional[int] = None) -> Rir:
     """Image-method RIR for both microphones.
 
     Uniform reflection coefficient beta = sqrt(1 - alpha) on all six walls;
@@ -182,8 +181,8 @@ def image_rir(scene: SceneSpec, max_order: Optional[int] = None,
     alpha = sabine_absorption(dims, scene.rt60)
     beta = float(np.sqrt(1.0 - alpha))
 
-    n_taps = int(round((scene.rt60 + 0.05) * fs))
-    horizon = SPEED_OF_SOUND * (n_taps / fs)
+    n_taps = int(round((scene.rt60 + 0.05) * DEFAULT_SAMPLE_RATE))
+    horizon = SPEED_OF_SOUND * (n_taps / DEFAULT_SAMPLE_RATE)
     if max_order is None:
         max_order = int(np.ceil(horizon / float(np.min(dims)))) + 2
 
@@ -207,7 +206,7 @@ def image_rir(scene: SceneSpec, max_order: Optional[int] = None,
     for m in range(2):
         d = np.linalg.norm(coords - scene.mic_positions[m], axis=1)
         d = np.maximum(d, 1e-3)
-        idx = np.rint(d * fs / SPEED_OF_SOUND).astype(np.int64)
+        idx = np.rint(d * DEFAULT_SAMPLE_RATE / SPEED_OF_SOUND).astype(np.int64)
         ok = idx < n_taps
         np.add.at(taps[m], idx[ok], gains[ok] / d[ok])
 
@@ -216,7 +215,7 @@ def image_rir(scene: SceneSpec, max_order: Optional[int] = None,
         raise InvalidInputError("empty impulse response; check geometry")
     above = np.abs(taps) > 0.01 * peak
     dpi = np.argmax(above, axis=1).astype(np.int64)
-    return Rir(taps=taps, direct_path_index=dpi, fs=fs)
+    return Rir(taps=taps, direct_path_index=dpi)
 
 
 def early_target(speech: np.ndarray, rir: Rir, window: float = 0.050) -> np.ndarray:
@@ -282,11 +281,12 @@ class SceneRender:
     scene: SceneSpec
 
 
-def render_scene(scene: SceneSpec, speech: np.ndarray, noise: np.ndarray,
-                 max_order: Optional[int] = None, fs: int = DEFAULT_FS) -> SceneRender:
+def render_scene(scene: SceneSpec, speech: np.ndarray, noise: np.ndarray) -> SceneRender:
     """Full pipeline: RIRs for both sources, imaging, SNR mixing, target."""
     speech = np.asarray(speech, dtype=np.float64).ravel()
     noise = np.asarray(noise, dtype=np.float64).ravel()
+    if speech.size == 0:
+        raise InvalidInputError("empty speech signal")
     if noise.size < speech.size:
         if noise.size == 0:
             raise InvalidInputError("empty noise signal")
@@ -294,14 +294,8 @@ def render_scene(scene: SceneSpec, speech: np.ndarray, noise: np.ndarray,
         noise = np.tile(noise, reps)
     noise = noise[: speech.size]
 
-    rir_s = image_rir(scene, max_order=max_order, fs=fs)
-    rir_n = image_rir(
-        SceneSpec(room_dims=scene.room_dims, rt60=scene.rt60,
-                  mic_positions=scene.mic_positions,
-                  source_position=scene.noise_position,
-                  noise_position=scene.noise_position,
-                  snr_db=scene.snr_db, seed=scene.seed),
-        max_order=max_order, fs=fs)
+    rir_s = image_rir(scene)
+    rir_n = image_rir(replace(scene, source_position=scene.noise_position))
     s_img = apply_rir(speech, rir_s)
     n_img = apply_rir(noise, rir_n)
     mix, norm = mix_at_snr(s_img, n_img, scene.snr_db)
@@ -310,7 +304,7 @@ def render_scene(scene: SceneSpec, speech: np.ndarray, noise: np.ndarray,
                        noise_image=n_img, norm=norm, scene=scene)
 
 
-def schroeder_rt60(taps: np.ndarray, fs: int = DEFAULT_FS) -> float:
+def schroeder_rt60(taps: np.ndarray, fs: int = DEFAULT_SAMPLE_RATE) -> float:
     """Reverberation time from the Schroeder backward integral, via a line
     fit on the -5 dB to -25 dB stretch extrapolated to 60 dB of decay."""
     taps = np.asarray(taps, dtype=np.float64).ravel()

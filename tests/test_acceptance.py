@@ -69,25 +69,22 @@ def test_criterion_02_nn_primitives_vs_oracles():
         st, sf = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         dt = int(rng.integers(1, 3))
         x = rng.standard_normal((b, cin, t, f)).astype(np.float32)
-        p = nn.Conv2dParams(rng.standard_normal((cout, cin // g, kt, kf)).astype(np.float32),
-                            rng.standard_normal(cout).astype(np.float32))
-        track("conv2d", nn.conv2d(x, p, stride=(st, sf), dilation=(dt, 1), groups=g),
-              oracles.conv2d_naive(x, p.kernel, p.bias, (st, sf), (dt, 1), g))
+        k = rng.standard_normal((cout, cin // g, kt, kf)).astype(np.float32)
+        kb = rng.standard_normal(cout).astype(np.float32)
+        track("conv2d", nn.conv2d(x, k, kb, stride=(st, sf), dilation=(dt, 1), groups=g),
+              oracles.conv2d_naive(x, k, kb, (st, sf), (dt, 1), g))
 
-        pt = nn.Conv2dParams(rng.standard_normal((cin, cout // g, kt, kf)).astype(np.float32),
-                             rng.standard_normal(cout).astype(np.float32))
-        track("conv_transpose2d",
-              nn.conv_transpose2d(x, pt, stride=(st, sf), groups=g),
-              oracles.conv_transpose2d_naive(x, pt.kernel, pt.bias, (st, sf),
-                                             groups=g))
+        k = rng.standard_normal((cin, cout // g, kt, kf)).astype(np.float32)
+        kb = rng.standard_normal(cout).astype(np.float32)
+        track("conv_transpose2d", nn.conv_transpose2d(x, k, kb, stride=(st, sf), groups=g),
+              oracles.conv_transpose2d_naive(x, k, kb, (st, sf), groups=g))
 
-        bn = nn.BatchNormParams(rng.standard_normal(cin).astype(np.float32),
-                                rng.standard_normal(cin).astype(np.float32),
-                                rng.standard_normal(cin).astype(np.float32),
-                                rng.uniform(0.1, 2.0, cin).astype(np.float32))
-        track("batch_norm", nn.batch_norm_infer(x, bn),
-              oracles.batch_norm_naive(x, bn.gamma, bn.beta, bn.running_mean,
-                                       bn.running_var, bn.eps))
+        bn = (rng.standard_normal(cin).astype(np.float32),
+              rng.standard_normal(cin).astype(np.float32),
+              rng.standard_normal(cin).astype(np.float32),
+              rng.uniform(0.1, 2.0, cin).astype(np.float32))
+        track("batch_norm", nn.batch_norm_infer(x, *bn),
+              oracles.batch_norm_naive(x, *bn, 1e-5))
 
         alpha = rng.standard_normal(cin).astype(np.float32)
         track("prelu", nn.prelu(x, alpha), oracles.prelu_naive(x, alpha))

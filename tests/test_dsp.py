@@ -85,12 +85,19 @@ class TestStft:
         steady = np.abs(spec[20])
         assert np.argmax(steady) == round(1000 * 512 / 16000) == 32
 
-    def test_matches_direct_dft_oracle(self):
-        cfg = StftConfig()
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(1400)
+    @pytest.mark.parametrize("cfg, shape", [
+        (StftConfig(), (1400,)),
+        (StftConfig(hop=128), (700,)),
+        (StftConfig(), (769,)),           # one sample past a whole number of hops
+        (StftConfig(), (2, 700)),
+    ], ids=["default", "hop128", "len769", "stereo"])
+    def test_matches_direct_dft_oracle(self, cfg, shape):
+        x = np.random.default_rng(0).standard_normal(shape)
         got = stft(x, cfg)
-        want = oracles.stft_naive(x, cfg.fft_size, cfg.hop, sqrt_hann(512))
+        want = np.stack([oracles.stft_naive(ch, cfg.fft_size, cfg.hop, sqrt_hann(cfg.fft_size))
+                         for ch in np.atleast_2d(x)])
+        if x.ndim == 1:
+            want = want[0]
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, atol=1e-8)
 

@@ -29,9 +29,9 @@ def rand_specs(seed, frames=12, bins=257):
 
 def zero_block(w, prefix):
     """Zero every kernel and bias under a prefix, leaving BN stats identity."""
-    for name, arr in w.tensors.items():
+    for name, arr in w.items():
         if name.startswith(prefix) and name.rsplit(".", 1)[1] in ("kernel", "bias", "w_x", "w_h"):
-            w.tensors[name] = np.zeros_like(arr)
+            w[name] = np.zeros_like(arr)
     return w
 
 
@@ -197,9 +197,9 @@ class TestEncodeDecode:
     def test_zero_weights_zero_latent(self):
         cfg = ModelConfig()
         w = init_random(cfg, 1)
-        for name in list(w.tensors):
+        for name, arr in w.items():
             if name.rsplit(".", 1)[1] in ("kernel", "bias"):
-                w.tensors[name] = np.zeros_like(w.tensors[name])
+                w[name] = np.zeros_like(arr)
         x = np.random.default_rng(1).standard_normal((1, 18, 4, 129)).astype(np.float32)
         latent, _ = encode(x, w, cfg)
         np.testing.assert_array_equal(latent, 0.0)
@@ -326,8 +326,7 @@ class TestForward:
 
         read = set()
         cfg = ModelConfig(*axes)
-        w = init_random(cfg, 0)
-        w.tensors = Recording(w.tensors)
+        w = Recording(init_random(cfg, 0))
         mask = forward(*rand_specs(4, frames=3), w, cfg)
         assert read == set(expected_shapes(cfg))
         assert np.all(np.isfinite(mask))

@@ -7,8 +7,7 @@ import pytest
 
 import oracles
 from hybridse.errors import InvalidInputError
-from hybridse.nn import (BatchNormParams, Conv2dParams, GruParams,
-                         batch_norm_infer, channel_shuffle, conv2d,
+from hybridse.nn import (GruParams, batch_norm_infer, channel_shuffle, conv2d,
                          conv_transpose2d, gru_scan, gru_sequence, prelu)
 
 
@@ -21,14 +20,12 @@ class TestConv2d:
     def test_depthwise_identity_kernel(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 6, 8, 10))
-        p = Conv2dParams(kernel=np.ones((6, 1, 1, 1)))
-        np.testing.assert_array_equal(conv2d(x, p, groups=6), x)
+        np.testing.assert_array_equal(conv2d(x, np.ones((6, 1, 1, 1)), groups=6), x)
 
     def test_zero_kernel_with_bias(self):
         x = np.random.default_rng(1).standard_normal((1, 3, 5, 7))
         bias = np.array([1.5, -2.0, 0.25])
-        p = Conv2dParams(kernel=np.zeros((3, 3, 2, 2)), bias=bias)
-        out = conv2d(x, p)
+        out = conv2d(x, np.zeros((3, 3, 2, 2)), bias)
         for c in range(3):
             np.testing.assert_allclose(out[0, c], bias[c])
 
@@ -37,7 +34,7 @@ class TestConv2d:
         x = rng.standard_normal((2, 4, 9, 6))
         k = rng.standard_normal((6, 2, 3, 3))
         b = rng.standard_normal(6)
-        got = conv2d(x, Conv2dParams(k, b), dilation=(2, 1), groups=2)
+        got = conv2d(x, k, b, dilation=(2, 1), groups=2)
         want = oracles.conv2d_naive(x, k, b, dilation=(2, 1), groups=2)
         assert rel_linf(got, want) < 1e-5
 
@@ -45,7 +42,7 @@ class TestConv2d:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 2, 7, 13))
         k = rng.standard_normal((4, 2, 1, 5))
-        got = conv2d(x, Conv2dParams(k), stride=(1, 2))
+        got = conv2d(x, k, stride=(1, 2))
         want = oracles.conv2d_naive(x, k, stride=(1, 2))
         assert got.shape == want.shape == (1, 4, 7, 7)
         assert rel_linf(got, want) < 1e-5
@@ -54,32 +51,30 @@ class TestConv2d:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 3, 6, 6))
         y = rng.standard_normal((1, 3, 6, 6))
-        p = Conv2dParams(rng.standard_normal((5, 3, 3, 3)))
-        lhs = conv2d(1.7 * x - 0.3 * y, p)
-        rhs = 1.7 * conv2d(x, p) - 0.3 * conv2d(y, p)
+        k = rng.standard_normal((5, 3, 3, 3))
+        lhs = conv2d(1.7 * x - 0.3 * y, k)
+        rhs = 1.7 * conv2d(x, k) - 0.3 * conv2d(y, k)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_causal_padding_blocks_future(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((1, 2, 12, 5))
-        p = Conv2dParams(rng.standard_normal((3, 2, 3, 3)))
-        base = conv2d(x, p, dilation=(2, 1))
+        k = rng.standard_normal((3, 2, 3, 3))
+        base = conv2d(x, k, dilation=(2, 1))
         cut = 6
         x2 = x.copy()
         x2[:, :, cut:, :] = rng.standard_normal((1, 2, 12 - cut, 5))
-        pert = conv2d(x2, p, dilation=(2, 1))
+        pert = conv2d(x2, k, dilation=(2, 1))
         np.testing.assert_array_equal(base[:, :, :cut], pert[:, :, :cut])
 
     def test_group_mismatch_rejected(self):
         x = np.zeros((1, 5, 4, 4))
-        p = Conv2dParams(np.zeros((4, 2, 1, 1)))
         with pytest.raises(InvalidInputError):
-            conv2d(x, p, groups=2)
+            conv2d(x, np.zeros((4, 2, 1, 1)), groups=2)
 
     def test_dtype_preserved(self):
         x = np.zeros((1, 2, 4, 4), dtype=np.float32)
-        p = Conv2dParams(np.zeros((2, 2, 1, 1), dtype=np.float32))
-        assert conv2d(x, p).dtype == np.float32
+        assert conv2d(x, np.zeros((2, 2, 1, 1), dtype=np.float32)).dtype == np.float32
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("multiplier", [1, 2])
@@ -90,7 +85,7 @@ class TestConv2d:
         x = rng.standard_normal((2, 4, 9, 11)).astype(dtype)
         k = rng.standard_normal((4 * multiplier, 1, 3, 3)).astype(dtype)
         b = rng.standard_normal(4 * multiplier).astype(dtype)
-        got = conv2d(x, Conv2dParams(k, b), stride=(1, 2), dilation=(2, 1), groups=4)
+        got = conv2d(x, k, b, stride=(1, 2), dilation=(2, 1), groups=4)
         want = oracles.conv2d_naive(x, k, b, stride=(1, 2), dilation=(2, 1), groups=4)
         assert got.dtype == dtype
         assert got.shape == want.shape == (2, 4 * multiplier, 9, 6)
@@ -103,7 +98,7 @@ class TestConv2d:
         x = rng.standard_normal((1, 3, 5, 7))
         before = x.copy()
         k = rng.standard_normal((4, 3, 1, 1))
-        out = conv2d(x, Conv2dParams(k, np.ones(4)))
+        out = conv2d(x, k, np.ones(4))
         np.testing.assert_array_equal(x, before)
         assert not np.shares_memory(out, x)
         assert rel_linf(out, oracles.conv2d_naive(x, k, np.ones(4))) < 1e-5
@@ -113,8 +108,8 @@ class TestConvTranspose2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 3, 5, 5))
-        p = Conv2dParams(np.stack([np.eye(3)[:, :, None, None][i] for i in range(3)]))
-        out = conv_transpose2d(x, p)
+        k = np.stack([np.eye(3)[:, :, None, None][i] for i in range(3)])
+        out = conv_transpose2d(x, k)
         np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_inverts_encoder_downsampling_extent(self):
@@ -123,7 +118,7 @@ class TestConvTranspose2d:
         k = rng.standard_normal((4, 4, 1, 5))
         for f_in in (33, 65):
             x = rng.standard_normal((1, 4, 6, f_in))
-            out = conv_transpose2d(x, Conv2dParams(k), stride=(1, 2))
+            out = conv_transpose2d(x, k, stride=(1, 2))
             assert out.shape[-1] == (f_in - 1) * 2 + 1
 
     def test_matches_scatter_add_naive(self):
@@ -131,7 +126,7 @@ class TestConvTranspose2d:
         x = rng.standard_normal((2, 4, 5, 6))
         k = rng.standard_normal((4, 3, 2, 3))
         b = rng.standard_normal(6)
-        got = conv_transpose2d(x, Conv2dParams(k, b), stride=(1, 2), groups=2)
+        got = conv_transpose2d(x, k, b, stride=(1, 2), groups=2)
         want = oracles.conv_transpose2d_naive(x, k, b, stride=(1, 2), groups=2)
         assert rel_linf(got, want) < 1e-5
 
@@ -141,8 +136,7 @@ class TestConvTranspose2d:
         x = rng.standard_normal((2, 6, 5, 7))
         k = rng.standard_normal((6, o_per_g, 2, 3))
         b = rng.standard_normal(groups * o_per_g)
-        got = conv_transpose2d(x, Conv2dParams(k, b), stride=(1, 2),
-                               dilation=(2, 1), groups=groups)
+        got = conv_transpose2d(x, k, b, stride=(1, 2), dilation=(2, 1), groups=groups)
         want = oracles.conv_transpose2d_naive(x, k, b, stride=(1, 2),
                                               dilation=(2, 1), groups=groups)
         assert got.shape == want.shape == (2, groups * o_per_g, 5, 13)
@@ -154,49 +148,39 @@ class TestConvTranspose2d:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((1, 4, 8, 9))
         k = rng.standard_normal((6, 2, 3, 3))
-        fwd = conv2d(x, Conv2dParams(k), stride=(1, 2), dilation=(2, 1), groups=2)
+        fwd = conv2d(x, k, stride=(1, 2), dilation=(2, 1), groups=2)
         y = rng.standard_normal(fwd.shape)
-        back = conv_transpose2d(y, Conv2dParams(k), stride=(1, 2),
-                                dilation=(2, 1), groups=2)
+        back = conv_transpose2d(y, k, stride=(1, 2), dilation=(2, 1), groups=2)
         assert back.shape == x.shape
         assert np.dot(fwd.ravel(), y.ravel()) == pytest.approx(
             np.dot(x.ravel(), back.ravel()), rel=1e-9)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            conv_transpose2d(np.zeros((1, 3, 4, 4)),
-                             Conv2dParams(np.zeros((4, 2, 1, 1))))
+            conv_transpose2d(np.zeros((1, 3, 4, 4)), np.zeros((4, 2, 1, 1)))
 
 
 class TestBatchNorm:
     def test_identity_params(self):
         x = np.random.default_rng(10).standard_normal((2, 3, 4, 5))
-        p = BatchNormParams(gamma=np.ones(3), beta=np.zeros(3),
-                            running_mean=np.zeros(3), running_var=np.ones(3),
-                            eps=0.0)
-        np.testing.assert_allclose(batch_norm_infer(x, p), x, atol=1e-12)
+        out = batch_norm_infer(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), eps=0.0)
+        np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_input_at_mean_returns_beta(self):
         mean = np.array([1.0, -2.0])
         beta = np.array([0.5, 3.0])
         x = np.broadcast_to(mean[None, :, None, None], (1, 2, 3, 3)).copy()
-        p = BatchNormParams(gamma=np.ones(2), beta=beta, running_mean=mean,
-                            running_var=np.ones(2))
-        out = batch_norm_infer(x, p)
+        out = batch_norm_infer(x, np.ones(2), beta, mean, np.ones(2))
         for c in range(2):
             np.testing.assert_allclose(out[0, c], beta[c], atol=1e-12)
 
     def test_matches_naive(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 4, 3, 6))
-        p = BatchNormParams(gamma=rng.standard_normal(4),
-                            beta=rng.standard_normal(4),
-                            running_mean=rng.standard_normal(4),
-                            running_var=rng.uniform(0.1, 2.0, 4),
-                            eps=1e-5)
-        want = oracles.batch_norm_naive(x, p.gamma, p.beta, p.running_mean,
-                                        p.running_var, p.eps)
-        assert rel_linf(batch_norm_infer(x, p), want) < 1e-5
+        stats = (rng.standard_normal(4), rng.standard_normal(4),
+                 rng.standard_normal(4), rng.uniform(0.1, 2.0, 4))
+        want = oracles.batch_norm_naive(x, *stats, 1e-5)
+        assert rel_linf(batch_norm_infer(x, *stats, eps=1e-5), want) < 1e-5
 
 
 class TestActivations:

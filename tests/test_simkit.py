@@ -1,5 +1,7 @@
 """Scene sampling, image-method RIRs, SNR mixing, decay measurement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,23 @@ class TestRenderScene:
         rir = image_rir(sc)
         np.testing.assert_allclose(r.target, early_target(speech, rir) * r.norm,
                                    atol=1e-12)
+
+    def test_noise_image_is_the_noise_source_scene(self):
+        rng = np.random.default_rng(8)
+        speech = 0.1 * rng.standard_normal(4000)
+        noise = 0.1 * rng.standard_normal(4000)
+        sc = controlled_scene()
+        r = render_scene(sc, speech, noise)
+        rir_n = image_rir(dataclasses.replace(sc, source_position=sc.noise_position))
+        np.testing.assert_array_equal(r.noise_image, apply_rir(noise, rir_n))
+
+    @pytest.mark.parametrize("n_speech, n_noise, message", [
+        (0, 100, "empty speech signal"),
+        (100, 0, "empty noise signal"),
+    ], ids=["speech", "noise"])
+    def test_empty_signal_named(self, n_speech, n_noise, message):
+        with pytest.raises(InvalidInputError, match=message):
+            render_scene(controlled_scene(), np.ones(n_speech), np.ones(n_noise))
 
 
 class TestSchroeder:

@@ -116,18 +116,18 @@ class TestInitRandom:
     def test_same_seed_bitwise_identical(self):
         a = init_random(CFG, 123)
         b = init_random(CFG, 123)
-        assert list(a.tensors) == list(b.tensors)
-        for name in a.tensors:
+        assert list(a) == list(b)
+        for name in a:
             np.testing.assert_array_equal(a[name], b[name])
 
     def test_different_seeds_differ(self):
         a = init_random(CFG, 1)
         b = init_random(CFG, 2)
-        assert any(not np.array_equal(a[n], b[n]) for n in a.tensors)
+        assert any(not np.array_equal(a[n], b[n]) for n in a)
 
     def test_structured_leaves(self):
         w = init_random(CFG, 0)
-        for name, arr in w.tensors.items():
+        for name, arr in w.items():
             assert arr.dtype == np.float32, name
             leaf = name.rsplit(".", 1)[1]
             if leaf in ("gamma", "var"):
@@ -148,7 +148,7 @@ class TestInitRandom:
     def test_covers_inventory_exactly(self):
         w = init_random(CFG, 0)
         shapes = expected_shapes(CFG)
-        assert set(w.tensors) == set(shapes)
+        assert set(w) == set(shapes)
         for name, shp in shapes.items():
             assert w[name].shape == tuple(shp)
 
@@ -157,34 +157,30 @@ class TestLoadWeights:
     def test_save_load_round_trip(self):
         w = init_random(CFG, 7)
         back = load_weights(save_weights(w), CFG)
-        assert list(back.tensors) == list(w.tensors)
-        for name in w.tensors:
+        assert list(back) == list(w)
+        for name in w:
             np.testing.assert_array_equal(back[name], w[name])
 
     def test_missing_tensor_named(self):
-        w = init_random(CFG, 0)
-        t = dict(w.tensors)
+        t = init_random(CFG, 0)
         del t["dec.deconv2.bias"]
         with pytest.raises(WeightFormatError, match="missing.*dec.deconv2.bias"):
             load_weights(serialize_tensors(t), CFG)
 
     def test_extra_tensor_named(self):
-        w = init_random(CFG, 0)
-        t = dict(w.tensors)
+        t = init_random(CFG, 0)
         t["stray"] = np.zeros(3, np.float32)
         with pytest.raises(WeightFormatError, match="unexpected.*'stray'"):
             load_weights(serialize_tensors(t), CFG)
 
     def test_shape_mismatch_named(self):
-        w = init_random(CFG, 0)
-        t = dict(w.tensors)
+        t = init_random(CFG, 0)
         t["enc.conv1.bias"] = np.zeros(5, np.float32)
         with pytest.raises(WeightFormatError, match="enc.conv1.bias.*shape"):
             load_weights(serialize_tensors(t), CFG)
 
     def test_non_finite_rejected(self):
-        w = init_random(CFG, 0)
-        t = dict(w.tensors)
+        t = init_random(CFG, 0)
         t["enc.conv2.bias"] = np.full_like(t["enc.conv2.bias"], np.nan)
         with pytest.raises(WeightFormatError, match="non-finite"):
             load_weights(serialize_tensors(t), CFG)
