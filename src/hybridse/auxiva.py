@@ -7,14 +7,21 @@ conjugated demixing vectors, so source m at bin k is
 spherical Laplace prior, which weights each frame's covariance contribution
 by the reciprocal of that frame's source envelope.
 
-A sweep updates each source in turn: envelope, weighted covariance, a 2x2
-solve against the current demixing state, then renormalization so the
+A sweep runs on per-utterance statistics alone (Ono, WASPAA 2011).  The
+rank-1 terms ``y y^H`` do not depend on the demixing state, so
+:func:`covariance_stats` builds them once per utterance as a real
+``[frames, 4 * bins]`` array.  A source's squared frame envelope and its
+weighted covariance are both linear in those terms.  Source m's envelope and
+covariance read only row m of ``w``, which the other source's update leaves
+alone, so a sweep starts with one pass of ``stats`` against both rows'
+envelope coefficients and one ``(1 / r).T @ stats`` product for both
+covariances.  Each source is then updated in turn by a closed-form 2x2
+adjugate solve against the current demixing state, and renormalized so the
 updated vector has unit quadratic form under its own covariance.
 
-The weighted covariance is a frame-weighted sum of the rank-1 terms
-``y y^H``, which do not depend on the demixing state (Ono, WASPAA 2011).
-They are built once per utterance by :func:`covariance_stats`, so each
-covariance update is a single ``[frames] @ [frames, 4 * bins]`` product.
+The envelope read off the statistics loses digits to cancellation when a
+source is strongly suppressed; the frames where that could show are
+recomputed from the spectrogram (see ``_CANCELLATION_RATIO``).
 """
 
 from dataclasses import dataclass
@@ -24,6 +31,16 @@ import numpy as np
 
 from .dsp import StftConfig
 from .errors import DegenerateInputError, InvalidInputError, NumericalError
+
+# Row (a, b) of ``w`` splits a bin's power |a y0 + b y1|^2 into the direct
+# part q = |a|^2 |y0|^2 + |b|^2 |y1|^2 and the cross part 2 Re(a b* y0 y1*),
+# whose magnitude is at most q (Cauchy-Schwarz, then AM-GM).  Summed over
+# bins, 0 <= r^2 <= 2 q.  The statistics evaluate r^2 from these expanded
+# terms, so its rounding error is a few ulps of q, not of r^2: a relative
+# error of about 1e-16 * q / r^2.  Frames with r^2 < 1e-4 q, where that
+# exceeds 1e-12, are recomputed from the spectrogram, so the weighted
+# covariance stays at rounding distance from a direct evaluation.
+_CANCELLATION_RATIO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -50,6 +67,14 @@ def _check_spec(spec: np.ndarray) -> np.ndarray:
     return spec
 
 
+def _check_w(w: np.ndarray, n_bins: int) -> np.ndarray:
+    w = np.asarray(w)
+    if w.shape != (n_bins, 2, 2):
+        raise InvalidInputError(
+            f"expected demixing state of shape {(n_bins, 2, 2)}, got {w.shape}")
+    return w
+
+
 def _demix_row(spec: np.ndarray, row: np.ndarray, out: np.ndarray,
                term: np.ndarray) -> np.ndarray:
     """``out[l, k] = row[k, 0] spec[0, l, k] + row[k, 1] spec[1, l, k]``.
@@ -65,20 +90,13 @@ def _demix_row(spec: np.ndarray, row: np.ndarray, out: np.ndarray,
 
 def demix(spec: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Apply per-bin demixing rows: out[m, l, k] = sum_c w[k, m, c] spec[c, l, k]."""
-    if spec.shape[0] != 2 or w.shape[2] != 2:
-        raise InvalidInputError(
-            f"expected two channels, got spec {spec.shape} and w {w.shape}")
-    out = np.empty((w.shape[1],) + spec.shape[1:], dtype=np.result_type(spec, w))
+    spec = _check_spec(spec)
+    w = _check_w(w, spec.shape[2])
+    out = np.empty((2,) + spec.shape[1:], dtype=np.result_type(spec, w))
     term = np.empty_like(out[0])
-    for m in range(w.shape[1]):
+    for m in range(2):
         _demix_row(spec, w[:, m, :], out[m], term)
     return out
-
-
-def _solve_rows(wv: np.ndarray, m: int) -> np.ndarray:
-    rhs = np.zeros(wv.shape[:1] + (2, 1), dtype=wv.dtype)
-    rhs[:, m, 0] = 1.0
-    return np.linalg.solve(wv, rhs)[:, :, 0]
 
 
 def covariance_stats(spec: np.ndarray) -> np.ndarray:
@@ -102,19 +120,70 @@ def covariance_stats(spec: np.ndarray) -> np.ndarray:
     return stats.reshape(n_frames, 4 * n_bins)
 
 
-def _weighted_covariance(stats: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Hermitian ``[bins, 2, 2]`` covariance weighted by ``1 / r`` per frame."""
-    p00, p11, re, im = ((1.0 / r) @ stats).reshape(4, -1)
-    v = np.empty((p00.size, 2, 2), dtype=np.complex128)
-    v[:, 0, 0] = p00
-    v[:, 1, 1] = p11
-    v[:, 0, 1] = re + 1j * im
-    v[:, 1, 0] = re - 1j * im
+def _envelopes(spec: np.ndarray, stats: np.ndarray, w: np.ndarray,
+               eps: float) -> np.ndarray:
+    """Frame envelopes ``r[l, m] = max(eps, ||x_m[l, :]||)``, ``[frames, 2]``.
+
+    ``r^2 = L * stats @ [|a|^2, |b|^2, 2 Re(a b*), -2 Im(a b*)]`` for row
+    ``(a, b)`` of each source, evaluated as the direct part ``q`` plus the
+    cross part; frames that lost digits to cancellation are demixed directly.
+    """
+    n_frames, n_bins = spec.shape[1], spec.shape[2]
+    a, b = w[:, :, 0], w[:, :, 1]  # [bins, source]
+    ab = a * np.conj(b)
+    direct = n_frames * np.concatenate([a.real ** 2 + a.imag ** 2,
+                                        b.real ** 2 + b.imag ** 2])
+    cross = n_frames * np.concatenate([2.0 * ab.real, -2.0 * ab.imag])
+    q = stats[:, :2 * n_bins] @ direct
+    r2 = q + stats[:, 2 * n_bins:] @ cross
+    for m in range(2):
+        lost = np.nonzero(r2[:, m] < _CANCELLATION_RATIO * q[:, m])[0]
+        if lost.size:
+            sub = spec[:, lost]
+            power = _demix_row(sub, w[:, m, :], np.empty_like(sub[0]),
+                               np.empty_like(sub[0])).view(np.float64)
+            r2[lost, m] = np.sum(np.square(power, out=power), axis=1)
+    r = np.sqrt(np.maximum(r2, 0.0, out=r2), out=r2)
+    return np.maximum(r, eps, out=r)
+
+
+def _weighted_covariances(stats: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Hermitian ``[2, bins, 2, 2]`` covariances, source m's frames weighted
+    by ``1 / r[:, m]``."""
+    p00, p11, re, im = np.moveaxis(((1.0 / r).T @ stats).reshape(2, 4, -1), 1, 0)
+    v = np.empty(p00.shape + (2, 2), dtype=np.complex128)
+    v[..., 0, 0] = p00
+    v[..., 1, 1] = p11
+    v[..., 0, 1] = re + 1j * im
+    v[..., 1, 0] = re - 1j * im
     return v
 
 
-def _quad_form(wm: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.real(np.einsum("ka,kab,kb->k", np.conj(wm), v, wm))
+def _adjugate(b: np.ndarray):
+    """Adjugate and determinant of each 2x2 matrix in ``b``, ``[..., 2, 2]``;
+    ``b^-1 = adj / det`` wherever ``det`` is non-zero."""
+    adj = np.empty_like(b)
+    adj[..., 0, 0] = b[..., 1, 1]
+    adj[..., 1, 1] = b[..., 0, 0]
+    adj[..., 0, 1] = -b[..., 0, 1]
+    adj[..., 1, 0] = -b[..., 1, 0]
+    return adj, b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]
+
+
+def _ip_update(w: np.ndarray, v: np.ndarray, m: int):
+    """``wm = (W V)^-1 e_m = adj(V) adj(W) e_m / (det W det V)`` per bin,
+    with ``det(W V)`` and the quadratic form ``wm^H V wm``.
+
+    ``det V`` is taken in real arithmetic, so a singular ``W`` or a rank-1
+    ``V`` gives a determinant of exactly zero.
+    """
+    adj_w, det_w = _adjugate(w)
+    adj_v, _ = _adjugate(v)
+    v01 = v[:, 0, 1]
+    det = det_w * (v[:, 0, 0].real * v[:, 1, 1].real - (v01.real ** 2 + v01.imag ** 2))
+    wm = np.sum(adj_v * adj_w[:, None, :, m], axis=2) / det[:, None]
+    quad = np.real(np.sum(np.conj(wm)[:, :, None] * v * wm[:, None, :], axis=(1, 2)))
+    return wm, det, quad
 
 
 def _positive(quad: np.ndarray) -> bool:
@@ -123,60 +192,57 @@ def _positive(quad: np.ndarray) -> bool:
 
 def iva_sweep(spec: np.ndarray, w: np.ndarray, cfg: IvaConfig = IvaConfig(),
               stats: Optional[np.ndarray] = None):
-    """One full update sweep over both sources.
+    """One full update sweep over both sources, on the statistics alone.
 
     Returns ``(w_new, v)`` where ``v[m]`` is the per-bin auxiliary covariance
     actually used for source m's update; after the sweep
-    ``w_m^H v[m] w_m = 1`` holds for every bin.  A system that is singular,
-    gives a non-finite update or a non-positive normalization ``w^H v w`` is
-    regularized once with a trace-scaled identity; if it still fails a
-    :class:`NumericalError` is raised.
+    ``w_m^H v[m] w_m = 1`` holds for every bin.
 
-    The rank-1 terms ``y y^H`` of the covariance come from ``stats``, the
-    output of :func:`covariance_stats`, which callers running several sweeps
-    build once per utterance; it is built here when omitted, with a
-    bit-identical result.
+    Both sources' frame envelopes come from one product of ``stats``, the
+    output of :func:`covariance_stats`, with the current rows of ``w``, and
+    both weighted covariances from one product of the reciprocal envelopes
+    with ``stats``.  Frames whose envelope the expanded form would lose to
+    cancellation (``r^2 < 1e-4 q``, a strongly suppressed source) are
+    demixed from ``spec`` instead; nothing else reads ``spec``.  Each source
+    is then updated by the closed-form 2x2 solve ``(W V)^-1 e_m`` through
+    the adjugates of ``W`` and ``V``, against the demixing state that
+    already holds the other source's update.
+
+    A system with a zero determinant, a non-finite update or a non-positive
+    normalization ``w^H v w`` is regularized once with a trace-scaled
+    identity; if it still fails a :class:`NumericalError` names the cause
+    (singular, diverged or non-positive).  Callers running several sweeps
+    build ``stats`` once per utterance; it is built here when omitted, with
+    a bit-identical result.
     """
     spec = _check_spec(spec)
     n_frames, n_bins = spec.shape[1], spec.shape[2]
     if n_frames == 0:
         raise DegenerateInputError("no frames to separate")
+    w = np.array(_check_w(w, n_bins), dtype=np.complex128, copy=True)
     if stats is None:
         stats = covariance_stats(spec)
     elif stats.shape != (n_frames, 4 * n_bins):
         raise InvalidInputError(
             f"expected stats of shape {(n_frames, 4 * n_bins)}, got {stats.shape}")
-    w = np.array(w, dtype=np.complex128, copy=True)
-    v_used = np.empty((2, n_bins, 2, 2), dtype=np.complex128)
-    xm = np.empty((n_frames, n_bins), dtype=np.complex128)
-    term = np.empty_like(xm)
-    for m in range(2):
-        # re and im of the current source, interleaved, squared in place
-        power = _demix_row(spec, w[:, m, :], xm, term).view(np.float64)
-        np.square(power, out=power)
-        r = np.sqrt(np.sum(power, axis=1))
-        np.maximum(r, cfg.eps, out=r)
-        v = _weighted_covariance(stats, r)
-        try:
-            wm = _solve_rows(w @ v, m)
-            quad = _quad_form(wm, v) if np.all(np.isfinite(wm)) else None
-        except np.linalg.LinAlgError:
-            quad = None
-        if quad is None or not _positive(quad):
-            tr = np.real(v[:, 0, 0] + v[:, 1, 1]) / 2.0
-            v = v + (cfg.eps * tr + cfg.eps)[:, None, None] * np.eye(2)
-            try:
-                wm = _solve_rows(w @ v, m)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("singular demixing update") from exc
-            if not np.all(np.isfinite(wm)):
-                raise NumericalError("demixing update diverged")
-            quad = _quad_form(wm, v)
+    # non-finite states are caught by the checks below, not by numpy warnings
+    with np.errstate(all="ignore"):
+        v_used = _weighted_covariances(stats, _envelopes(spec, stats, w, cfg.eps))
+        for m in range(2):
+            v = v_used[m]
+            wm, det, quad = _ip_update(w, v, m)
             if not _positive(quad):
-                raise NumericalError("non-positive normalization in demixing update")
-        wm = wm / np.sqrt(quad)[:, None]
-        w[:, m, :] = np.conj(wm)
-        v_used[m] = v
+                tr = np.real(v[:, 0, 0] + v[:, 1, 1]) / 2.0
+                v = v + (cfg.eps * tr + cfg.eps)[:, None, None] * np.eye(2)
+                wm, det, quad = _ip_update(w, v, m)
+                if np.any(det == 0):
+                    raise NumericalError("singular demixing update")
+                if not np.all(np.isfinite(wm)):
+                    raise NumericalError("demixing update diverged")
+                if not _positive(quad):
+                    raise NumericalError("non-positive normalization in demixing update")
+                v_used[m] = v
+            w[:, m, :] = np.conj(wm / np.sqrt(quad)[:, None])
     return w, v_used
 
 
@@ -218,17 +284,15 @@ def projection_back(y_sep: np.ndarray, w: np.ndarray, ref_channel: int = 0) -> n
     reference-channel spectrogram, so the scale ambiguity is resolved with
     minimal distortion.
     """
-    if not 0 <= ref_channel < w.shape[1]:
+    y_sep = _check_spec(y_sep)
+    w = _check_w(w, y_sep.shape[2])
+    if not 0 <= ref_channel < 2:
         raise InvalidInputError(f"ref_channel {ref_channel} out of range")
-    try:
-        a = np.linalg.inv(w)
-    except np.linalg.LinAlgError as exc:
-        det = np.linalg.det(w)
-        bad = np.nonzero(~(np.isfinite(det) & (det != 0)))[0]
-        where = f" at bin {bad[0]}" if bad.size else ""
-        raise NumericalError(f"demixing matrix not invertible{where}") from exc
-    if not np.all(np.isfinite(a)):
-        bad = np.nonzero(~np.all(np.isfinite(a), axis=(1, 2)))[0]
+    with np.errstate(all="ignore"):
+        adj, det = _adjugate(w)
+        a = adj / det[:, None, None]
+    bad = np.nonzero(~np.all(np.isfinite(a), axis=(1, 2)))[0]
+    if bad.size:
         raise NumericalError(f"demixing matrix not invertible at bin {bad[0]}")
     scale = a[:, ref_channel, :].T  # [source, bin]
     return y_sep * scale[:, None, :]
@@ -271,15 +335,19 @@ def iva_macs_per_second(cfg: IvaConfig, stft_cfg: StftConfig = StftConfig()) -> 
     """Real multiply-accumulates per second of audio for ``cfg.iterations``
     sweeps, counting one complex MAC as four real MACs.
 
-    The figure is the marginal (streaming) cost: per frame and per source it
-    counts demixing the current source, squared-envelope accumulation, the
-    1/r frame weighting, and the rank-1 covariance accumulation, then scales
-    by the frame rate.  The per-bin ``W V`` product, 2x2 solve, and
-    renormalization cost a fixed ~39 kMAC per sweep regardless of utterance
-    length and are excluded, so the count is exactly linear in both the
-    frame rate and the iteration count.  It is the algorithm's cost as
-    written; :func:`auxiva_separate` builds the rank-1 terms once per
-    utterance rather than once per sweep, so it performs fewer.
+    The figure is the marginal (streaming) cost of the algorithm as written:
+    per frame and per source it counts demixing the current source,
+    squared-envelope accumulation, the 1/r frame weighting, and the rank-1
+    covariance accumulation, then scales by the frame rate.  The per-bin
+    2x2 solve and renormalization cost a fixed amount per sweep regardless
+    of utterance length and are excluded, so the count is exactly linear in
+    both the frame rate and the iteration count.
+
+    The implementation performs fewer.  :func:`auxiva_separate` builds the
+    rank-1 terms once per utterance, and each sweep then runs about
+    ``8 * bins`` real MACs per frame and source as GEMVs over them: ``4 * bins`` for the squared envelope, whose
+    direct half also bounds the cancellation guard, and ``4 * bins`` for
+    the weighted covariance.
     """
     n_bins = stft_cfg.n_bins
     frames_per_second = stft_cfg.frames_per_second

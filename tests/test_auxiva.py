@@ -68,6 +68,12 @@ class TestDemix:
         with pytest.raises(InvalidInputError):
             demix(np.concatenate([spec, spec[:1]]), identity_w(4))
 
+    @pytest.mark.parametrize("shape", [(9, 2, 2), (8, 3, 2), (8, 2, 1), (8, 4)])
+    def test_demixing_state_shape_checked(self, shape):
+        spec = random_spec(np.random.default_rng(0), frames=5, bins=8)
+        with pytest.raises(InvalidInputError, match="demixing state"):
+            demix(spec, np.ones(shape, dtype=complex))
+
 
 class TestSweep:
     def test_normalization_after_each_sweep(self):
@@ -136,6 +142,25 @@ class TestSweep:
         with pytest.raises(DegenerateInputError):
             iva_sweep(np.zeros((2, 0, 4), dtype=complex), identity_w(4))
 
+    @pytest.mark.parametrize("shape", [(9, 2, 2), (7, 2, 2), (8, 3, 2), (8, 4)])
+    def test_demixing_state_shape_checked(self, shape):
+        spec = random_spec(np.random.default_rng(0), frames=5, bins=8)
+        with pytest.raises(InvalidInputError, match="demixing state"):
+            iva_sweep(spec, np.ones(shape, dtype=complex))
+
+    @pytest.mark.parametrize("fill, message", [
+        (1.0, "singular demixing update"),
+        (np.inf, "demixing update diverged"),
+    ])
+    def test_failure_attributed_without_warnings(self, fill, message):
+        # all-ones rows make W V singular in every bin even after the ridge;
+        # an infinite state poisons the envelope and the update stays NaN
+        spec = random_spec(np.random.default_rng(25), frames=6, bins=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=message):
+                iva_sweep(spec, np.full((8, 2, 2), fill, dtype=complex))
+
 
 class TestCovarianceStats:
     def test_layout(self):
@@ -173,6 +198,29 @@ class TestCovarianceStats:
         for m, state in ((0, w_in), (1, w_mid)):
             expect = oracles.weighted_covariance_naive(spec, state, m, cfg.eps)
             np.testing.assert_allclose(v[m], expect, rtol=0, atol=1e-12)
+
+    def test_v_used_matches_loop_oracle_when_nearly_separated(self):
+        # exact A^-1 demixing of an instantaneous mixture whose second source
+        # is attenuated by 1e-2 and 1e-4 in alternate frames: that source's
+        # envelope is a tiny difference of large expanded terms, and its
+        # covariance, dominated by those frames, must still match the direct
+        # loop at the unchanged tolerance
+        rng = np.random.default_rng(24)
+        s = random_spec(rng, frames=12, bins=16)
+        s[1, 0::2] *= 1e-2
+        s[1, 1::2] *= 1e-4
+        a = np.array([[1.0, 0.6], [0.5, 1.0]])
+        spec = 1e-3 * np.einsum("cs,slk->clk", a, s)
+        w_in = np.tile(np.linalg.inv(a).astype(complex), (16, 1, 1))
+        cfg = IvaConfig()
+        w_out, v = iva_sweep(spec, w_in, cfg)
+        w_mid = w_in.copy()
+        w_mid[:, 0, :] = w_out[:, 0, :]
+        for m, state in ((0, w_in), (1, w_mid)):
+            expect = oracles.weighted_covariance_naive(spec, state, m, cfg.eps)
+            np.testing.assert_allclose(v[m], expect, rtol=0, atol=1e-12)
+        # the absolute tolerance is meaningful only if v is not itself tiny
+        assert np.max(np.abs(v[1])) > 1.0
 
     def test_singular_input_takes_regularized_retry(self):
         # a constant two-frame input has a rank-1 covariance in every bin:
@@ -302,6 +350,11 @@ class TestProjectionBack:
         w[2] = 0.0
         with pytest.raises(NumericalError, match="bin"):
             projection_back(y, w, 0)
+
+    def test_demixing_state_shape_checked(self):
+        y = random_spec(np.random.default_rng(10), frames=3, bins=8)
+        with pytest.raises(InvalidInputError, match="demixing state"):
+            projection_back(y, identity_w(9), 0)
 
     def test_bad_ref_channel(self):
         with pytest.raises(InvalidInputError):
