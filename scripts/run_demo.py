@@ -17,9 +17,9 @@ import time
 
 import numpy as np
 
-from hybridse import (IvaConfig, ModelConfig, StftConfig, auxiva_separate,
-                      enhance, init_random, istft, render_scene, sample_scene,
-                      si_snr, stft)
+from hybridse import (IvaConfig, ModelConfig, auxiva_separate, enhance,
+                      init_random, istft, render_scene, sample_scene, si_snr,
+                      stft)
 
 
 def dry_signals(rng, n):
@@ -58,11 +58,9 @@ def main(argv=None):
     base = si_snr(mix[0], target)
     print(f"\nreference mic     SI-SNR {base:+6.2f} dB")
 
-    stft_cfg = StftConfig()
     t0 = time.perf_counter()
-    spec = stft(mix, stft_cfg)
-    sources, _ = auxiva_separate(spec, IvaConfig(iterations=args.iva_iters))
-    iva_wave = istft(sources[0], stft_cfg, length=n)
+    sources, _ = auxiva_separate(stft(mix), IvaConfig(iterations=args.iva_iters))
+    iva_wave = istft(sources[0], length=n)
     t_iva = time.perf_counter() - t0
     print(f"iva speech chan   SI-SNR {si_snr(iva_wave, target):+6.2f} dB"
           f"   ({t_iva:.2f} s)")

@@ -25,7 +25,7 @@ recomputed from the spectrogram (see ``_CANCELLATION_RATIO``).
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -45,17 +45,17 @@ _CANCELLATION_RATIO = 1e-4
 
 @dataclass(frozen=True)
 class IvaConfig:
+    """The sweep count is the one setting; the envelope floor and ridge
+    scale ``eps`` and the reference microphone for projection back are
+    fixed."""
     iterations: int = 20
-    eps: float = 1e-8
-    ref_channel: int = 0
+
+    eps: ClassVar[float] = 1e-8
+    ref_channel: ClassVar[int] = 0
 
     def __post_init__(self):
         if self.iterations < 0:
             raise InvalidInputError("iterations must be >= 0")
-        if not 0 <= self.ref_channel < 2:
-            raise InvalidInputError("ref_channel must be 0 or 1")
-        if self.eps <= 0:
-            raise InvalidInputError("eps must be positive")
 
 
 def _check_spec(spec: np.ndarray) -> np.ndarray:
@@ -250,9 +250,10 @@ def auxiva_separate(spec, cfg: IvaConfig = IvaConfig()):
     """Run ``cfg.iterations`` sweeps and return ``(sources, w)``.
 
     ``sources`` is ``[2, frames, bins]`` after projection back onto
-    ``cfg.ref_channel``, ordered so the channel with the spikier frame
-    envelope (higher excess kurtosis, speech-like) comes first; ``w`` is the
-    final demixing tensor ``[bins, 2, 2]`` under the same ordering.
+    ``IvaConfig.ref_channel`` (microphone 0), ordered so the channel with the
+    spikier frame envelope (higher excess kurtosis, speech-like) comes first;
+    ``w`` is the final demixing tensor ``[bins, 2, 2]`` under the same
+    ordering.
 
     The rank-1 covariance terms are built once per utterance
     (:func:`covariance_stats`) and shared by every sweep; the result is
@@ -338,16 +339,16 @@ def iva_macs_per_second(cfg: IvaConfig, stft_cfg: StftConfig = StftConfig()) -> 
     The figure is the marginal (streaming) cost of the algorithm as written:
     per frame and per source it counts demixing the current source,
     squared-envelope accumulation, the 1/r frame weighting, and the rank-1
-    covariance accumulation, then scales by the frame rate.  The per-bin
-    2x2 solve and renormalization cost a fixed amount per sweep regardless
-    of utterance length and are excluded, so the count is exactly linear in
-    both the frame rate and the iteration count.
+    covariance accumulation, then scales by the fixed frame rate that
+    ``stft_cfg`` names.  The per-bin 2x2 solve and renormalization cost a
+    fixed amount per sweep regardless of utterance length and are excluded,
+    so the count is exactly linear in the iteration count.
 
     The implementation performs fewer.  :func:`auxiva_separate` builds the
     rank-1 terms once per utterance, and each sweep then runs about
-    ``8 * bins`` real MACs per frame and source as GEMVs over them: ``4 * bins`` for the squared envelope, whose
-    direct half also bounds the cancellation guard, and ``4 * bins`` for
-    the weighted covariance.
+    ``8 * bins`` real MACs per frame and source as GEMVs over them:
+    ``4 * bins`` for the squared envelope, whose direct half also bounds the
+    cancellation guard, and ``4 * bins`` for the weighted covariance.
     """
     n_bins = stft_cfg.n_bins
     frames_per_second = stft_cfg.frames_per_second

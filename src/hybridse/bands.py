@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import DEFAULT_SAMPLE_RATE
+from .dsp import DEFAULT_SAMPLE_RATE, StftConfig
 from .errors import InvalidInputError
 
-N_BINS = 257
+N_BINS = StftConfig.n_bins
 N_LOW = 65
 N_HIGH = N_BINS - N_LOW
 N_ERB = 64
@@ -42,17 +42,16 @@ class ErbFilterbank:
 
 
 def make_erb_filterbank() -> ErbFilterbank:
-    """Build the 64-band ERB pooling for the high 192 bins of the 512-point
-    STFT at 16 kHz, the only geometry the band layout fits.
+    """Build the 64-band ERB pooling for the high 192 bins of the
+    :class:`StftConfig` geometry (512 points at 16 kHz).
 
     Band edges are uniform on the ERB-rate scale from the frequency of bin 65
     up to Nyquist; a bin joins the band whose edge interval contains it, so
     bin 65 lands in band 0 and the Nyquist bin in band 63.
     """
-    sample_rate, fft_size = DEFAULT_SAMPLE_RATE, 2 * (N_BINS - 1)
-    bin_hz = np.arange(N_BINS) * sample_rate / fft_size
+    bin_hz = np.arange(N_BINS) * DEFAULT_SAMPLE_RATE / StftConfig.fft_size
     erb = hz_to_erb_rate(bin_hz[N_LOW:])
-    edges = np.linspace(erb[0], hz_to_erb_rate(sample_rate / 2), N_ERB + 1)
+    edges = np.linspace(erb[0], hz_to_erb_rate(DEFAULT_SAMPLE_RATE / 2), N_ERB + 1)
     band_of_bin = np.clip(np.digitize(erb, edges) - 1, 0, N_ERB - 1)
     counts = np.bincount(band_of_bin, minlength=N_ERB)
     if np.any(counts == 0):

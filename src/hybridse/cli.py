@@ -13,13 +13,14 @@ the leading double dash); explicit command-line flags win.
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .auxiva import IvaConfig, auxiva_separate, iva_macs_per_second
-from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, stft, istft
+from .dsp import DEFAULT_SAMPLE_RATE, stft, istft
 from .errors import (DegenerateInputError, InvalidInputError, NumericalError,
                      SceneInfeasibleError, WeightFormatError)
 from .loss import si_snr
@@ -35,6 +36,13 @@ EXIT_INVALID = 2
 EXIT_WEIGHTS = 3
 EXIT_NUMERICAL = 4
 
+
+def _positive_int(raw: str) -> int:
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw}")
+    return int(raw)
+
+
 _CONFIG_KEYS = {
     "preset": str,
     "weights": str,
@@ -42,7 +50,7 @@ _CONFIG_KEYS = {
     "no-iva": lambda v: v.lower() in ("1", "true", "yes", "on"),
     "seed": int,
     "out": str,
-    "jobs": int,
+    "jobs": _positive_int,
 }
 
 
@@ -57,7 +65,10 @@ def _load_config_file(path: str) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise InvalidInputError(f"{path}:{lineno}: unknown option {key!r}")
-        values[key.replace("-", "_")] = _CONFIG_KEYS[key](raw)
+        try:
+            values[key.replace("-", "_")] = _CONFIG_KEYS[key](raw)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise InvalidInputError(f"{path}:{lineno}: {key}: {exc}") from exc
     return values
 
 
@@ -77,7 +88,7 @@ def _build_parser():
                    help="feed the noisy spectrogram in place of the IVA output")
     p.add_argument("--seed", type=int, default=0, help="seed for the random weights")
     p.add_argument("--out", help="output file or directory")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel worker processes over the input files")
 
     p = sub.add_parser("separate", help="Aux-IVA separation only")
@@ -124,12 +135,20 @@ def _out_path(out, in_path: str, suffix: str, multi: bool) -> Path:
     return out / f"{stem}{suffix}"
 
 
+@contextmanager
+def _naming(path):
+    """Prefix ``path`` to a per-file processing error, keeping its class and
+    so its exit code."""
+    try:
+        yield
+    except (InvalidInputError, DegenerateInputError, NumericalError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _enhance_one(path, cfg, w, iva_cfg, no_iva, out, multi):
     wave = _read_stereo(path)
-    try:
+    with _naming(path):
         res = enhance(wave, w, cfg, iva_cfg=iva_cfg, use_iva=not no_iva)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from exc
     if not np.all(np.isfinite(res.wave)):
         raise NumericalError(f"{path}: enhancement produced non-finite samples")
     target = _out_path(out, path, ".enhanced.wav", multi)
@@ -157,15 +176,14 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    stft_cfg = StftConfig()
     iva_cfg = IvaConfig(iterations=args.iva_iters)
     multi = len(args.inputs) > 1
     for path in args.inputs:
         wave = _read_stereo(path)
-        spec = stft(wave, stft_cfg)
-        sources, _ = auxiva_separate(spec, iva_cfg)
-        speech = istft(sources[0], stft_cfg, length=wave.shape[1])
-        residual = istft(sources[1], stft_cfg, length=wave.shape[1])
+        with _naming(path):
+            sources, _ = auxiva_separate(stft(wave), iva_cfg)
+        speech = istft(sources[0], length=wave.shape[1])
+        residual = istft(sources[1], length=wave.shape[1])
         speech_out = _out_path(args.out, path, ".speech.wav", multi)
         noise_out = _out_path(args.out, path, ".noise.wav", multi)
         write_wav(speech_out, DEFAULT_SAMPLE_RATE, speech)
@@ -236,7 +254,8 @@ def cmd_eval(args) -> int:
         _, est = read_wav(est_files[name])
         _, ref = read_wav(ref_files[name])
         n = min(est.shape[-1], ref.shape[-1])
-        score = si_snr(np.ravel(est)[:n], np.ravel(ref)[:n])
+        with _naming(f"{est_files[name]} vs {ref_files[name]}"):
+            score = si_snr(np.ravel(est)[:n], np.ravel(ref)[:n])
         scores.append(score)
         lines.append(f"{name}\t{score:+.2f} dB")
     if scores:

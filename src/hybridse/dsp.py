@@ -5,11 +5,14 @@ the squared window satisfies constant overlap-add at 50% hop).  The forward
 transform is the plain unnormalized FFT; the 1/N factor lives in synthesis,
 which makes an analysis/synthesis round trip exact away from the signal edges.
 
-Spectrograms are complex arrays indexed ``[channel, frame, bin]`` (the channel
-axis is dropped for mono input), with ``n_bins = fft_size // 2 + 1``.
+The geometry is fixed, and :class:`StftConfig` is its one owner: 512-point
+frames at hop 256 and 16 kHz.  Spectrograms are complex arrays indexed
+``[channel, frame, bin]`` (the channel axis is dropped for mono input), with
+``n_bins = fft_size // 2 + 1 = 257``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,6 +25,9 @@ DEFAULT_SAMPLE_RATE = 16000
 # (only the very first/last window tail, where sqrt-Hann -> 0).
 _COLA_FLOOR = 1e-11
 
+# log_power clamps |Y|^2 here, so digital silence maps to ln(1e-12) = -27.6
+_POWER_FLOOR = 1e-12
+
 
 def sqrt_hann(length: int) -> np.ndarray:
     """Periodic square-root Hann window of the given length."""
@@ -31,29 +37,16 @@ def sqrt_hann(length: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StftConfig:
-    """STFT geometry.  The window is the periodic square-root Hann of length
-    ``fft_size``, stored read-only so one instance can be shared (as a
-    default argument, say)."""
-    fft_size: int = 512
-    hop: int = 256
-    window: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.fft_size <= 0 or (self.fft_size & (self.fft_size - 1)) != 0:
-            raise InvalidInputError(f"fft_size must be a power of two, got {self.fft_size}")
-        if self.hop <= 0 or self.fft_size % self.hop != 0:
-            raise InvalidInputError(f"hop must divide fft_size, got hop={self.hop}")
-        window = sqrt_hann(self.fft_size)
-        window.flags.writeable = False
-        object.__setattr__(self, "window", window)
-
-    @property
-    def n_bins(self) -> int:
-        return self.fft_size // 2 + 1
-
-    @property
-    def frames_per_second(self) -> float:
-        return DEFAULT_SAMPLE_RATE / self.hop
+    """The STFT geometry, as class constants: the band layout downstream is
+    built for exactly its 257 bins, so nothing here is settable.  An instance
+    only names the geometry (all instances compare equal); the window is
+    stored read-only so it can be shared."""
+    fft_size: ClassVar[int] = 512
+    hop: ClassVar[int] = 256
+    window: ClassVar[np.ndarray] = sqrt_hann(fft_size)
+    window.flags.writeable = False
+    n_bins: ClassVar[int] = fft_size // 2 + 1
+    frames_per_second: ClassVar[float] = DEFAULT_SAMPLE_RATE / hop
 
     def n_frames(self, n_samples: int) -> int:
         """Frame count so that every sample is covered by at least one frame."""
@@ -126,10 +119,7 @@ def istft(spec: np.ndarray, cfg: StftConfig = StftConfig(), length: int = None) 
     return out[0] if squeeze else out
 
 
-def log_power(spec: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """Log-power spectrogram ln(max(|Y|^2, floor)), same shape as the input."""
-    if floor <= 0:
-        raise InvalidInputError("floor must be positive")
-    spec = np.asarray(spec)
-    power = np.abs(spec) ** 2
-    return np.log(np.maximum(power, floor))
+def log_power(spec: np.ndarray) -> np.ndarray:
+    """Log-power spectrogram ln(max(|Y|^2, 1e-12)), same shape as the input."""
+    power = np.abs(np.asarray(spec)) ** 2
+    return np.log(np.maximum(power, _POWER_FLOOR))

@@ -2,9 +2,11 @@
 
 The time-domain term is scale-invariant SNR against the projection of the
 estimate onto the reference (no mean removal).  Spectral terms operate on
-power-law compressed spectra, ``|S|^c * S / |S|`` with c = 0.3, split into
-magnitude, real and imaginary parts.  Losses return python floats so they
-can be logged or combined without dtype surprises.
+power-law compressed spectra, ``|S|^c * S / |S|`` with the fixed exponent
+c = 0.3 and ``|S|`` floored at 1e-12, split into magnitude, real and
+imaginary parts; all three come from one pass over the spectra.  Losses
+return python floats so they can be logged or combined without dtype
+surprises.
 """
 
 import numpy as np
@@ -12,6 +14,8 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidInputError
 
 _SNR_CAP_DB = 100.0
+_POWER = 0.3        # compression exponent c
+_MAG_FLOOR = 1e-12  # |S| is floored here before compressing
 
 
 def _as_pair(est, ref):
@@ -51,48 +55,40 @@ def sisnr_loss(est, ref) -> float:
     return -si_snr(est, ref)
 
 
-def _compressed(spec, power, floor):
-    if floor <= 0:
-        raise InvalidInputError("floor must be positive")
-    mag = np.maximum(np.abs(spec), floor)
-    return mag, mag ** power
-
-
-def mag_loss(est_spec, ref_spec, power: float = 0.3,
-                        floor: float = 1e-12) -> float:
-    """MSE between power-law compressed magnitude spectra."""
+def _compressed_diffs(est_spec, ref_spec):
+    """Estimate-minus-reference differences of the compressed magnitude, real
+    and imaginary parts, elementwise."""
     est_spec = np.asarray(est_spec)
     ref_spec = np.asarray(ref_spec)
     if est_spec.shape != ref_spec.shape:
         raise InvalidInputError(f"shape mismatch: {est_spec.shape} vs {ref_spec.shape}")
-    _, est_c = _compressed(est_spec, power, floor)
-    _, ref_c = _compressed(ref_spec, power, floor)
-    return float(np.mean((est_c - ref_c) ** 2))
-
-
-def _part_compressed_loss(est_spec, ref_spec, part, power, floor):
-    est_spec = np.asarray(est_spec)
-    ref_spec = np.asarray(ref_spec)
-    if est_spec.shape != ref_spec.shape:
-        raise InvalidInputError(f"shape mismatch: {est_spec.shape} vs {ref_spec.shape}")
-    est_mag, _ = _compressed(est_spec, power, floor)
-    ref_mag, _ = _compressed(ref_spec, power, floor)
+    est_mag = np.maximum(np.abs(est_spec), _MAG_FLOOR)
+    ref_mag = np.maximum(np.abs(ref_spec), _MAG_FLOOR)
     # |S|^c * S/|S| has real part Re(S) / |S|^(1-c), likewise for imaginary
-    est_p = part(est_spec) / est_mag ** (1.0 - power)
-    ref_p = part(ref_spec) / ref_mag ** (1.0 - power)
-    return float(np.mean((est_p - ref_p) ** 2))
+    est_div = est_mag ** (1.0 - _POWER)
+    ref_div = ref_mag ** (1.0 - _POWER)
+    return (est_mag ** _POWER - ref_mag ** _POWER,
+            est_spec.real / est_div - ref_spec.real / ref_div,
+            est_spec.imag / est_div - ref_spec.imag / ref_div)
 
 
-def real_loss(est_spec, ref_spec, power: float = 0.3,
-                         floor: float = 1e-12) -> float:
+def _mse(diff) -> float:
+    return float(np.mean(diff ** 2))
+
+
+def mag_loss(est_spec, ref_spec) -> float:
+    """MSE between power-law compressed magnitude spectra."""
+    return _mse(_compressed_diffs(est_spec, ref_spec)[0])
+
+
+def real_loss(est_spec, ref_spec) -> float:
     """MSE between real parts of power-law compressed complex spectra."""
-    return _part_compressed_loss(est_spec, ref_spec, np.real, power, floor)
+    return _mse(_compressed_diffs(est_spec, ref_spec)[1])
 
 
-def imag_loss(est_spec, ref_spec, power: float = 0.3,
-                         floor: float = 1e-12) -> float:
+def imag_loss(est_spec, ref_spec) -> float:
     """MSE between imaginary parts of power-law compressed complex spectra."""
-    return _part_compressed_loss(est_spec, ref_spec, np.imag, power, floor)
+    return _mse(_compressed_diffs(est_spec, ref_spec)[2])
 
 
 def hybrid_loss(est_wave, ref_wave, est_spec, ref_spec,
@@ -101,10 +97,9 @@ def hybrid_loss(est_wave, ref_wave, est_spec, ref_spec,
 
         alpha * sisnr_loss + (1 - beta) * magnitude + beta * (real + imag)
     """
+    mag, real, imag = (_mse(d) for d in _compressed_diffs(est_spec, ref_spec))
     return (alpha * sisnr_loss(est_wave, ref_wave)
-            + (1.0 - beta) * mag_loss(est_spec, ref_spec)
-            + beta * (real_loss(est_spec, ref_spec)
-                      + imag_loss(est_spec, ref_spec)))
+            + (1.0 - beta) * mag + beta * (real + imag))
 
 
 def snr(est, ref) -> float:

@@ -472,15 +472,7 @@ def apply_mask(mask: np.ndarray, y: np.ndarray, y_iva: np.ndarray,
 # analytic cost accounting
 
 
-def _check_band_geometry(stft_cfg: StftConfig):
-    if stft_cfg.n_bins != N_BINS:
-        raise InvalidInputError(
-            f"the band pipeline needs {N_BINS} STFT bins, got {stft_cfg.n_bins} "
-            f"(fft_size {stft_cfg.fft_size})")
-
-
-def macs_breakdown(cfg: ModelConfig, stft_cfg: StftConfig = StftConfig(),
-                   iva_cfg: Optional[IvaConfig] = None) -> Dict[str, float]:
+def macs_breakdown(cfg: ModelConfig, iva_cfg: Optional[IvaConfig] = None) -> Dict[str, float]:
     """Multiply-accumulates per second of audio, itemized per layer.
 
     Counting convention: one MAC per kernel tap per output element for
@@ -490,27 +482,25 @@ def macs_breakdown(cfg: ModelConfig, stft_cfg: StftConfig = StftConfig(),
     norms and activations fold into their neighbors and are not counted.
     The IVA term comes from :func:`iva_macs_per_second`.
     """
-    _check_band_geometry(stft_cfg)
-    n_high = stft_cfg.n_bins - N_LOW
+    n_high = N_BINS - N_LOW
     per_frame: Dict[str, float] = {"band_merge": cfg.feature_planes * n_high}
     for _, leaves, mac, bands in _layers(cfg):
         if mac is not None:
             taps = sum(math.prod(leaves[k]) for k in ("kernel", "w_x", "w_h") if k in leaves)
             per_frame[mac] = per_frame.get(mac, 0) + bands * taps
     per_frame["band_split"] = 2 * n_high
-    per_frame["apply_mask"] = 4 * stft_cfg.n_bins
+    per_frame["apply_mask"] = 4 * N_BINS
 
-    out = {name: v * stft_cfg.frames_per_second for name, v in per_frame.items()}
+    out = {name: v * StftConfig.frames_per_second for name, v in per_frame.items()}
     if iva_cfg is not None:
-        out["auxiva"] = iva_macs_per_second(iva_cfg, stft_cfg)
+        out["auxiva"] = iva_macs_per_second(iva_cfg)
     return out
 
 
-def count_macs(cfg: ModelConfig, stft_cfg: StftConfig = StftConfig(),
-               iva_cfg: Optional[IvaConfig] = IvaConfig()) -> float:
+def count_macs(cfg: ModelConfig, iva_cfg: Optional[IvaConfig] = IvaConfig()) -> float:
     """Total MACs per second of audio, network plus IVA (see
     :func:`macs_breakdown` for the convention)."""
-    return float(sum(macs_breakdown(cfg, stft_cfg, iva_cfg).values()))
+    return float(sum(macs_breakdown(cfg, iva_cfg).values()))
 
 
 # --------------------------------------------------------------------------
@@ -528,17 +518,15 @@ class EnhanceResult:
 
 
 def enhance(wave: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig,
-            stft_cfg: StftConfig = StftConfig(),
             iva_cfg: IvaConfig = IvaConfig(),
             use_iva: bool = True) -> EnhanceResult:
     """Enhance a two-channel waveform [2, n] into mono speech of length n."""
-    _check_band_geometry(stft_cfg)
     wave = np.asarray(wave, dtype=np.float64)
     if wave.ndim != 2 or wave.shape[0] != 2:
         raise InvalidInputError(f"expected a [2, n] waveform, got shape {wave.shape}")
     if not np.all(np.isfinite(wave)):
         raise InvalidInputError("waveform contains non-finite samples")
-    y = stft(wave, stft_cfg)
+    y = stft(wave)
     bypass = not use_iva
     if use_iva and not np.any(y):
         warnings.warn("input is digital silence; skipping IVA", stacklevel=2)
@@ -549,6 +537,6 @@ def enhance(wave: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig,
     y_iva = y if bypass else auxiva_separate(y, iva_cfg)[0]
     mask = forward(y, y_iva, w, cfg)
     est = apply_mask(mask, y, y_iva, cfg.masking)
-    out = istft(est, stft_cfg, length=wave.shape[1])
+    out = istft(est, length=wave.shape[1])
     return EnhanceResult(wave=out, mask=mask, est_spec=est, noisy_spec=y,
                          iva_spec=y_iva, used_iva=not bypass)

@@ -3,12 +3,12 @@
 All image-like tensors are indexed ``[batch, channel, time, freq]``.
 Convolutions use cross-correlation semantics (no kernel flip) so weights
 exported from the usual deep-learning frameworks drop in unchanged.  Time
-padding is causal (left only) when requested; frequency padding is always
-symmetric "same"-style, total ``(kf - 1) * dilation``.  Functions preserve
-the dtype of their inputs and keep no hidden state.  Layer tensors are
-passed as plain arrays: a conv kernel is [out, in/groups, kt, kf], a
-transposed-conv kernel [in, out/groups, kt, kf], and batch norm takes its
-affine pair and running statistics one per channel.
+padding is always causal (left only, ``(kt - 1) * dilation`` frames);
+frequency padding is symmetric "same"-style, total ``(kf - 1) * dilation``.
+Functions preserve the dtype of their inputs and keep no hidden state.
+Layer tensors are passed as plain arrays: a conv kernel is
+[out, in/groups, kt, kf], a transposed-conv kernel [in, out/groups, kt, kf],
+and batch norm takes its affine pair and running statistics one per channel.
 
 Grouped convolutions advance every group at once: :func:`conv2d` views its
 input as [batch, groups, in/groups, time, freq] and takes one batched
@@ -41,17 +41,15 @@ class GruParams:
     bias: np.ndarray              # [3*hidden]
 
 
-def _pads(kt, kf, dt, df, causal_pad_time):
-    pt = (kt - 1) * dt if causal_pad_time else 0
+def _pads(kt, kf, dt, df):
     total_f = (kf - 1) * df
-    return pt, total_f // 2, total_f - total_f // 2
+    return (kt - 1) * dt, total_f // 2, total_f - total_f // 2
 
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: Optional[np.ndarray] = None,
            stride: Tuple[int, int] = (1, 1),
            dilation: Tuple[int, int] = (1, 1),
-           groups: int = 1,
-           causal_pad_time: bool = True) -> np.ndarray:
+           groups: int = 1) -> np.ndarray:
     """Grouped dilated 2-D convolution (cross-correlation).
 
     ``kernel`` is [out, in / groups, kt, kf]; ``bias``, if given, is [out].
@@ -68,7 +66,7 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: Optional[np.ndarray] = None,
         raise InvalidInputError("output channels must be divisible by groups")
 
     b, c_in, t_in, f_in = x.shape
-    pt, pf_l, pf_r = _pads(kt, kf, dt, df, causal_pad_time)
+    pt, pf_l, pf_r = _pads(kt, kf, dt, df)
     if pt or pf_l or pf_r:
         xp = np.zeros((b, c_in, t_in + pt, f_in + pf_l + pf_r), dtype=x.dtype)
         xp[:, :, pt:, pf_l:pf_l + f_in] = x
@@ -103,10 +101,9 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
                      bias: Optional[np.ndarray] = None,
                      stride: Tuple[int, int] = (1, 1),
                      dilation: Tuple[int, int] = (1, 1),
-                     groups: int = 1,
-                     causal_pad_time: bool = True) -> np.ndarray:
+                     groups: int = 1) -> np.ndarray:
     """Transposed convolution: the adjoint of :func:`conv2d` with the same
-    stride/dilation/padding arguments.
+    stride, dilation and groups arguments.
 
     ``kernel`` is [in, out / groups, kt, kf], the layout of the matching
     conv2d's kernel; ``bias``, if given, is [out].
@@ -128,7 +125,7 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
         raise InvalidInputError("input channels must be divisible by groups")
 
     b, _, t_in, f_in = x.shape
-    pt, pf_l, pf_r = _pads(kt, kf, dt, df, causal_pad_time)
+    pt, pf_l, pf_r = _pads(kt, kf, dt, df)
     t_full = (t_in - 1) * st + (kt - 1) * dt + 1
     f_full = (f_in - 1) * sf + (kf - 1) * df + 1
     i_per_g = in_ch // groups

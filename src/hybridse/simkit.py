@@ -21,6 +21,8 @@ from .dsp import DEFAULT_SAMPLE_RATE
 from .errors import InvalidInputError, SceneInfeasibleError
 
 SPEED_OF_SOUND = 343.0
+# the training target keeps this much of the channel-1 RIR after the direct path
+_EARLY_WINDOW_S = 0.050
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,18 +220,18 @@ def image_rir(scene: SceneSpec, max_order: Optional[int] = None) -> Rir:
     return Rir(taps=taps, direct_path_index=dpi)
 
 
-def early_target(speech: np.ndarray, rir: Rir, window: float = 0.050) -> np.ndarray:
+def early_target(speech: np.ndarray, rir: Rir) -> np.ndarray:
     """Speech convolved with the early part of the channel-1 RIR.
 
-    The kernel keeps taps from the direct-path arrival to ``window`` seconds
-    after it (delay preserved), so the target stays time-aligned with the
-    full mixture.
+    The kernel keeps taps from the direct-path arrival to 50 ms after it
+    (delay preserved), so the target stays time-aligned with the full
+    mixture.
     """
     speech = np.asarray(speech, dtype=np.float64).ravel()
     if rir.taps.shape[1] == 0:
         raise InvalidInputError("empty impulse response")
     dpi = int(rir.direct_path_index[0])
-    stop = min(dpi + int(round(window * rir.fs)), rir.taps.shape[1])
+    stop = min(dpi + int(round(_EARLY_WINDOW_S * rir.fs)), rir.taps.shape[1])
     kernel = rir.taps[0, :stop].copy()
     kernel[:dpi] = 0.0
     from scipy.signal import fftconvolve  # deferred: scipy.signal loads scipy.stats

@@ -14,11 +14,6 @@ def fb():
     return make_erb_filterbank()
 
 
-@pytest.fixture(scope="session")
-def stft_cfg():
-    return StftConfig()
-
-
 def burst_laplacian(rng, n, block=800, floor=0.01):
     """Laplacian carrier under an exponential block envelope.
 

@@ -14,6 +14,7 @@ from scipy.io import wavfile
 
 from conftest import FS, instantaneous_scene
 from hybridse.cli import main
+from hybridse.errors import NumericalError
 from hybridse.loss import si_snr
 from hybridse.model import ModelConfig, init_random, save_weights
 from hybridse.wavio import read_wav, write_wav
@@ -161,6 +162,15 @@ class TestEnhance:
         assert sorted(p.name for p in out_dir.iterdir()) == \
             ["m0.enhanced.wav", "m1.enhanced.wav", "m2.enhanced.wav"]
 
+    def test_iva_failure_names_the_file_exit_4(self, tmp_path, stereo_wav, capsys,
+                                               monkeypatch):
+        def failing_iva(spec, cfg):
+            raise NumericalError("singular demixing update")
+
+        monkeypatch.setattr("hybridse.model.auxiva_separate", failing_iva)
+        assert main(["enhance", str(stereo_wav), "--out", str(tmp_path / "o.wav")]) == 4
+        assert f"error: {stereo_wav}: singular demixing update" in capsys.readouterr().err
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -238,6 +248,13 @@ class TestFlags:
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_jobs_below_one_is_a_usage_error(self, stereo_wav, jobs, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["enhance", str(stereo_wav), "--jobs", jobs])
+        assert info.value.code == 2
+        assert "--jobs: expected a positive integer" in capsys.readouterr().err
+
 
 class TestSeparate:
     def test_low_snr_mixture_improves(self, tmp_path, capsys):
@@ -257,6 +274,19 @@ class TestSeparate:
         path = tmp_path / "mono.wav"
         write_wav(path, FS, 0.1 * np.random.default_rng(4).standard_normal(4096))
         assert main(["separate", str(path)]) == 2
+
+    def test_silent_file_named_exit_2(self, tmp_path, stereo_wav, capsys):
+        silent = tmp_path / "silent.wav"
+        write_wav(silent, FS, np.zeros((2, 4096)))
+        assert main(["separate", str(stereo_wav), str(silent),
+                     "--out", str(tmp_path / "outs")]) == 2
+        assert f"error: {silent}: all-zero input" in capsys.readouterr().err
+
+    def test_short_file_named_exit_2(self, tmp_path, capsys):
+        short = tmp_path / "short.wav"
+        write_wav(short, FS, 0.1 * np.random.default_rng(5).standard_normal((2, 100)))
+        assert main(["separate", str(short)]) == 2
+        assert f"error: {short}: need at least 2 frames" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -374,6 +404,14 @@ class TestEval:
         assert "b.wav: non-finite" in captured.err
         assert "nan" not in captured.out
 
+    def test_all_zero_reference_named_exit_2(self, tmp_path, capsys):
+        est, ref = self._dirs(tmp_path)
+        write_wav(ref / "b.wav", FS, np.zeros(4000))
+        rc = main(["eval", "--est-dir", str(est), "--ref-dir", str(ref)])
+        assert rc == 2
+        assert (f"error: {est / 'b.wav'} vs {ref / 'b.wav'}: reference signal is all zeros"
+                in capsys.readouterr().err)
+
     def test_empty_dirs_ok(self, tmp_path, capsys):
         est, ref = tmp_path / "e", tmp_path / "r"
         est.mkdir()
@@ -427,6 +465,16 @@ class TestConfigFile:
         cfg.write_text("just words\n")
         assert main(["--config", str(cfg), "inspect"]) == 2
         assert "expected key = value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("jobs = 0", "jobs: expected a positive integer, got 0"),
+        ("iva-iters = many", "iva-iters: invalid literal"),
+    ], ids=["jobs_zero", "not_an_int"])
+    def test_bad_value_exit_2(self, tmp_path, stereo_wav, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["--config", str(cfg), "enhance", str(stereo_wav)]) == 2
+        assert f"{cfg}:1: {message}" in capsys.readouterr().err
 
 
 class TestEntryPoint:

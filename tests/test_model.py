@@ -1,6 +1,7 @@
 """Mask-refinement network: features, blocks, forward pass, cost accounting."""
 
 import dataclasses
+import inspect
 import itertools
 import warnings
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hybridse import loss, nn, simkit
 from hybridse.auxiva import IvaConfig
 from hybridse.dsp import StftConfig, log_power
 from hybridse.errors import InvalidInputError
@@ -67,9 +69,26 @@ class TestConfig:
             return [f.name for f in dataclasses.fields(cls) if f.init]
 
         assert init_fields(ModelConfig) == ["feature", "iva_channels", "masking", "encoder"]
-        assert init_fields(StftConfig) == ["fft_size", "hop"]
-        assert init_fields(IvaConfig) == ["iterations", "eps", "ref_channel"]
-        assert [f.name for f in dataclasses.fields(StftConfig)] == ["fft_size", "hop", "window"]
+        assert init_fields(StftConfig) == []
+        assert init_fields(IvaConfig) == ["iterations"]
+        assert dataclasses.fields(StftConfig) == ()
+
+    @pytest.mark.parametrize("fn, params", [pytest.param(*case, id=case[0].__name__) for case in [
+        (enhance, ["wave", "w", "cfg", "iva_cfg", "use_iva"]),
+        (macs_breakdown, ["cfg", "iva_cfg"]),
+        (count_macs, ["cfg", "iva_cfg"]),
+        (nn.conv2d, ["x", "kernel", "bias", "stride", "dilation", "groups"]),
+        (nn.conv_transpose2d, ["x", "kernel", "bias", "stride", "dilation", "groups"]),
+        (log_power, ["spec"]),
+        (simkit.early_target, ["speech", "rir"]),
+        (loss.mag_loss, ["est_spec", "ref_spec"]),
+        (loss.real_loss, ["est_spec", "ref_spec"]),
+        (loss.imag_loss, ["est_spec", "ref_spec"]),
+    ]])
+    def test_parameters_pinned(self, fn, params):
+        # the STFT geometry, causal time padding, the log-power floor, the
+        # early-target window and the loss compression are fixed, not options
+        assert list(inspect.signature(fn).parameters) == params
 
     def test_feature_plane_counts(self):
         assert ModelConfig(feature="lps", iva_channels="s_and_n").feature_planes == 6
@@ -389,7 +408,7 @@ class TestCostAccounting:
 
     def test_macs_breakdown_consistency(self):
         cfg = ModelConfig()
-        bd = macs_breakdown(cfg, StftConfig(), IvaConfig())
+        bd = macs_breakdown(cfg, IvaConfig())
         assert all(v > 0 for v in bd.values())
         assert count_macs(cfg) == pytest.approx(sum(bd.values()))
         from hybridse.auxiva import iva_macs_per_second
@@ -421,15 +440,10 @@ class TestCostAccounting:
             "enc.aux.gt0": branch_gt, "enc.aux.gt1": branch_gt, "enc.aux.gt2": branch_gt,
             "enc.fuse": 792000.0, **dprnn, **dec}
 
-    def test_macs_need_the_band_pipeline_bins(self):
-        with pytest.raises(InvalidInputError, match="257 STFT bins"):
-            macs_breakdown(ModelConfig(), StftConfig(fft_size=1024, hop=512))
-        assert count_macs(ModelConfig(), StftConfig(hop=128), None) == 2 * 53322250.0
-
     def test_macs_without_iva_smaller(self):
         cfg = ModelConfig()
         assert count_macs(cfg, iva_cfg=None) < count_macs(cfg)
-        assert "auxiva" not in macs_breakdown(cfg, StftConfig(), None)
+        assert "auxiva" not in macs_breakdown(cfg, None)
 
 
 class TestEnhance:
@@ -490,15 +504,6 @@ class TestEnhance:
             enhance(np.zeros(2048), w, cfg)
         with pytest.raises(InvalidInputError):
             enhance(np.zeros((3, 2048)), w, cfg)
-
-    def test_stft_geometry_must_give_the_band_bins(self):
-        cfg = ModelConfig()
-        w = init_random(cfg, 11)
-        wave = 0.1 * np.random.default_rng(15).standard_normal((2, 4096))
-        with pytest.raises(InvalidInputError, match="257 STFT bins"):
-            enhance(wave, w, cfg, stft_cfg=StftConfig(fft_size=1024, hop=512))
-        r = enhance(wave, w, cfg, stft_cfg=StftConfig(hop=128))
-        assert r.wave.shape == (4096,) and r.mask.shape == (2, 32, 257)
 
     @pytest.mark.parametrize("use_iva", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
