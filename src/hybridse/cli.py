@@ -27,8 +27,7 @@ from .loss import si_snr
 from .model import (DEFAULT_PRESET, count_macs, count_params, enhance,
                     init_random, load_weights, macs_breakdown, param_breakdown,
                     preset_config)
-from .simkit import (SceneConstraints, render_scene, sample_scene,
-                     write_manifest)
+from .simkit import render_scene, sample_scene, write_manifest
 from .wavio import read_wav, write_wav
 
 EXIT_OK = 0
@@ -104,8 +103,8 @@ def _build_parser():
     p.add_argument("--out", help="output directory (default: scenes)")
 
     p = sub.add_parser("eval", help="SI-SNR report for estimate/reference pairs")
-    p.add_argument("--est-dir", required=True)
-    p.add_argument("--ref-dir", required=True)
+    p.add_argument("--est-dir", required=True, help="mono 16 kHz WAV files")
+    p.add_argument("--ref-dir", required=True, help="mono 16 kHz WAV files")
     p.add_argument("--out", help="also write the report to this file")
 
     p = sub.add_parser("inspect", help="parameter and MAC accounting for a preset")
@@ -114,12 +113,15 @@ def _build_parser():
     return parser, list(sub.choices.values())
 
 
-def _read_stereo(path: str):
+def _read_input(path, channels: int):
+    """Read a 16 kHz WAV of ``channels`` channels: [n] if mono, else [channels, n]."""
     rate, wave = read_wav(path)
     if rate != DEFAULT_SAMPLE_RATE:
         raise InvalidInputError(f"{path}: expected {DEFAULT_SAMPLE_RATE} Hz, got {rate}")
-    if wave.ndim != 2 or wave.shape[0] != 2:
-        raise InvalidInputError(f"{path}: expected a stereo file")
+    got = 1 if wave.ndim == 1 else wave.shape[0]
+    if got != channels:
+        layout = "a mono" if channels == 1 else "a stereo"
+        raise InvalidInputError(f"{path}: expected {layout} file, got {got} channels")
     return wave
 
 
@@ -146,7 +148,7 @@ def _naming(path):
 
 
 def _enhance_one(path, cfg, w, iva_cfg, no_iva, out, multi):
-    wave = _read_stereo(path)
+    wave = _read_input(path, 2)
     with _naming(path):
         res = enhance(wave, w, cfg, iva_cfg=iva_cfg, use_iva=not no_iva)
     if not np.all(np.isfinite(res.wave)):
@@ -179,7 +181,7 @@ def cmd_separate(args) -> int:
     iva_cfg = IvaConfig(iterations=args.iva_iters)
     multi = len(args.inputs) > 1
     for path in args.inputs:
-        wave = _read_stereo(path)
+        wave = _read_input(path, 2)
         with _naming(path):
             sources, _ = auxiva_separate(stft(wave), iva_cfg)
         speech = istft(sources[0], length=wave.shape[1])
@@ -201,14 +203,14 @@ def _wav_files(directory: str):
 
 
 def cmd_simulate(args) -> int:
-    out_dir = Path(args.out or "scenes")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.n_scenes < 0:
+        raise InvalidInputError("n-scenes must be >= 0")
     speech_files = _wav_files(args.speech_dir)
     noise_files = _wav_files(args.noise_dir)
     if args.n_scenes > 0 and (not speech_files or not noise_files):
         raise InvalidInputError("speech and noise directories must each hold >= 1 WAV")
-    if args.n_scenes < 0:
-        raise InvalidInputError("n-scenes must be >= 0")
+    out_dir = Path(args.out or "scenes")
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(args.seed)
     records = []
@@ -216,14 +218,9 @@ def cmd_simulate(args) -> int:
         scene_seed = int(rng.integers(0, 2 ** 63))
         sp_path = speech_files[int(rng.integers(len(speech_files)))]
         nz_path = noise_files[int(rng.integers(len(noise_files)))]
-        scene = sample_scene(scene_seed, SceneConstraints())
-        sp_rate, speech = read_wav(sp_path)
-        nz_rate, noise = read_wav(nz_path)
-        for rate, p in ((sp_rate, sp_path), (nz_rate, nz_path)):
-            if rate != DEFAULT_SAMPLE_RATE:
-                raise InvalidInputError(f"{p}: expected {DEFAULT_SAMPLE_RATE} Hz, got {rate}")
-        if speech.ndim != 1 or noise.ndim != 1:
-            raise InvalidInputError("simulate expects mono corpus files")
+        scene = sample_scene(scene_seed)
+        speech = _read_input(sp_path, 1)
+        noise = _read_input(nz_path, 1)
         render = render_scene(scene, speech, noise)
         mix_name = f"scene_{i:05d}.mix.wav"
         tgt_name = f"scene_{i:05d}.target.wav"
@@ -251,11 +248,11 @@ def cmd_eval(args) -> int:
     lines = []
     scores = []
     for name in sorted(set(est_files) & set(ref_files)):
-        _, est = read_wav(est_files[name])
-        _, ref = read_wav(ref_files[name])
-        n = min(est.shape[-1], ref.shape[-1])
+        est = _read_input(est_files[name], 1)
+        ref = _read_input(ref_files[name], 1)
+        n = min(est.size, ref.size)
         with _naming(f"{est_files[name]} vs {ref_files[name]}"):
-            score = si_snr(np.ravel(est)[:n], np.ravel(ref)[:n])
+            score = si_snr(est[:n], ref[:n])
         scores.append(score)
         lines.append(f"{name}\t{score:+.2f} dB")
     if scores:

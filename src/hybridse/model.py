@@ -29,7 +29,7 @@ import numpy as np
 
 from . import nn
 from .auxiva import IvaConfig, auxiva_separate, iva_macs_per_second
-from .bands import N_BANDS, N_BINS, N_LOW, band_merge, band_split, make_erb_filterbank
+from .bands import N_BANDS, N_BINS, N_HIGH, band_merge, band_split
 from .dsp import StftConfig, istft, log_power, stft
 from .errors import InvalidInputError, WeightFormatError
 from .weights import deserialize_tensors, serialize_tensors
@@ -441,14 +441,13 @@ def forward(y: np.ndarray, y_iva: np.ndarray, w: Dict[str, np.ndarray],
     Plane 0 is the real mask, plane 1 the imaginary mask; both lie in
     [-1, 1] (tanh output propagated through the convex band split).
     """
-    fb = make_erb_filterbank()
     feats = build_features(y, y_iva, cfg)
-    merged = band_merge(feats, fb).astype(np.float32)
+    merged = band_merge(feats).astype(np.float32)
     x = sfe(merged[None], cfg.sfe_kernel)
     latent, skip = encode(x, w, cfg)
     z = gdprnn(latent, w, cfg) + skip
     mask = decode(z, w, cfg)
-    return band_split(mask.astype(np.float64), fb)[0]
+    return band_split(mask.astype(np.float64))[0]
 
 
 def apply_mask(mask: np.ndarray, y: np.ndarray, y_iva: np.ndarray,
@@ -482,13 +481,12 @@ def macs_breakdown(cfg: ModelConfig, iva_cfg: Optional[IvaConfig] = None) -> Dic
     norms and activations fold into their neighbors and are not counted.
     The IVA term comes from :func:`iva_macs_per_second`.
     """
-    n_high = N_BINS - N_LOW
-    per_frame: Dict[str, float] = {"band_merge": cfg.feature_planes * n_high}
+    per_frame: Dict[str, float] = {"band_merge": cfg.feature_planes * N_HIGH}
     for _, leaves, mac, bands in _layers(cfg):
         if mac is not None:
             taps = sum(math.prod(leaves[k]) for k in ("kernel", "w_x", "w_h") if k in leaves)
             per_frame[mac] = per_frame.get(mac, 0) + bands * taps
-    per_frame["band_split"] = 2 * n_high
+    per_frame["band_split"] = 2 * N_HIGH
     per_frame["apply_mask"] = 4 * N_BINS
 
     out = {name: v * StftConfig.frames_per_second for name, v in per_frame.items()}

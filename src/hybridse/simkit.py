@@ -8,12 +8,14 @@ channel-1 SNR; the training target is the speech convolved with the early
 (first 50 ms after the direct path) part of the channel-1 RIR.
 
 Everything is deterministic given a seed, so a scene record plus the dry
-source files reproduce the audio bit for bit.
+source files reproduce the audio bit for bit.  The protocol is fixed: the
+ranges scenes are drawn from are class constants of :class:`SceneConstraints`,
+RIRs are at 16 kHz and the image order follows from the RT60 + 50 ms horizon.
 """
 
 import json
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import ClassVar, Sequence, Tuple
 
 import numpy as np
 
@@ -25,17 +27,19 @@ SPEED_OF_SOUND = 343.0
 _EARLY_WINDOW_S = 0.050
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SceneConstraints:
-    room_low: Tuple[float, float, float] = (3.0, 3.0, 2.5)
-    room_high: Tuple[float, float, float] = (10.0, 10.0, 3.0)
-    rt60_range: Tuple[float, float] = (0.1, 0.4)
-    snr_range: Tuple[float, float] = (-10.0, 0.0)
-    distances: Tuple[float, ...] = (0.5, 1.0, 2.0, 3.0)
-    min_doa_deg: float = 5.0
-    wall_margin: float = 0.1
-    mic_spacing: float = 0.04
-    max_attempts: int = 10000
+    """The scene protocol, as class constants: every scene is drawn from these
+    ranges, so nothing is settable and all instances compare equal."""
+    room_low: ClassVar[Tuple[float, float, float]] = (3.0, 3.0, 2.5)
+    room_high: ClassVar[Tuple[float, float, float]] = (10.0, 10.0, 3.0)
+    rt60_range: ClassVar[Tuple[float, float]] = (0.1, 0.4)
+    snr_range: ClassVar[Tuple[float, float]] = (-10.0, 0.0)
+    distances: ClassVar[Tuple[float, ...]] = (0.5, 1.0, 2.0, 3.0)
+    min_doa_deg: ClassVar[float] = 5.0
+    wall_margin: ClassVar[float] = 0.1
+    mic_spacing: ClassVar[float] = 0.04
+    max_attempts: ClassVar[int] = 10000
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +80,7 @@ class SceneSpec:
 class Rir:
     taps: np.ndarray               # [2, n] at fs
     direct_path_index: np.ndarray  # [2] sample of first arrival per mic
-    fs: int = DEFAULT_SAMPLE_RATE
+    fs: ClassVar[int] = DEFAULT_SAMPLE_RATE
 
 
 def _inside(p, dims, margin) -> bool:
@@ -100,7 +104,7 @@ def sample_scene(seed: int, constraints: SceneConstraints = SceneConstraints()) 
     drawn once; positions are then rejection-sampled until the source fits
     inside the room (with wall margin) and the noise direction differs from
     the speech direction by more than the minimum angle.  Deterministic
-    given the seed.
+    given the seed.  ``constraints`` is stateless and kept for perfbench.
     """
     c = constraints
     rng = np.random.default_rng(seed)
@@ -119,8 +123,6 @@ def sample_scene(seed: int, constraints: SceneConstraints = SceneConstraints()) 
     half = c.mic_spacing / 2.0
     lo = c.wall_margin + half
     hi = dims - (c.wall_margin + half)
-    if np.any(hi <= lo):
-        raise SceneInfeasibleError("room too small for the wall margin")
 
     for _ in range(c.max_attempts):
         center = rng.uniform(lo, hi)
@@ -170,14 +172,14 @@ def _axis_images(src: float, length: float, n_max: int):
     return coords, refl
 
 
-def image_rir(scene: SceneSpec, max_order: Optional[int] = None) -> Rir:
+def image_rir(scene: SceneSpec) -> Rir:
     """Image-method RIR for both microphones.
 
     Uniform reflection coefficient beta = sqrt(1 - alpha) on all six walls;
     each image source contributes beta^reflections / (4 pi d) at the
     nearest-sample delay d / c.  Taps are kept up to RT60 + 50 ms.  The
-    default ``max_order`` is large enough that discarded images would land
-    beyond that horizon anyway.
+    reflection order is capped where any further image would land beyond
+    that horizon anyway.
     """
     dims = np.asarray(scene.room_dims, dtype=np.float64)
     alpha = sabine_absorption(dims, scene.rt60)
@@ -185,18 +187,13 @@ def image_rir(scene: SceneSpec, max_order: Optional[int] = None) -> Rir:
 
     n_taps = int(round((scene.rt60 + 0.05) * DEFAULT_SAMPLE_RATE))
     horizon = SPEED_OF_SOUND * (n_taps / DEFAULT_SAMPLE_RATE)
-    if max_order is None:
-        max_order = int(np.ceil(horizon / float(np.min(dims)))) + 2
+    max_order = int(np.ceil(horizon / float(np.min(dims)))) + 2
 
-    per_axis = []
-    for ax in range(3):
-        n_max = min((max_order + 1) // 2 + 1,
-                    int(np.ceil((horizon / dims[ax] + 1.0) / 2.0)) + 1)
-        per_axis.append(_axis_images(float(scene.source_position[ax]),
-                                     float(dims[ax]), n_max))
-    cx, rx = per_axis[0]
-    cy, ry = per_axis[1]
-    cz, rz = per_axis[2]
+    # per axis, the images that can land within the horizon
+    (cx, rx), (cy, ry), (cz, rz) = [
+        _axis_images(float(scene.source_position[ax]), float(dims[ax]),
+                     int(np.ceil((horizon / dims[ax] + 1.0) / 2.0)) + 1)
+        for ax in range(3)]
     refl = (rx[:, None, None] + ry[None, :, None] + rz[None, None, :]).ravel()
     keep = refl <= max_order
     refl = refl[keep]

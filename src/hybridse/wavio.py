@@ -1,4 +1,5 @@
-"""Minimal WAV I/O: 16-bit PCM and 32-bit float in, 16-bit PCM out.
+"""Minimal WAV I/O: 8-bit unsigned, 16- and 32-bit PCM and 32- and 64-bit
+float in, 16-bit PCM out.
 
 Arrays are float64 in [-1, 1], shaped [n] for mono and [channels, n]
 otherwise.  Output samples are truncated (no dither) toward zero when

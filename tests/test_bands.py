@@ -1,5 +1,7 @@
 """ERB band pooling: 257 bins <-> 129 bands with a transparent low region."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,16 @@ class TestConstruction:
         assert fb.n_low == 65
         assert fb.n_bins == 257
         assert fb.n_bands == 129
+
+    def test_layout_is_fixed_and_read_only(self, fb):
+        # no filterbank with other counts can be built, so band_merge never
+        # sees counts that disagree with its weights
+        assert fb == ErbFilterbank()
+        with pytest.raises(TypeError):
+            dataclasses.replace(fb, n_bins=300)
+        for a in (fb.merge_weights, fb.split_weights, fb.band_of_bin, fb.center_erb):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
     def test_boundary_bins(self, fb):
         # bin 64 stays in the pass-through region, bin 65 opens band 0,
@@ -97,6 +109,11 @@ class TestMerge:
     def test_shape_mismatch_rejected(self, fb):
         with pytest.raises(InvalidInputError):
             band_merge(np.zeros(129), fb)
+
+    def test_default_layout(self, fb):
+        x = np.random.default_rng(7).standard_normal((2, 257))
+        np.testing.assert_array_equal(band_merge(x), band_merge(x, fb))
+        np.testing.assert_array_equal(band_split(x[:, :129]), band_split(x[:, :129], fb))
 
 
 class TestSplit:

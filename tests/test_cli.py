@@ -346,6 +346,29 @@ class TestSimulate:
         assert "s.wav: non-finite" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_stereo_corpus_file_named_exit_2(self, tmp_path, capsys):
+        sp_dir, nz_dir = self._corpus(tmp_path)
+        write_wav(nz_dir / "n.wav", FS, 0.1 * np.random.default_rng(8).standard_normal((2, 16000)))
+        out = tmp_path / "scenes"
+        rc = main(["simulate", "--speech-dir", str(sp_dir), "--noise-dir",
+                   str(nz_dir), "--n-scenes", "1", "--out", str(out)])
+        assert rc == 2
+        assert f"error: {nz_dir / 'n.wav'}: expected a mono file" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["negative_count", "missing_speech_dir"])
+    def test_invalid_arguments_write_nothing(self, tmp_path, capsys, case):
+        sp_dir, nz_dir = self._corpus(tmp_path)
+        n_scenes = "-1" if case == "negative_count" else "1"
+        if case == "missing_speech_dir":
+            sp_dir = tmp_path / "absent"
+        out = tmp_path / "scenes"
+        rc = main(["simulate", "--speech-dir", str(sp_dir), "--noise-dir",
+                   str(nz_dir), "--n-scenes", n_scenes, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_zero_scenes_ok(self, tmp_path):
         (tmp_path / "se").mkdir()
         (tmp_path / "ne").mkdir()
@@ -403,6 +426,22 @@ class TestEval:
         assert rc == 2
         assert "b.wav: non-finite" in captured.err
         assert "nan" not in captured.out
+
+    @pytest.mark.parametrize("rate, shape, message", [
+        (8000, (4000,), "expected 16000 Hz, got 8000"),
+        (FS, (2, 4000), "expected a mono file, got 2 channels"),
+    ], ids=["rate", "stereo"])
+    @pytest.mark.parametrize("side", ["est", "ref"])
+    def test_estimate_and_reference_must_be_16k_mono(self, tmp_path, capsys, side,
+                                                      rate, shape, message):
+        est, ref = self._dirs(tmp_path)
+        bad = (est if side == "est" else ref) / "b.wav"
+        write_wav(bad, rate, 0.3 * np.random.default_rng(9).standard_normal(shape))
+        rc = main(["eval", "--est-dir", str(est), "--ref-dir", str(ref)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"error: {bad}: {message}" in captured.err
+        assert "mean" not in captured.out
 
     def test_all_zero_reference_named_exit_2(self, tmp_path, capsys):
         est, ref = self._dirs(tmp_path)

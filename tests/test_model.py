@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from hybridse import loss, nn, simkit
 from hybridse.auxiva import IvaConfig
+from hybridse.bands import ErbFilterbank
 from hybridse.dsp import StftConfig, log_power
 from hybridse.errors import InvalidInputError
 from hybridse.model import (PRESETS, ModelConfig, apply_mask, build_features,
@@ -71,7 +72,12 @@ class TestConfig:
         assert init_fields(ModelConfig) == ["feature", "iva_channels", "masking", "encoder"]
         assert init_fields(StftConfig) == []
         assert init_fields(IvaConfig) == ["iterations"]
+        assert init_fields(ErbFilterbank) == []
+        assert init_fields(simkit.SceneConstraints) == []
+        assert init_fields(simkit.Rir) == ["taps", "direct_path_index"]
         assert dataclasses.fields(StftConfig) == ()
+        assert dataclasses.fields(ErbFilterbank) == ()
+        assert dataclasses.fields(simkit.SceneConstraints) == ()
 
     @pytest.mark.parametrize("fn, params", [pytest.param(*case, id=case[0].__name__) for case in [
         (enhance, ["wave", "w", "cfg", "iva_cfg", "use_iva"]),
@@ -81,13 +87,15 @@ class TestConfig:
         (nn.conv_transpose2d, ["x", "kernel", "bias", "stride", "dilation", "groups"]),
         (log_power, ["spec"]),
         (simkit.early_target, ["speech", "rir"]),
+        (simkit.image_rir, ["scene"]),
         (loss.mag_loss, ["est_spec", "ref_spec"]),
         (loss.real_loss, ["est_spec", "ref_spec"]),
         (loss.imag_loss, ["est_spec", "ref_spec"]),
     ]])
     def test_parameters_pinned(self, fn, params):
         # the STFT geometry, causal time padding, the log-power floor, the
-        # early-target window and the loss compression are fixed, not options
+        # early-target window, the image order and the loss compression are
+        # fixed, not options
         assert list(inspect.signature(fn).parameters) == params
 
     def test_feature_plane_counts(self):

@@ -10,7 +10,9 @@ from hybridse import (Rir, SceneConstraints, SceneSpec, apply_rir,
                       early_target, image_rir, mix_at_snr, read_manifest,
                       render_scene, sabine_absorption, sample_scene,
                       schroeder_rt60, write_manifest)
+from hybridse.cli import main
 from hybridse.errors import InvalidInputError, SceneInfeasibleError
+from hybridse.wavio import write_wav
 
 FS = 16000
 
@@ -68,11 +70,17 @@ class TestSampleScene:
             frac = np.mean(np.isclose(center_dists, d, atol=1e-6))
             assert abs(frac - 0.25) < 0.05
 
-    def test_infeasible_constraints_error(self):
+    def test_infeasible_constraints_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(SceneConstraints, "max_attempts", 0)
         with pytest.raises(SceneInfeasibleError):
-            sample_scene(0, SceneConstraints(room_low=(3.0, 3.0, 2.5),
-                                             room_high=(3.0, 3.0, 2.5),
-                                             wall_margin=2.0))
+            sample_scene(0)
+        sp_dir, nz_dir = tmp_path / "speech", tmp_path / "noise"
+        for d in (sp_dir, nz_dir):
+            d.mkdir()
+            write_wav(d / "x.wav", FS, 0.1 * np.random.default_rng(0).standard_normal(1600))
+        assert main(["simulate", "--speech-dir", str(sp_dir), "--noise-dir", str(nz_dir),
+                     "--n-scenes", "1", "--out", str(tmp_path / "out")]) == 2
+        assert "no Sabine-feasible room" in capsys.readouterr().err
 
     def test_spec_dict_round_trip(self):
         s = sample_scene(9)
@@ -102,14 +110,17 @@ class TestSabine:
 
 
 class TestImageRir:
-    def test_anechoic_single_tap(self):
+    def test_direct_tap_is_the_first_and_unreflected(self):
+        # the direct sound arrives first, at the nearest-sample delay, with
+        # the free-field 1 / (4 pi d) gain and no reflection loss
         sc = controlled_scene()
-        rir = image_rir(sc, max_order=0)
+        rir = image_rir(sc)
+        assert rir.fs == FS
         for m in range(2):
             d = np.linalg.norm(sc.source_position - sc.mic_positions[m])
             idx = int(round(d * FS / 343.0))
-            nz = np.nonzero(rir.taps[m])[0]
-            np.testing.assert_array_equal(nz, [idx])
+            assert idx == 93
+            assert np.nonzero(rir.taps[m])[0][0] == idx
             assert rir.taps[m, idx] == pytest.approx(1.0 / (4 * np.pi * d))
             assert rir.direct_path_index[m] == idx
 
@@ -150,13 +161,13 @@ class TestImageRir:
 
 class TestEarlyTarget:
     def test_anechoic_rir_gives_delayed_scaled_speech(self):
-        sc = controlled_scene()
-        rir = image_rir(sc, max_order=0)
+        dpi, amp = 93, 0.04
+        taps = np.zeros((2, 4800))
+        taps[:, dpi] = amp
+        rir = Rir(taps=taps, direct_path_index=np.array([dpi, dpi]))
         rng = np.random.default_rng(0)
         speech = rng.standard_normal(4000)
         out = early_target(speech, rir)
-        dpi = rir.direct_path_index[0]
-        amp = rir.taps[0, dpi]
         np.testing.assert_allclose(out[:dpi], 0.0, atol=1e-12)
         np.testing.assert_allclose(out[dpi:], amp * speech[:4000 - dpi],
                                    atol=1e-12)
@@ -165,7 +176,7 @@ class TestEarlyTarget:
         taps = np.zeros((2, 2400))
         taps[:, 10] = 1.0
         taps[:, 10 + 850] = 0.7   # 53 ms after the direct tap
-        rir = Rir(taps=taps, direct_path_index=np.array([10, 10]), fs=FS)
+        rir = Rir(taps=taps, direct_path_index=np.array([10, 10]))
         speech = np.random.default_rng(1).standard_normal(2000)
         out = early_target(speech, rir)
         expect = np.zeros(2000)
@@ -177,7 +188,7 @@ class TestEarlyTarget:
         taps = np.zeros((2, 1200))
         taps[0, 7] = 1.0
         taps[0, 8:] = 0.05 * rng.standard_normal(1192)
-        rir = Rir(taps=taps, direct_path_index=np.array([7, 7]), fs=FS)
+        rir = Rir(taps=taps, direct_path_index=np.array([7, 7]))
         speech = rng.standard_normal(1500)
         got = early_target(speech, rir)
         kernel = taps[0, :7 + 800].copy()
