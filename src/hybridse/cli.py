@@ -12,7 +12,6 @@ the leading double dash); explicit command-line flags win.
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -168,6 +167,8 @@ def cmd_enhance(args) -> int:
                            iva_cfg=IvaConfig(iterations=args.iva_iters),
                            no_iva=args.no_iva, out=args.out, multi=len(args.inputs) > 1)
     if args.jobs > 1 and len(args.inputs) > 1:
+        # deferred: the process pool costs import time that one job never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             written = list(pool.map(enhance_file, args.inputs))
     else:

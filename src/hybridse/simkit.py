@@ -188,22 +188,29 @@ def image_rir(scene: SceneSpec) -> Rir:
     n_taps = int(round((scene.rt60 + 0.05) * DEFAULT_SAMPLE_RATE))
     horizon = SPEED_OF_SOUND * (n_taps / DEFAULT_SAMPLE_RATE)
     max_order = int(np.ceil(horizon / float(np.min(dims)))) + 2
+    # an image farther than this from the mic midpoint is beyond the horizon
+    # at both mics, with one sample to spare for rounding, so it is dropped
+    # before the per-mic distances are taken
+    mics = np.asarray(scene.mic_positions, dtype=np.float64)
+    mid = 0.5 * (mics[0] + mics[1])
+    reach = (horizon + 0.5 * float(np.linalg.norm(mics[1] - mics[0]))
+             + SPEED_OF_SOUND / DEFAULT_SAMPLE_RATE)
 
     # per axis, the images that can land within the horizon
     (cx, rx), (cy, ry), (cz, rz) = [
         _axis_images(float(scene.source_position[ax]), float(dims[ax]),
                      int(np.ceil((horizon / dims[ax] + 1.0) / 2.0)) + 1)
         for ax in range(3)]
-    refl = (rx[:, None, None] + ry[None, :, None] + rz[None, None, :]).ravel()
-    keep = refl <= max_order
-    refl = refl[keep]
-    gains = beta ** refl / (4.0 * np.pi)
+    dx, dy, dz = [(c - mid[ax]) ** 2 for ax, c in enumerate((cx, cy, cz))]
+    near = dx[:, None, None] + dy[None, :, None] + dz[None, None, :] <= reach ** 2
+    refl = rx[:, None, None] + ry[None, :, None] + rz[None, None, :]
+    ix, iy, iz = np.nonzero(near & (refl <= max_order))
+    coords = np.stack([cx[ix], cy[iy], cz[iz]], axis=1)
+    gains = beta ** refl[ix, iy, iz] / (4.0 * np.pi)
 
     taps = np.zeros((2, n_taps), dtype=np.float64)
-    coords = np.stack(np.meshgrid(cx, cy, cz, indexing="ij"),
-                      axis=-1).reshape(-1, 3)[keep]
     for m in range(2):
-        d = np.linalg.norm(coords - scene.mic_positions[m], axis=1)
+        d = np.linalg.norm(coords - mics[m], axis=1)
         d = np.maximum(d, 1e-3)
         idx = np.rint(d * DEFAULT_SAMPLE_RATE / SPEED_OF_SOUND).astype(np.int64)
         ok = idx < n_taps
@@ -217,6 +224,41 @@ def image_rir(scene: SceneSpec) -> Rir:
     return Rir(taps=taps, direct_path_index=dpi)
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2-3-5-smooth integer >= ``n``: a fast real FFT size."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _convolve(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Each row of ``kernels`` [k, L] convolved with ``x`` [n], cut to [k, n].
+
+    One transform of ``x`` serves every row, and the rows go through one
+    batched transform, at the full convolution's fast FFT length."""
+    if kernels.shape[1] == 0:
+        raise InvalidInputError("empty impulse response")
+    nfft = _fft_length(x.size + kernels.shape[1] - 1)
+    spec = np.fft.rfft(x, nfft) * np.fft.rfft(kernels, nfft)
+    return np.fft.irfft(spec, nfft)[:, :x.size]
+
+
+def _early_kernel(rir: Rir) -> np.ndarray:
+    """The channel-1 RIR from the direct-path arrival to 50 ms after it,
+    zero elsewhere (delay preserved), at the RIR's full length."""
+    dpi = int(rir.direct_path_index[0])
+    stop = min(dpi + int(round(_EARLY_WINDOW_S * rir.fs)), rir.taps.shape[1])
+    kernel = np.zeros(rir.taps.shape[1])
+    kernel[dpi:stop] = rir.taps[0, dpi:stop]
+    return kernel
+
+
 def early_target(speech: np.ndarray, rir: Rir) -> np.ndarray:
     """Speech convolved with the early part of the channel-1 RIR.
 
@@ -225,21 +267,12 @@ def early_target(speech: np.ndarray, rir: Rir) -> np.ndarray:
     mixture.
     """
     speech = np.asarray(speech, dtype=np.float64).ravel()
-    if rir.taps.shape[1] == 0:
-        raise InvalidInputError("empty impulse response")
-    dpi = int(rir.direct_path_index[0])
-    stop = min(dpi + int(round(_EARLY_WINDOW_S * rir.fs)), rir.taps.shape[1])
-    kernel = rir.taps[0, :stop].copy()
-    kernel[:dpi] = 0.0
-    from scipy.signal import fftconvolve  # deferred: scipy.signal loads scipy.stats
-    return fftconvolve(speech, kernel)[: speech.size]
+    return _convolve(speech, _early_kernel(rir)[None])[0]
 
 
 def apply_rir(wave: np.ndarray, rir: Rir) -> np.ndarray:
     """Render the two-channel image of a mono signal (length preserved)."""
-    wave = np.asarray(wave, dtype=np.float64).ravel()
-    from scipy.signal import fftconvolve  # deferred: scipy.signal loads scipy.stats
-    return np.stack([fftconvolve(wave, rir.taps[m])[: wave.size] for m in range(2)])
+    return _convolve(np.asarray(wave, dtype=np.float64).ravel(), rir.taps)
 
 
 def mix_at_snr(speech_img: np.ndarray, noise_img: np.ndarray,
@@ -295,10 +328,12 @@ def render_scene(scene: SceneSpec, speech: np.ndarray, noise: np.ndarray) -> Sce
 
     rir_s = image_rir(scene)
     rir_n = image_rir(replace(scene, source_position=scene.noise_position))
-    s_img = apply_rir(speech, rir_s)
+    # one transform of the speech serves its image and its early target
+    rows = _convolve(speech, np.vstack([rir_s.taps, _early_kernel(rir_s)]))
+    s_img = rows[:2]
     n_img = apply_rir(noise, rir_n)
     mix, norm = mix_at_snr(s_img, n_img, scene.snr_db)
-    target = early_target(speech, rir_s) * norm
+    target = rows[2] * norm
     return SceneRender(mixture=mix, target=target, speech_image=s_img,
                        noise_image=n_img, norm=norm, scene=scene)
 

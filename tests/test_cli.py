@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, config file, outputs."""
 
+import io
 import os
 import subprocess
 import sys
@@ -223,6 +224,33 @@ def wav_data(draw):
     return rate, data[:, 0] if channels == 1 else data
 
 
+def _stereo_wav_bytes(frames=4096):
+    buf = io.BytesIO()
+    data = 0.1 * np.random.default_rng(9).standard_normal((frames, 2))
+    wavfile.write(buf, FS, (data * 32767).astype(np.int16))
+    return buf.getvalue()
+
+
+_VALID_STEREO = _stereo_wav_bytes()
+
+
+@st.composite
+def damaged_wav(draw):
+    """A prefix of a valid stereo WAV, or the file with one of its first 44
+    bytes (the whole RIFF, fmt and data header) overwritten."""
+    if draw(st.booleans()):
+        return _VALID_STEREO[:draw(st.integers(0, len(_VALID_STEREO)))]
+    blob = bytearray(_VALID_STEREO)
+    blob[draw(st.integers(0, 43))] = draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+def _zero_channels():
+    blob = bytearray(_VALID_STEREO)
+    blob[22:24] = b"\x00\x00"           # fmt nChannels
+    return bytes(blob)
+
+
 class TestWavBoundary:
     @pytest.mark.filterwarnings("ignore:.*skipping IVA")
     @settings(max_examples=30, deadline=None)
@@ -237,6 +265,25 @@ class TestWavBoundary:
             for extra in ([], ["--no-iva"]):
                 assert main(["enhance", str(path), "--out", str(Path(tmp) / "out.wav"),
                              *extra]) in (0, 2)
+
+    @pytest.mark.parametrize("blob", [
+        b"RIFF\x00\x00", _VALID_STEREO[:20], _VALID_STEREO[:40], _zero_channels(),
+    ], ids=["riff_and_2_bytes", "cut_to_20", "cut_to_40", "zero_channels"])
+    def test_malformed_header_named_exit_2(self, tmp_path, capsys, blob):
+        path = tmp_path / "broken.wav"
+        path.write_bytes(blob)
+        assert main(["enhance", str(path), "--out", str(tmp_path / "out.wav")]) == 2
+        assert f"error: {path}: not a readable WAV file" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:.*skipping IVA")
+    @settings(max_examples=40, deadline=None)
+    @given(damaged_wav())
+    def test_damaged_wav_exits_0_or_2(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.wav"
+            path.write_bytes(blob)
+            assert main(["enhance", str(path), "--out", str(Path(tmp) / "out.wav"),
+                         "--iva-iters", "3"]) in (0, 2)
 
 
 class TestFlags:
@@ -532,12 +579,67 @@ class TestEntryPoint:
         assert "25506 total" in proc.stdout
 
     def test_import_leaves_scipy_stats_and_signal_unloaded(self):
-        # both cost most of the package's import time; only the simulator's
-        # convolutions need scipy.signal, and they import it on first use
+        # the runtime needs numpy alone: no scipy module at all is loaded
         code = ("import sys, hybridse, hybridse.cli; "
-                "print(sorted(m for m in ('scipy.stats', 'scipy.signal') "
-                "if m in sys.modules))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # only enhance --jobs > 1 needs the pool, and it imports it then
+        code = ("import sys, hybridse, hybridse.cli; "
+                "print('concurrent.futures.process' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+                              capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["enhance=0", "enhance--no-iva=0", "separate=0",
+                                       "simulate=0", "eval=0", "inspect=0"]
+
+
+# Runs every subcommand through cli.main in an interpreter where importing
+# any scipy module fails; prints "<subcommand>=<exit code>" for each.
+_WITHOUT_SCIPY = """\
+import contextlib, io, sys
+from importlib.abc import MetaPathFinder
+from pathlib import Path
+
+
+class NoScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
+import numpy as np
+from hybridse.cli import main
+from hybridse.wavio import write_wav
+
+tmp = Path(sys.argv[1])
+rng = np.random.default_rng(0)
+for sub in ("speech", "noise", "est", "ref"):
+    (tmp / sub).mkdir()
+    write_wav(tmp / sub / "a.wav", 16000, 0.2 * rng.standard_normal(8000))
+write_wav(tmp / "in.wav", 16000, 0.2 * rng.standard_normal((2, 8000)))
+runs = {
+    "enhance": ["enhance", str(tmp / "in.wav"), "--iva-iters", "3"],
+    "enhance--no-iva": ["enhance", str(tmp / "in.wav"), "--no-iva"],
+    "separate": ["separate", str(tmp / "in.wav"), "--iva-iters", "3"],
+    "simulate": ["simulate", "--speech-dir", str(tmp / "speech"), "--noise-dir",
+                 str(tmp / "noise"), "--n-scenes", "1", "--out", str(tmp / "scenes")],
+    "eval": ["eval", "--est-dir", str(tmp / "est"), "--ref-dir", str(tmp / "ref")],
+    "inspect": ["inspect"],
+}
+for name, argv in runs.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    print(f"{name}={rc}")
+"""

@@ -9,7 +9,7 @@ import oracles
 from hybridse import (Rir, SceneConstraints, SceneSpec, apply_rir,
                       early_target, image_rir, mix_at_snr, read_manifest,
                       render_scene, sabine_absorption, sample_scene,
-                      schroeder_rt60, write_manifest)
+                      schroeder_rt60, simkit, write_manifest)
 from hybridse.cli import main
 from hybridse.errors import InvalidInputError, SceneInfeasibleError
 from hybridse.wavio import write_wav
@@ -150,6 +150,32 @@ class TestImageRir:
         np.testing.assert_array_equal(a.taps, b.taps)
         np.testing.assert_array_equal(a.direct_path_index, b.direct_path_index)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_horizon_prune_keeps_every_tap(self, seed):
+        # images are dropped by their distance from the mic midpoint before
+        # the per-mic distances are taken; every image of the full box
+        # within the order cap must still give the same taps
+        sc = sample_scene(seed)
+        rir = image_rir(sc)
+        beta = np.sqrt(1.0 - sabine_absorption(sc.room_dims, sc.rt60))
+        n_taps = rir.taps.shape[1]
+        horizon = 343.0 * n_taps / FS
+        max_order = int(np.ceil(horizon / np.min(sc.room_dims))) + 2
+        (cx, rx), (cy, ry), (cz, rz) = [
+            simkit._axis_images(sc.source_position[ax], sc.room_dims[ax],
+                                int(np.ceil((horizon / sc.room_dims[ax] + 1) / 2)) + 1)
+            for ax in range(3)]
+        refl = (rx[:, None, None] + ry[None, :, None] + rz[None, None, :]).ravel()
+        coords = np.stack(np.meshgrid(cx, cy, cz, indexing="ij"), -1).reshape(-1, 3)
+        keep = refl <= max_order
+        want = np.zeros_like(rir.taps)
+        for m in range(2):
+            d = np.maximum(np.linalg.norm(coords[keep] - sc.mic_positions[m], axis=1), 1e-3)
+            idx = np.rint(d * FS / 343.0).astype(np.int64)
+            ok = idx < n_taps
+            np.add.at(want[m], idx[ok], (beta ** refl[keep] / (4 * np.pi))[ok] / d[ok])
+        np.testing.assert_array_equal(rir.taps, want)
+
     @pytest.mark.parametrize("rt60", [0.2, 0.3, 0.4])
     def test_decay_tracks_requested_rt60(self, rt60):
         # mid-size room, 2 m source distance: the measured decay should sit
@@ -194,6 +220,41 @@ class TestEarlyTarget:
         kernel = taps[0, :7 + 800].copy()
         want = oracles.convolve_naive(speech, kernel)
         np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+class TestConvolution:
+    def test_apply_rir_matches_direct_convolution_oracle(self):
+        rng = np.random.default_rng(3)
+        taps = 0.05 * rng.standard_normal((2, 700))
+        taps[:, 5] = 1.0
+        rir = Rir(taps=taps, direct_path_index=np.array([5, 5]))
+        wave = rng.standard_normal(1100)
+        got = apply_rir(wave, rir)
+        for m in range(2):
+            np.testing.assert_allclose(got[m], oracles.convolve_naive(wave, taps[m]),
+                                       atol=1e-9)
+
+    def test_empty_impulse_response_rejected(self):
+        rir = Rir(taps=np.zeros((2, 0)), direct_path_index=np.array([0, 0]))
+        for convolve in (apply_rir, early_target):
+            with pytest.raises(InvalidInputError, match="empty impulse response"):
+                convolve(np.ones(4), rir)
+
+    def test_fft_length_is_the_next_5_smooth_size(self):
+        from scipy.fft import next_fast_len
+        for n in [*range(1, 3000), 48000 + 4799, 2 ** 20 + 1, 10 ** 7 + 3]:
+            assert simkit._fft_length(n) == next_fast_len(n, real=True), n
+
+    def test_render_shares_the_speech_transform_exactly(self):
+        # one transform of the speech serves its image and its early target;
+        # both equal the standalone functions bit for bit
+        rng = np.random.default_rng(9)
+        speech, noise = 0.1 * rng.standard_normal((2, 6000))
+        sc = controlled_scene()
+        r = render_scene(sc, speech, noise)
+        rir = image_rir(sc)
+        np.testing.assert_array_equal(r.speech_image, apply_rir(speech, rir))
+        np.testing.assert_array_equal(r.target, early_target(speech, rir) * r.norm)
 
 
 class TestMixAtSnr:
