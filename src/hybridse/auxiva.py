@@ -253,7 +253,8 @@ def auxiva_separate(spec, cfg: IvaConfig = IvaConfig()):
     ``IvaConfig.ref_channel`` (microphone 0), ordered so the channel with the
     spikier frame envelope (higher excess kurtosis, speech-like) comes first;
     ``w`` is the final demixing tensor ``[bins, 2, 2]`` under the same
-    ordering.
+    ordering.  Fewer than 2 frames or an all-zero ``spec`` raise
+    :class:`DegenerateInputError`, on which ``enhance`` bypasses IVA.
 
     The rank-1 covariance terms are built once per utterance
     (:func:`covariance_stats`) and shared by every sweep; the result is
@@ -262,7 +263,7 @@ def auxiva_separate(spec, cfg: IvaConfig = IvaConfig()):
     """
     spec = _check_spec(spec)
     if spec.shape[1] < 2:
-        raise InvalidInputError("need at least 2 frames")
+        raise DegenerateInputError("need at least 2 frames")
     if not np.any(spec):
         raise DegenerateInputError("all-zero input; nothing to separate")
     n_bins = spec.shape[2]

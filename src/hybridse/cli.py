@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     if prelim.config:
         try:
             values = _load_config_file(prelim.config)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_INVALID
         except InvalidInputError as exc:

@@ -14,10 +14,11 @@ of name -> float32 array, and every layer hands its tensors from that map
 straight to the kernels.  One private layer table, ``_layers(cfg)``, is the
 single description of the architecture's weights and costs: the tensor
 inventory (:func:`expected_shapes`, which loading validates against
-exactly), the parameter counts and the MAC accounting are all read from
-it.  The forward pass is written out directly and reads exactly that
-inventory; each of the table's ``weighted`` + ``norm_act`` pairings runs
-as one conv -> BN -> PReLU step, :func:`_conv_bn_prelu`.
+exactly), the seeded initialisation (:func:`init_random`), the parameter
+counts and the MAC accounting are all read from it.  The forward pass is
+written out directly and reads exactly that inventory; each of the table's
+``weighted`` + ``norm_act`` pairings runs as one conv -> BN -> PReLU step,
+:func:`_conv_bn_prelu`.
 """
 
 import math
@@ -31,7 +32,7 @@ from . import nn
 from .auxiva import IvaConfig, auxiva_separate, iva_macs_per_second
 from .bands import N_BANDS, N_BINS, N_HIGH, band_merge, band_split
 from .dsp import StftConfig, istft, log_power, stft
-from .errors import InvalidInputError, WeightFormatError
+from .errors import DegenerateInputError, InvalidInputError, WeightFormatError
 from .weights import deserialize_tensors, serialize_tensors
 
 _FEATURES = ("complex", "lps")
@@ -117,13 +118,15 @@ def preset_config(name: str) -> ModelConfig:
 
 def _layers(cfg: ModelConfig):
     """The architecture as one ordered table of ``(layer, {leaf: shape},
-    mac_entry, bands)`` rows, in weight-file order.
+    mac_entry, bands, bound)`` rows, in weight-file order.
 
     ``mac_entry`` is the :func:`macs_breakdown` item (the layer itself, or
     the G-T-conv block or G-DPRNN path it belongs to) that the layer's
     ``kernel``, ``w_x`` and ``w_h`` entries count towards, each applied once
     per band of a frame, at ``bands`` bands: f1 after one strided conv, f2
-    after two.  Batch norms and PReLUs have ``None`` for both.
+    after two.  Each of the layer's tensors, its bias too, starts uniform in
+    +-``bound``: ``1/sqrt(prod(kernel[1:]))`` for any kernel, ``1/sqrt(hidden)``
+    for a GRU.  Batch norms and PReLUs have ``None`` for all three.
     """
     sf = cfg.conv_stride[1]
     f1 = (N_BANDS - 1) // sf + 1
@@ -133,15 +136,17 @@ def _layers(cfg: ModelConfig):
     rows = []
 
     def weighted(layer, kernel, n_out, mac=None, bands=f2):
-        rows.append((layer, {"kernel": kernel, "bias": (n_out,)}, mac or layer, bands))
+        rows.append((layer, {"kernel": kernel, "bias": (n_out,)}, mac or layer, bands,
+                     1 / math.sqrt(math.prod(kernel[1:]))))
 
     def norm_act(bn, prelu, ch):
-        rows.append((bn, dict.fromkeys(("gamma", "beta", "mean", "var"), (ch,)), None, None))
-        rows.append((prelu, {"alpha": (ch,)}, None, None))
+        rows.append((bn, dict.fromkeys(("gamma", "beta", "mean", "var"), (ch,)),
+                     None, None, None))
+        rows.append((prelu, {"alpha": (ch,)}, None, None, None))
 
     def gru(layer, n_in, hidden, mac):
         rows.append((layer, {"w_x": (n_in, 3 * hidden), "w_h": (hidden, 3 * hidden),
-                             "bias": (3 * hidden,)}, mac, f2))
+                             "bias": (3 * hidden,)}, mac, f2, 1 / math.sqrt(hidden)))
 
     def gt(prefix, ch):
         half = ch // 2
@@ -189,7 +194,7 @@ def _layers(cfg: ModelConfig):
 
 def expected_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
     """Ordered name -> shape inventory of every tensor the config requires."""
-    return {f"{layer}.{leaf}": shape for layer, leaves, _, _ in _layers(cfg)
+    return {f"{layer}.{leaf}": shape for layer, leaves, *_ in _layers(cfg)
             for leaf, shape in leaves.items()}
 
 
@@ -197,7 +202,7 @@ def param_breakdown(cfg: ModelConfig) -> Dict[str, int]:
     """Per-layer learnable parameter counts (BN running stats excluded)."""
     return {layer: sum(math.prod(shape) for leaf, shape in leaves.items()
                        if leaf not in ("mean", "var"))
-            for layer, leaves, _, _ in _layers(cfg)}
+            for layer, leaves, *_ in _layers(cfg)}
 
 
 def count_params(cfg: ModelConfig) -> int:
@@ -208,40 +213,20 @@ def count_params(cfg: ModelConfig) -> int:
 # weights
 
 
-def _fan_in_bound(name: str, shp) -> float:
-    leaf = name.rsplit(".", 1)[1]
-    if leaf in ("w_x", "w_h"):
-        hidden = shp[1] // 3 if leaf == "w_x" else shp[0]
-        return 1.0 / np.sqrt(hidden)
-    if leaf == "kernel":
-        fan_in = int(np.prod(shp[1:])) if len(shp) > 1 else shp[0]
-        return 1.0 / np.sqrt(fan_in)
-    raise InvalidInputError(f"no fan-in rule for {name}")
+_CONSTANT_LEAVES = {"gamma": 1.0, "var": 1.0, "beta": 0.0, "mean": 0.0, "alpha": 0.25}
 
 
 def init_random(cfg: ModelConfig, seed: int) -> Dict[str, np.ndarray]:
-    """Seeded random weights: uniform +-1/sqrt(fan_in) for kernels and their
-    biases, 1/sqrt(hidden) for all GRU tensors, identity batch norms, and
-    PReLU slopes at 0.25."""
+    """Seeded random weights: each tensor of a row with a bound is drawn
+    uniform in +-bound, in weight-file order; batch norms start as identity
+    and PReLU slopes at 0.25."""
     rng = np.random.default_rng(seed)
     tensors: Dict[str, np.ndarray] = {}
-    bound = 0.0
-    for name, shp in expected_shapes(cfg).items():
-        leaf = name.rsplit(".", 1)[1]
-        if leaf in ("gamma", "var"):
-            arr = np.ones(shp, dtype=np.float32)
-        elif leaf in ("beta", "mean"):
-            arr = np.zeros(shp, dtype=np.float32)
-        elif leaf == "alpha":
-            arr = np.full(shp, 0.25, dtype=np.float32)
-        elif leaf in ("kernel", "w_x", "w_h"):
-            bound = _fan_in_bound(name, shp)
-            arr = rng.uniform(-bound, bound, size=shp).astype(np.float32)
-        elif leaf == "bias":
-            arr = rng.uniform(-bound, bound, size=shp).astype(np.float32)
-        else:
-            raise InvalidInputError(f"unknown tensor leaf in {name}")
-        tensors[name] = arr
+    for layer, leaves, _, _, bound in _layers(cfg):
+        for leaf, shp in leaves.items():
+            tensors[f"{layer}.{leaf}"] = (
+                np.full(shp, _CONSTANT_LEAVES[leaf], dtype=np.float32) if bound is None
+                else rng.uniform(-bound, bound, size=shp).astype(np.float32))
     return tensors
 
 
@@ -482,7 +467,7 @@ def macs_breakdown(cfg: ModelConfig, iva_cfg: Optional[IvaConfig] = None) -> Dic
     The IVA term comes from :func:`iva_macs_per_second`.
     """
     per_frame: Dict[str, float] = {"band_merge": cfg.feature_planes * N_HIGH}
-    for _, leaves, mac, bands in _layers(cfg):
+    for _, leaves, mac, bands, _ in _layers(cfg):
         if mac is not None:
             taps = sum(math.prod(leaves[k]) for k in ("kernel", "w_x", "w_h") if k in leaves)
             per_frame[mac] = per_frame.get(mac, 0) + bands * taps
@@ -518,23 +503,24 @@ class EnhanceResult:
 def enhance(wave: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig,
             iva_cfg: IvaConfig = IvaConfig(),
             use_iva: bool = True) -> EnhanceResult:
-    """Enhance a two-channel waveform [2, n] into mono speech of length n."""
+    """Enhance a two-channel waveform [2, n] into mono speech of length n.
+    Where :func:`auxiva_separate` raises :class:`DegenerateInputError` (all
+    zeros, or under 2 frames), the noisy spectrogram stands in for its output
+    and a warning carries its message + "; skipping IVA"."""
     wave = np.asarray(wave, dtype=np.float64)
     if wave.ndim != 2 or wave.shape[0] != 2:
         raise InvalidInputError(f"expected a [2, n] waveform, got shape {wave.shape}")
     if not np.all(np.isfinite(wave)):
         raise InvalidInputError("waveform contains non-finite samples")
     y = stft(wave)
-    bypass = not use_iva
-    if use_iva and not np.any(y):
-        warnings.warn("input is digital silence; skipping IVA", stacklevel=2)
-        bypass = True
-    if use_iva and y.shape[1] < 2:
-        warnings.warn("fewer than 2 frames; skipping IVA", stacklevel=2)
-        bypass = True
-    y_iva = y if bypass else auxiva_separate(y, iva_cfg)[0]
+    y_iva, used_iva = y, False
+    if use_iva:
+        try:
+            y_iva, used_iva = auxiva_separate(y, iva_cfg)[0], True
+        except DegenerateInputError as exc:
+            warnings.warn(f"{exc}; skipping IVA", stacklevel=2)
     mask = forward(y, y_iva, w, cfg)
     est = apply_mask(mask, y, y_iva, cfg.masking)
     out = istft(est, length=wave.shape[1])
     return EnhanceResult(wave=out, mask=mask, est_spec=est, noisy_spec=y,
-                         iva_spec=y_iva, used_iva=not bypass)
+                         iva_spec=y_iva, used_iva=used_iva)

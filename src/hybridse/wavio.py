@@ -6,8 +6,9 @@
     (24-bit samples are read left-justified into int32, as 32-bit ones);
   * IEEE float32 or float64;
   * either of these inside ``WAVE_FORMAT_EXTENSIBLE`` (PCM or float GUID).
-Chunks other than ``fmt `` and ``data`` are skipped, and a data chunk cut
-short by the end of the file is read as far as it goes in whole frames.
+Chunks other than ``fmt `` and ``data`` are skipped.  A data chunk cut short
+by the end of the file drops a trailing partial sample, and is rejected, as in
+scipy, when a 24-bit sample is cut or the rest does not fill whole frames.
 Everything else is rejected with :class:`InvalidInputError` naming the file:
 a malformed or truncated header, no ``data`` chunk, 40-64-bit PCM
 containers, compressed or unknown format tags, a PCM header whose
@@ -95,7 +96,7 @@ def _parse_data(r: _Reader, e: str, fmt, size: int) -> np.ndarray:
     elif tag == _PCM and bits <= 64 and width in (2, 4):
         data = r.samples(f"{e}i{width}", size // width)
     elif tag == _PCM and width == 3:
-        raw = r.samples("u1", size).reshape(-1, 3)
+        raw = _frames(r.samples("u1", size), 3 * channels, "bytes").reshape(-1, 3)
         wide = np.zeros((raw.shape[0], 4), dtype=np.uint8)   # left-justified in int32
         wide[:, slice(1, None) if e == "<" else slice(None, 3)] = raw
         data = wide.view(f"{e}i4").reshape(-1)
@@ -104,7 +105,15 @@ def _parse_data(r: _Reader, e: str, fmt, size: int) -> np.ndarray:
     else:
         raise ValueError(f"unsupported sample format: {bits}-bit in {width}-byte containers")
     r.pos += size % 2
-    return data.reshape(-1, channels) if channels > 1 else data
+    return _frames(data, channels, "samples") if channels > 1 else data
+
+
+def _frames(items: np.ndarray, per_frame: int, unit: str) -> np.ndarray:
+    """``items`` as rows of ``per_frame``, naming the frame a cut falls in."""
+    if items.size % per_frame:
+        raise ValueError(f"data chunk ends inside frame {items.size // per_frame}: "
+                         f"{items.size % per_frame} of its {per_frame} {unit}")
+    return items.reshape(-1, per_frame)
 
 
 def _parse(buf: bytes):

@@ -13,10 +13,11 @@ Layout (all integers little-endian):
         f32[]  row-major IEEE-754 values
     u32    CRC-32 of every preceding byte
 
-Parsing is atomic: any truncation, overrun, or checksum mismatch raises
-:class:`WeightFormatError` and returns nothing partial.
+Parsing is atomic: any truncation, overrun, checksum mismatch or shape
+numpy cannot hold raises :class:`WeightFormatError`; nothing partial escapes.
 """
 
+import math
 import struct
 import zlib
 
@@ -88,11 +89,13 @@ def deserialize_tensors(data: bytes) -> dict:
             raise WeightFormatError(f"tensor {i} name is not valid UTF-8") from exc
         rank = r.take(1, f"rank of {name!r}")[0]
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"dims of {name!r}"))
-        n_items = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        raw = r.take(4 * n_items, f"values of {name!r}")
+        raw = r.take(4 * math.prod(dims), f"values of {name!r}")
         if name in tensors:
             raise WeightFormatError(f"duplicate tensor {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        try:
+            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        except ValueError as exc:    # more than numpy's axes, or a 0-size shape too big
+            raise WeightFormatError(f"tensor {name!r} of shape {dims}: {exc}") from exc
     if r.pos != len(body):
         raise WeightFormatError(f"{len(body) - r.pos} trailing bytes after last tensor")
     return tensors

@@ -310,7 +310,7 @@ class TestSeparate:
             auxiva_separate(np.zeros((2, 10, 257), dtype=complex))
 
     def test_needs_two_frames(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DegenerateInputError, match="need at least 2 frames"):
             auxiva_separate(np.ones((2, 1, 257), dtype=complex))
 
 

@@ -2,9 +2,11 @@
 
 import io
 import os
+import struct
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from conftest import FS, instantaneous_scene
+from test_weights import gtcw_stream
 from hybridse.cli import main
 from hybridse.errors import NumericalError
 from hybridse.loss import si_snr
@@ -121,6 +124,15 @@ class TestEnhance:
         bad.write_bytes(weights_file.read_bytes()[:-9])
         assert main(["enhance", str(stereo_wav), "--weights", str(bad)]) == 3
         assert "error" in capsys.readouterr().err
+
+    def test_overflowing_dims_exit_3(self, tmp_path, stereo_wav, capsys):
+        # a checksummed stream whose one tensor claims (2^16)^4 items
+        body = (b"GTCW\x01" + struct.pack("<IH", 1, 1) + b"x\x04"
+                + struct.pack("<4I", *(65536,) * 4) + bytes(16))
+        path = tmp_path / "huge.gtcw"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        assert main(["enhance", str(stereo_wav), "--weights", str(path)]) == 3
+        assert "truncated" in capsys.readouterr().err
 
     def test_config_mismatch_weights_exit_3(self, tmp_path, stereo_wav, capsys):
         blob = save_weights(init_random(ModelConfig(encoder="dual"), 0))
@@ -284,6 +296,18 @@ class TestWavBoundary:
             path.write_bytes(blob)
             assert main(["enhance", str(path), "--out", str(Path(tmp) / "out.wav"),
                          "--iva-iters", "3"]) in (0, 2)
+
+
+class TestWeightsBoundary:
+    @settings(max_examples=25, deadline=None)
+    @given(gtcw_stream())
+    def test_any_weight_file_exits_0_or_3(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            wav, weights = Path(tmp) / "in.wav", Path(tmp) / "w.gtcw"
+            wav.write_bytes(_VALID_STEREO)
+            weights.write_bytes(blob)
+            assert main(["enhance", str(wav), "--weights", str(weights),
+                         "--out", str(Path(tmp) / "out.wav")]) in (0, 3)
 
 
 class TestFlags:
@@ -545,6 +569,12 @@ class TestConfigFile:
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.cfg"), "inspect"]) == 2
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00bad")
+        assert main(["--config", str(cfg), "inspect"]) == 2
+        assert "error: cannot read config" in capsys.readouterr().err
 
     def test_malformed_line_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

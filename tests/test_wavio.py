@@ -177,6 +177,17 @@ class TestReadRejects:
         with pytest.raises(InvalidInputError, match="format tag"):
             read_wav(path)
 
+    @pytest.mark.parametrize("name, channels, cut, message", [
+        ("i16", 2, 2, "frame 6: 1 of its 2 samples"),
+        ("i24", 1, 1, "frame 6: 2 of its 3 bytes"),
+        ("i24", 2, 3, "frame 6: 3 of its 6 bytes"),
+    ], ids=["stereo-i16", "mono-i24", "stereo-i24"])
+    def test_data_cut_inside_a_frame(self, tmp_path, name, channels, cut, message):
+        path = tmp_path / "x.wav"
+        path.write_bytes(hand_built(name, channels, 7)[:-cut])
+        with pytest.raises(InvalidInputError, match=f"data chunk ends inside {message}"):
+            read_wav(path)
+
     def test_pcm_byte_rate_must_match(self, tmp_path):
         path = tmp_path / "x.wav"
         path.write_bytes(build(bytes(8), tag=1, width=2, bits=16, channels=1,
