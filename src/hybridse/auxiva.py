@@ -333,15 +333,15 @@ def order_sources(y_sep: np.ndarray) -> np.ndarray:
     return np.argsort(-k, kind="stable")
 
 
-def iva_macs_per_second(cfg: IvaConfig, stft_cfg: StftConfig = StftConfig()) -> float:
+def iva_macs_per_second(cfg: IvaConfig) -> float:
     """Real multiply-accumulates per second of audio for ``cfg.iterations``
     sweeps, counting one complex MAC as four real MACs.
 
     The figure is the marginal (streaming) cost of the algorithm as written:
     per frame and per source it counts demixing the current source,
     squared-envelope accumulation, the 1/r frame weighting, and the rank-1
-    covariance accumulation, then scales by the fixed frame rate that
-    ``stft_cfg`` names.  The per-bin 2x2 solve and renormalization cost a
+    covariance accumulation, then scales by the fixed :class:`StftConfig`
+    frame rate.  The per-bin 2x2 solve and renormalization cost a
     fixed amount per sweep regardless of utterance length and are excluded,
     so the count is exactly linear in the iteration count.
 
@@ -351,8 +351,8 @@ def iva_macs_per_second(cfg: IvaConfig, stft_cfg: StftConfig = StftConfig()) -> 
     ``4 * bins`` for the squared envelope, whose direct half also bounds the
     cancellation guard, and ``4 * bins`` for the weighted covariance.
     """
-    n_bins = stft_cfg.n_bins
-    frames_per_second = stft_cfg.frames_per_second
+    n_bins = StftConfig.n_bins
+    frames_per_second = StftConfig.frames_per_second
     m = 2
     per_frame = (
         4 * n_bins * m          # demix current source across bins

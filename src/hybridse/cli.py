@@ -6,12 +6,15 @@ generator), eval (SI-SNR report), inspect (parameter/MAC accounting).
 Exit codes are a stable contract: 0 success, 2 input validation, 3 weight
 format or config mismatch, 4 numerical failure.
 
-A plain ``key = value`` config file can preload any long flag (names without
-the leading double dash); explicit command-line flags win.
+A plain ``key = value`` config file can preload any long flag a subcommand
+takes but does not require (names without the leading double dash).  The
+flag's own ``type`` reads the value, and a switch such as ``--no-iva`` reads
+a boolean; explicit command-line flags win.
 """
 
 import argparse
 import sys
+import warnings
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -41,18 +44,27 @@ def _positive_int(raw: str) -> int:
     return int(raw)
 
 
-_CONFIG_KEYS = {
-    "preset": str,
-    "weights": str,
-    "iva-iters": int,
-    "no-iva": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "seed": int,
-    "out": str,
-    "jobs": _positive_int,
-}
+def _non_negative_int(raw: str) -> int:
+    if not raw.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw}")
+    return int(raw)
 
 
-def _load_config_file(path: str) -> dict:
+_BOOLEANS = {"1": True, "0": False, "true": True, "false": False,
+             "yes": True, "no": False, "on": True, "off": False}
+
+
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in _BOOLEANS:
+        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {raw}")
+    return _BOOLEANS[raw.lower()]
+
+
+def _load_config_file(path: str, subparsers) -> dict:
+    flags = {opt[2:]: action for p in subparsers for action in p._actions
+             for opt in action.option_strings
+             if opt.startswith("--") and not action.required
+             and action.default is not argparse.SUPPRESS}      # not --help
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -61,10 +73,14 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise InvalidInputError(f"{path}:{lineno}: expected key = value")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in flags:
             raise InvalidInputError(f"{path}:{lineno}: unknown option {key!r}")
+        action = flags[key]
         try:
-            values[key.replace("-", "_")] = _CONFIG_KEYS[key](raw)
+            if action.nargs == 0:           # a switch such as --no-iva
+                values[action.dest] = action.const if _boolean(raw) else action.default
+            else:
+                values[action.dest] = (action.type or str)(raw)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise InvalidInputError(f"{path}:{lineno}: {key}: {exc}") from exc
     return values
@@ -84,7 +100,8 @@ def _build_parser():
     p.add_argument("--iva-iters", type=int, default=IvaConfig.iterations)
     p.add_argument("--no-iva", action="store_true",
                    help="feed the noisy spectrogram in place of the IVA output")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random weights")
+    p.add_argument("--seed", type=_non_negative_int, default=0,
+                   help="seed for the random weights")
     p.add_argument("--out", help="output file or directory")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel worker processes over the input files")
@@ -98,7 +115,8 @@ def _build_parser():
     p.add_argument("--speech-dir", required=True)
     p.add_argument("--noise-dir", required=True)
     p.add_argument("--n-scenes", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="seed for scene generation")
+    p.add_argument("--seed", type=_non_negative_int, default=0,
+                   help="seed for scene generation")
     p.add_argument("--out", help="output directory (default: scenes)")
 
     p = sub.add_parser("eval", help="SI-SNR report for estimate/reference pairs")
@@ -147,14 +165,18 @@ def _naming(path):
 
 
 def _enhance_one(path, cfg, w, iva_cfg, no_iva, out, multi):
+    """Enhance one file.  Returns the written path and a ``warning: <path>:
+    <message>`` line for each warning ``enhance`` raised, which the caller
+    prints, so a worker process loses none."""
     wave = _read_input(path, 2)
-    with _naming(path):
+    with _naming(path), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         res = enhance(wave, w, cfg, iva_cfg=iva_cfg, use_iva=not no_iva)
     if not np.all(np.isfinite(res.wave)):
         raise NumericalError(f"{path}: enhancement produced non-finite samples")
     target = _out_path(out, path, ".enhanced.wav", multi)
     write_wav(target, DEFAULT_SAMPLE_RATE, res.wave)
-    return str(target)
+    return str(target), [f"warning: {path}: {item.message}" for item in caught]
 
 
 def cmd_enhance(args) -> int:
@@ -173,7 +195,9 @@ def cmd_enhance(args) -> int:
             written = list(pool.map(enhance_file, args.inputs))
     else:
         written = [enhance_file(path) for path in args.inputs]
-    for path in written:
+    for path, notes in written:
+        for note in notes:
+            print(note, file=sys.stderr)
         print(path)
     return EXIT_OK
 
@@ -222,7 +246,8 @@ def cmd_simulate(args) -> int:
         scene = sample_scene(scene_seed)
         speech = _read_input(sp_path, 1)
         noise = _read_input(nz_path, 1)
-        render = render_scene(scene, speech, noise)
+        with _naming(f"{sp_path}, {nz_path}"):
+            render = render_scene(scene, speech, noise)
         mix_name = f"scene_{i:05d}.mix.wav"
         tgt_name = f"scene_{i:05d}.target.wav"
         write_wav(out_dir / mix_name, DEFAULT_SAMPLE_RATE, render.mixture)
@@ -307,7 +332,7 @@ def main(argv=None) -> int:
     prelim, _ = pre.parse_known_args(argv)
     if prelim.config:
         try:
-            values = _load_config_file(prelim.config)
+            values = _load_config_file(prelim.config, children)
         except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_INVALID

@@ -100,24 +100,21 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: Optional[np.ndarray] = None,
 def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
                      bias: Optional[np.ndarray] = None,
                      stride: Tuple[int, int] = (1, 1),
-                     dilation: Tuple[int, int] = (1, 1),
                      groups: int = 1) -> np.ndarray:
-    """Transposed convolution: the adjoint of :func:`conv2d` with the same
-    stride, dilation and groups arguments.
+    """Transposed convolution: the adjoint of an undilated :func:`conv2d`
+    with the same stride and groups arguments.
 
     ``kernel`` is [in, out / groups, kt, kf], the layout of the matching
     conv2d's kernel; ``bias``, if given, is [out].
 
     Output extents are ``(n - 1) * stride + 1`` per axis (scatter-add of the
-    dilated kernel, then the conv2d padding margins are trimmed), which
-    restores the input extent of a matching conv2d whenever
-    ``(extent - 1) % stride == 0``.
+    kernel, then the conv2d padding margins are trimmed), which restores the
+    input extent of a matching conv2d whenever ``(extent - 1) % stride == 0``.
     """
     if x.ndim != 4:
         raise InvalidInputError(f"expected [batch, channel, time, freq], got shape {x.shape}")
     in_ch, o_per_g, kt, kf = kernel.shape
     st, sf = stride
-    dt, df = dilation
     if x.shape[1] != in_ch:
         raise InvalidInputError(
             f"{x.shape[1]} input channels incompatible with kernel {kernel.shape}")
@@ -125,9 +122,9 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
         raise InvalidInputError("input channels must be divisible by groups")
 
     b, _, t_in, f_in = x.shape
-    pt, pf_l, pf_r = _pads(kt, kf, dt, df)
-    t_full = (t_in - 1) * st + (kt - 1) * dt + 1
-    f_full = (f_in - 1) * sf + (kf - 1) * df + 1
+    pt, pf_l, pf_r = _pads(kt, kf, 1, 1)
+    t_full = (t_in - 1) * st + kt
+    f_full = (f_in - 1) * sf + kf
     i_per_g = in_ch // groups
     out_ch = o_per_g * groups
     full = np.zeros((b, groups, o_per_g, t_full, f_full), dtype=x.dtype)
@@ -136,8 +133,7 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
     for i in range(kt):
         for j in range(kf):
             contrib = np.matmul(kg[:, :, :, i, j].transpose(0, 2, 1), xg)
-            full[..., i * dt:i * dt + (t_in - 1) * st + 1:st,
-                 j * df:j * df + (f_in - 1) * sf + 1:sf] += \
+            full[..., i:i + (t_in - 1) * st + 1:st, j:j + (f_in - 1) * sf + 1:sf] += \
                 contrib.reshape(b, groups, o_per_g, t_in, f_in)
     full = full.reshape(b, out_ch, t_full, f_full)
     out = full[:, :, pt:t_full, pf_l:f_full - pf_r]
@@ -147,10 +143,11 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
 
 
 def batch_norm_infer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                     mean: np.ndarray, var: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+                     mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     """Inference batch norm over the channel axis with running ``mean`` and
-    ``var``."""
-    scale = gamma / np.sqrt(var + eps)
+    ``var``; the variance floor ``eps`` is fixed at 1e-5, PyTorch's
+    default."""
+    scale = gamma / np.sqrt(var + 1e-5)
     shift = beta - mean * scale
     return x * scale[None, :, None, None] + shift[None, :, None, None]
 
@@ -218,18 +215,17 @@ def gru_sequence(x: np.ndarray,
                  direction: str = "forward") -> np.ndarray:
     """Run a GRU over ``x`` of shape [time, batch, input] from a zero state.
 
-    ``direction`` is "forward", "backward", or "bidirectional"; the latter
-    takes ``p = (forward_params, backward_params)`` and concatenates both
-    hidden sequences on the feature axis.  A shape adapter over
-    :func:`gru_scan` (``S = 1``, one scan per direction).
+    ``direction`` is "forward" or "bidirectional"; the latter takes
+    ``p = (forward_params, backward_params)``, runs the backward GRU over the
+    time-reversed input, and concatenates both hidden sequences on the
+    feature axis.  A shape adapter over :func:`gru_scan` (``S = 1``, one scan
+    per direction).
     """
     if direction == "bidirectional":
         pf, pb = p
         return np.concatenate([_gru_run(x, pf), _gru_run(x[::-1], pb)[::-1]], axis=-1)
-    if direction not in ("forward", "backward"):
+    if direction != "forward":
         raise InvalidInputError(f"unknown direction {direction!r}")
-    if direction == "backward":
-        return _gru_run(x[::-1], p)[::-1]
     return _gru_run(x, p)
 
 

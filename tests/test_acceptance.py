@@ -170,7 +170,7 @@ def test_criterion_05_parameter_accounting():
 
 
 def test_criterion_06_iva_complexity_bracket():
-    per_iter = iva_macs_per_second(IvaConfig(iterations=1), StftConfig()) / 1e6
+    per_iter = iva_macs_per_second(IvaConfig(iterations=1)) / 1e6
     ok = 0.05 <= per_iter <= 2.0
     _report(6, "iva complexity", f"{per_iter:.3f} MMACs/s per iteration", ok)
     assert 0.05 <= per_iter <= 2.0

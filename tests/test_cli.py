@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
@@ -153,6 +153,17 @@ class TestEnhance:
         assert rc == 0
         assert sorted(p.name for p in out_dir.iterdir()) == \
             ["m0.enhanced.wav", "m1.enhanced.wav"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_each_file_warns_by_name(self, tmp_path, capsys, jobs):
+        paths = [tmp_path / f"silent{i}.wav" for i in range(2)]
+        for p in paths:
+            write_wav(p, FS, np.zeros((2, 3000)))
+        assert main(["enhance", *map(str, paths), "--out", str(tmp_path / "outs"),
+                     "--jobs", jobs]) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines() if line]
+        assert warned == [f"warning: {p}: all-zero input; nothing to separate; skipping IVA"
+                          for p in paths]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_model_built_once_per_call(self, tmp_path, capsys, monkeypatch, jobs):
@@ -326,6 +337,48 @@ class TestFlags:
         assert info.value.code == 2
         assert "--jobs: expected a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["enhance", "x.wav"],
+        ["simulate", "--speech-dir", "s", "--noise-dir", "n", "--n-scenes", "1"],
+    ], ids=["enhance", "simulate"])
+    def test_negative_seed_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--seed", "-1"])
+        assert info.value.code == 2
+        assert "--seed: expected a non-negative integer, got -1" in capsys.readouterr().err
+
+
+_ONE_FRAME_STEREO = _stereo_wav_bytes(frames=1)
+# any integer or text; no line break or lone surrogate, so a config line stays
+# one line of UTF-8
+_FLAG_TEXT = st.one_of(st.integers(-10 ** 6, 10 ** 30).map(str),
+                       st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"))))
+
+
+class TestFlagBoundary:
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.sampled_from(["preset", "iva-iters", "no-iva", "seed", "jobs"]),
+           value=_FLAG_TEXT, as_flag=st.booleans())
+    @example(key="seed", value="-1", as_flag=True)
+    def test_any_value_exits_0_2_or_3(self, key, value, as_flag):
+        # a flag's value, on the command line or in a config file, runs or is
+        # rejected at the boundary.  The one input keeps --jobs from starting a
+        # pool, and a 1-frame file bypasses IVA, so any --iva-iters is fast.
+        # weights and out are not drawn: a drawn path could name any file.
+        with tempfile.TemporaryDirectory() as tmp:
+            wav, cfg = Path(tmp) / "in.wav", Path(tmp) / "run.cfg"
+            wav.write_bytes(_ONE_FRAME_STEREO)
+            argv = ["enhance", str(wav), "--out", str(Path(tmp) / "out.wav")]
+            if as_flag:
+                argv.append(f"--{key}={value}")
+            else:
+                cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+                argv = ["--config", str(cfg), *argv]
+            try:
+                assert main(argv) in (0, 2, 3)
+            except SystemExit as exc:
+                assert exc.code == 2
+
 
 class TestSeparate:
     def test_low_snr_mixture_improves(self, tmp_path, capsys):
@@ -426,6 +479,15 @@ class TestSimulate:
         assert rc == 2
         assert f"error: {nz_dir / 'n.wav'}: expected a mono file" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_empty_speech_names_the_files_exit_2(self, tmp_path, capsys):
+        sp_dir, nz_dir = self._corpus(tmp_path)
+        write_wav(sp_dir / "s.wav", FS, np.zeros(0))
+        rc = main(["simulate", "--speech-dir", str(sp_dir), "--noise-dir",
+                   str(nz_dir), "--n-scenes", "1", "--out", str(tmp_path / "scenes")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(sp_dir / "s.wav") in err and "empty speech signal" in err
 
     @pytest.mark.parametrize("case", ["negative_count", "missing_speech_dir"])
     def test_invalid_arguments_write_nothing(self, tmp_path, capsys, case):
@@ -585,7 +647,9 @@ class TestConfigFile:
     @pytest.mark.parametrize("line, message", [
         ("jobs = 0", "jobs: expected a positive integer, got 0"),
         ("iva-iters = many", "iva-iters: invalid literal"),
-    ], ids=["jobs_zero", "not_an_int"])
+        ("seed = -3", "seed: expected a non-negative integer, got -3"),
+        ("no-iva = ture", "no-iva: expected one of 1/0/true/false/yes/no/on/off, got ture"),
+    ], ids=["jobs_zero", "not_an_int", "negative_seed", "not_a_boolean"])
     def test_bad_value_exit_2(self, tmp_path, stereo_wav, capsys, line, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hybridse import loss, nn, simkit
-from hybridse.auxiva import IvaConfig
+from hybridse.auxiva import IvaConfig, iva_macs_per_second
 from hybridse.bands import ErbFilterbank
 from hybridse.dsp import StftConfig, log_power
 from hybridse.errors import InvalidInputError
@@ -84,7 +84,9 @@ class TestConfig:
         (macs_breakdown, ["cfg", "iva_cfg"]),
         (count_macs, ["cfg", "iva_cfg"]),
         (nn.conv2d, ["x", "kernel", "bias", "stride", "dilation", "groups"]),
-        (nn.conv_transpose2d, ["x", "kernel", "bias", "stride", "dilation", "groups"]),
+        (nn.conv_transpose2d, ["x", "kernel", "bias", "stride", "groups"]),
+        (nn.batch_norm_infer, ["x", "gamma", "beta", "mean", "var"]),
+        (iva_macs_per_second, ["cfg"]),
         (log_power, ["spec"]),
         (simkit.early_target, ["speech", "rir"]),
         (simkit.image_rir, ["scene"]),
@@ -419,8 +421,7 @@ class TestCostAccounting:
         bd = macs_breakdown(cfg, IvaConfig())
         assert all(v > 0 for v in bd.values())
         assert count_macs(cfg) == pytest.approx(sum(bd.values()))
-        from hybridse.auxiva import iva_macs_per_second
-        assert bd["auxiva"] == iva_macs_per_second(IvaConfig(), StftConfig())
+        assert bd["auxiva"] == iva_macs_per_second(IvaConfig())
 
     @pytest.mark.parametrize("name, total", [
         ("cplx-s-m1", 53322250.0), ("cplx-s-m2", 53322250.0),
