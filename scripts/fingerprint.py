@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Print one sha256 line per program output, to show that a change keeps
+every output byte for byte.
+
+Run it in two checkouts and compare; it takes no options and imports the
+package from the ``src/`` next to it:
+
+    python3 scripts/fingerprint.py > before.txt    # at the parent commit
+    python3 scripts/fingerprint.py > after.txt     # with the change
+    diff before.txt after.txt
+
+The artifacts, one line each:
+
+- ``enhance`` wave and mask for every preset, with and without IVA, on a
+  2 s scene, a silent file (IVA bypass) and a 100-sample file;
+- ``image_rir`` taps and direct-path indices of ``sample_scene`` seeds
+  0-599, for the speech and for the noise source;
+- ``render_scene`` mixture and target of ``sample_scene`` seeds 0-7;
+- every WAV and the manifest of one ``hybridse simulate`` run;
+- ``hybridse inspect`` stdout for every preset.
+"""
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from hybridse import (PRESETS, IvaConfig, enhance, image_rir,  # noqa: E402
+                      init_random, render_scene, sample_scene, write_wav)
+from hybridse.cli import main as cli_main  # noqa: E402
+
+FS = 16000
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def dry_signals(seed: int, n: int):
+    """A speech stand-in (Laplacian under a block envelope) and noise."""
+    rng = np.random.default_rng(seed)
+    env = np.repeat(0.05 + rng.exponential(0.5, n // 800 + 1), 800)[:n]
+    return 0.1 * env * rng.laplace(size=n), 0.1 * rng.standard_normal(n)
+
+
+def run_cli(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli_main(argv)
+    if rc != 0:
+        raise RuntimeError(f"hybridse {' '.join(argv)} exited {rc}")
+    return out.getvalue()
+
+
+def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
+    """Yield ``"<artifact> <sha256>"`` lines."""
+    speech, noise = dry_signals(0, 2 * FS)
+    inputs = {"scene": render_scene(sample_scene(0), speech, noise).mixture,
+              "silent": np.zeros((2, 2 * FS)),
+              "short": 0.1 * np.random.default_rng(1).standard_normal((2, 100))}
+    for preset in presets:
+        w = init_random(PRESETS[preset], 0)
+        for use_iva in (True, False):
+            for name, wave in inputs.items():
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    res = enhance(wave, w, PRESETS[preset], IvaConfig(), use_iva=use_iva)
+                tag = f"enhance {preset} {'iva' if use_iva else 'no-iva'} {name}"
+                yield f"{tag} wave {digest(res.wave)}"
+                yield f"{tag} mask {digest(res.mask)}"
+
+    for seed in rir_seeds:
+        sc = sample_scene(seed)
+        for source, pos in (("speech", sc.source_position), ("noise", sc.noise_position)):
+            rir = image_rir(dataclasses.replace(sc, source_position=pos))
+            yield f"image_rir seed {seed} {source} {digest(rir.taps, rir.direct_path_index)}"
+
+    speech, noise = dry_signals(1, FS)
+    for seed in range(8):
+        render = render_scene(sample_scene(seed), speech, noise)
+        yield f"render_scene seed {seed} mixture {digest(render.mixture)}"
+        yield f"render_scene seed {seed} target {digest(render.target)}"
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for sub in ("speech", "noise", "out"):
+            (root / sub).mkdir()
+        for i in range(2):
+            speech, noise = dry_signals(10 + i, FS)
+            write_wav(root / "speech" / f"s{i}.wav", FS, speech)
+            write_wav(root / "noise" / f"n{i}.wav", FS, noise)
+        run_cli(["simulate", "--speech-dir", str(root / "speech"),
+                 "--noise-dir", str(root / "noise"), "--n-scenes", "4",
+                 "--seed", "0", "--out", str(root / "out")])
+        for path in sorted((root / "out").iterdir()):
+            data = path.read_bytes().replace(str(root).encode(), b"<corpus>")
+            yield f"simulate {path.name} {hashlib.sha256(data).hexdigest()}"
+
+    for preset in presets:
+        text = run_cli(["inspect", preset])
+        yield f"inspect {preset} {hashlib.sha256(text.encode()).hexdigest()}"
+
+
+if __name__ == "__main__":
+    for line in fingerprints():
+        print(line)

@@ -191,7 +191,8 @@ def cmd_enhance(args) -> int:
     if args.jobs > 1 and len(args.inputs) > 1:
         # deferred: the process pool costs import time that one job never uses
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # fork starts every worker up front, so no more than there are files
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.inputs))) as pool:
             written = list(pool.map(enhance_file, args.inputs))
     else:
         written = [enhance_file(path) for path in args.inputs]

@@ -99,23 +99,22 @@ def istft(spec: np.ndarray, cfg: StftConfig = StftConfig(), length: int = None) 
 
     n_ch, n_frames, _ = spec.shape
     total = (n_frames - 1) * cfg.hop + cfg.fft_size
-    out = np.zeros((n_ch, total), dtype=np.float64)
-    cola = np.zeros(total, dtype=np.float64)
-    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=-1) * cfg.window
-    w2 = cfg.window**2
-    for f in range(n_frames):
-        start = f * cfg.hop
-        out[:, start:start + cfg.fft_size] += frames[:, f]
-        cola[start:start + cfg.fft_size] += w2
+    length = total if length is None else length
+    # at the 50% hop, block b of hop samples is zero + the tail of frame b - 1
+    # + the head of frame b: the sums a frame-by-frame overlap-add forms
+    n_blocks = max(n_frames + 1, -(-length // cfg.hop))
+    halves = (np.fft.irfft(spec, n=cfg.fft_size, axis=-1) * cfg.window).reshape(
+        n_ch, n_frames, 2, cfg.hop)
+    w2 = (cfg.window**2).reshape(2, cfg.hop)
+    out = np.zeros((n_ch, n_blocks, cfg.hop), dtype=np.float64)
+    cola = np.zeros((n_blocks, cfg.hop), dtype=np.float64)
+    out[:, 1:n_frames + 1] += halves[:, :, 1]
+    out[:, :n_frames] += halves[:, :, 0]
+    cola[1:n_frames + 1] += w2[1]
+    cola[:n_frames] += w2[0]
+    out, cola = out.reshape(n_ch, -1)[:, :length], cola.reshape(-1)[:length]
     nz = cola > _COLA_FLOOR
     out[:, nz] /= cola[nz]
-
-    if length is None:
-        length = total
-    if length <= total:
-        out = out[:, :length]
-    else:
-        out = np.pad(out, ((0, 0), (0, length - total)))
     return out[0] if squeeze else out
 
 

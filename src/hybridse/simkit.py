@@ -3,9 +3,10 @@
 Scenes are shoebox rooms with uniform wall absorption derived from the
 requested reverberation time through Sabine's formula.  Impulse responses
 come from the image method with nearest-sample delays, truncated at
-RT60 + 50 ms.  Mixtures are speech and noise images summed at a requested
-channel-1 SNR; the training target is the speech convolved with the early
-(first 50 ms after the direct path) part of the channel-1 RIR.
+RT60 + 50 ms, with image distances and gains read from per-axis tables.
+Mixtures are speech and noise images summed at a requested channel-1 SNR;
+the training target is the speech convolved with the early (first 50 ms
+after the direct path) part of the channel-1 RIR.
 
 Everything is deterministic given a seed, so a scene record plus the dry
 source files reproduce the audio bit for bit.  The protocol is fixed: the
@@ -83,10 +84,6 @@ class Rir:
     fs: ClassVar[int] = DEFAULT_SAMPLE_RATE
 
 
-def _inside(p, dims, margin) -> bool:
-    return bool(np.all(p >= margin) and np.all(p <= dims - margin))
-
-
 def _unit(rng) -> np.ndarray:
     while True:
         v = rng.normal(size=3)
@@ -130,7 +127,7 @@ def sample_scene(seed: int, constraints: SceneConstraints = SceneConstraints()) 
         mics = np.stack([center - half * axis, center + half * axis])
         src_dir = _unit(rng)
         src = center + dist * src_dir
-        if not _inside(src, dims, c.wall_margin):
+        if not (np.all(src >= c.wall_margin) and np.all(src <= dims - c.wall_margin)):
             continue
         noise = rng.uniform(c.wall_margin, dims - c.wall_margin)
         noise_vec = noise - center
@@ -177,20 +174,20 @@ def image_rir(scene: SceneSpec) -> Rir:
 
     Uniform reflection coefficient beta = sqrt(1 - alpha) on all six walls;
     each image source contributes beta^reflections / (4 pi d) at the
-    nearest-sample delay d / c.  Taps are kept up to RT60 + 50 ms.  The
-    reflection order is capped where any further image would land beyond
-    that horizon anyway.
+    nearest-sample delay d / c.  Taps are kept up to RT60 + 50 ms, and the
+    reflection order is capped at ceil(horizon / shortest side) + 2.  An
+    image's squared distance is read from per-axis tables (x plus y, then z:
+    the order of ``np.linalg.norm``) and its gain from a table per order; the
+    images are taken in C order, so each tap is the sum a loop over them forms.
     """
     dims = np.asarray(scene.room_dims, dtype=np.float64)
-    alpha = sabine_absorption(dims, scene.rt60)
-    beta = float(np.sqrt(1.0 - alpha))
+    beta = float(np.sqrt(1.0 - sabine_absorption(dims, scene.rt60)))
 
     n_taps = int(round((scene.rt60 + 0.05) * DEFAULT_SAMPLE_RATE))
     horizon = SPEED_OF_SOUND * (n_taps / DEFAULT_SAMPLE_RATE)
     max_order = int(np.ceil(horizon / float(np.min(dims)))) + 2
-    # an image farther than this from the mic midpoint is beyond the horizon
-    # at both mics, with one sample to spare for rounding, so it is dropped
-    # before the per-mic distances are taken
+    # images farther than this from the mic midpoint are past the horizon at
+    # both mics, with one sample to spare for rounding, and are dropped first
     mics = np.asarray(scene.mic_positions, dtype=np.float64)
     mid = 0.5 * (mics[0] + mics[1])
     reach = (horizon + 0.5 * float(np.linalg.norm(mics[1] - mics[0]))
@@ -201,20 +198,23 @@ def image_rir(scene: SceneSpec) -> Rir:
         _axis_images(float(scene.source_position[ax]), float(dims[ax]),
                      int(np.ceil((horizon / dims[ax] + 1.0) / 2.0)) + 1)
         for ax in range(3)]
-    dx, dy, dz = [(c - mid[ax]) ** 2 for ax, c in enumerate((cx, cy, cz))]
-    near = dx[:, None, None] + dy[None, :, None] + dz[None, None, :] <= reach ** 2
-    refl = rx[:, None, None] + ry[None, :, None] + rz[None, None, :]
-    ix, iy, iz = np.nonzero(near & (refl <= max_order))
-    coords = np.stack([cx[ix], cy[iy], cz[iz]], axis=1)
-    gains = beta ** refl[ix, iy, iz] / (4.0 * np.pi)
+
+    def squared_distances(p):  # an [nx, ny] x-plus-y table and an [nz] z table
+        ex, ey, ez = [(c - p[ax]) ** 2 for ax, c in enumerate((cx, cy, cz))]
+        return ex[:, None] + ey[None, :], ez
+    dxy, dz = squared_distances(mid)
+    rxy = rx[:, None] + ry[None, :]
+    kept = (dxy[:, :, None] + dz <= reach ** 2) & (rz <= max_order - rxy[:, :, None])
+    ixy, iz = np.divmod(np.flatnonzero(kept), cz.size)
+    gains = (beta ** np.arange(max_order + 1) / (4.0 * np.pi))[rxy.ravel()[ixy] + rz[iz]]
 
     taps = np.zeros((2, n_taps), dtype=np.float64)
     for m in range(2):
-        d = np.linalg.norm(coords - mics[m], axis=1)
-        d = np.maximum(d, 1e-3)
+        exy, ez = squared_distances(mics[m])
+        d = np.maximum(np.sqrt(exy.ravel()[ixy] + ez[iz]), 1e-3)
         idx = np.rint(d * DEFAULT_SAMPLE_RATE / SPEED_OF_SOUND).astype(np.int64)
-        ok = idx < n_taps
-        np.add.at(taps[m], idx[ok], gains[ok] / d[ok])
+        # summed in input order, like np.add.at; taps past the horizon are cut
+        taps[m] = np.bincount(idx, gains / d, minlength=n_taps)[:n_taps]
 
     peak = np.max(np.abs(taps), axis=1, keepdims=True)
     if np.any(peak == 0):

@@ -66,6 +66,25 @@ def istft_naive(spec, fft_size, hop, window, length):
     return np.concatenate([out, np.zeros(length - total)])
 
 
+def istft_frame_loop(spec, fft_size, hop, window, length, floor=1e-11):
+    """Overlap-add one frame at a time, in frame order, with the COLA envelope
+    built the same way.  The frames come from ``np.fft.irfft``, so only the
+    order of the overlap-add sums is under test, and the result is exact."""
+    frames = np.fft.irfft(spec, n=fft_size, axis=-1) * window
+    n_frames = spec.shape[-2]
+    total = (n_frames - 1) * hop + fft_size
+    acc = np.zeros(spec.shape[:-2] + (total,))
+    env = np.zeros(total)
+    for l in range(n_frames):
+        acc[..., l * hop:l * hop + fft_size] += frames[..., l, :]
+        env[l * hop:l * hop + fft_size] += window ** 2
+    nz = env > floor
+    acc[..., nz] /= env[nz]
+    if length <= total:
+        return acc[..., :length]
+    return np.concatenate([acc, np.zeros(acc.shape[:-1] + (length - total,))], axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # Neural network primitives
 # ---------------------------------------------------------------------------
@@ -394,3 +413,48 @@ def inverse_2x2(m):
     """Closed-form adjugate inverse of a complex 2x2 matrix."""
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+
+
+# ---------------------------------------------------------------------------
+# Room acoustics
+# ---------------------------------------------------------------------------
+
+
+def image_rir_full_box(scene, fs=16000, c=343.0):
+    """Image-method taps ``[2, n]`` from every image of a box of images that
+    is larger than the horizon needs: coordinates stacked into an ``[N, 3]``
+    array, distances by ``np.linalg.norm``, gains ``beta ** reflections``,
+    summed by ``np.add.at`` in C order over the per-axis image lists.
+
+    Each axis lists the images at ``2 n L + s`` for ``n = -K..K`` and then
+    those at ``2 n L - s`` (``2|n|`` and ``|2n - 1|`` reflections).  A larger
+    ``K`` keeps the order of the images a smaller one lists, and the extra
+    images land past the last tap, so equal taps mean the same sums in the
+    same order.  The reflection order cap and the Sabine absorption follow
+    the simulator's documented protocol."""
+    dims = np.asarray(scene.room_dims, dtype=np.float64)
+    lx, ly, lz = dims
+    alpha = 0.1611 * (lx * ly * lz) / (2.0 * (lx * ly + lx * lz + ly * lz) * scene.rt60)
+    beta = np.sqrt(1.0 - alpha)
+    n_taps = int(round((scene.rt60 + 0.05) * fs))
+    horizon = c * (n_taps / fs)
+    max_order = int(np.ceil(horizon / np.min(dims))) + 2
+    coords, refls = [], []
+    for ax in range(3):
+        n = np.arange(-int(np.ceil(horizon / (2.0 * dims[ax]))) - 2,
+                      int(np.ceil(horizon / (2.0 * dims[ax]))) + 3)
+        src = float(scene.source_position[ax])
+        coords.append(np.concatenate([2.0 * n * dims[ax] + src, 2.0 * n * dims[ax] - src]))
+        refls.append(np.concatenate([2 * np.abs(n), np.abs(2 * n - 1)]))
+    refl = (refls[0][:, None, None] + refls[1][None, :, None]
+            + refls[2][None, None, :]).ravel()
+    keep = refl <= max_order
+    points = np.stack(np.meshgrid(*coords, indexing="ij"), -1).reshape(-1, 3)[keep]
+    gains = beta ** refl[keep] / (4 * np.pi)
+    taps = np.zeros((2, n_taps))
+    for m in range(2):
+        d = np.maximum(np.linalg.norm(points - scene.mic_positions[m], axis=1), 1e-3)
+        idx = np.rint(d * fs / c).astype(np.int64)
+        ok = idx < n_taps
+        np.add.at(taps[m], idx[ok], gains[ok] / d[ok])
+    return taps

@@ -186,6 +186,41 @@ class TestEnhance:
         assert sorted(p.name for p in out_dir.iterdir()) == \
             ["m0.enhanced.wav", "m1.enhanced.wav", "m2.enhanced.wav"]
 
+    def test_jobs_pool_capped_at_input_count(self, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+        asked = []
+
+        class SerialPool:
+            """Records the worker count asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        rng = np.random.default_rng(5)
+        paths = []
+        for i in range(2):
+            p = tmp_path / f"m{i}.wav"
+            write_wav(p, FS, 0.1 * rng.standard_normal((2, 3000)))
+            paths.append(str(p))
+        assert main(["enhance", *paths, "--out", str(tmp_path / "serial")]) == 0
+        assert asked == []
+        assert main(["enhance", *paths, "--out", str(tmp_path / "pooled"),
+                     "--jobs", "5000"]) == 0
+        assert asked == [2]
+        for name in ("m0.enhanced.wav", "m1.enhanced.wav"):
+            assert (tmp_path / "pooled" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes()
+
     def test_iva_failure_names_the_file_exit_4(self, tmp_path, stereo_wav, capsys,
                                                monkeypatch):
         def failing_iva(spec, cfg):

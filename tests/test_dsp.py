@@ -145,6 +145,20 @@ class TestIstft:
                                    sqrt_hann(512), 3000)
         assert np.max(np.abs(got - want)) < 1e-6
 
+    @pytest.mark.parametrize("shape, length", [
+        ((1, 257), 512), ((2, 257), 768), ((12, 257), 3000),
+        ((625, 257), 160000), ((2, 12, 257), 3000), ((3, 257), 2000)],
+        ids=["1_frame", "2_frames", "3000_samples", "160000_samples", "stereo",
+             "length_past_extent"])
+    def test_overlap_add_equals_frame_loop(self, shape, length):
+        cfg = StftConfig()
+        rng = np.random.default_rng(11)
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = istft(spec, cfg, length=length)
+        want = oracles.istft_frame_loop(spec, cfg.fft_size, cfg.hop, sqrt_hann(512), length)
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()   # signed zeros too
+
     def test_bin_count_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             istft(np.zeros((10, 129), dtype=complex), StftConfig(), length=100)

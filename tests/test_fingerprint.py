@@ -1,0 +1,21 @@
+"""The byte-identity script prints the same fingerprints on every run."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "fingerprint.py"
+
+
+def test_same_lines_twice_on_a_reduced_input():
+    spec = importlib.util.spec_from_file_location("fingerprint", SCRIPT)
+    fp = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fp)
+    first = list(fp.fingerprints(rir_seeds=range(2), presets=("lps-sn-m2",)))
+    assert first == list(fp.fingerprints(rir_seeds=range(2), presets=("lps-sn-m2",)))
+    names = [line.rsplit(" ", 1)[0] for line in first]
+    assert len(set(names)) == len(names)
+    assert all(re.fullmatch(r".+ [0-9a-f]{64}", line) for line in first)
+    assert {name.split()[0] for name in names} == {
+        "enhance", "image_rir", "render_scene", "simulate", "inspect"}
+    assert "image_rir seed 1 noise" in names

@@ -176,6 +176,17 @@ class TestImageRir:
             np.add.at(want[m], idx[ok], (beta ** refl[keep] / (4 * np.pi))[ok] / d[ok])
         np.testing.assert_array_equal(rir.taps, want)
 
+    @pytest.mark.parametrize("source", ["speech", "noise"])
+    @pytest.mark.parametrize("seed", [142, 1132, 1827])
+    def test_heavy_tail_scenes_match_full_box(self, seed, source):
+        # the costliest scenes: small rooms near RT60 0.4 s, where hundreds
+        # of thousands of images land within the horizon
+        sc = sample_scene(seed)
+        assert sc.rt60 > 0.38 and np.prod(sc.room_dims) < 40.0
+        if source == "noise":
+            sc = dataclasses.replace(sc, source_position=sc.noise_position)
+        np.testing.assert_array_equal(image_rir(sc).taps, oracles.image_rir_full_box(sc))
+
     @pytest.mark.parametrize("rt60", [0.2, 0.3, 0.4])
     def test_decay_tracks_requested_rt60(self, rt60):
         # mid-size room, 2 m source distance: the measured decay should sit
