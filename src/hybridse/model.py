@@ -322,9 +322,11 @@ def gtconv_block(x: np.ndarray, w: Dict[str, np.ndarray], prefix: str,
     The second channel half goes through pointwise expand, causal dilated
     depthwise (dilation on time only), and pointwise squeeze, each conv
     followed by BN+PReLU where the structure calls for it; the halves are
-    re-joined and the channels shuffled across two groups.
+    re-joined and the channels shuffled across two groups, in one copy:
+    output channel ``2c`` is kept channel ``c``, ``2c + 1`` transformed
+    channel ``c``.
     """
-    ch = x.shape[1]
+    b, ch = x.shape[:2]
     if ch % 2 != 0:
         raise InvalidInputError("gtconv block needs an even channel count")
     half = ch // 2
@@ -333,7 +335,11 @@ def gtconv_block(x: np.ndarray, w: Dict[str, np.ndarray], prefix: str,
     t = _conv_bn_prelu(t, w, f"{prefix}.dwconv", f"{prefix}.bn2", f"{prefix}.prelu2",
                        dilation=(dilation, 1), groups=t.shape[1])
     t = _conv(t, w, f"{prefix}.pconv2")
-    return nn.channel_shuffle(np.concatenate([keep, t], axis=1), 2)
+    out = np.empty(x.shape, dtype=np.result_type(keep, t))
+    pairs = out.reshape(b, half, 2, *x.shape[2:])
+    pairs[:, :, 0] = keep
+    pairs[:, :, 1] = t
+    return out
 
 
 def _encode_branch(x: np.ndarray, w: Dict[str, np.ndarray], prefix: str,

@@ -10,11 +10,14 @@ Layer tensors are passed as plain arrays: a conv kernel is
 [out, in/groups, kt, kf], a transposed-conv kernel [in, out/groups, kt, kf],
 and batch norm takes its affine pair and running statistics one per channel.
 
-Grouped convolutions advance every group at once: :func:`conv2d` views its
-input as [batch, groups, in/groups, time, freq] and takes one batched
-product per kernel tap over all groups, a broadcast product when each group
-has a single input channel (depthwise), and :func:`conv_transpose2d`
-scatter-adds one batched ``kernel^T @ x`` per tap.
+The convolutions work on flattened polyphase planes, one per stride phase,
+so every kernel tap reads or writes one contiguous window of one plane at a
+fixed offset, and every group advances at once.  :func:`conv2d` pads its
+input once into the planes and takes one batched product per tap over all
+groups, a broadcast product when each group has a single input channel
+(depthwise); :func:`conv_transpose2d` adds each tap's batched
+``kernel^T @ x`` into a window of its output phase and interleaves the
+phases once at the end.
 
 Recurrences run through one kernel, :func:`gru_scan`, which advances ``S``
 independent forward GRUs in lockstep.  Its inputs are stacked on a leading
@@ -41,9 +44,30 @@ class GruParams:
     bias: np.ndarray              # [3*hidden]
 
 
+# Depthwise taps multiply into one reused product buffer of about this many
+# elements, walked along the flattened planes so that it stays in cache.
+_DW_CHUNK = 1 << 17
+
+
 def _pads(kt, kf, dt, df):
     total_f = (kf - 1) * df
     return (kt - 1) * dt, total_f // 2, total_f - total_f // 2
+
+
+def _check_geometry(kernel: np.ndarray, stride, dilation, groups: int) -> None:
+    if kernel.ndim != 4:
+        raise InvalidInputError(f"expected a 4-D kernel, got shape {kernel.shape}")
+    if min(*stride, *dilation, groups) < 1:
+        raise InvalidInputError(f"stride {tuple(stride)}, dilation {tuple(dilation)} and "
+                                f"groups {groups} must all be at least 1")
+
+
+def _phase_start(phase: int, pad: int, step: int) -> Tuple[int, int]:
+    """First plane index of a stride phase that holds input, and the input
+    index it holds: padded index ``phase + k * step`` is input index
+    ``phase + k * step - pad``."""
+    k = -((phase - pad) // step)
+    return k, phase + k * step - pad
 
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: Optional[np.ndarray] = None,
@@ -53,9 +77,20 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: Optional[np.ndarray] = None,
     """Grouped dilated 2-D convolution (cross-correlation).
 
     ``kernel`` is [out, in / groups, kt, kf]; ``bias``, if given, is [out].
+
+    The input is written once, with its zero padding, into polyphase planes:
+    one per stride phase that some tap reads, each flattened to
+    ``[.., tq * fq]`` with a spare row.  Tap ``(i, j)`` then reads one
+    contiguous window of one plane at a fixed offset; each output row
+    carries ``fq - f_out`` spare columns, dropped at the end.  A 1x1
+    unstrided conv reads ``x`` itself.  Grouped taps are one batched
+    ``np.matmul`` each; depthwise taps multiply into a reused product
+    buffer, in chunks of the flattened axis.  Taps are summed in ``(i, j)``
+    order into a zeroed accumulator.
     """
     if x.ndim != 4:
         raise InvalidInputError(f"expected [batch, channel, time, freq], got shape {x.shape}")
+    _check_geometry(kernel, stride, dilation, groups)
     out_ch, in_per_g, kt, kf = kernel.shape
     st, sf = stride
     dt, df = dilation
@@ -67,33 +102,55 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: Optional[np.ndarray] = None,
 
     b, c_in, t_in, f_in = x.shape
     pt, pf_l, pf_r = _pads(kt, kf, dt, df)
-    if pt or pf_l or pf_r:
-        xp = np.zeros((b, c_in, t_in + pt, f_in + pf_l + pf_r), dtype=x.dtype)
-        xp[:, :, pt:, pf_l:pf_l + f_in] = x
-    else:
-        xp = x
-    tp, fp = xp.shape[2:]
-    t_out = (tp - ((kt - 1) * dt + 1)) // st + 1
-    f_out = (fp - ((kf - 1) * df + 1)) // sf + 1
+    t_out = (t_in - 1) // st + 1
+    f_out = (f_in - 1) // sf + 1
     if t_out <= 0 or f_out <= 0:
         raise InvalidInputError("input smaller than the (dilated) kernel")
 
+    # tap (i, j) reads padded cell (i * dt + r * st, j * df + c * sf) for
+    # output (r, c): plane row qi + r, column qj + c of phase (a, e)
+    shifts = [(i, j, *divmod(i * dt, st), *divmod(j * df, sf))
+              for i in range(kt) for j in range(kf)]
+    if pt or pf_l or pf_r or st > 1 or sf > 1:
+        tq, fq = -(-(t_in + pt) // st), -(-(f_in + pf_l + pf_r) // sf)
+        phases = sorted({(a, e) for _, _, _, a, _, e in shifts})
+        planes = np.zeros((len(phases), b, c_in, tq + 1, fq), dtype=x.dtype)
+        for plane, (a, e) in zip(planes, phases):
+            u, r = _phase_start(a, pt, st)
+            v, c = _phase_start(e, pf_l, sf)
+            src = x[:, :, r::st, c::sf]
+            plane[:, :, u:u + src.shape[2], v:v + src.shape[3]] = src
+    else:                                  # a 1x1 conv reads x in place
+        fq, phases, planes = f_in, [(0, 0)], x[None]
+    flat = planes.reshape(len(phases), b, groups, in_per_g, -1)
+    which = {ph: p for p, ph in enumerate(phases)}
+    taps = [(i, j, which[a, e], qi * fq + qj) for i, j, qi, a, qj, e in shifts]
+
+    n = t_out * fq
     o_per_g = out_ch // groups
-    xg = xp.reshape(b, groups, in_per_g, tp, fp)
     kg = kernel.reshape(groups, o_per_g, in_per_g, kt, kf)
-    acc = np.zeros((b, groups, o_per_g, t_out, f_out), dtype=x.dtype)
-    for i in range(kt):
-        for j in range(kf):
-            patch = xg[..., i * dt:i * dt + (t_out - 1) * st + 1:st,
-                       j * df:j * df + (f_out - 1) * sf + 1:sf]
-            if in_per_g == 1:      # [groups, out/g, 1, 1] * [b, groups, 1, t, f]
-                acc += kg[:, :, :, i, j, None] * patch
-            else:
-                acc += np.matmul(kg[:, :, :, i, j], patch.reshape(b, groups, in_per_g, -1)
-                                 ).reshape(acc.shape)
-    out = acc.reshape(b, out_ch, t_out, f_out)
+    acc = np.zeros((b, groups, o_per_g, n), dtype=x.dtype)
+    prod_type = np.result_type(x, kernel)
+    if in_per_g == 1:      # [groups, out/g, 1] * [b, groups, 1, n]
+        step = max(1, _DW_CHUNK // acc[..., 0].size)
+        prod = np.empty(acc.shape[:-1] + (min(step, n),), dtype=prod_type)
+        for s in range(0, n, step):
+            part, buf = acc[..., s:s + step], prod[..., :min(step, n - s)]
+            for i, j, p, off in taps:
+                np.multiply(kg[:, :, :, i, j], flat[p, ..., off + s:off + s + buf.shape[-1]],
+                            out=buf)
+                part += buf
+    else:
+        prod = np.empty(acc.shape, dtype=prod_type)
+        for i, j, p, off in taps:
+            np.matmul(kg[:, :, :, i, j], flat[p, ..., off:off + n], out=prod)
+            acc += prod
+    rows = acc.reshape(b, out_ch, t_out, fq)[..., :f_out]
+    out = rows if fq == f_out else np.empty(rows.shape, dtype=x.dtype)
     if bias is not None:
-        out += bias[None, :, None, None]
+        np.add(rows, bias[None, :, None, None], out=out)
+    elif out is not rows:
+        out[...] = rows
     return out
 
 
@@ -110,9 +167,17 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
     Output extents are ``(n - 1) * stride + 1`` per axis (scatter-add of the
     kernel, then the conv2d padding margins are trimmed), which restores the
     input extent of a matching conv2d whenever ``(extent - 1) % stride == 0``.
+
+    The scatter target is split into one flattened plane per stride phase,
+    ``[.., tq * fq]`` with a spare row, and ``x`` is widened with zero
+    columns to the plane width ``fq``.  Tap ``(i, j)``'s batched
+    ``kernel^T @ x`` then adds into one contiguous window of one phase, in
+    ``(i, j)`` order; for a finite kernel the widening columns add zeros.  The phases are
+    interleaved into the trimmed output once at the end.
     """
     if x.ndim != 4:
         raise InvalidInputError(f"expected [batch, channel, time, freq], got shape {x.shape}")
+    _check_geometry(kernel, stride, (1, 1), groups)
     in_ch, o_per_g, kt, kf = kernel.shape
     st, sf = stride
     if x.shape[1] != in_ch:
@@ -122,23 +187,41 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
         raise InvalidInputError("input channels must be divisible by groups")
 
     b, _, t_in, f_in = x.shape
-    pt, pf_l, pf_r = _pads(kt, kf, 1, 1)
-    t_full = (t_in - 1) * st + kt
-    f_full = (f_in - 1) * sf + kf
+    pt, pf_l, _ = _pads(kt, kf, 1, 1)
+    tq, fq = t_in - 1 - (-kt // st), f_in - 1 - (-kf // sf)
+    if fq != f_in:
+        xw = np.zeros((b, in_ch, t_in, fq), dtype=x.dtype)
+        xw[..., :f_in] = x
+    else:
+        xw = x
+    n = t_in * fq
     i_per_g = in_ch // groups
     out_ch = o_per_g * groups
-    full = np.zeros((b, groups, o_per_g, t_full, f_full), dtype=x.dtype)
-    xg = x.reshape(b, groups, i_per_g, t_in * f_in)
+    xg = xw.reshape(b, groups, i_per_g, n)
     kg = kernel.reshape(groups, i_per_g, o_per_g, kt, kf)
+    phases = np.zeros((st, sf, b, groups, o_per_g, (tq + 1) * fq), dtype=x.dtype)
+    prod = np.empty((b, groups, o_per_g, n), dtype=np.result_type(x, kernel))
     for i in range(kt):
+        qi, a = divmod(i, st)
         for j in range(kf):
-            contrib = np.matmul(kg[:, :, :, i, j].transpose(0, 2, 1), xg)
-            full[..., i:i + (t_in - 1) * st + 1:st, j:j + (f_in - 1) * sf + 1:sf] += \
-                contrib.reshape(b, groups, o_per_g, t_in, f_in)
-    full = full.reshape(b, out_ch, t_full, f_full)
-    out = full[:, :, pt:t_full, pf_l:f_full - pf_r]
-    if bias is not None:
-        out = out + bias[None, :, None, None]
+            qj, e = divmod(j, sf)
+            np.matmul(kg[:, :, :, i, j].transpose(0, 2, 1), xg, out=prod)
+            phases[a, e, ..., qi * fq + qj:qi * fq + qj + n] += prod
+
+    planes = phases.reshape(st, sf, b, out_ch, tq + 1, fq)
+    out = np.empty((b, out_ch, (t_in - 1) * st + 1, (f_in - 1) * sf + 1),
+                   dtype=x.dtype if bias is None else np.result_type(x, bias))
+    for a in range(st):
+        r = (a - pt) % st                  # first output row of phase a
+        for e in range(sf):
+            c = (e - pf_l) % sf
+            dst = out[:, :, r::st, c::sf]
+            src = planes[a, e, :, :, (r + pt) // st:, (c + pf_l) // sf:]
+            src = src[:, :, :dst.shape[2], :dst.shape[3]]
+            if bias is None:
+                dst[...] = src
+            else:
+                np.add(src, bias[None, :, None, None], out=dst)
     return out
 
 

@@ -162,6 +162,74 @@ def conv_transpose2d_naive(x, kernel, bias=None, stride=(1, 1),
     return out
 
 
+def _conv_pads(kt, kf, dt, df):
+    total_f = (kf - 1) * df
+    return (kt - 1) * dt, total_f // 2, total_f - total_f // 2
+
+
+def conv2d_per_tap(x, kernel, bias=None, stride=(1, 1), dilation=(1, 1), groups=1):
+    """One batched product per kernel tap over a copied strided patch, summed
+    in tap order into a zeroed accumulator.  Every product and every sum is
+    the one the package kernel makes, so the result is exact."""
+    out_ch, in_per_g, kt, kf = kernel.shape
+    st, sf = stride
+    dt, df = dilation
+    b, c_in, t_in, f_in = x.shape
+    pt, pf_l, pf_r = _conv_pads(kt, kf, dt, df)
+    if pt or pf_l or pf_r:
+        xp = np.zeros((b, c_in, t_in + pt, f_in + pf_l + pf_r), dtype=x.dtype)
+        xp[:, :, pt:, pf_l:pf_l + f_in] = x
+    else:
+        xp = x
+    tp, fp = xp.shape[2:]
+    t_out = (tp - ((kt - 1) * dt + 1)) // st + 1
+    f_out = (fp - ((kf - 1) * df + 1)) // sf + 1
+    o_per_g = out_ch // groups
+    xg = xp.reshape(b, groups, in_per_g, tp, fp)
+    kg = kernel.reshape(groups, o_per_g, in_per_g, kt, kf)
+    acc = np.zeros((b, groups, o_per_g, t_out, f_out), dtype=x.dtype)
+    for i in range(kt):
+        for j in range(kf):
+            patch = xg[..., i * dt:i * dt + (t_out - 1) * st + 1:st,
+                       j * df:j * df + (f_out - 1) * sf + 1:sf]
+            if in_per_g == 1:
+                acc += kg[:, :, :, i, j, None] * patch
+            else:
+                acc += np.matmul(kg[:, :, :, i, j], patch.reshape(b, groups, in_per_g, -1)
+                                 ).reshape(acc.shape)
+    out = acc.reshape(b, out_ch, t_out, f_out)
+    if bias is not None:
+        out += bias[None, :, None, None]
+    return out
+
+
+def conv_transpose2d_per_tap(x, kernel, bias=None, stride=(1, 1), groups=1):
+    """Scatter-add one batched ``kernel^T @ x`` per tap into strided views of
+    a zeroed full-extent buffer, in tap order, then trim the conv2d margins.
+    Exact against the package kernel, like :func:`conv2d_per_tap`."""
+    in_ch, o_per_g, kt, kf = kernel.shape
+    st, sf = stride
+    b, _, t_in, f_in = x.shape
+    pt, pf_l, pf_r = _conv_pads(kt, kf, 1, 1)
+    t_full = (t_in - 1) * st + kt
+    f_full = (f_in - 1) * sf + kf
+    i_per_g = in_ch // groups
+    out_ch = o_per_g * groups
+    full = np.zeros((b, groups, o_per_g, t_full, f_full), dtype=x.dtype)
+    xg = x.reshape(b, groups, i_per_g, t_in * f_in)
+    kg = kernel.reshape(groups, i_per_g, o_per_g, kt, kf)
+    for i in range(kt):
+        for j in range(kf):
+            contrib = np.matmul(kg[:, :, :, i, j].transpose(0, 2, 1), xg)
+            full[..., i:i + (t_in - 1) * st + 1:st, j:j + (f_in - 1) * sf + 1:sf] += \
+                contrib.reshape(b, groups, o_per_g, t_in, f_in)
+    full = full.reshape(b, out_ch, t_full, f_full)
+    out = full[:, :, pt:t_full, pf_l:f_full - pf_r]
+    if bias is not None:
+        out = out + bias[None, :, None, None]
+    return out
+
+
 def batch_norm_naive(x, gamma, beta, mean, var, eps):
     out = np.zeros_like(x)
     for n in range(x.shape[0]):

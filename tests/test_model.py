@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hybridse import loss, nn, simkit
+from hybridse import loss, model, nn, simkit
 from hybridse.auxiva import IvaConfig, iva_macs_per_second
 from hybridse.bands import ErbFilterbank
 from hybridse.dsp import StftConfig, log_power
@@ -187,6 +187,21 @@ class TestGtconvBlock:
         expect = channel_shuffle(
             np.concatenate([x[:, :8], np.zeros_like(x[:, :8])], axis=1), 2)
         np.testing.assert_array_equal(out, expect)
+
+    @pytest.mark.parametrize("shape", [(1, 16, 6, 33), (2, 16, 9, 33), (1, 16, 1, 5)])
+    def test_interleave_equals_concatenate_then_shuffle(self, shape):
+        # the block writes both halves straight into the shuffled order
+        cfg = ModelConfig()
+        w = init_random(cfg, 7)
+        x = np.random.default_rng(8).standard_normal(shape).astype(np.float32)
+        t = model._conv_bn_prelu(x[:, 8:], w, "enc.gt1.pconv1", "enc.gt1.bn1", "enc.gt1.prelu1")
+        t = model._conv_bn_prelu(t, w, "enc.gt1.dwconv", "enc.gt1.bn2", "enc.gt1.prelu2",
+                                 dilation=(2, 1), groups=16)
+        t = model._conv(t, w, "enc.gt1.pconv2")
+        want = nn.channel_shuffle(np.concatenate([x[:, :8], t], axis=1), 2)
+        got = gtconv_block(x, w, "enc.gt1", 2)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dilation", [1, 2, 5])
     def test_shape_preserved(self, dilation):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hybridse import nn
 from hybridse.errors import InvalidInputError
 from hybridse.nn import (GruParams, batch_norm_infer, channel_shuffle, conv2d,
                          conv_transpose2d, gru_scan, gru_sequence, prelu)
@@ -157,6 +158,115 @@ class TestConvTranspose2d:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             conv_transpose2d(np.zeros((1, 3, 4, 4)), np.zeros((4, 2, 1, 1)))
+
+
+# (input channels, output channels, groups): grouped taps take one matrix
+# product each, depthwise and depth-multiplier taps a broadcast product
+_GROUPINGS = {"groups1": (4, 6, 1), "groups2": (4, 6, 2),
+              "depthwise": (4, 4, 4), "multiplier2": (4, 8, 4)}
+_STRIDES = [(1, 1), (1, 2), (2, 1), (2, 2)]
+_DILATIONS = [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (1, 2)]
+_KERNELS = [(kt, kf) for kt in (1, 3, 5) for kf in (1, 3, 5)]
+
+
+def assert_same_bytes(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()   # signed zeros too
+
+
+def _with_zeros(rng, shape, dtype):
+    x = rng.standard_normal(shape).astype(dtype)
+    x.reshape(-1)[::5] = 0.0                 # exact zeros give signed-zero products
+    return x
+
+
+class TestShiftedWindowConv:
+    """The shifted-window kernels against the per-tap kernels they replaced
+    (``oracles.conv2d_per_tap``, ``oracles.conv_transpose2d_per_tap``): the
+    same products and the same sums in the same order, so the same bytes.
+
+    Left out are groups with one output channel and several input channels:
+    there numpy hands each tap to a BLAS matrix-vector product whose rounding
+    depends on where the data sit in memory, so neither kernel fixes its
+    bytes.  The model has no such layer; ``*_matches_naive`` covers them."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", _STRIDES)
+    @pytest.mark.parametrize("grouping", list(_GROUPINGS))
+    def test_conv2d_equals_per_tap(self, grouping, stride, dtype):
+        c_in, out_ch, groups = _GROUPINGS[grouping]
+        rng = np.random.default_rng(20)
+        for dilation in _DILATIONS:
+            for kt, kf in _KERNELS:
+                for t in (1, 2, 3, 8):
+                    for batch in (1, 2):
+                        x = _with_zeros(rng, (batch, c_in, t, 9), dtype)
+                        k = rng.standard_normal((out_ch, c_in // groups, kt, kf)).astype(dtype)
+                        bias = rng.standard_normal(out_ch).astype(dtype) if batch == 1 else None
+                        assert_same_bytes(
+                            conv2d(x, k, bias, stride, dilation, groups),
+                            oracles.conv2d_per_tap(x, k, bias, stride, dilation, groups))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", _STRIDES)
+    @pytest.mark.parametrize("grouping", list(_GROUPINGS))
+    def test_conv_transpose2d_equals_per_tap(self, grouping, stride, dtype):
+        c_in, c_out, groups = _GROUPINGS[grouping]
+        rng = np.random.default_rng(21)
+        for kt, kf in _KERNELS:
+            for t in (1, 2, 3, 8):
+                for batch in (1, 2):
+                    x = _with_zeros(rng, (batch, c_in, t, 9), dtype)
+                    k = rng.standard_normal((c_in, c_out // groups, kt, kf)).astype(dtype)
+                    bias = rng.standard_normal(c_out).astype(dtype) if batch == 1 else None
+                    assert_same_bytes(
+                        conv_transpose2d(x, k, bias, stride, groups),
+                        oracles.conv_transpose2d_per_tap(x, k, bias, stride, groups))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [(1, 1), (1, 2)])
+    @pytest.mark.parametrize("grouping", ["depthwise", "multiplier2"])
+    def test_depthwise_across_chunk_boundaries(self, grouping, stride, dtype):
+        # depthwise taps walk the flattened planes in chunks of
+        # nn._DW_CHUNK products; the frame counts put the end of the window
+        # short of, just past and well past the first chunk boundary
+        c_in, out_ch, groups = _GROUPINGS[grouping]
+        batch, f = 2, 9
+        fq = -(-(f + 2) // stride[1])            # plane width for kf = 3
+        per_chunk = nn._DW_CHUNK // (batch * out_ch) // fq + 1
+        rng = np.random.default_rng(22)
+        k = rng.standard_normal((out_ch, 1, 3, 3)).astype(dtype)
+        bias = rng.standard_normal(out_ch).astype(dtype)
+        for t in (1, per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk + 3):
+            x = _with_zeros(rng, (batch, c_in, t, f), dtype)
+            assert_same_bytes(conv2d(x, k, bias, stride, (5, 1), groups),
+                              oracles.conv2d_per_tap(x, k, bias, stride, (5, 1), groups))
+
+
+class TestConvBoundary:
+    @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 2, 1, 1, 1)])
+    def test_kernel_not_4d_rejected(self, op, shape):
+        with pytest.raises(InvalidInputError, match="4-D kernel"):
+            op(np.zeros((1, 2, 4, 5)), np.zeros(shape))
+
+    @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
+    @pytest.mark.parametrize("stride", [(1, 0), (0, 1), (-1, 2)])
+    def test_stride_below_one_rejected(self, op, stride):
+        with pytest.raises(InvalidInputError, match="at least 1"):
+            op(np.zeros((1, 2, 4, 5)), np.zeros((2, 2, 1, 3)), stride=stride)
+
+    @pytest.mark.parametrize("dilation", [(0, 1), (1, 0), (-2, 1)])
+    def test_dilation_below_one_rejected(self, dilation):
+        with pytest.raises(InvalidInputError, match="at least 1"):
+            conv2d(np.zeros((1, 2, 4, 5)), np.zeros((2, 2, 3, 3)), dilation=dilation)
+
+    @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
+    @pytest.mark.parametrize("groups", [0, -2])
+    def test_groups_below_one_rejected(self, op, groups):
+        with pytest.raises(InvalidInputError, match="at least 1"):
+            op(np.zeros((1, 2, 4, 5)), np.zeros((2, 2, 1, 3)), groups=groups)
 
 
 class TestBatchNorm:
