@@ -100,6 +100,8 @@ def istft(spec: np.ndarray, cfg: StftConfig = StftConfig(), length: int = None) 
     n_ch, n_frames, _ = spec.shape
     total = (n_frames - 1) * cfg.hop + cfg.fft_size
     length = total if length is None else length
+    if length < 0:
+        raise InvalidInputError(f"length must be non-negative, got {length}")
     # at the 50% hop, block b of hop samples is zero + the tail of frame b - 1
     # + the head of frame b: the sums a frame-by-frame overlap-add forms
     n_blocks = max(n_frames + 1, -(-length // cfg.hop))

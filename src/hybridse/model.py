@@ -12,18 +12,20 @@ Everything below the feature stage runs in float32 on the framework-free
 primitives from :mod:`hybridse.nn`.  Weights are a plain ordered ``dict``
 of name -> float32 array, and every layer hands its tensors from that map
 straight to the kernels.  One private layer table, ``_layers(cfg)``, is the
-single description of the architecture's weights and costs: the tensor
-inventory (:func:`expected_shapes`, which loading validates against
-exactly), the seeded initialisation (:func:`init_random`), the parameter
-counts and the MAC accounting are all read from it.  The forward pass is
-written out directly and reads exactly that inventory; each of the table's
-``weighted`` + ``norm_act`` pairings runs as one conv -> BN -> PReLU step,
-:func:`_conv_bn_prelu`.
+single description of the architecture: the tensor inventory
+(:func:`expected_shapes`, which loading validates against exactly), the
+seeded initialisation (:func:`init_random`), the parameter counts and the
+MAC accounting are all read from it, and so is the forward pass.  Each
+conv, BN and PReLU row carries the ``nn`` call that runs it, so encoder,
+G-T-conv blocks and decoder just run their rows in table order; each
+G-DPRNN path reads its GRUs and projections from its rows.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
@@ -116,9 +118,11 @@ def preset_config(name: str) -> ModelConfig:
 # layer table
 
 
+@cache
 def _layers(cfg: ModelConfig):
     """The architecture as one ordered table of ``(layer, {leaf: shape},
-    mac_entry, bands, bound)`` rows, in weight-file order.
+    mac_entry, bands, bound, op)`` rows, in weight-file order, built once
+    per config.
 
     ``mac_entry`` is the :func:`macs_breakdown` item (the layer itself, or
     the G-T-conv block or G-DPRNN path it belongs to) that the layer's
@@ -126,43 +130,50 @@ def _layers(cfg: ModelConfig):
     per band of a frame, at ``bands`` bands: f1 after one strided conv, f2
     after two.  Each of the layer's tensors, its bias too, starts uniform in
     +-``bound``: ``1/sqrt(prod(kernel[1:]))`` for any kernel, ``1/sqrt(hidden)``
-    for a GRU.  Batch norms and PReLUs have ``None`` for all three.
+    for a GRU.  Batch norms and PReLUs have ``None`` for all three.  ``op``
+    runs a conv, BN or PReLU layer as ``op(x, *tensors)``, tensors in leaf
+    order, a conv's stride, dilation and groups bound in; it is ``None`` for
+    the G-DPRNN's GRUs and projections, which :func:`gdprnn` runs per path.
     """
     sf = cfg.conv_stride[1]
     f1 = (N_BANDS - 1) // sf + 1
     f2 = (f1 - 1) // sf + 1
     kt, kf = cfg.conv_kernel
     c = e = cfg.gtconv_channels             # latent width; G-T-conv expansion width
+    conv = partial(nn.conv2d, stride=cfg.conv_stride)
+    deconv = partial(nn.conv_transpose2d, stride=cfg.conv_stride)
     rows = []
 
-    def weighted(layer, kernel, n_out, mac=None, bands=f2):
+    def weighted(layer, kernel, n_out, mac=None, bands=f2, op=nn.conv2d):
         rows.append((layer, {"kernel": kernel, "bias": (n_out,)}, mac or layer, bands,
-                     1 / math.sqrt(math.prod(kernel[1:]))))
+                     1 / math.sqrt(math.prod(kernel[1:])), op))
 
     def norm_act(bn, prelu, ch):
         rows.append((bn, dict.fromkeys(("gamma", "beta", "mean", "var"), (ch,)),
-                     None, None, None))
-        rows.append((prelu, {"alpha": (ch,)}, None, None, None))
+                     None, None, None, nn.batch_norm_infer))
+        rows.append((prelu, {"alpha": (ch,)}, None, None, None, nn.prelu))
 
     def gru(layer, n_in, hidden, mac):
         rows.append((layer, {"w_x": (n_in, 3 * hidden), "w_h": (hidden, 3 * hidden),
-                             "bias": (3 * hidden,)}, mac, f2, 1 / math.sqrt(hidden)))
+                             "bias": (3 * hidden,)}, mac, f2, 1 / math.sqrt(hidden), None))
 
-    def gt(prefix, ch):
+    def gt(prefix, ch, dilation):
         half = ch // 2
         weighted(f"{prefix}.pconv1", (e, half, 1, 1), e, prefix)          # expand
         norm_act(f"{prefix}.bn1", f"{prefix}.prelu1", e)
-        weighted(f"{prefix}.dwconv", (e, 1, *cfg.gtconv_kernel), e, prefix)
+        weighted(f"{prefix}.dwconv", (e, 1, *cfg.gtconv_kernel), e, prefix,
+                 op=partial(nn.conv2d, dilation=(dilation, 1), groups=e))
         norm_act(f"{prefix}.bn2", f"{prefix}.prelu2", e)
         weighted(f"{prefix}.pconv2", (half, e, 1, 1), half, prefix)      # squeeze
 
     def branch(prefix, in_planes, width):
-        weighted(f"{prefix}.conv1", (width, in_planes, kt, kf), width, bands=f1)
+        weighted(f"{prefix}.conv1", (width, in_planes, kt, kf), width, bands=f1, op=conv)
         norm_act(f"{prefix}.bn1", f"{prefix}.prelu1", width)
-        weighted(f"{prefix}.conv2", (width, width // cfg.conv2_groups, kt, kf), width)
+        weighted(f"{prefix}.conv2", (width, width // cfg.conv2_groups, kt, kf), width,
+                 op=partial(conv, groups=cfg.conv2_groups))
         norm_act(f"{prefix}.bn2", f"{prefix}.prelu2", width)
-        for i in range(len(cfg.gtconv_dilations)):
-            gt(f"{prefix}.gt{i}", width)
+        for i, d in enumerate(cfg.gtconv_dilations):
+            gt(f"{prefix}.gt{i}", width, d)
 
     if cfg.encoder == "single":
         branch("enc", cfg.sfe_kernel * cfg.feature_planes, c)
@@ -178,18 +189,20 @@ def _layers(cfg: ModelConfig):
     for g in range(cfg.dprnn_groups):
         gru(f"dprnn.intra.g{g}.fwd", gw, hi, "dprnn.intra")
         gru(f"dprnn.intra.g{g}.bwd", gw, hi, "dprnn.intra")
-        weighted(f"dprnn.intra.g{g}.proj", (2 * hi, gw), gw, "dprnn.intra")
+        weighted(f"dprnn.intra.g{g}.proj", (2 * hi, gw), gw, "dprnn.intra", op=None)
     for g in range(cfg.dprnn_groups):
         gru(f"dprnn.inter.g{g}.gru", gw, he, "dprnn.inter")
-        weighted(f"dprnn.inter.g{g}.proj", (he, gw), gw, "dprnn.inter")
+        weighted(f"dprnn.inter.g{g}.proj", (he, gw), gw, "dprnn.inter", op=None)
 
-    for i in range(len(cfg.gtconv_dilations)):
-        gt(f"dec.gt{i}", c)
+    # the decoder mirrors the encoder: its blocks run the dilations backwards
+    for i, d in enumerate(reversed(cfg.gtconv_dilations)):
+        gt(f"dec.gt{i}", c, d)
     # transposed kernels are [in, out / groups, kt, kf], counted per input band
-    weighted("dec.deconv1", (c, c // cfg.conv2_groups, kt, kf), c)
+    weighted("dec.deconv1", (c, c // cfg.conv2_groups, kt, kf), c,
+             op=partial(deconv, groups=cfg.conv2_groups))
     norm_act("dec.bn1", "dec.prelu1", c)
-    weighted("dec.deconv2", (c, 2, kt, kf), 2, bands=f1)
-    return rows
+    weighted("dec.deconv2", (c, 2, kt, kf), 2, bands=f1, op=deconv)
+    return tuple(rows)
 
 
 def expected_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
@@ -222,7 +235,7 @@ def init_random(cfg: ModelConfig, seed: int) -> Dict[str, np.ndarray]:
     and PReLU slopes at 0.25."""
     rng = np.random.default_rng(seed)
     tensors: Dict[str, np.ndarray] = {}
-    for layer, leaves, _, _, bound in _layers(cfg):
+    for layer, leaves, _, _, bound, _ in _layers(cfg):
         for leaf, shp in leaves.items():
             tensors[f"{layer}.{leaf}"] = (
                 np.full(shp, _CONSTANT_LEAVES[leaf], dtype=np.float32) if bound is None
@@ -302,127 +315,110 @@ def sfe(x: np.ndarray, kernel: int = 3) -> np.ndarray:
     return gathered.transpose(0, 1, 3, 2, 4).reshape(b, c * kernel, t, f)
 
 
-def _conv(x: np.ndarray, w: Dict[str, np.ndarray], layer: str, op=nn.conv2d,
-          **kw) -> np.ndarray:
-    return op(x, w[f"{layer}.kernel"], w[f"{layer}.bias"], **kw)
+@cache
+def _blocks(cfg: ModelConfig):
+    """The table's rows grouped by the block that holds them, in table order."""
+    return tuple((block, tuple(rows)) for block, rows in
+                 itertools.groupby(_layers(cfg), lambda row: row[0].rpartition(".")[0]))
 
 
-def _conv_bn_prelu(x: np.ndarray, w: Dict[str, np.ndarray], conv: str, bn: str,
-                   prelu: str, **kw) -> np.ndarray:
-    """Conv (``kw`` as for :func:`_conv`), inference BN, then PReLU."""
-    x = _conv(x, w, conv, **kw)
-    x = nn.batch_norm_infer(x, *(w[f"{bn}.{k}"] for k in ("gamma", "beta", "mean", "var")))
-    return nn.prelu(x, w[f"{prelu}.alpha"])
+def _run(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig, prefix: str) -> np.ndarray:
+    """Run the table's layers under ``prefix`` in table order: each row
+    directly under it through its ``op``, each G-T-conv block
+    ``{prefix}.gt{i}`` as one :func:`gtconv_block`."""
+    for block, rows in _blocks(cfg):
+        if block == prefix:
+            for layer, leaves, *_, op in rows:
+                x = op(x, *(w[f"{layer}.{leaf}"] for leaf in leaves))
+        elif block.startswith(f"{prefix}.gt"):
+            x = gtconv_block(x, w, block, cfg)
+    return x
 
 
 def gtconv_block(x: np.ndarray, w: Dict[str, np.ndarray], prefix: str,
-                 dilation: int) -> np.ndarray:
-    """Half-identity grouped temporal conv block.
-
-    The second channel half goes through pointwise expand, causal dilated
-    depthwise (dilation on time only), and pointwise squeeze, each conv
-    followed by BN+PReLU where the structure calls for it; the halves are
-    re-joined and the channels shuffled across two groups, in one copy:
-    output channel ``2c`` is kept channel ``c``, ``2c + 1`` transformed
-    channel ``c``.
-    """
+                 cfg: ModelConfig) -> np.ndarray:
+    """Half-identity grouped temporal conv block: the second channel half
+    runs the block's rows (pointwise expand, causal time-dilated depthwise,
+    pointwise squeeze, the first two with BN+PReLU), and the halves are
+    re-joined shuffled across two groups in one copy: output channel ``2c``
+    is kept channel ``c``, ``2c + 1`` transformed channel ``c``."""
     b, ch = x.shape[:2]
     if ch % 2 != 0:
         raise InvalidInputError("gtconv block needs an even channel count")
     half = ch // 2
-    keep, transform = x[:, :half], x[:, half:]
-    t = _conv_bn_prelu(transform, w, f"{prefix}.pconv1", f"{prefix}.bn1", f"{prefix}.prelu1")
-    t = _conv_bn_prelu(t, w, f"{prefix}.dwconv", f"{prefix}.bn2", f"{prefix}.prelu2",
-                       dilation=(dilation, 1), groups=t.shape[1])
-    t = _conv(t, w, f"{prefix}.pconv2")
-    out = np.empty(x.shape, dtype=np.result_type(keep, t))
+    t = _run(x[:, half:], w, cfg, prefix)
+    out = np.empty(x.shape, dtype=np.result_type(x, t))
     pairs = out.reshape(b, half, 2, *x.shape[2:])
-    pairs[:, :, 0] = keep
+    pairs[:, :, 0] = x[:, :half]
     pairs[:, :, 1] = t
     return out
 
 
-def _encode_branch(x: np.ndarray, w: Dict[str, np.ndarray], prefix: str,
-                   cfg: ModelConfig) -> np.ndarray:
-    x = _conv_bn_prelu(x, w, f"{prefix}.conv1", f"{prefix}.bn1", f"{prefix}.prelu1",
-                       stride=cfg.conv_stride)
-    x = _conv_bn_prelu(x, w, f"{prefix}.conv2", f"{prefix}.bn2", f"{prefix}.prelu2",
-                       stride=cfg.conv_stride, groups=cfg.conv2_groups)
-    for i, d in enumerate(cfg.gtconv_dilations):
-        x = gtconv_block(x, w, f"{prefix}.gt{i}", d)
-    return x
-
-
 def encode(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig):
     """Feature tensor [batch, 3P, time, 129] to ``(latent, skip)``, both
-    [batch, 16, time, 33]; the skip is the latent itself."""
+    [batch, 16, time, 33]; the skip is the latent itself.  A dual encoder
+    fuses the outputs of its noisy-plane and IVA-plane branches."""
     if x.ndim != 4:
         raise InvalidInputError(f"expected [batch, channel, time, freq], got {x.shape}")
-    if cfg.encoder == "single":
-        latent = _encode_branch(x, w, "enc", cfg)
-    else:
+    if cfg.encoder == "dual":
         n_main = 4 * cfg.sfe_kernel
-        main = _encode_branch(x[:, :n_main], w, "enc.main", cfg)
-        aux = _encode_branch(x[:, n_main:], w, "enc.aux", cfg)
-        latent = _conv_bn_prelu(np.concatenate([main, aux], axis=1), w,
-                                "enc.fuse", "enc.fuse_bn", "enc.fuse_prelu")
+        x = np.concatenate([_run(x[:, :n_main], w, cfg, "enc.main"),
+                            _run(x[:, n_main:], w, cfg, "enc.aux")], axis=1)
+    latent = _run(x, w, cfg, "enc")
     return latent, latent
 
 
-def _stacked_gru(w: Dict[str, np.ndarray], names) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return tuple(np.stack([w[f"{n}.{k}"] for n in names]) for k in ("w_x", "w_h", "bias"))
+def _dprnn_path(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig, path: str,
+                perm: Tuple[int, ...]) -> np.ndarray:
+    """One G-DPRNN path: ``x`` plus the channel-shuffled projection of the
+    path's GRUs.  ``perm`` lays ``x``, viewed as [batch, groups, gw, time,
+    bands], out as [groups, scanned, batch, other, gw].  The path's rows list
+    per group its GRUs (forward, then any backward one) and its projection;
+    one :func:`nn.gru_scan` runs them all, a backward GRU over the reversed
+    scan axis, and each projection sums its directions' halves straight into
+    the shuffled order: output channel ``j * groups + g`` is unit ``j`` of
+    group ``g``."""
+    b, c, t, f = x.shape
+    groups = cfg.dprnn_groups
+    gw = c // groups
+    rows = [(layer, leaves) for layer, leaves, mac, *_ in _layers(cfg) if mac == path]
+    grus = [layer for layer, leaves in rows if "w_x" in leaves]
+    projs = [layer for layer, leaves in rows if "kernel" in leaves]
+    directions = len(grus) // groups
+    seq = x.reshape(b, groups, gw, t, f).transpose(perm)
+    _, n_scan, _, n_other, _ = seq.shape
+    if directions == 2:
+        seq = np.stack([seq, seq[:, ::-1]], axis=1)
+    h = nn.gru_scan(seq.reshape(groups * directions, n_scan, b * n_other, gw),
+                    *(np.stack([w[f"{n}.{k}"] for n in grus]) for k in ("w_x", "w_h", "bias")))
+    h = h.reshape(groups, directions, *h.shape[1:])
+    k = np.stack([w[f"{n}.kernel"] for n in projs]).reshape(groups, directions, 1, -1, gw)
+    p = np.matmul(h[:, 0], k[:, 0])
+    if directions == 2:
+        p += np.matmul(h[:, 1], k[:, 1])[:, ::-1]
+    p += np.stack([w[f"{n}.bias"] for n in projs])[:, None, None]
+    p = p.reshape(groups, n_scan, b, n_other, gw)
+    shuffled = p.transpose([perm.index(a) for a in (0, 2, 1, 3, 4)])
+    return (x.reshape(b, gw, groups, t, f) + shuffled).reshape(b, c, t, f)
 
 
 def gdprnn(latent: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig) -> np.ndarray:
     """Grouped dual-path block: bidirectional GRUs over bands within each
     frame, then causal GRUs over time within each band, each followed by a
     linear projection back to group width, a channel shuffle, and a residual
-    add.  Output shape equals input shape.
-
-    Each path is one :func:`nn.gru_scan`: the intra path stacks the forward
-    and the band-reversed inputs of every group (``S = 2 * groups``), the
-    inter path stacks the groups (``S = groups``).  The projections are
-    batched over groups, the intra one summing the two directions' halves.
+    add, each path one :func:`_dprnn_path`.  Output shape equals input shape.
     """
-    b, c, t, f = latent.shape
-    groups = cfg.dprnn_groups
-    if c % groups != 0:
-        raise InvalidInputError(f"{c} channels not divisible by {groups} groups")
-    gw = c // groups
-
-    # intra: [groups, bands, batch * frames, gw], scanned over the bands
-    seq = latent.reshape(b, groups, gw, t, f).transpose(1, 4, 0, 3, 2)
-    seq = seq.reshape(groups, f, b * t, gw)
-    intra = [f"dprnn.intra.g{g}" for g in range(groups)]
-    h = nn.gru_scan(np.concatenate([seq, seq[:, ::-1]]),
-                    *_stacked_gru(w, [f"{n}.fwd" for n in intra] + [f"{n}.bwd" for n in intra]))
-    k = np.stack([w[f"{n}.proj.kernel"] for n in intra])[:, None]
-    hid = cfg.intra_hidden
-    p = np.matmul(h[:groups], k[:, :, :hid])
-    p += np.matmul(h[groups:], k[:, :, hid:])[:, ::-1]
-    p += np.stack([w[f"{n}.proj.bias"] for n in intra])[:, None, None]
-    p = p.reshape(groups, f, b, t, gw).transpose(2, 0, 4, 3, 1).reshape(b, c, t, f)
-    x = latent + nn.channel_shuffle(p, groups)
-
-    # inter: [groups, frames, batch * bands, gw], scanned over the frames
-    seq = x.reshape(b, groups, gw, t, f).transpose(1, 3, 0, 4, 2).reshape(groups, t, b * f, gw)
-    inter = [f"dprnn.inter.g{g}" for g in range(groups)]
-    h = nn.gru_scan(seq, *_stacked_gru(w, [f"{n}.gru" for n in inter]))
-    p = np.matmul(h, np.stack([w[f"{n}.proj.kernel"] for n in inter])[:, None])
-    p += np.stack([w[f"{n}.proj.bias"] for n in inter])[:, None, None]
-    p = p.reshape(groups, t, b, f, gw).transpose(2, 0, 4, 1, 3).reshape(b, c, t, f)
-    return x + nn.channel_shuffle(p, groups)
+    c = latent.shape[1]
+    if c % cfg.dprnn_groups != 0:
+        raise InvalidInputError(f"{c} channels not divisible by {cfg.dprnn_groups} groups")
+    x = _dprnn_path(latent, w, cfg, "dprnn.intra", (1, 4, 0, 3, 2))
+    return _dprnn_path(x, w, cfg, "dprnn.inter", (1, 3, 0, 4, 2))
 
 
 def decode(z: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig) -> np.ndarray:
     """Latent-plus-skip [batch, 16, time, 33] to a two-plane mask at 129
     bands, squashed to (-1, 1) by the final tanh."""
-    for i, d in enumerate(reversed(cfg.gtconv_dilations)):
-        z = gtconv_block(z, w, f"dec.gt{i}", d)
-    z = _conv_bn_prelu(z, w, "dec.deconv1", "dec.bn1", "dec.prelu1", op=nn.conv_transpose2d,
-                       stride=cfg.conv_stride, groups=cfg.conv2_groups)
-    z = _conv(z, w, "dec.deconv2", op=nn.conv_transpose2d, stride=cfg.conv_stride)
-    return np.tanh(z)
+    return np.tanh(_run(z, w, cfg, "dec"))
 
 
 def forward(y: np.ndarray, y_iva: np.ndarray, w: Dict[str, np.ndarray],
@@ -473,7 +469,7 @@ def macs_breakdown(cfg: ModelConfig, iva_cfg: Optional[IvaConfig] = None) -> Dic
     The IVA term comes from :func:`iva_macs_per_second`.
     """
     per_frame: Dict[str, float] = {"band_merge": cfg.feature_planes * N_HIGH}
-    for _, leaves, mac, bands, _ in _layers(cfg):
+    for _, leaves, mac, bands, *_ in _layers(cfg):
         if mac is not None:
             taps = sum(math.prod(leaves[k]) for k in ("kernel", "w_x", "w_h") if k in leaves)
             per_frame[mac] = per_frame.get(mac, 0) + bands * taps

@@ -187,6 +187,8 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
         raise InvalidInputError("input channels must be divisible by groups")
 
     b, _, t_in, f_in = x.shape
+    if t_in == 0 or f_in == 0:
+        raise InvalidInputError(f"empty time or frequency axis in shape {x.shape}")
     pt, pf_l, _ = _pads(kt, kf, 1, 1)
     tq, fq = t_in - 1 - (-kt // st), f_in - 1 - (-kf // sf)
     if fq != f_in:
@@ -314,10 +316,8 @@ def gru_sequence(x: np.ndarray,
 
 def channel_shuffle(x: np.ndarray, groups: int) -> np.ndarray:
     """Interleave channels across groups (ShuffleNet-style)."""
-    b, c = x.shape[:2]
-    if c % groups != 0:
-        raise InvalidInputError(f"{c} channels not divisible by {groups} groups")
     shape = x.shape
-    x = x.reshape(b, groups, c // groups, *shape[2:])
-    x = np.swapaxes(x, 1, 2)
-    return x.reshape(shape)
+    if x.ndim < 2 or groups < 1 or shape[1] % groups != 0:
+        raise InvalidInputError(f"cannot shuffle shape {shape} across {groups} groups")
+    x = x.reshape(shape[0], groups, shape[1] // groups, *shape[2:])
+    return np.swapaxes(x, 1, 2).reshape(shape)

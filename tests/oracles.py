@@ -488,7 +488,7 @@ def inverse_2x2(m):
 # ---------------------------------------------------------------------------
 
 
-def image_rir_full_box(scene, fs=16000, c=343.0):
+def image_rir_full_box(scene, fs=16000, c=343.0, max_order=None):
     """Image-method taps ``[2, n]`` from every image of a box of images that
     is larger than the horizon needs: coordinates stacked into an ``[N, 3]``
     array, distances by ``np.linalg.norm``, gains ``beta ** reflections``,
@@ -498,15 +498,17 @@ def image_rir_full_box(scene, fs=16000, c=343.0):
     those at ``2 n L - s`` (``2|n|`` and ``|2n - 1|`` reflections).  A larger
     ``K`` keeps the order of the images a smaller one lists, and the extra
     images land past the last tap, so equal taps mean the same sums in the
-    same order.  The reflection order cap and the Sabine absorption follow
-    the simulator's documented protocol."""
+    same order.  The Sabine absorption follows the simulator's documented
+    protocol, and so does the reflection order cap unless ``max_order``
+    gives another."""
     dims = np.asarray(scene.room_dims, dtype=np.float64)
     lx, ly, lz = dims
     alpha = 0.1611 * (lx * ly * lz) / (2.0 * (lx * ly + lx * lz + ly * lz) * scene.rt60)
     beta = np.sqrt(1.0 - alpha)
     n_taps = int(round((scene.rt60 + 0.05) * fs))
     horizon = c * (n_taps / fs)
-    max_order = int(np.ceil(horizon / np.min(dims))) + 2
+    if max_order is None:
+        max_order = int(np.ceil(horizon / np.min(dims))) + 2
     coords, refls = [], []
     for ax in range(3):
         n = np.arange(-int(np.ceil(horizon / (2.0 * dims[ax]))) - 2,

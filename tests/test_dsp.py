@@ -163,6 +163,10 @@ class TestIstft:
         with pytest.raises(InvalidInputError):
             istft(np.zeros((10, 129), dtype=complex), StftConfig(), length=100)
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            istft(np.zeros((10, 257), dtype=complex), StftConfig(), length=-5)
+
     def test_length_extension_pads_zeros(self):
         cfg = StftConfig()
         x = np.ones(1000)

@@ -177,16 +177,26 @@ class TestSfe:
             sfe(np.zeros((1, 1, 5), np.float32), 3)
 
 
+def blocks_at(dilation):
+    """The G-T-conv blocks whose depthwise conv dilates time by ``dilation``."""
+    return [layer.rpartition(".")[0] for layer, *_, op in model._layers(ModelConfig())
+            if layer.endswith(".dwconv") and op.keywords["dilation"] == (dilation, 1)]
+
+
 class TestGtconvBlock:
+    def test_table_dilations_cover_all_six_blocks(self):
+        # enc.gt0-2 dilate time by 1, 2, 5; the decoder mirrors them
+        assert [blocks_at(d) for d in (1, 2, 5)] == [
+            ["enc.gt0", "dec.gt2"], ["enc.gt1", "dec.gt1"], ["enc.gt2", "dec.gt0"]]
+
     def test_zero_transform_leaves_shuffled_half_identity(self):
         cfg = ModelConfig()
-        w = zero_block(init_random(cfg, 0), "enc.gt0")
         x = np.random.default_rng(2).standard_normal((1, 16, 6, 33)).astype(np.float32)
-        out = gtconv_block(x, w, "enc.gt0", 1)
-        from hybridse.nn import channel_shuffle
-        expect = channel_shuffle(
+        expect = nn.channel_shuffle(
             np.concatenate([x[:, :8], np.zeros_like(x[:, :8])], axis=1), 2)
-        np.testing.assert_array_equal(out, expect)
+        for block in blocks_at(1) + blocks_at(2) + blocks_at(5):
+            w = zero_block(init_random(cfg, 0), block)
+            np.testing.assert_array_equal(gtconv_block(x, w, block, cfg), expect)
 
     @pytest.mark.parametrize("shape", [(1, 16, 6, 33), (2, 16, 9, 33), (1, 16, 1, 5)])
     def test_interleave_equals_concatenate_then_shuffle(self, shape):
@@ -194,12 +204,20 @@ class TestGtconvBlock:
         cfg = ModelConfig()
         w = init_random(cfg, 7)
         x = np.random.default_rng(8).standard_normal(shape).astype(np.float32)
-        t = model._conv_bn_prelu(x[:, 8:], w, "enc.gt1.pconv1", "enc.gt1.bn1", "enc.gt1.prelu1")
-        t = model._conv_bn_prelu(t, w, "enc.gt1.dwconv", "enc.gt1.bn2", "enc.gt1.prelu2",
-                                 dilation=(2, 1), groups=16)
-        t = model._conv(t, w, "enc.gt1.pconv2")
+
+        def bn_prelu(t, bn, prelu):
+            t = nn.batch_norm_infer(t, *(w[f"enc.gt1.{bn}.{k}"]
+                                         for k in ("gamma", "beta", "mean", "var")))
+            return nn.prelu(t, w[f"enc.gt1.{prelu}.alpha"])
+
+        t = nn.conv2d(x[:, 8:], w["enc.gt1.pconv1.kernel"], w["enc.gt1.pconv1.bias"])
+        t = bn_prelu(t, "bn1", "prelu1")
+        t = nn.conv2d(t, w["enc.gt1.dwconv.kernel"], w["enc.gt1.dwconv.bias"],
+                      dilation=(2, 1), groups=16)
+        t = bn_prelu(t, "bn2", "prelu2")
+        t = nn.conv2d(t, w["enc.gt1.pconv2.kernel"], w["enc.gt1.pconv2.bias"])
         want = nn.channel_shuffle(np.concatenate([x[:, :8], t], axis=1), 2)
-        got = gtconv_block(x, w, "enc.gt1", 2)
+        got = gtconv_block(x, w, "enc.gt1", cfg)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -208,7 +226,8 @@ class TestGtconvBlock:
         cfg = ModelConfig()
         w = init_random(cfg, 3)
         x = np.random.default_rng(4).standard_normal((2, 16, 9, 33)).astype(np.float32)
-        assert gtconv_block(x, w, "enc.gt1", dilation).shape == x.shape
+        for block in blocks_at(dilation):
+            assert gtconv_block(x, w, block, cfg).shape == x.shape
 
     @pytest.mark.parametrize("dilation", [1, 2, 5])
     def test_causal_in_time(self, dilation):
@@ -217,15 +236,16 @@ class TestGtconvBlock:
         x = np.random.default_rng(6).standard_normal((1, 16, 12, 33)).astype(np.float32)
         x2 = x.copy()
         x2[:, :, 7:] += 1.0
-        a = gtconv_block(x, w, "enc.gt2", dilation)
-        b = gtconv_block(x2, w, "enc.gt2", dilation)
-        np.testing.assert_array_equal(a[:, :, :7], b[:, :, :7])
+        for block in blocks_at(dilation):
+            a = gtconv_block(x, w, block, cfg)
+            b = gtconv_block(x2, w, block, cfg)
+            np.testing.assert_array_equal(a[:, :, :7], b[:, :, :7])
 
     def test_odd_channels_rejected(self):
         cfg = ModelConfig()
         w = init_random(cfg, 0)
         with pytest.raises(InvalidInputError):
-            gtconv_block(np.zeros((1, 15, 4, 33), np.float32), w, "enc.gt0", 1)
+            gtconv_block(np.zeros((1, 15, 4, 33), np.float32), w, "enc.gt0", cfg)
 
 
 class TestEncodeDecode:

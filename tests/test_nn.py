@@ -268,6 +268,14 @@ class TestConvBoundary:
         with pytest.raises(InvalidInputError, match="at least 1"):
             op(np.zeros((1, 2, 4, 5)), np.zeros((2, 2, 1, 3)), groups=groups)
 
+    @pytest.mark.parametrize("stride", [(1, 1), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("shape", [(1, 2, 0, 5), (1, 2, 4, 0)], ids=["empty_t", "empty_f"])
+    def test_transpose_empty_axis_rejected(self, stride, shape):
+        # conv2d rejects these too; before, stride 1 returned an empty array
+        # and a larger stride failed inside numpy
+        with pytest.raises(InvalidInputError, match="empty"):
+            conv_transpose2d(np.zeros(shape), np.zeros((2, 2, 1, 3)), stride=stride)
+
 
 class TestBatchNorm:
     def test_input_at_mean_returns_beta(self):
@@ -432,3 +440,12 @@ class TestChannelShuffle:
     def test_divisibility_enforced(self):
         with pytest.raises(InvalidInputError):
             channel_shuffle(np.zeros((1, 5, 2, 2)), 2)
+
+    @pytest.mark.parametrize("groups", [0, -2])
+    def test_groups_below_one_rejected(self, groups):
+        with pytest.raises(InvalidInputError):
+            channel_shuffle(np.zeros((1, 4, 2, 2)), groups)
+
+    def test_one_axis_rejected(self):
+        with pytest.raises(InvalidInputError):
+            channel_shuffle(np.zeros(4), 2)

@@ -187,6 +187,25 @@ class TestImageRir:
             sc = dataclasses.replace(sc, source_position=sc.noise_position)
         np.testing.assert_array_equal(image_rir(sc).taps, oracles.image_rir_full_box(sc))
 
+    @pytest.mark.parametrize("seed", [1827, 0, 1, 2, 3, 5, 8, 13])
+    def test_reflection_order_cap_costs_little(self, seed):
+        # image_rir caps the reflection order at ceil(horizon / shortest
+        # side) + 2, which drops diagonal images inside the horizon of small,
+        # live rooms (seed 1827: 3.1 x 3.3 x 3.0 m, RT60 0.40 s).  A cap of
+        # ceil(sqrt(3) * horizon / shortest side) + 4 keeps every such image
+        # (a higher one changes nothing), and it moves the energy and the
+        # measured decay of either mic by little.
+        sc = sample_scene(seed)
+        rir = image_rir(sc)
+        horizon = 343.0 * rir.taps.shape[1] / FS
+        cap = int(np.ceil(np.sqrt(3) * horizon / np.min(sc.room_dims))) + 4
+        full = oracles.image_rir_full_box(sc, max_order=cap)
+        np.testing.assert_array_equal(full, oracles.image_rir_full_box(sc, max_order=cap + 8))
+        for capped, kept in zip(rir.taps, full):
+            energy = np.sum(capped ** 2)
+            assert abs(np.sum(kept ** 2) - energy) < 1e-3 * energy
+            assert abs(schroeder_rt60(kept) - schroeder_rt60(capped)) < 0.01
+
     @pytest.mark.parametrize("rt60", [0.2, 0.3, 0.4])
     def test_decay_tracks_requested_rt60(self, rt60):
         # mid-size room, 2 m source distance: the measured decay should sit
