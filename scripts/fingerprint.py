@@ -12,7 +12,8 @@ package from the ``src/`` next to it:
 The artifacts, one line each:
 
 - ``enhance`` wave and mask for every preset, with and without IVA, on a
-  2 s scene, a silent file (IVA bypass) and a 100-sample file;
+  2 s scene, a 10 s scene (625 frames, which the network runs in three
+  blocks), a silent file (IVA bypass) and a 100-sample file;
 - ``image_rir`` taps and direct-path indices of ``sample_scene`` seeds
   0-599, for the speech and for the noise source;
 - ``render_scene`` mixture and target of ``sample_scene`` seeds 0-7;
@@ -66,7 +67,9 @@ def run_cli(argv) -> str:
 def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
     """Yield ``"<artifact> <sha256>"`` lines."""
     speech, noise = dry_signals(0, 2 * FS)
+    long_speech, long_noise = dry_signals(2, 10 * FS)
     inputs = {"scene": render_scene(sample_scene(0), speech, noise).mixture,
+              "scene-10s": render_scene(sample_scene(1), long_speech, long_noise).mixture,
               "silent": np.zeros((2, 2 * FS)),
               "short": 0.1 * np.random.default_rng(1).standard_normal((2, 100))}
     for preset in presets:

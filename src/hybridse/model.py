@@ -19,6 +19,19 @@ MAC accounting are all read from it, and so is the forward pass.  Each
 conv, BN and PReLU row carries the ``nn`` call that runs it, so encoder,
 G-T-conv blocks and decoder just run their rows in table order; each
 G-DPRNN path reads its GRUs and projections from its rows.
+
+The network is causal in time, and :func:`forward` runs it over blocks of
+at most :data:`BLOCK_FRAMES` frames, so its working set is one block's
+whatever the file length.  :func:`encode`, :func:`gtconv_block`,
+:func:`gdprnn` and :func:`decode` take an optional ``state`` dict that
+carries what crosses a block boundary, keyed by layer or path name: each
+depthwise time conv (the rows whose op binds a dilation) keeps its last
+``(kt - 1) * d`` input frames, 2, 4 or 10, which stand in for its causal
+zero padding in the next block, and the inter path keeps the inter-GRU's
+hidden state, which :func:`nn.gru_scan` takes as ``h0``.  Everything else
+(features, band merge and split, SFE, the strided ``kt = 1`` convs and
+deconvs, the intra-GRU) is local to a frame.  ``state=None`` is the zero
+state and keeps nothing: one call over all frames.
 """
 
 import itertools
@@ -41,6 +54,9 @@ _FEATURES = ("complex", "lps")
 _IVA_CHANNELS = ("s", "s_and_n")
 _MASKINGS = ("mask1_iva", "mask2_noisy")
 _ENCODERS = ("single", "dual")
+
+# Most frames in one block of the forward pass (about 4 s of audio).
+BLOCK_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -273,16 +289,21 @@ def load_weights(data: bytes, cfg: ModelConfig) -> Dict[str, np.ndarray]:
 # forward pass
 
 
-def build_features(y: np.ndarray, y_iva: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Real feature planes [planes, frames, bins] from the noisy and IVA
-    spectrograms: Re/Im of both noisy channels, then the configured IVA
-    planes (Re/Im pairs or log-power, speech channel first).  Raises
-    :class:`InvalidInputError` when a plane leaves the float32 range."""
+def _spectrograms(y, y_iva) -> Tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y)
     y_iva = np.asarray(y_iva)
     if y.shape != y_iva.shape or y.ndim != 3 or y.shape[0] != 2:
         raise InvalidInputError(
             f"expected matching [2, frames, bins] spectrograms, got {y.shape} and {y_iva.shape}")
+    return y, y_iva
+
+
+def build_features(y: np.ndarray, y_iva: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """Real feature planes [planes, frames, bins] from the noisy and IVA
+    spectrograms: Re/Im of both noisy channels, then the configured IVA
+    planes (Re/Im pairs or log-power, speech channel first).  Raises
+    :class:`InvalidInputError` when a plane leaves the float32 range."""
+    y, y_iva = _spectrograms(y, y_iva)
     planes = [y[0].real, y[0].imag, y[1].real, y[1].imag]
     n_iva = 1 if cfg.iva_channels == "s" else 2
     for ch in range(n_iva):
@@ -322,21 +343,42 @@ def _blocks(cfg: ModelConfig):
                  itertools.groupby(_layers(cfg), lambda row: row[0].rpartition(".")[0]))
 
 
-def _run(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig, prefix: str) -> np.ndarray:
+def _carry(op, x: np.ndarray, tensors, state: dict, layer: str) -> np.ndarray:
+    """Run a depthwise time conv row over one block.  The input frames that
+    ``state[layer]`` kept from the blocks before go in front, in place of
+    the causal zero padding, and their outputs are dropped; the last
+    ``(kt - 1) * d`` input frames are kept for the next block."""
+    past = state.get(layer)
+    if past is not None:
+        x = np.concatenate([past, x], axis=2)
+    reach = (tensors[0].shape[2] - 1) * op.keywords["dilation"][0]
+    state[layer] = x[:, :, max(x.shape[2] - reach, 0):].copy()
+    out = op(x, *tensors)
+    return out if past is None else out[:, :, past.shape[2]:]
+
+
+def _run(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig, prefix: str,
+         state: Optional[dict] = None) -> np.ndarray:
     """Run the table's layers under ``prefix`` in table order: each row
     directly under it through its ``op``, each G-T-conv block
-    ``{prefix}.gt{i}`` as one :func:`gtconv_block`."""
+    ``{prefix}.gt{i}`` as one :func:`gtconv_block`.  With a ``state``, the
+    rows whose op binds a dilation (the depthwise time convs) run through
+    :func:`_carry`."""
     for block, rows in _blocks(cfg):
         if block == prefix:
             for layer, leaves, *_, op in rows:
-                x = op(x, *(w[f"{layer}.{leaf}"] for leaf in leaves))
+                tensors = tuple(w[f"{layer}.{leaf}"] for leaf in leaves)
+                if state is not None and "dilation" in getattr(op, "keywords", ()):
+                    x = _carry(op, x, tensors, state, layer)
+                else:
+                    x = op(x, *tensors)
         elif block.startswith(f"{prefix}.gt"):
-            x = gtconv_block(x, w, block, cfg)
+            x = gtconv_block(x, w, block, cfg, state)
     return x
 
 
 def gtconv_block(x: np.ndarray, w: Dict[str, np.ndarray], prefix: str,
-                 cfg: ModelConfig) -> np.ndarray:
+                 cfg: ModelConfig, state: Optional[dict] = None) -> np.ndarray:
     """Half-identity grouped temporal conv block: the second channel half
     runs the block's rows (pointwise expand, causal time-dilated depthwise,
     pointwise squeeze, the first two with BN+PReLU), and the halves are
@@ -346,7 +388,7 @@ def gtconv_block(x: np.ndarray, w: Dict[str, np.ndarray], prefix: str,
     if ch % 2 != 0:
         raise InvalidInputError("gtconv block needs an even channel count")
     half = ch // 2
-    t = _run(x[:, half:], w, cfg, prefix)
+    t = _run(x[:, half:], w, cfg, prefix, state)
     out = np.empty(x.shape, dtype=np.result_type(x, t))
     pairs = out.reshape(b, half, 2, *x.shape[2:])
     pairs[:, :, 0] = x[:, :half]
@@ -354,7 +396,8 @@ def gtconv_block(x: np.ndarray, w: Dict[str, np.ndarray], prefix: str,
     return out
 
 
-def encode(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig):
+def encode(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig,
+           state: Optional[dict] = None):
     """Feature tensor [batch, 3P, time, 129] to ``(latent, skip)``, both
     [batch, 16, time, 33]; the skip is the latent itself.  A dual encoder
     fuses the outputs of its noisy-plane and IVA-plane branches."""
@@ -362,14 +405,14 @@ def encode(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig):
         raise InvalidInputError(f"expected [batch, channel, time, freq], got {x.shape}")
     if cfg.encoder == "dual":
         n_main = 4 * cfg.sfe_kernel
-        x = np.concatenate([_run(x[:, :n_main], w, cfg, "enc.main"),
-                            _run(x[:, n_main:], w, cfg, "enc.aux")], axis=1)
-    latent = _run(x, w, cfg, "enc")
+        x = np.concatenate([_run(x[:, :n_main], w, cfg, "enc.main", state),
+                            _run(x[:, n_main:], w, cfg, "enc.aux", state)], axis=1)
+    latent = _run(x, w, cfg, "enc", state)
     return latent, latent
 
 
 def _dprnn_path(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig, path: str,
-                perm: Tuple[int, ...]) -> np.ndarray:
+                perm: Tuple[int, ...], state: Optional[dict] = None) -> np.ndarray:
     """One G-DPRNN path: ``x`` plus the channel-shuffled projection of the
     path's GRUs.  ``perm`` lays ``x``, viewed as [batch, groups, gw, time,
     bands], out as [groups, scanned, batch, other, gw].  The path's rows list
@@ -377,7 +420,8 @@ def _dprnn_path(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig, path:
     one :func:`nn.gru_scan` runs them all, a backward GRU over the reversed
     scan axis, and each projection sums its directions' halves straight into
     the shuffled order: output channel ``j * groups + g`` is unit ``j`` of
-    group ``g``."""
+    group ``g``.  With a ``state``, the scan starts from ``state[path]``
+    (zeros if absent) and leaves its last step there."""
     b, c, t, f = x.shape
     groups = cfg.dprnn_groups
     gw = c // groups
@@ -390,7 +434,10 @@ def _dprnn_path(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig, path:
     if directions == 2:
         seq = np.stack([seq, seq[:, ::-1]], axis=1)
     h = nn.gru_scan(seq.reshape(groups * directions, n_scan, b * n_other, gw),
-                    *(np.stack([w[f"{n}.{k}"] for n in grus]) for k in ("w_x", "w_h", "bias")))
+                    *(np.stack([w[f"{n}.{k}"] for n in grus]) for k in ("w_x", "w_h", "bias")),
+                    h0=None if state is None else state.get(path))
+    if state is not None:
+        state[path] = h[:, -1].copy()
     h = h.reshape(groups, directions, *h.shape[1:])
     k = np.stack([w[f"{n}.kernel"] for n in projs]).reshape(groups, directions, 1, -1, gw)
     p = np.matmul(h[:, 0], k[:, 0])
@@ -402,23 +449,37 @@ def _dprnn_path(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig, path:
     return (x.reshape(b, gw, groups, t, f) + shuffled).reshape(b, c, t, f)
 
 
-def gdprnn(latent: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig) -> np.ndarray:
+def gdprnn(latent: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig,
+           state: Optional[dict] = None) -> np.ndarray:
     """Grouped dual-path block: bidirectional GRUs over bands within each
     frame, then causal GRUs over time within each band, each followed by a
     linear projection back to group width, a channel shuffle, and a residual
     add, each path one :func:`_dprnn_path`.  Output shape equals input shape.
+    Only the inter path, the one over time, reads and writes ``state``.
     """
     c = latent.shape[1]
     if c % cfg.dprnn_groups != 0:
         raise InvalidInputError(f"{c} channels not divisible by {cfg.dprnn_groups} groups")
     x = _dprnn_path(latent, w, cfg, "dprnn.intra", (1, 4, 0, 3, 2))
-    return _dprnn_path(x, w, cfg, "dprnn.inter", (1, 3, 0, 4, 2))
+    return _dprnn_path(x, w, cfg, "dprnn.inter", (1, 3, 0, 4, 2), state)
 
 
-def decode(z: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig) -> np.ndarray:
+def decode(z: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig,
+           state: Optional[dict] = None) -> np.ndarray:
     """Latent-plus-skip [batch, 16, time, 33] to a two-plane mask at 129
     bands, squashed to (-1, 1) by the final tanh."""
-    return np.tanh(_run(z, w, cfg, "dec"))
+    return np.tanh(_run(z, w, cfg, "dec", state))
+
+
+def _forward_block(y: np.ndarray, y_iva: np.ndarray, w: Dict[str, np.ndarray],
+                   cfg: ModelConfig, state: Optional[dict]) -> np.ndarray:
+    """The mask [2, frames, 257] of the frames that follow the ones ``state``
+    has seen, which it then carries past these; ``None`` is the zero state
+    and keeps nothing."""
+    merged = band_merge(build_features(y, y_iva, cfg)).astype(np.float32)
+    latent, skip = encode(sfe(merged[None], cfg.sfe_kernel), w, cfg, state)
+    z = gdprnn(latent, w, cfg, state) + skip
+    return band_split(decode(z, w, cfg, state).astype(np.float64))[0]
 
 
 def forward(y: np.ndarray, y_iva: np.ndarray, w: Dict[str, np.ndarray],
@@ -427,14 +488,25 @@ def forward(y: np.ndarray, y_iva: np.ndarray, w: Dict[str, np.ndarray],
 
     Plane 0 is the real mask, plane 1 the imaginary mask; both lie in
     [-1, 1] (tanh output propagated through the convex band split).
+
+    The network runs over consecutive blocks from one carried state, each
+    block's mask written into the output, so the memory it needs beyond its
+    input and output does not grow with the frame count.  The frames are
+    cut into ``ceil(frames / BLOCK_FRAMES)`` blocks whose lengths differ by
+    at most one, so no block is shorter than half of :data:`BLOCK_FRAMES`:
+    BLAS rounds a product of a few rows differently from a tall one, and
+    long blocks keep the mask byte for byte the one a single block over all
+    frames gives.
     """
-    feats = build_features(y, y_iva, cfg)
-    merged = band_merge(feats).astype(np.float32)
-    x = sfe(merged[None], cfg.sfe_kernel)
-    latent, skip = encode(x, w, cfg)
-    z = gdprnn(latent, w, cfg) + skip
-    mask = decode(z, w, cfg)
-    return band_split(mask.astype(np.float64))[0]
+    y, y_iva = _spectrograms(y, y_iva)
+    frames = y.shape[1]
+    n_blocks = max(-(-frames // BLOCK_FRAMES), 1)
+    edges = [frames * i // n_blocks for i in range(n_blocks + 1)]
+    mask = np.empty((2, frames, N_BINS))
+    state: dict = {}
+    for a, b in zip(edges, edges[1:]):
+        mask[:, a:b] = _forward_block(y[:, a:b], y_iva[:, a:b], w, cfg, state)
+    return mask
 
 
 def apply_mask(mask: np.ndarray, y: np.ndarray, y_iva: np.ndarray,

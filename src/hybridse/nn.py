@@ -24,8 +24,11 @@ independent forward GRUs in lockstep.  Its inputs are stacked on a leading
 axis, ``x`` [S, time, batch, input], with weights ``w_x`` [S, input, 3H],
 ``w_h`` [S, H, 3H] and ``bias`` [S, 3H] (gate columns: update, reset,
 candidate), so a caller folds groups and directions into ``S``; a backward
-GRU is a forward one over the time-reversed input.  :func:`gru_sequence` is
-the single-GRU [time, batch, input] view of the same kernel.
+GRU is a forward one over the time-reversed input.  It starts from zeros,
+or from ``h0`` [S, batch, H]: passing a scan's last step as the next
+scan's ``h0`` continues it bit for bit, which is how a caller runs a
+sequence in blocks.  :func:`gru_sequence` is the single-GRU
+[time, batch, input] view of the same kernel.
 """
 
 from dataclasses import dataclass
@@ -54,9 +57,14 @@ def _pads(kt, kf, dt, df):
     return (kt - 1) * dt, total_f // 2, total_f - total_f // 2
 
 
-def _check_geometry(kernel: np.ndarray, stride, dilation, groups: int) -> None:
+def _check_geometry(x: np.ndarray, kernel: np.ndarray, stride, dilation, groups: int) -> None:
+    if x.ndim != 4:
+        raise InvalidInputError(f"expected [batch, channel, time, freq], got shape {x.shape}")
     if kernel.ndim != 4:
         raise InvalidInputError(f"expected a 4-D kernel, got shape {kernel.shape}")
+    if 0 in x.shape or 0 in kernel.shape:
+        raise InvalidInputError(f"empty axis in input shape {x.shape} or kernel shape "
+                                f"{kernel.shape}")
     if min(*stride, *dilation, groups) < 1:
         raise InvalidInputError(f"stride {tuple(stride)}, dilation {tuple(dilation)} and "
                                 f"groups {groups} must all be at least 1")
@@ -88,9 +96,7 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: Optional[np.ndarray] = None,
     buffer, in chunks of the flattened axis.  Taps are summed in ``(i, j)``
     order into a zeroed accumulator.
     """
-    if x.ndim != 4:
-        raise InvalidInputError(f"expected [batch, channel, time, freq], got shape {x.shape}")
-    _check_geometry(kernel, stride, dilation, groups)
+    _check_geometry(x, kernel, stride, dilation, groups)
     out_ch, in_per_g, kt, kf = kernel.shape
     st, sf = stride
     dt, df = dilation
@@ -104,8 +110,6 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: Optional[np.ndarray] = None,
     pt, pf_l, pf_r = _pads(kt, kf, dt, df)
     t_out = (t_in - 1) // st + 1
     f_out = (f_in - 1) // sf + 1
-    if t_out <= 0 or f_out <= 0:
-        raise InvalidInputError("input smaller than the (dilated) kernel")
 
     # tap (i, j) reads padded cell (i * dt + r * st, j * df + c * sf) for
     # output (r, c): plane row qi + r, column qj + c of phase (a, e)
@@ -175,9 +179,7 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
     ``(i, j)`` order; for a finite kernel the widening columns add zeros.  The phases are
     interleaved into the trimmed output once at the end.
     """
-    if x.ndim != 4:
-        raise InvalidInputError(f"expected [batch, channel, time, freq], got shape {x.shape}")
-    _check_geometry(kernel, stride, (1, 1), groups)
+    _check_geometry(x, kernel, stride, (1, 1), groups)
     in_ch, o_per_g, kt, kf = kernel.shape
     st, sf = stride
     if x.shape[1] != in_ch:
@@ -187,8 +189,6 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
         raise InvalidInputError("input channels must be divisible by groups")
 
     b, _, t_in, f_in = x.shape
-    if t_in == 0 or f_in == 0:
-        raise InvalidInputError(f"empty time or frequency axis in shape {x.shape}")
     pt, pf_l, _ = _pads(kt, kf, 1, 1)
     tq, fq = t_in - 1 - (-kt // st), f_in - 1 - (-kf // sf)
     if fq != f_in:
@@ -262,23 +262,31 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 
 def gru_scan(x: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
-             bias: np.ndarray) -> np.ndarray:
-    """Run ``S`` independent forward GRUs in lockstep from a zero state.
+             bias: np.ndarray, h0: Optional[np.ndarray] = None) -> np.ndarray:
+    """Run ``S`` independent forward GRUs in lockstep from the state ``h0``
+    [S, batch, H], or from zeros when it is ``None``.
 
     ``x`` is [S, time, batch, input]; the weights are stacked per GRU,
     ``w_x`` [S, input, 3H], ``w_h`` [S, H, 3H], ``bias`` [S, 3H], gate
     columns ordered (update, reset, candidate).  Returns the hidden states
     [S, time, batch, H].  Each step projects only that step's input and
-    advances every gate of every GRU with one batched ``h @ w_h``.
+    advances every gate of every GRU with one batched ``h @ w_h``.  Passing
+    the last returned step as the next call's ``h0`` continues the scan
+    exactly where it stopped.
     """
     s, t_len, batch, d_in = x.shape
     h_dim = w_h.shape[1]
+    if h0 is None:
+        h = np.zeros((s, batch, h_dim), dtype=x.dtype)
+    elif np.shape(h0) != (s, batch, h_dim):
+        raise InvalidInputError(f"h0 has shape {np.shape(h0)}, expected {(s, batch, h_dim)}")
+    else:
+        h = np.asarray(h0, dtype=x.dtype)
     # gate-major copies, [S, 3, in|H, H], so every gate plane is contiguous
     wx = w_x.reshape(s, d_in, 3, h_dim).transpose(0, 2, 1, 3).copy()
     wh = w_h.reshape(s, h_dim, 3, h_dim).transpose(0, 2, 1, 3).copy()
     b = bias.reshape(s, 3, 1, h_dim)
     out = np.empty((s, t_len, batch, h_dim), dtype=x.dtype)
-    h = np.zeros((s, batch, h_dim), dtype=x.dtype)
     for t in range(t_len):
         pre = np.matmul(x[:, t, None], wx)
         pre += b

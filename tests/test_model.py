@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,6 +87,8 @@ class TestConfig:
         (nn.conv2d, ["x", "kernel", "bias", "stride", "dilation", "groups"]),
         (nn.conv_transpose2d, ["x", "kernel", "bias", "stride", "groups"]),
         (nn.batch_norm_infer, ["x", "gamma", "beta", "mean", "var"]),
+        (nn.gru_scan, ["x", "w_x", "w_h", "bias", "h0"]),
+        (forward, ["y", "y_iva", "w", "cfg"]),
         (iva_macs_per_second, ["cfg"]),
         (log_power, ["spec"]),
         (simkit.early_target, ["speech", "rir"]),
@@ -247,6 +250,38 @@ class TestGtconvBlock:
         with pytest.raises(InvalidInputError):
             gtconv_block(np.zeros((1, 15, 4, 33), np.float32), w, "enc.gt0", cfg)
 
+    @pytest.mark.parametrize("dilation", [1, 2, 5])
+    def test_carried_depthwise_row_equals_whole_conv(self, dilation):
+        # the frames kept from the blocks before stand in for the causal
+        # zero padding, also when a block is shorter than the padding
+        cfg = ModelConfig()
+        w = init_random(cfg, 13)
+        x = np.random.default_rng(14).standard_normal((2, 16, 23, 33)).astype(np.float32)
+        for block in blocks_at(dilation):
+            layer = f"{block}.dwconv"
+            op = next(row[-1] for row in model._layers(cfg) if row[0] == layer)
+            tensors = (w[f"{layer}.kernel"], w[f"{layer}.bias"])
+            whole = op(x, *tensors)
+            for cuts in ([11], [1], [1, 2, 3, 15], list(range(1, 23))):
+                state = {}
+                parts = [model._carry(op, x[:, :, a:b], tensors, state, layer)
+                         for a, b in zip([0] + cuts, cuts + [23])]
+                assert np.concatenate(parts, axis=2).tobytes() == whole.tobytes()
+                assert state[layer].shape[2] == 2 * dilation
+
+    @pytest.mark.parametrize("dilation", [1, 2, 5])
+    def test_carried_block_equals_whole_block(self, dilation):
+        cfg = ModelConfig()
+        w = init_random(cfg, 15)
+        x = np.random.default_rng(16).standard_normal((1, 16, 20, 33)).astype(np.float32)
+        for block in blocks_at(dilation):
+            state = {}
+            parts = [gtconv_block(x[:, :, a:b], w, block, cfg, state)
+                     for a, b in ((0, 3), (3, 12), (12, 20))]
+            assert list(state) == [f"{block}.dwconv"]
+            assert (np.concatenate(parts, axis=2).tobytes()
+                    == gtconv_block(x, w, block, cfg).tobytes())
+
 
 class TestEncodeDecode:
     def test_encoder_band_trace(self):
@@ -338,6 +373,19 @@ class TestGdprnn:
         with pytest.raises(InvalidInputError):
             gdprnn(np.zeros((1, 15, 4, 33), np.float32), w, cfg)
 
+    def test_carried_inter_state_equals_one_call(self):
+        # only the inter GRU's hidden state crosses a block boundary; the
+        # intra path is zeroed to the identity, because its GRU rounds a
+        # one-frame batch differently in BLAS
+        cfg = ModelConfig()
+        w = zero_block(init_random(cfg, 17), "dprnn.intra")
+        x = np.random.default_rng(17).standard_normal((1, 16, 10, 33)).astype(np.float32)
+        state = {}
+        parts = [gdprnn(x[:, :, a:b], w, cfg, state) for a, b in ((0, 1), (1, 6), (6, 10))]
+        assert list(state) == ["dprnn.inter"]
+        assert state["dprnn.inter"].shape == (cfg.dprnn_groups, 33, cfg.inter_hidden)
+        assert np.concatenate(parts, axis=2).tobytes() == gdprnn(x, w, cfg).tobytes()
+
 
 class TestForward:
     def test_shape_range_determinism(self):
@@ -394,6 +442,97 @@ class TestForward:
         mask = forward(*rand_specs(4, frames=3), w, cfg)
         assert read == set(expected_shapes(cfg))
         assert np.all(np.isfinite(mask))
+
+
+_PRESET_WEIGHTS = {name: init_random(cfg, 0) for name, cfg in PRESETS.items()}
+
+
+def one_block_mask(y, yi, w, cfg):
+    """The mask of the whole input run as one block from the zero state."""
+    return model._forward_block(y, yi, w, cfg, None)
+
+
+class TestBlockedForward:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @settings(max_examples=15, deadline=None)
+    @given(frames=st.integers(1, 40), cuts=st.lists(st.integers(1, 39), max_size=6),
+           seed=st.integers(0, 2 ** 16))
+    @example(frames=33, cuts=[7, 14, 21, 28], seed=0)
+    @example(frames=12, cuts=[1, 2, 3], seed=1)
+    def test_any_block_split_gives_the_one_block_mask(self, preset, frames, cuts, seed):
+        # tiny blocks may round differently in BLAS, so the bound is the
+        # oracle's, not byte identity
+        cfg = PRESETS[preset]
+        w = _PRESET_WEIGHTS[preset]
+        y, yi = rand_specs(seed, frames=frames)
+        edges = sorted({0, frames, *(c for c in cuts if c < frames)})
+        state = {}
+        blocked = np.concatenate([model._forward_block(y[:, a:b], yi[:, a:b], w, cfg, state)
+                                  for a, b in zip(edges, edges[1:])], axis=1)
+        whole = one_block_mask(y, yi, w, cfg)
+        assert blocked.shape == whole.shape == (2, frames, 257)
+        assert np.max(np.abs(blocked - whole)) / np.max(np.abs(whole)) < 1e-5
+
+    @pytest.mark.parametrize("frames, lengths", [
+        (1, [1]), (256, [256]), (257, [128, 129]), (625, [208, 208, 209]),
+        (769, [192, 192, 192, 193])])
+    def test_blocks_are_near_equal(self, frames, lengths, monkeypatch):
+        seen = []
+        block = model._forward_block
+
+        def recording(y, *args):
+            seen.append(y.shape[1])
+            return block(y, *args)
+
+        monkeypatch.setattr(model, "_forward_block", recording)
+        cfg = ModelConfig()
+        forward(*rand_specs(21, frames=frames), init_random(cfg, 0), cfg)
+        assert seen == lengths
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("use_iva", [True, False])
+    def test_production_blocks_are_byte_identical(self, preset, use_iva):
+        # a 10 s scene is 625 frames, three blocks
+        cfg = PRESETS[preset]
+        w = _PRESET_WEIGHTS[preset]
+        rng = np.random.default_rng(18)
+        wave = rng.standard_normal((2, 2)) @ np.stack(
+            [rng.laplace(size=10 * 16000), rng.standard_normal(10 * 16000)])
+        r = enhance(0.05 * wave, w, cfg, use_iva=use_iva)
+        assert r.used_iva == use_iva and r.mask.shape == (2, 625, 257)
+        whole = one_block_mask(r.noisy_spec, r.iva_spec, w, cfg)
+        assert r.mask.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("frames", [1, 255, 256, 257, 270, 513, 530])
+    def test_block_edges(self, frames):
+        # with fixed 256-frame blocks, 257, 270, 513 and 530 frames would
+        # end in a block of 1 or 14 frames, which rounded differently
+        cfg = ModelConfig()
+        w = init_random(cfg, 19)
+        y, yi = rand_specs(19, frames=frames)
+        assert forward(y, yi, w, cfg).tobytes() == one_block_mask(y, yi, w, cfg).tobytes()
+
+    def test_memory_flat_in_input_length(self):
+        # beyond its output mask, forward's traced peak above entry does not
+        # grow from a 20 s to a 60 s input; one call over every frame at once
+        # grew by about 110 MB
+        cfg = ModelConfig()
+        w = init_random(cfg, 0)
+
+        def growth(seconds):
+            frames = int(seconds * StftConfig.frames_per_second)
+            y, _ = rand_specs(20, frames=frames)
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                mask = forward(y, y, w, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - entry, mask.nbytes
+
+        (short, short_mask), (long, long_mask) = growth(20), growth(60)
+        assert long - short <= (long_mask - short_mask) + (1 << 20)
 
 
 class TestApplyMask:

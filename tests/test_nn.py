@@ -276,6 +276,32 @@ class TestConvBoundary:
         with pytest.raises(InvalidInputError, match="empty"):
             conv_transpose2d(np.zeros(shape), np.zeros((2, 2, 1, 3)), stride=stride)
 
+    @pytest.mark.parametrize("x_shape, k_shape", [
+        ((0, 2, 4, 5), (2, 2, 1, 3)),       # empty batch
+        ((1, 0, 4, 5), (2, 0, 1, 3)),       # no input channels
+        ((1, 2, 0, 5), (2, 2, 1, 3)),       # empty time axis
+        ((1, 2, 4, 0), (2, 2, 1, 3)),       # empty frequency axis
+        ((1, 2, 4, 5), (2, 2, 0, 3)),       # empty time tap axis
+        ((1, 2, 4, 5), (2, 2, 1, 0)),       # empty frequency tap axis
+        ((1, 2, 4, 5), (0, 2, 1, 3)),       # no output channels
+    ])
+    def test_conv2d_empty_axis_rejected(self, x_shape, k_shape):
+        # the first four and the tap axes used to fail inside numpy's reshape
+        with pytest.raises(InvalidInputError, match="empty"):
+            conv2d(np.zeros(x_shape), np.zeros(k_shape), np.zeros(k_shape[0]))
+
+    @pytest.mark.parametrize("x_shape, k_shape", [
+        ((0, 2, 4, 5), (2, 2, 1, 3)),       # empty batch
+        ((1, 0, 4, 5), (0, 2, 1, 3)),       # no input channels
+        ((1, 2, 4, 5), (2, 0, 1, 3)),       # no output channels
+        ((1, 2, 4, 5), (2, 2, 0, 3)),       # empty time tap axis
+        ((1, 2, 4, 5), (2, 2, 1, 0)),       # empty frequency tap axis
+    ])
+    def test_transpose_empty_batch_channels_or_taps_rejected(self, x_shape, k_shape):
+        # these used to return an empty or all-bias array, or fail in numpy
+        with pytest.raises(InvalidInputError, match="empty"):
+            conv_transpose2d(np.zeros(x_shape), np.zeros(k_shape), np.ones(k_shape[1]))
+
 
 class TestBatchNorm:
     def test_input_at_mean_returns_beta(self):
@@ -402,6 +428,44 @@ class TestGru:
             out = gru_scan(x, w_x, w_h, bias)
         np.testing.assert_array_equal(out[0], 0.0)
         np.testing.assert_array_equal(out[1], np.tanh(np.float32(0.5)))
+
+    @staticmethod
+    def random_stack(rng, s, t_len, batch, d_in, hidden, dtype):
+        x = rng.standard_normal((s, t_len, batch, d_in)).astype(dtype)
+        weights = [(0.5 * rng.standard_normal(shape)).astype(dtype) for shape in
+                   ((s, d_in, 3 * hidden), (s, hidden, 3 * hidden), (s, 3 * hidden))]
+        return x, weights
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_split_scan_with_h0_is_one_scan(self, dtype):
+        # passing the last step on as h0 continues the scan bit for bit,
+        # wherever it is split, one step or several at a time
+        rng = np.random.default_rng(26)
+        x, weights = self.random_stack(rng, 3, 9, 4, 5, 4, dtype)
+        whole = gru_scan(x, *weights)
+        for cut in range(10):
+            head = gru_scan(x[:, :cut], *weights)
+            h0 = head[:, -1] if cut else None
+            tail = gru_scan(x[:, cut:], *weights, h0=h0)
+            assert np.concatenate([head, tail], axis=1).tobytes() == whole.tobytes()
+        h, steps = None, []
+        for t in range(9):
+            steps.append(gru_scan(x[:, t:t + 1], *weights, h0=h))
+            h = steps[-1][:, -1]
+        assert np.concatenate(steps, axis=1).tobytes() == whole.tobytes()
+
+    def test_zero_h0_is_the_zero_state(self):
+        rng = np.random.default_rng(27)
+        x, weights = self.random_stack(rng, 2, 5, 3, 4, 6, np.float32)
+        h0 = np.zeros((2, 3, 6), np.float32)
+        assert gru_scan(x, *weights, h0=h0).tobytes() == gru_scan(x, *weights).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3, 6), (2, 4, 6), (2, 3, 5), (2, 3, 6, 1)])
+    def test_h0_wrong_shape_rejected(self, shape):
+        rng = np.random.default_rng(28)
+        x, weights = self.random_stack(rng, 2, 5, 3, 4, 6, np.float32)
+        with pytest.raises(InvalidInputError, match="h0"):
+            gru_scan(x, *weights, h0=np.zeros(shape, np.float32))
 
     def test_empty_sequence(self):
         p = self.random_params(np.random.default_rng(21), 4, 3)
