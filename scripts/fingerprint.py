@@ -14,6 +14,10 @@ The artifacts, one line each:
 - ``enhance`` wave and mask for every preset, with and without IVA, on a
   2 s scene, a 10 s scene (625 frames, which the network runs in three
   blocks), a silent file (IVA bypass) and a 100-sample file;
+- ``separate``'s speech and noise waves (Aux-IVA, then ``istft`` at the
+  input length) on the 2 s and the 10 s scene;
+- ``istft`` of a stereo spectrogram at lengths short of, at and beyond
+  its overlap-add extent;
 - ``image_rir`` taps and direct-path indices of ``sample_scene`` seeds
   0-599, for the speech and for the noise source;
 - ``render_scene`` mixture and target of ``sample_scene`` seeds 0-7;
@@ -34,8 +38,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hybridse import (PRESETS, IvaConfig, enhance, image_rir,  # noqa: E402
-                      init_random, render_scene, sample_scene, write_wav)
+from hybridse import (PRESETS, IvaConfig, auxiva_separate, enhance,  # noqa: E402
+                      image_rir, init_random, istft, render_scene, sample_scene,
+                      stft, write_wav)
 from hybridse.cli import main as cli_main  # noqa: E402
 
 FS = 16000
@@ -82,6 +87,17 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
                 tag = f"enhance {preset} {'iva' if use_iva else 'no-iva'} {name}"
                 yield f"{tag} wave {digest(res.wave)}"
                 yield f"{tag} mask {digest(res.mask)}"
+
+    for name in ("scene", "scene-10s"):
+        wave = inputs[name]
+        sources, _ = auxiva_separate(stft(wave), IvaConfig())
+        for source, spec in zip(("speech", "noise"), sources):
+            yield f"separate {name} {source} {digest(istft(spec, length=wave.shape[1]))}"
+
+    rng = np.random.default_rng(3)
+    spec = rng.standard_normal((2, 12, 257)) + 1j * rng.standard_normal((2, 12, 257))
+    for length in (3000, 11 * 256 + 512, 4000):   # short of, at and past the extent
+        yield f"istft stereo length {length} {digest(istft(spec, length=length))}"
 
     for seed in rir_seeds:
         sc = sample_scene(seed)

@@ -29,7 +29,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .dsp import StftConfig
+from .dsp import StftConfig, check_float32_range
 from .errors import DegenerateInputError, InvalidInputError, NumericalError
 
 # Row (a, b) of ``w`` splits a bin's power |a y0 + b y1|^2 into the direct
@@ -254,7 +254,8 @@ def auxiva_separate(spec, cfg: IvaConfig = IvaConfig()):
     spikier frame envelope (higher excess kurtosis, speech-like) comes first;
     ``w`` is the final demixing tensor ``[bins, 2, 2]`` under the same
     ordering.  Fewer than 2 frames or an all-zero ``spec`` raise
-    :class:`DegenerateInputError`, on which ``enhance`` bypasses IVA.
+    :class:`DegenerateInputError`, on which ``enhance`` bypasses IVA; a part
+    beyond the float32 range, or NaN, raises :class:`InvalidInputError`.
 
     The rank-1 covariance terms are built once per utterance
     (:func:`covariance_stats`) and shared by every sweep; the result is
@@ -266,6 +267,7 @@ def auxiva_separate(spec, cfg: IvaConfig = IvaConfig()):
         raise DegenerateInputError("need at least 2 frames")
     if not np.any(spec):
         raise DegenerateInputError("all-zero input; nothing to separate")
+    check_float32_range(spec.real, spec.imag)
     n_bins = spec.shape[2]
 
     w = np.tile(np.eye(2, dtype=np.complex128), (n_bins, 1, 1))

@@ -84,6 +84,4 @@ def band_split(x: np.ndarray, fb: ErbFilterbank = ErbFilterbank()) -> np.ndarray
     x = np.asarray(x)
     if x.shape[-1] != fb.n_bands:
         raise InvalidInputError(f"expected {fb.n_bands} bands on the last axis, got {x.shape[-1]}")
-    low = x[..., :fb.n_low]
-    high = x[..., fb.n_low:] @ fb.split_weights.T
-    return np.concatenate([low, high], axis=-1)
+    return x[..., np.concatenate([np.arange(fb.n_low), fb.n_low + fb.band_of_bin])]

@@ -88,16 +88,13 @@ def istft(spec: np.ndarray, cfg: StftConfig = StftConfig(), length: int = None) 
     roundoff; the first and last ``hop`` samples follow the window taper.
     """
     spec = np.asarray(spec)
-    squeeze = spec.ndim == 2
-    if squeeze:
-        spec = spec[None]
-    if spec.ndim != 3:
+    if spec.ndim not in (2, 3):
         raise InvalidInputError(f"spectrogram must be 2-D or 3-D, got shape {spec.shape}")
     if spec.shape[-1] != cfg.n_bins:
         raise InvalidInputError(
             f"bin count {spec.shape[-1]} does not match config ({cfg.n_bins})")
 
-    n_ch, n_frames, _ = spec.shape
+    lead, n_frames = spec.shape[:-2], spec.shape[-2]
     total = (n_frames - 1) * cfg.hop + cfg.fft_size
     length = total if length is None else length
     if length < 0:
@@ -105,19 +102,23 @@ def istft(spec: np.ndarray, cfg: StftConfig = StftConfig(), length: int = None) 
     # at the 50% hop, block b of hop samples is zero + the tail of frame b - 1
     # + the head of frame b: the sums a frame-by-frame overlap-add forms
     n_blocks = max(n_frames + 1, -(-length // cfg.hop))
-    halves = (np.fft.irfft(spec, n=cfg.fft_size, axis=-1) * cfg.window).reshape(
-        n_ch, n_frames, 2, cfg.hop)
-    w2 = (cfg.window**2).reshape(2, cfg.hop)
-    out = np.zeros((n_ch, n_blocks, cfg.hop), dtype=np.float64)
-    cola = np.zeros((n_blocks, cfg.hop), dtype=np.float64)
-    out[:, 1:n_frames + 1] += halves[:, :, 1]
-    out[:, :n_frames] += halves[:, :, 0]
-    cola[1:n_frames + 1] += w2[1]
-    cola[:n_frames] += w2[0]
-    out, cola = out.reshape(n_ch, -1)[:, :length], cola.reshape(-1)[:length]
-    nz = cola > _COLA_FLOOR
-    out[:, nz] /= cola[nz]
-    return out[0] if squeeze else out
+    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=-1)
+    frames *= cfg.window
+    out = np.zeros(lead + (n_blocks, cfg.hop), dtype=np.float64)
+    out[..., 1:n_frames + 1, :] += frames[..., cfg.hop:]
+    out[..., :n_frames, :] += frames[..., :cfg.hop]
+    head, tail = (cfg.window**2).reshape(2, cfg.hop)
+    for a, b, env in ((0, 1, head), (1, n_frames, head + tail), (n_frames, n_frames + 1, tail)):
+        np.divide(out[..., a:b, :], env, out=out[..., a:b, :], where=env > _COLA_FLOOR)
+    return out.reshape(lead + (-1,))[..., :length]
+
+
+def check_float32_range(*parts: np.ndarray) -> None:
+    """Raise InvalidInputError unless all ``parts`` lie in the float32 range (NaN fails)."""
+    limit = np.finfo(np.float32).max
+    for x in parts:
+        if not (x.max() <= limit and x.min() >= -limit):
+            raise InvalidInputError("input too loud: spectrogram exceeds the float32 range")
 
 
 def log_power(spec: np.ndarray) -> np.ndarray:

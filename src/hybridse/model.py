@@ -46,7 +46,7 @@ import numpy as np
 from . import nn
 from .auxiva import IvaConfig, auxiva_separate, iva_macs_per_second
 from .bands import N_BANDS, N_BINS, N_HIGH, band_merge, band_split
-from .dsp import StftConfig, istft, log_power, stft
+from .dsp import StftConfig, check_float32_range, istft, log_power, stft
 from .errors import DegenerateInputError, InvalidInputError, WeightFormatError
 from .weights import deserialize_tensors, serialize_tensors
 
@@ -313,9 +313,7 @@ def build_features(y: np.ndarray, y_iva: np.ndarray, cfg: ModelConfig) -> np.nda
         else:
             planes.append(log_power(y_iva[ch]))
     feats = np.stack(planes)
-    limit = np.finfo(np.float32).max
-    if feats.max() > limit or feats.min() < -limit:
-        raise InvalidInputError("input too loud: spectrogram exceeds the float32 range")
+    check_float32_range(feats)
     return feats.astype(np.float32)
 
 

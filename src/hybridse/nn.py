@@ -71,9 +71,9 @@ def _check_geometry(x: np.ndarray, kernel: np.ndarray, stride, dilation, groups:
 
 
 def _phase_start(phase: int, pad: int, step: int) -> Tuple[int, int]:
-    """First plane index of a stride phase that holds input, and the input
-    index it holds: padded index ``phase + k * step`` is input index
-    ``phase + k * step - pad``."""
+    """First plane index of a stride phase inside the unpadded axis (conv2d's
+    input, conv_transpose2d's output), and the unpadded index it holds:
+    padded index ``phase + k * step`` is unpadded ``phase + k * step - pad``."""
     k = -((phase - pad) // step)
     return k, phase + k * step - pad
 
@@ -214,12 +214,11 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
     out = np.empty((b, out_ch, (t_in - 1) * st + 1, (f_in - 1) * sf + 1),
                    dtype=x.dtype if bias is None else np.result_type(x, bias))
     for a in range(st):
-        r = (a - pt) % st                  # first output row of phase a
+        u, r = _phase_start(a, pt, st)
         for e in range(sf):
-            c = (e - pf_l) % sf
+            v, c = _phase_start(e, pf_l, sf)
             dst = out[:, :, r::st, c::sf]
-            src = planes[a, e, :, :, (r + pt) // st:, (c + pf_l) // sf:]
-            src = src[:, :, :dst.shape[2], :dst.shape[3]]
+            src = planes[a, e, :, :, u:u + dst.shape[2], v:v + dst.shape[3]]
             if bias is None:
                 dst[...] = src
             else:

@@ -85,6 +85,30 @@ def istft_frame_loop(spec, fft_size, hop, window, length, floor=1e-11):
     return np.concatenate([acc, np.zeros(acc.shape[:-1] + (length - total,))], axis=-1)
 
 
+def istft_whole_envelope(spec, fft_size, hop, window, length, floor=1e-11):
+    """Overlap-add in hop blocks with a whole-file squared-window envelope
+    built the same way, then one masked division over the truncated output.
+    Takes ``[..., frames, bins]``; exact against the package's per-block
+    division."""
+    n_frames = spec.shape[-2]
+    lead = spec.shape[:-2]
+    n_blocks = max(n_frames + 1, -(-length // hop))
+    halves = (np.fft.irfft(spec, n=fft_size, axis=-1) * window).reshape(
+        lead + (n_frames, 2, hop))
+    w2 = (window ** 2).reshape(2, hop)
+    out = np.zeros(lead + (n_blocks, hop))
+    cola = np.zeros((n_blocks, hop))
+    out[..., 1:n_frames + 1, :] += halves[..., 1, :]
+    out[..., :n_frames, :] += halves[..., 0, :]
+    cola[1:n_frames + 1] += w2[1]
+    cola[:n_frames] += w2[0]
+    out = out.reshape(lead + (-1,))[..., :length]
+    cola = cola.reshape(-1)[:length]
+    nz = cola > floor
+    out[..., nz] /= cola[nz]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Neural network primitives
 # ---------------------------------------------------------------------------
@@ -397,6 +421,16 @@ def band_split_naive(vec, fb):
             acc += fb.split_weights[j, band] * vec[fb.n_low + band]
         out[fb.n_low + j] = acc
     return out
+
+
+def band_split_dense(x, fb):
+    """Low bins copied, high bins as a product with the one-hot
+    ``split_weights`` (float64 whatever the input).  Exact against the
+    package's gather on finite input, whose values it only multiplies by 1
+    and adds zeros to."""
+    x = np.asarray(x)
+    high = x[..., fb.n_low:] @ fb.split_weights.T
+    return np.concatenate([x[..., :fb.n_low], high], axis=-1)
 
 
 def sfe_naive(x, kernel):

@@ -313,6 +313,18 @@ class TestSeparate:
         with pytest.raises(DegenerateInputError, match="need at least 2 frames"):
             auxiva_separate(np.ones((2, 1, 257), dtype=complex))
 
+    @pytest.mark.parametrize("bad", [1e39 + 0j, -1e39j, complex(np.nan, 0), complex(0, np.inf)],
+                             ids=["real", "imag", "nan", "inf"])
+    def test_beyond_float32_rejected_before_the_statistics(self, bad):
+        # build_features' rule: such a spectrogram is invalid input, not a
+        # demixing update that diverges, and no overflow warning escapes
+        spec = random_spec(np.random.default_rng(30), frames=20)
+        spec[1, 3, 7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="input too loud"):
+                auxiva_separate(spec, IvaConfig(iterations=2))
+
 
 class TestProjectionBack:
     def test_identity_w_keeps_reference_image(self):

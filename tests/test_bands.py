@@ -127,6 +127,24 @@ class TestSplit:
         want = oracles.band_split_naive(x, fb)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gather_equals_dense_product(self, fb, dtype):
+        x = np.random.default_rng(3).standard_normal((2, 625, 129)).astype(dtype)
+        got = band_split(x, fb)
+        want = oracles.band_split_dense(x, fb)
+        assert got.dtype == dtype and want.dtype == np.float64
+        assert got.astype(np.float64).tobytes() == want.tobytes()
+
+    def test_infinite_band_stays_in_its_bins(self, fb):
+        x = np.random.default_rng(4).standard_normal(129)
+        x[fb.n_low + 10] = np.inf
+        out = band_split(x, fb)
+        members = fb.n_low + np.flatnonzero(fb.band_of_bin == 10)
+        assert np.all(out[members] == np.inf)
+        assert np.count_nonzero(~np.isfinite(out)) == members.size
+        with np.errstate(invalid="ignore"):      # the dense product spreads it: inf * 0
+            assert np.isnan(oracles.band_split_dense(x, fb)).sum() > members.size
+
     def test_shape_mismatch_rejected(self, fb):
         with pytest.raises(InvalidInputError):
             band_split(np.zeros(257), fb)

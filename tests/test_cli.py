@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 import zlib
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from scipy.io import wavfile
 
 from conftest import FS, instantaneous_scene
 from test_weights import gtcw_stream
+from hybridse import stft
 from hybridse.cli import main
 from hybridse.errors import NumericalError
 from hybridse.loss import si_snr
@@ -257,6 +259,41 @@ class TestNonFiniteInput:
         assert main(["enhance", str(path), "--out", str(tmp_path / "out"), *extra]) == 2
         err = capsys.readouterr().err
         assert "float32" in err and "loud.wav" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scale", [1e151, 1e301])
+    @pytest.mark.parametrize("command", [["enhance"], ["enhance", "--no-iva"],
+                                         ["separate"]])
+    def test_loud_float64_exit_2(self, tmp_path, capsys, command, scale):
+        # a spectrogram beyond the float32 range is invalid input with or
+        # without IVA, not a demixing update that diverged, and it is
+        # rejected before any overflow warning
+        wave = scale * np.random.default_rng(8).uniform(-1, 1, (4096, 2))
+        path = tmp_path / "loud.wav"
+        wavfile.write(path, FS, wave)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command[0], str(path), "--out", str(tmp_path / "out"), *command[1:]])
+        assert rc == 2 and caught == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: input too loud: spectrogram exceeds the float32 range"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["enhance"], ["enhance", "--no-iva"],
+                                         ["separate"]])
+    def test_finite_samples_with_nan_spectrum_exit_2(self, tmp_path, capsys, command):
+        # finite samples near 4.5e307 overflow the STFT into NaN bins, which
+        # compare false against the float32 limit
+        wave = 4.5e307 * np.random.default_rng(8).uniform(-1, 1, (4096, 2))
+        with np.errstate(all="ignore"):
+            assert np.all(np.isfinite(wave)) and np.any(np.isnan(stft(wave.T)))
+        path = tmp_path / "huge.wav"
+        wavfile.write(path, FS, wave)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # the STFT's own overflow
+            rc = main([command[0], str(path), "--out", str(tmp_path / "out"), *command[1:]])
+        assert rc == 2
+        assert "input too loud" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

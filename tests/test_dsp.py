@@ -1,5 +1,7 @@
 """Analysis/synthesis transforms: framing, round trips, energy bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,39 @@ class TestIstft:
         want = oracles.istft_frame_loop(spec, cfg.fft_size, cfg.hop, sqrt_hann(512), length)
         np.testing.assert_array_equal(got, want)
         assert got.tobytes() == want.tobytes()   # signed zeros too
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["mono", "stereo"])
+    @pytest.mark.parametrize("n_frames", [1, 2, 3, 125])
+    def test_per_block_division_equals_whole_envelope(self, n_frames, lead):
+        cfg = StftConfig()
+        shape = lead + (n_frames, cfg.n_bins)
+        rng = np.random.default_rng(n_frames)
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        total = (n_frames - 1) * cfg.hop + cfg.fft_size
+        # empty, short of the overlap-add extent, at it, and past it
+        for length in (0, total - 300, total, total + 300):
+            got = istft(spec, cfg, length=length)
+            want = oracles.istft_whole_envelope(spec, cfg.fft_size, cfg.hop, sqrt_hann(512),
+                                                length)
+            assert got.shape == want.shape == lead + (length,)
+            assert got.tobytes() == want.tobytes()   # signed zeros too
+        assert istft(spec, cfg).tobytes() == istft(spec, cfg, length=total).tobytes()
+
+    def test_peak_memory_is_the_transform_and_the_output(self):
+        cfg = StftConfig()
+        n = 60 * FS
+        spec = stft(np.random.default_rng(5).standard_normal(n), cfg)
+        n_frames = spec.shape[0]
+        frames_bytes = n_frames * cfg.fft_size * 8        # the inverse transform
+        out_bytes = (n_frames + 1) * cfg.hop * 8          # the overlap-add blocks
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            istft(spec, cfg, length=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry <= frames_bytes + out_bytes + (1 << 20)
 
     def test_bin_count_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):

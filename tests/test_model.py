@@ -152,6 +152,19 @@ class TestBuildFeatures:
                 build_features(1e38 * y if feature == "lps" else y, yi, cfg)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("feature", ["lps", "complex"])
+    def test_non_finite_bin_rejected_by_forward(self, bad, feature):
+        # NaN compares false against any limit, so the check must fail it
+        cfg = ModelConfig(feature=feature, iva_channels="s_and_n")
+        w = init_random(cfg, 0)
+        for spec, value in ((0, bad), (1, complex(0.5, bad))):   # noisy Re, IVA Im
+            specs = rand_specs(8)
+            specs[spec][1, 5, 40] = value
+            with pytest.raises(InvalidInputError, match="float32"):
+                forward(*specs, w, cfg)
+
+
 class TestSfe:
     def test_kernel_one_identity(self):
         x = np.random.default_rng(0).standard_normal((2, 3, 4, 9)).astype(np.float32)
