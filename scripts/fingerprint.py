@@ -15,7 +15,10 @@ The artifacts, one line each:
   2 s scene, a 10 s scene (625 frames, which the network runs in three
   blocks), a silent file (IVA bypass) and a 100-sample file;
 - ``separate``'s speech and noise waves (Aux-IVA, then ``istft`` at the
-  input length) on the 2 s and the 10 s scene;
+  input length) on the 2 s and the 10 s scene, and the WAVs one
+  ``hybridse separate`` run over both scenes writes;
+- a depthwise ``conv2d`` at 600 and 2000 frames, float32 and float64,
+  dilation ``(5, 1)``;
 - ``istft`` of a stereo spectrogram at lengths short of, at and beyond
   its overlap-add extent;
 - ``image_rir`` taps and direct-path indices of ``sample_scene`` seeds
@@ -42,6 +45,7 @@ from hybridse import (PRESETS, IvaConfig, auxiva_separate, enhance,  # noqa: E40
                       image_rir, init_random, istft, render_scene, sample_scene,
                       stft, write_wav)
 from hybridse.cli import main as cli_main  # noqa: E402
+from hybridse.nn import conv2d  # noqa: E402
 
 FS = 16000
 
@@ -93,6 +97,24 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
         sources, _ = auxiva_separate(stft(wave), IvaConfig())
         for source, spec in zip(("speech", "noise"), sources):
             yield f"separate {name} {source} {digest(istft(spec, length=wave.shape[1]))}"
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in ("scene", "scene-10s"):
+            write_wav(root / f"{name}.wav", FS, inputs[name])
+        run_cli(["separate", str(root / "scene.wav"), str(root / "scene-10s.wav"),
+                 "--out", str(root / "out")])
+        for path in sorted((root / "out").iterdir()):
+            yield f"separate cli {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
+
+    rng = np.random.default_rng(4)
+    for dtype in (np.float32, np.float64):
+        k = rng.standard_normal((16, 1, 3, 3)).astype(dtype)
+        bias = rng.standard_normal(16).astype(dtype)
+        for frames in (600, 2000):
+            x = rng.standard_normal((1, 16, frames, 33)).astype(dtype)
+            out = conv2d(x, k, bias, dilation=(5, 1), groups=16)
+            yield f"conv2d depthwise {np.dtype(dtype).name} {frames} frames {digest(out)}"
 
     rng = np.random.default_rng(3)
     spec = rng.standard_normal((2, 12, 257)) + 1j * rng.standard_normal((2, 12, 257))

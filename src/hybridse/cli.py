@@ -142,16 +142,30 @@ def _read_input(path, channels: int):
     return wave
 
 
-def _out_path(out, in_path: str, suffix: str, multi: bool) -> Path:
-    stem = Path(in_path).stem
-    if out is None:
-        return Path(in_path).with_name(f"{stem}{suffix}")
-    out = Path(out)
-    if not multi and out.suffix.lower() == ".wav":
-        out.parent.mkdir(parents=True, exist_ok=True)
-        return out
-    out.mkdir(parents=True, exist_ok=True)
-    return out / f"{stem}{suffix}"
+def _targets(out, inputs, suffixes):
+    """Each input's output paths, one per suffix: next to the input, in the
+    directory ``out``, or ``out`` itself if it ends in ``.wav`` and the call
+    writes one file.  Two outputs on one file are invalid input, raised
+    before anything is written."""
+    one_file = (out is not None and Path(out).suffix.lower() == ".wav"
+                and len(inputs) * len(suffixes) == 1)
+    owner, targets = {}, []
+    for path in inputs:
+        folder = Path(path).parent if out is None else Path(out)
+        paths = [Path(out) if one_file else folder / (Path(path).stem + suffix)
+                 for suffix in suffixes]
+        for target in paths:
+            key = target.resolve()
+            if key in owner:
+                raise InvalidInputError(f"{owner[key]} and {path} both write {target}")
+            owner[key] = path
+        targets.append(paths)
+    return targets
+
+
+def _write(target: Path, wave: np.ndarray) -> None:
+    target.parent.mkdir(parents=True, exist_ok=True)
+    write_wav(target, DEFAULT_SAMPLE_RATE, wave)
 
 
 @contextmanager
@@ -164,22 +178,25 @@ def _naming(path):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _enhance_one(path, cfg, w, iva_cfg, no_iva, out, multi):
-    """Enhance one file.  Returns the written path and a ``warning: <path>:
-    <message>`` line for each warning ``enhance`` raised, which the caller
-    prints, so a worker process loses none."""
+def _enhance_one(file, cfg, w, iva_cfg, no_iva):
+    """Enhance the input of one ``(path, target)`` pair into its target.
+    Returns the target and a ``warning: <path>: <message>`` line for each
+    warning ``enhance`` raised, which the caller prints, so a worker
+    process loses none."""
+    path, target = file
     wave = _read_input(path, 2)
     with _naming(path), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = enhance(wave, w, cfg, iva_cfg=iva_cfg, use_iva=not no_iva)
     if not np.all(np.isfinite(res.wave)):
         raise NumericalError(f"{path}: enhancement produced non-finite samples")
-    target = _out_path(out, path, ".enhanced.wav", multi)
-    write_wav(target, DEFAULT_SAMPLE_RATE, res.wave)
+    _write(target, res.wave)
     return str(target), [f"warning: {path}: {item.message}" for item in caught]
 
 
 def cmd_enhance(args) -> int:
+    targets = _targets(args.out, args.inputs, [".enhanced.wav"])
+    files = [(path, target) for path, (target,) in zip(args.inputs, targets)]
     cfg = preset_config(args.preset)
     if args.weights:
         w = load_weights(Path(args.weights).read_bytes(), cfg)
@@ -187,15 +204,15 @@ def cmd_enhance(args) -> int:
         w = init_random(cfg, args.seed)
     enhance_file = partial(_enhance_one, cfg=cfg, w=w,
                            iva_cfg=IvaConfig(iterations=args.iva_iters),
-                           no_iva=args.no_iva, out=args.out, multi=len(args.inputs) > 1)
-    if args.jobs > 1 and len(args.inputs) > 1:
+                           no_iva=args.no_iva)
+    if args.jobs > 1 and len(files) > 1:
         # deferred: the process pool costs import time that one job never uses
         from concurrent.futures import ProcessPoolExecutor
         # fork starts every worker up front, so no more than there are files
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.inputs))) as pool:
-            written = list(pool.map(enhance_file, args.inputs))
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(files))) as pool:
+            written = list(pool.map(enhance_file, files))
     else:
-        written = [enhance_file(path) for path in args.inputs]
+        written = [enhance_file(file) for file in files]
     for path, notes in written:
         for note in notes:
             print(note, file=sys.stderr)
@@ -205,19 +222,14 @@ def cmd_enhance(args) -> int:
 
 def cmd_separate(args) -> int:
     iva_cfg = IvaConfig(iterations=args.iva_iters)
-    multi = len(args.inputs) > 1
-    for path in args.inputs:
+    targets = _targets(args.out, args.inputs, [".speech.wav", ".noise.wav"])
+    for path, paths in zip(args.inputs, targets):
         wave = _read_input(path, 2)
         with _naming(path):
             sources, _ = auxiva_separate(stft(wave), iva_cfg)
-        speech = istft(sources[0], length=wave.shape[1])
-        residual = istft(sources[1], length=wave.shape[1])
-        speech_out = _out_path(args.out, path, ".speech.wav", multi)
-        noise_out = _out_path(args.out, path, ".noise.wav", multi)
-        write_wav(speech_out, DEFAULT_SAMPLE_RATE, speech)
-        write_wav(noise_out, DEFAULT_SAMPLE_RATE, residual)
-        print(speech_out)
-        print(noise_out)
+        for target, source in zip(paths, istft(sources, length=wave.shape[1])):
+            _write(target, source)
+        print(*paths, sep="\n")
     return EXIT_OK
 
 

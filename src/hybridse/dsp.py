@@ -7,7 +7,7 @@ which makes an analysis/synthesis round trip exact away from the signal edges.
 
 The geometry is fixed, and :class:`StftConfig` is its one owner: 512-point
 frames at hop 256 and 16 kHz.  Spectrograms are complex arrays indexed
-``[channel, frame, bin]`` (the channel axis is dropped for mono input), with
+``[channel, frame, bin]`` (without the channel axis for mono input), with
 ``n_bins = fft_size // 2 + 1 = 257``.
 """
 
@@ -60,23 +60,24 @@ def stft(wave: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
     ``[f*hop, f*hop + fft_size)``; the first frame starts at sample 0 and the
     tail is zero-padded (no reflection, no centering).  Returns
     ``[frames, bins]`` or ``[channels, frames, bins]`` complex.
+
+    A frame whose transform overflows the float64 range comes out with
+    infinite or NaN bins, silently: rejecting such a spectrogram is the
+    caller's range check (see :func:`check_float32_range`).
     """
     wave = np.asarray(wave)
     if wave.size == 0:
         raise InvalidInputError("empty waveform")
-    squeeze = wave.ndim == 1
-    if squeeze:
-        wave = wave[None, :]
-    if wave.ndim != 2:
+    if wave.ndim not in (1, 2):
         raise InvalidInputError(f"waveform must be 1-D or 2-D, got shape {wave.shape}")
 
-    n = wave.shape[1]
-    n_frames = cfg.n_frames(n)
-    padded = np.zeros((wave.shape[0], (n_frames - 1) * cfg.hop + cfg.fft_size), dtype=np.float64)
-    padded[:, :n] = wave
-    frames = sliding_window_view(padded, cfg.fft_size, axis=-1)[:, ::cfg.hop] * cfg.window
-    spec = np.fft.rfft(frames, n=cfg.fft_size, axis=-1)
-    return spec[0] if squeeze else spec
+    n = wave.shape[-1]
+    extent = (cfg.n_frames(n) - 1) * cfg.hop + cfg.fft_size
+    padded = np.zeros(wave.shape[:-1] + (extent,), dtype=np.float64)
+    padded[..., :n] = wave
+    frames = sliding_window_view(padded, cfg.fft_size, axis=-1)[..., ::cfg.hop, :] * cfg.window
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.rfft(frames, n=cfg.fft_size, axis=-1)
 
 
 def istft(spec: np.ndarray, cfg: StftConfig = StftConfig(), length: int = None) -> np.ndarray:

@@ -471,13 +471,13 @@ def decode(z: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig,
 
 def _forward_block(y: np.ndarray, y_iva: np.ndarray, w: Dict[str, np.ndarray],
                    cfg: ModelConfig, state: Optional[dict]) -> np.ndarray:
-    """The mask [2, frames, 257] of the frames that follow the ones ``state``
-    has seen, which it then carries past these; ``None`` is the zero state
-    and keeps nothing."""
+    """The float32 mask [2, frames, 257] of the frames that follow the ones
+    ``state`` has seen, which it then carries past these; ``None`` is the
+    zero state and keeps nothing."""
     merged = band_merge(build_features(y, y_iva, cfg)).astype(np.float32)
     latent, skip = encode(sfe(merged[None], cfg.sfe_kernel), w, cfg, state)
     z = gdprnn(latent, w, cfg, state) + skip
-    return band_split(decode(z, w, cfg, state).astype(np.float64))[0]
+    return band_split(decode(z, w, cfg, state))[0]
 
 
 def forward(y: np.ndarray, y_iva: np.ndarray, w: Dict[str, np.ndarray],

@@ -47,11 +47,6 @@ class GruParams:
     bias: np.ndarray              # [3*hidden]
 
 
-# Depthwise taps multiply into one reused product buffer of about this many
-# elements, walked along the flattened planes so that it stays in cache.
-_DW_CHUNK = 1 << 17
-
-
 def _pads(kt, kf, dt, df):
     total_f = (kf - 1) * df
     return (kt - 1) * dt, total_f // 2, total_f - total_f // 2
@@ -91,10 +86,11 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: Optional[np.ndarray] = None,
     ``[.., tq * fq]`` with a spare row.  Tap ``(i, j)`` then reads one
     contiguous window of one plane at a fixed offset; each output row
     carries ``fq - f_out`` spare columns, dropped at the end.  A 1x1
-    unstrided conv reads ``x`` itself.  Grouped taps are one batched
-    ``np.matmul`` each; depthwise taps multiply into a reused product
-    buffer, in chunks of the flattened axis.  Taps are summed in ``(i, j)``
-    order into a zeroed accumulator.
+    unstrided conv reads ``x`` itself.  Each tap is one product over all
+    groups into a buffer of the accumulator's shape: a batched
+    ``np.matmul``, or a broadcast ``np.multiply`` when each group has one
+    input channel (depthwise).  Taps are summed in ``(i, j)`` order into a
+    zeroed accumulator.
     """
     _check_geometry(x, kernel, stride, dilation, groups)
     out_ch, in_per_g, kt, kf = kernel.shape
@@ -134,21 +130,12 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: Optional[np.ndarray] = None,
     o_per_g = out_ch // groups
     kg = kernel.reshape(groups, o_per_g, in_per_g, kt, kf)
     acc = np.zeros((b, groups, o_per_g, n), dtype=x.dtype)
-    prod_type = np.result_type(x, kernel)
-    if in_per_g == 1:      # [groups, out/g, 1] * [b, groups, 1, n]
-        step = max(1, _DW_CHUNK // acc[..., 0].size)
-        prod = np.empty(acc.shape[:-1] + (min(step, n),), dtype=prod_type)
-        for s in range(0, n, step):
-            part, buf = acc[..., s:s + step], prod[..., :min(step, n - s)]
-            for i, j, p, off in taps:
-                np.multiply(kg[:, :, :, i, j], flat[p, ..., off + s:off + s + buf.shape[-1]],
-                            out=buf)
-                part += buf
-    else:
-        prod = np.empty(acc.shape, dtype=prod_type)
-        for i, j, p, off in taps:
-            np.matmul(kg[:, :, :, i, j], flat[p, ..., off:off + n], out=prod)
-            acc += prod
+    prod = np.empty(acc.shape, dtype=np.result_type(x, kernel))
+    # depthwise: [groups, out/g, 1] * [b, groups, 1, n]
+    tap_product = np.multiply if in_per_g == 1 else np.matmul
+    for i, j, p, off in taps:
+        tap_product(kg[:, :, :, i, j], flat[p, ..., off:off + n], out=prod)
+        acc += prod
     rows = acc.reshape(b, out_ch, t_out, fq)[..., :f_out]
     out = rows if fq == f_out else np.empty(rows.shape, dtype=x.dtype)
     if bias is not None:
@@ -191,11 +178,8 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
     b, _, t_in, f_in = x.shape
     pt, pf_l, _ = _pads(kt, kf, 1, 1)
     tq, fq = t_in - 1 - (-kt // st), f_in - 1 - (-kf // sf)
-    if fq != f_in:
-        xw = np.zeros((b, in_ch, t_in, fq), dtype=x.dtype)
-        xw[..., :f_in] = x
-    else:
-        xw = x
+    xw = np.zeros((b, in_ch, t_in, fq), dtype=x.dtype)
+    xw[..., :f_in] = x
     n = t_in * fq
     i_per_g = in_ch // groups
     out_ch = o_per_g * groups

@@ -289,11 +289,12 @@ class TestNonFiniteInput:
             assert np.all(np.isfinite(wave)) and np.any(np.isnan(stft(wave.T)))
         path = tmp_path / "huge.wav"
         wavfile.write(path, FS, wave)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")      # the STFT's own overflow
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main([command[0], str(path), "--out", str(tmp_path / "out"), *command[1:]])
-        assert rc == 2
-        assert "input too loud" in capsys.readouterr().err
+        assert rc == 2 and caught == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: input too loud: spectrogram exceeds the float32 range"]
         assert not (tmp_path / "out").exists()
 
 
@@ -452,7 +453,51 @@ class TestFlagBoundary:
                 assert exc.code == 2
 
 
+def _same_name_inputs(tmp_path):
+    """Stereo inputs ``a/x.wav`` and ``b/x.wav``, which name one output
+    file in a shared output directory."""
+    rng = np.random.default_rng(6)
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "x.wav")
+        write_wav(paths[-1], FS, 0.1 * rng.standard_normal((2, 3000)))
+    return paths
+
+
+@pytest.mark.parametrize("argv, name", [(["enhance"], "x.enhanced.wav"),
+                                        (["enhance", "--jobs", "2"], "x.enhanced.wav"),
+                                        (["separate"], "x.speech.wav")])
+def test_two_inputs_one_output_exit_2(tmp_path, capsys, argv, name):
+    paths = _same_name_inputs(tmp_path)
+    out = tmp_path / "outs"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([argv[0], *map(str, paths), "--out", str(out), *argv[1:]])
+    assert rc == 2 and caught == []
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.splitlines() == [
+        f"error: {paths[0]} and {paths[1]} both write {out / name}"]
+    assert not out.exists()
+
+
 class TestSeparate:
+    def test_wav_out_is_a_directory_for_two_outputs(self, tmp_path, stereo_wav, capsys):
+        # speech and noise are two files, so neither is written to out.wav
+        out = tmp_path / "out.wav"
+        assert main(["separate", str(stereo_wav), "--out", str(out)]) == 0
+        written = [out / "in.speech.wav", out / "in.noise.wav"]
+        assert capsys.readouterr().out.splitlines() == [str(p) for p in written]
+        assert written[0].read_bytes() != written[1].read_bytes()
+
+    def test_one_input_twice_exit_2(self, tmp_path, stereo_wav, capsys):
+        assert main(["separate", str(stereo_wav), str(stereo_wav)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {stereo_wav} and {stereo_wav} both write "
+            f"{tmp_path / 'in.speech.wav'}"]
+        assert not (tmp_path / "in.speech.wav").exists()
+
     def test_low_snr_mixture_improves(self, tmp_path, capsys):
         mix, speech_img, noise_img = instantaneous_scene(0)
         scale = 0.9 / np.max(np.abs(mix))

@@ -17,6 +17,8 @@ def test_same_lines_twice_on_a_reduced_input():
     assert len(set(names)) == len(names)
     assert all(re.fullmatch(r".+ [0-9a-f]{64}", line) for line in first)
     assert {name.split()[0] for name in names} == {
-        "enhance", "separate", "istft", "image_rir", "render_scene", "simulate", "inspect"}
+        "enhance", "separate", "istft", "conv2d", "image_rir", "render_scene", "simulate",
+        "inspect"}
     assert "image_rir seed 1 noise" in names
-    assert {"separate scene-10s noise", "istft stereo length 3328"} <= set(names)
+    assert {"separate scene-10s noise", "separate cli scene-10s.noise.wav",
+            "istft stereo length 3328", "conv2d depthwise float32 2000 frames"} <= set(names)

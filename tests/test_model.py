@@ -461,8 +461,9 @@ _PRESET_WEIGHTS = {name: init_random(cfg, 0) for name, cfg in PRESETS.items()}
 
 
 def one_block_mask(y, yi, w, cfg):
-    """The mask of the whole input run as one block from the zero state."""
-    return model._forward_block(y, yi, w, cfg, None)
+    """The mask of the whole input run as one block from the zero state, in
+    ``forward``'s float64."""
+    return model._forward_block(y, yi, w, cfg, None).astype(np.float64)
 
 
 class TestBlockedForward:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import oracles
-from hybridse import nn
 from hybridse.errors import InvalidInputError
 from hybridse.nn import (GruParams, batch_norm_infer, channel_shuffle, conv2d,
                          conv_transpose2d, gru_scan, gru_sequence, prelu)
@@ -228,13 +227,13 @@ class TestShiftedWindowConv:
     @pytest.mark.parametrize("stride", [(1, 1), (1, 2)])
     @pytest.mark.parametrize("grouping", ["depthwise", "multiplier2"])
     def test_depthwise_across_chunk_boundaries(self, grouping, stride, dtype):
-        # depthwise taps walk the flattened planes in chunks of
-        # nn._DW_CHUNK products; the frame counts put the end of the window
-        # short of, just past and well past the first chunk boundary
+        # long inputs: the frame counts put the end of the window short of,
+        # just past and well past 1 << 17 products, a cache-sized stretch of
+        # the flattened planes
         c_in, out_ch, groups = _GROUPINGS[grouping]
         batch, f = 2, 9
         fq = -(-(f + 2) // stride[1])            # plane width for kf = 3
-        per_chunk = nn._DW_CHUNK // (batch * out_ch) // fq + 1
+        per_chunk = (1 << 17) // (batch * out_ch) // fq + 1
         rng = np.random.default_rng(22)
         k = rng.standard_normal((out_ch, 1, 3, 3)).astype(dtype)
         bias = rng.standard_normal(out_ch).astype(dtype)
