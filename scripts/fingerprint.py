@@ -17,6 +17,10 @@ The artifacts, one line each:
 - ``separate``'s speech and noise waves (Aux-IVA, then ``istft`` at the
   input length) on the 2 s and the 10 s scene, and the WAVs one
   ``hybridse separate`` run over both scenes writes;
+- the WAVs of four ``hybridse enhance`` runs on the 2 s scene in one
+  process: seed 0, seed 1, a ``--config`` file that switches the preset,
+  then seed 0 again, so a setting one call leaves behind shows as a
+  changed line;
 - a depthwise ``conv2d`` at 600 and 2000 frames, float32 and float64,
   dilation ``(5, 1)``;
 - ``istft`` of a stereo spectrogram at lengths short of, at and beyond
@@ -106,6 +110,19 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
                  "--out", str(root / "out")])
         for path in sorted((root / "out").iterdir()):
             yield f"separate cli {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_wav(root / "scene.wav", FS, inputs["scene"])
+        (root / "preset.cfg").write_text("preset = lps-s-m2\n")
+        config = ["--config", str(root / "preset.cfg")]
+        for name, lead, flags in [("seed-0", [], ["--seed", "0"]),
+                                  ("seed-1", [], ["--seed", "1"]),
+                                  ("config-lps-s-m2", config, []),
+                                  ("seed-0-again", [], ["--seed", "0"])]:
+            out = root / f"{name}.wav"
+            run_cli([*lead, "enhance", str(root / "scene.wav"), "--out", str(out), *flags])
+            yield f"enhance cli {name} {hashlib.sha256(out.read_bytes()).hexdigest()}"
 
     rng = np.random.default_rng(4)
     for dtype in (np.float32, np.float64):

@@ -260,7 +260,9 @@ def auxiva_separate(spec, cfg: IvaConfig = IvaConfig()):
     The rank-1 covariance terms are built once per utterance
     (:func:`covariance_stats`) and shared by every sweep; the result is
     bit-identical to calling ``iva_sweep(spec, w, cfg)`` ``cfg.iterations``
-    times and then projecting back and ordering.
+    times and then projecting back and ordering.  The statistics are freed
+    before the sources are demixed, and the projection back and the ordering
+    then run in place on the demixed array.
     """
     spec = _check_spec(spec)
     if spec.shape[1] < 2:
@@ -274,10 +276,16 @@ def auxiva_separate(spec, cfg: IvaConfig = IvaConfig()):
     stats = covariance_stats(spec)
     for _ in range(cfg.iterations):
         w, _ = iva_sweep(spec, w, cfg, stats)
+    del stats
 
-    sources = projection_back(demix(spec, w), w, cfg.ref_channel)
+    sources = demix(spec, w)
+    _project_back(sources, w, cfg.ref_channel, out=sources)
     order = order_sources(sources)
-    return sources[order], w[:, order, :]
+    if order[0] == 1:                   # swap the planes through one plane of scratch
+        speech = sources[1].copy()
+        sources[1] = sources[0]
+        sources[0] = speech
+    return sources, w[:, order, :]
 
 
 def projection_back(y_sep: np.ndarray, w: np.ndarray, ref_channel: int = 0) -> np.ndarray:
@@ -292,6 +300,13 @@ def projection_back(y_sep: np.ndarray, w: np.ndarray, ref_channel: int = 0) -> n
     w = _check_w(w, y_sep.shape[2])
     if not 0 <= ref_channel < 2:
         raise InvalidInputError(f"ref_channel {ref_channel} out of range")
+    return _project_back(y_sep, w, ref_channel)
+
+
+def _project_back(y_sep: np.ndarray, w: np.ndarray, ref_channel: int,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`projection_back` on checked arguments, written into ``out``
+    (``y_sep`` itself is allowed) or a new array."""
     with np.errstate(all="ignore"):
         adj, det = _adjugate(w)
         a = adj / det[:, None, None]
@@ -299,7 +314,7 @@ def projection_back(y_sep: np.ndarray, w: np.ndarray, ref_channel: int = 0) -> n
     if bad.size:
         raise NumericalError(f"demixing matrix not invertible at bin {bad[0]}")
     scale = a[:, ref_channel, :].T  # [source, bin]
-    return y_sep * scale[:, None, :]
+    return np.multiply(y_sep, scale[:, None, :], out=out)
 
 
 def _excess_kurtosis(env: np.ndarray) -> np.ndarray:

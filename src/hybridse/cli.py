@@ -10,13 +10,21 @@ A plain ``key = value`` config file can preload any long flag a subcommand
 takes but does not require (names without the leading double dash).  The
 flag's own ``type`` reads the value, and a switch such as ``--no-iva`` reads
 a boolean; explicit command-line flags win.
+
+A process that calls :func:`main` many times, as a host driving it per file
+does, builds what does not depend on the file only once: the argument
+parsers (once per distinct set of config-file values; the file itself is
+still read and checked on every call) and the seeded random weights (once
+per preset and ``--seed``, kept read-only).  Each cache keeps the
+``_CACHED`` most recently used.  A ``--weights`` file is read on every
+call, so a rewritten file takes effect.
 """
 
 import argparse
 import sys
 import warnings
 from contextlib import contextmanager
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +44,10 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_WEIGHTS = 3
 EXIT_NUMERICAL = 4
+
+# parsers and seeded weight sets one process keeps; the least recently
+# used goes first
+_CACHED = 16
 
 
 def _positive_int(raw: str) -> int:
@@ -86,7 +98,19 @@ def _load_config_file(path: str, subparsers) -> dict:
     return values
 
 
-def _build_parser():
+@lru_cache(maxsize=_CACHED)
+def _build_parser(defaults=()):
+    """``(pre, parser, children)``: the preliminary parser that finds
+    ``--config``, the full parser and its subcommand parsers.
+
+    ``defaults`` are the sorted ``(dest, value)`` pairs a config file set;
+    they are baked into the full parser and into each subcommand parser,
+    since a subparser re-applies its own action defaults over whatever the
+    parent put in the namespace.  Parsing leaves a parser unchanged, so one
+    is built per distinct ``defaults`` and reused.
+    """
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
     parser = argparse.ArgumentParser(
         prog="hybridse",
         description="Dual-channel low-SNR speech enhancement (IVA + refinement network)")
@@ -127,7 +151,20 @@ def _build_parser():
     p = sub.add_parser("inspect", help="parameter and MAC accounting for a preset")
     p.add_argument("preset", nargs="?", default=DEFAULT_PRESET)
     p.add_argument("--iva-iters", type=int, default=IvaConfig.iterations)
-    return parser, list(sub.choices.values())
+    children = tuple(sub.choices.values())
+    for target in [parser, *children]:
+        target.set_defaults(**dict(defaults))
+    return pre, parser, children
+
+
+@lru_cache(maxsize=_CACHED)
+def _seeded_weights(cfg, seed: int):
+    """``init_random(cfg, seed)`` with every array read-only, built once per
+    ``(cfg, seed)`` and shared by every later call."""
+    w = init_random(cfg, seed)
+    for tensor in w.values():
+        tensor.flags.writeable = False
+    return w
 
 
 def _read_input(path, channels: int):
@@ -145,10 +182,11 @@ def _read_input(path, channels: int):
 def _targets(out, inputs, suffixes):
     """Each input's output paths, one per suffix: next to the input, in the
     directory ``out``, or ``out`` itself if it ends in ``.wav`` and the call
-    writes one file.  Two outputs on one file are invalid input, raised
-    before anything is written."""
+    writes one file.  Two outputs on one file, or an output on an input,
+    are invalid input, raised before anything is written."""
     one_file = (out is not None and Path(out).suffix.lower() == ".wav"
                 and len(inputs) * len(suffixes) == 1)
+    read = {Path(path).resolve(): path for path in inputs}
     owner, targets = {}, []
     for path in inputs:
         folder = Path(path).parent if out is None else Path(out)
@@ -156,6 +194,8 @@ def _targets(out, inputs, suffixes):
                  for suffix in suffixes]
         for target in paths:
             key = target.resolve()
+            if key in read:
+                raise InvalidInputError(f"{path} would write over the input {read[key]}")
             if key in owner:
                 raise InvalidInputError(f"{owner[key]} and {path} both write {target}")
             owner[key] = path
@@ -201,7 +241,7 @@ def cmd_enhance(args) -> int:
     if args.weights:
         w = load_weights(Path(args.weights).read_bytes(), cfg)
     else:
-        w = init_random(cfg, args.seed)
+        w = _seeded_weights(cfg, args.seed)
     enhance_file = partial(_enhance_one, cfg=cfg, w=w,
                            iva_cfg=IvaConfig(iterations=args.iva_iters),
                            no_iva=args.no_iva)
@@ -336,12 +376,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser, children = _build_parser()
-    # apply config-file defaults before the real parse so flags still win;
-    # each subcommand parser needs them too, since a subparser re-applies its
-    # own action defaults over whatever the parent put in the namespace
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
+    pre, parser, children = _build_parser()
+    # config-file values become the parser's defaults, so flags still win
     prelim, _ = pre.parse_known_args(argv)
     if prelim.config:
         try:
@@ -352,8 +388,7 @@ def main(argv=None) -> int:
         except InvalidInputError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID
-        for target in [parser, *children]:
-            target.set_defaults(**values)
+        _, parser, _ = _build_parser(tuple(sorted(values.items())))
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)

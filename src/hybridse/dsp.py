@@ -25,6 +25,11 @@ DEFAULT_SAMPLE_RATE = 16000
 # (only the very first/last window tail, where sqrt-Hann -> 0).
 _COLA_FLOOR = 1e-11
 
+# stft windows this many frames of one channel at a time and transforms them
+# straight into its output, so no windowed copy of the whole file's frames is
+# built, and each transform writes one contiguous block
+_STFT_BLOCK = 64
+
 # log_power clamps |Y|^2 here, so digital silence maps to ln(1e-12) = -27.6
 _POWER_FLOOR = 1e-12
 
@@ -71,13 +76,19 @@ def stft(wave: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
     if wave.ndim not in (1, 2):
         raise InvalidInputError(f"waveform must be 1-D or 2-D, got shape {wave.shape}")
 
-    n = wave.shape[-1]
-    extent = (cfg.n_frames(n) - 1) * cfg.hop + cfg.fft_size
+    n, n_frames = wave.shape[-1], cfg.n_frames(wave.shape[-1])
+    extent = (n_frames - 1) * cfg.hop + cfg.fft_size
     padded = np.zeros(wave.shape[:-1] + (extent,), dtype=np.float64)
     padded[..., :n] = wave
-    frames = sliding_window_view(padded, cfg.fft_size, axis=-1)[..., ::cfg.hop, :] * cfg.window
+    frames = sliding_window_view(padded, cfg.fft_size, axis=-1)[..., ::cfg.hop, :]
+    spec = np.empty(wave.shape[:-1] + (n_frames, cfg.n_bins), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.fft.rfft(frames, n=cfg.fft_size, axis=-1)
+        for channel in np.ndindex(wave.shape[:-1]):
+            for start in range(0, n_frames, _STFT_BLOCK):
+                block = slice(start, start + _STFT_BLOCK)
+                np.fft.rfft(frames[channel][block] * cfg.window, axis=-1,
+                            out=spec[channel][block])
+    return spec
 
 
 def istft(spec: np.ndarray, cfg: StftConfig = StftConfig(), length: int = None) -> np.ndarray:

@@ -18,11 +18,11 @@ from scipy.io import wavfile
 
 from conftest import FS, instantaneous_scene
 from test_weights import gtcw_stream
-from hybridse import stft
+from hybridse import cli, stft
 from hybridse.cli import main
 from hybridse.errors import NumericalError
 from hybridse.loss import si_snr
-from hybridse.model import ModelConfig, init_random, save_weights
+from hybridse.model import ModelConfig, init_random, preset_config, save_weights
 from hybridse.wavio import read_wav, write_wav
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -176,6 +176,7 @@ class TestEnhance:
             return init_random(cfg, seed)
 
         monkeypatch.setattr("hybridse.cli.init_random", counting_init)
+        cli._seeded_weights.cache_clear()       # an earlier test may have built them
         rng = np.random.default_rng(4)
         paths = []
         for i in range(3):
@@ -482,6 +483,34 @@ def test_two_inputs_one_output_exit_2(tmp_path, capsys, argv, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, suffix", [(["enhance"], ".enhanced.wav"),
+                                          (["enhance", "--jobs", "2"], ".enhanced.wav"),
+                                          (["separate"], ".speech.wav")])
+def test_output_on_an_input_exit_2(tmp_path, capsys, argv, suffix):
+    # the first input's output is the second input, which is read later
+    rng = np.random.default_rng(7)
+    paths = [tmp_path / "x.wav", tmp_path / f"x{suffix}"]
+    for path in paths:
+        write_wav(path, FS, 0.1 * rng.standard_normal((2, 3000)))
+    before = {path: path.read_bytes() for path in paths}
+    rc = main([argv[0], *map(str, paths), *argv[1:]])
+    assert rc == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.splitlines() == [
+        f"error: {paths[0]} would write over the input {paths[1]}"]
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+    assert {path: path.read_bytes() for path in paths} == before
+
+
+def test_out_on_the_input_exit_2(tmp_path, stereo_wav, capsys):
+    before = stereo_wav.read_bytes()
+    assert main(["enhance", str(stereo_wav), "--out", str(stereo_wav)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {stereo_wav} would write over the input {stereo_wav}"]
+    assert stereo_wav.read_bytes() == before
+
+
 class TestSeparate:
     def test_wav_out_is_a_directory_for_two_outputs(self, tmp_path, stereo_wav, capsys):
         # speech and noise are two files, so neither is written to out.wav
@@ -772,6 +801,98 @@ class TestConfigFile:
         cfg.write_text(line + "\n")
         assert main(["--config", str(cfg), "enhance", str(stereo_wav)]) == 2
         assert f"{cfg}:1: {message}" in capsys.readouterr().err
+
+
+class TestRepeatedCalls:
+    """``main`` called many times in one process, as a host that drives it
+    per file does: what the process builds once must not carry a setting
+    of one call into the next."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        cli._build_parser.cache_clear()
+        cli._seeded_weights.cache_clear()
+
+    @staticmethod
+    def enhanced(wav, out, *flags, config=None) -> bytes:
+        lead = [] if config is None else ["--config", str(config)]
+        assert main([*lead, "enhance", str(wav), "--out", str(out), "--no-iva", *flags]) == 0
+        return out.read_bytes()
+
+    @staticmethod
+    def weights_file(path, preset, seed):
+        path.write_bytes(save_weights(init_random(preset_config(preset), seed)))
+        return path
+
+    def test_seed_and_preset_take_effect(self, tmp_path, stereo_wav, capsys):
+        # each seeded run must equal a run on a weight file, which no cache
+        # holds, of the same preset and seed
+        seen = {}
+        for preset, seed in [("lps-sn-m2", 0), ("lps-sn-m2", 1), ("lps-s-m2", 1),
+                             ("lps-s-m2", 0), ("lps-sn-m2", 0)]:
+            got = self.enhanced(stereo_wav, tmp_path / "o.wav",
+                                "--preset", preset, "--seed", str(seed))
+            blob = self.weights_file(tmp_path / "w.gtcw", preset, seed)
+            assert got == self.enhanced(stereo_wav, tmp_path / "r.wav",
+                                        "--preset", preset, "--weights", str(blob))
+            seen.setdefault((preset, seed), got)
+            assert seen[(preset, seed)] == got
+        assert len(set(seen.values())) == 4
+
+    def test_config_file_takes_effect(self, tmp_path, stereo_wav, capsys):
+        want = {seed: self.enhanced(stereo_wav, tmp_path / f"s{seed}.wav", "--seed", str(seed))
+                for seed in (0, 1)}
+        assert want[0] != want[1]
+        one, other = tmp_path / "one.cfg", tmp_path / "other.cfg"
+        one.write_text("seed = 1\n")
+        other.write_text("seed = 0\n")
+        for path, seed in [(one, 1), (other, 0), (one, 1)]:
+            assert self.enhanced(stereo_wav, tmp_path / "o.wav", config=path) == want[seed]
+        one.write_text("seed = 0\n")               # rewritten between calls
+        assert self.enhanced(stereo_wav, tmp_path / "o.wav", config=one) == want[0]
+        one.write_text("preset = lps-s-m2\n")
+        assert main(["--config", str(one), "inspect"]) == 0
+        assert "25506 total" in capsys.readouterr().out
+        one.write_text("no-iva = maybe\n")
+        assert main(["--config", str(one), "inspect"]) == 2
+        assert main(["inspect"]) == 0
+        assert "25746 total" in capsys.readouterr().out
+
+    def test_rewritten_weights_file_takes_effect(self, tmp_path, stereo_wav, capsys):
+        path = tmp_path / "w.gtcw"
+        outputs = []
+        for seed in (0, 1, 0):
+            self.weights_file(path, "lps-sn-m2", seed)
+            outputs.append(self.enhanced(stereo_wav, tmp_path / "o.wav",
+                                         "--weights", str(path)))
+        assert outputs[0] != outputs[1] and outputs[0] == outputs[2]
+        assert outputs[1] == self.enhanced(stereo_wav, tmp_path / "s.wav", "--seed", "1")
+
+    def test_cached_weights_are_read_only(self):
+        w = cli._seeded_weights(ModelConfig(), 0)
+        want = init_random(ModelConfig(), 0)
+        assert w.keys() == want.keys()
+        for name, tensor in w.items():
+            assert not tensor.flags.writeable
+            assert tensor.tobytes() == want[name].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            next(iter(w.values()))[...] = 0
+
+    def test_built_once_per_preset_and_seed(self, tmp_path, stereo_wav, capsys,
+                                            monkeypatch):
+        calls = []
+
+        def counting_init(cfg, seed):
+            calls.append((cfg, seed))
+            return init_random(cfg, seed)
+
+        monkeypatch.setattr("hybridse.cli.init_random", counting_init)
+        runs = [("lps-sn-m2", 0), ("lps-sn-m2", 1), ("lps-s-m2", 0)] * 3
+        for preset, seed in runs:
+            self.enhanced(stereo_wav, tmp_path / "o.wav", "--preset", preset,
+                          "--seed", str(seed))
+        assert calls == [(preset_config(preset), seed) for preset, seed in runs[:3]]
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestEntryPoint:

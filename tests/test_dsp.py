@@ -109,6 +109,33 @@ class TestStft:
         assert spec.shape == (2, cfg.n_frames(4000), 257)
         np.testing.assert_array_equal(spec[1], stft(x[1], cfg))
 
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["mono", "stereo"])
+    @pytest.mark.parametrize("n", [1, 256, 257, 63 * 256 + 1, 64 * 256, 64 * 256 + 1,
+                                   128 * 256 + 7, 160000])
+    def test_blocks_equal_whole_file_transform(self, n, lead):
+        cfg = StftConfig()
+        x = np.random.default_rng(n).standard_normal(lead + (n,))
+        got = stft(x, cfg)
+        want = oracles.stft_whole(x, cfg.fft_size, cfg.hop, sqrt_hann(cfg.fft_size))
+        assert got.shape == want.shape == lead + (cfg.n_frames(n), cfg.n_bins)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_the_padded_copy_and_the_output(self):
+        cfg = StftConfig()
+        n = 60 * FS
+        x = np.random.default_rng(6).standard_normal(n)
+        n_frames = cfg.n_frames(n)
+        padded_bytes = ((n_frames - 1) * cfg.hop + cfg.fft_size) * 8
+        out_bytes = n_frames * cfg.n_bins * 16
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            stft(x, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry <= padded_bytes + out_bytes + (1 << 20)
+
     def test_empty_waveform_rejected(self):
         with pytest.raises(InvalidInputError):
             stft(np.zeros(0), StftConfig())

@@ -22,3 +22,8 @@ def test_same_lines_twice_on_a_reduced_input():
     assert "image_rir seed 1 noise" in names
     assert {"separate scene-10s noise", "separate cli scene-10s.noise.wav",
             "istft stereo length 3328", "conv2d depthwise float32 2000 frames"} <= set(names)
+    cli_runs = {line.split()[2]: line.split()[3] for line in first
+                if line.startswith("enhance cli ")}
+    assert list(cli_runs) == ["seed-0", "seed-1", "config-lps-s-m2", "seed-0-again"]
+    assert cli_runs["seed-0"] == cli_runs["seed-0-again"]
+    assert len(set(cli_runs.values())) == 3
