@@ -21,6 +21,9 @@ The artifacts, one line each:
   process: seed 0, seed 1, a ``--config`` file that switches the preset,
   then seed 0 again, so a setting one call leaves behind shows as a
   changed line;
+- the exit code and stderr of five failing ``hybridse`` calls: a missing
+  ``--config`` file, ``seed = -3`` and an unknown key in a config file, a
+  mono input to ``enhance`` and a corrupt ``--weights`` file;
 - a depthwise ``conv2d`` at 600 and 2000 frames, float32 and float64,
   dilation ``(5, 1)``;
 - ``istft`` of a stereo spectrogram at lengths short of, at and beyond
@@ -77,6 +80,18 @@ def run_cli(argv) -> str:
     return out.getvalue()
 
 
+def failing_cli(argv, root: Path) -> str:
+    """``"exit <code> <sha256 of stderr>"`` of a call that must fail, with
+    ``root`` replaced by ``<tmp>`` in its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli_main(argv)
+    if rc == 0:
+        raise RuntimeError(f"hybridse {' '.join(argv)} exited 0")
+    text = err.getvalue().replace(str(root), "<tmp>")
+    return f"exit {rc} {hashlib.sha256(text.encode()).hexdigest()}"
+
+
 def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
     """Yield ``"<artifact> <sha256>"`` lines."""
     speech, noise = dry_signals(0, 2 * FS)
@@ -123,6 +138,22 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
             out = root / f"{name}.wav"
             run_cli([*lead, "enhance", str(root / "scene.wav"), "--out", str(out), *flags])
             yield f"enhance cli {name} {hashlib.sha256(out.read_bytes()).hexdigest()}"
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_wav(root / "scene.wav", FS, inputs["scene"])
+        write_wav(root / "mono.wav", FS, inputs["scene"][0])
+        (root / "seed.cfg").write_text("seed = -3\n")
+        (root / "key.cfg").write_text("nonsense = 1\n")
+        (root / "corrupt.gtcw").write_bytes(b"GTCW" + bytes(12))
+        enhance_scene = ["enhance", str(root / "scene.wav"), "--out", str(root / "o.wav")]
+        for name, argv in [
+                ("missing-config", ["--config", str(root / "missing.cfg"), "inspect"]),
+                ("config-negative-seed", ["--config", str(root / "seed.cfg"), *enhance_scene]),
+                ("config-unknown-key", ["--config", str(root / "key.cfg"), "inspect"]),
+                ("enhance-mono", ["enhance", str(root / "mono.wav"), "--out", str(root / "o.wav")]),
+                ("corrupt-weights", [*enhance_scene, "--weights", str(root / "corrupt.gtcw")])]:
+            yield f"fail {name} {failing_cli(argv, root)}"
 
     rng = np.random.default_rng(4)
     for dtype in (np.float32, np.float64):

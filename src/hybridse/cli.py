@@ -4,7 +4,7 @@ Subcommands: enhance (full pipeline), separate (IVA only), simulate (scene
 generator), eval (SI-SNR report), inspect (parameter/MAC accounting).
 
 Exit codes are a stable contract: 0 success, 2 input validation, 3 weight
-format or config mismatch, 4 numerical failure.
+format or config mismatch, 4 numerical failure, 5 out of memory.
 
 A plain ``key = value`` config file can preload any long flag a subcommand
 takes but does not require (names without the leading double dash).  The
@@ -21,6 +21,7 @@ call, so a rewritten file takes effect.
 """
 
 import argparse
+import re
 import sys
 import warnings
 from contextlib import contextmanager
@@ -44,6 +45,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_WEIGHTS = 3
 EXIT_NUMERICAL = 4
+EXIT_MEMORY = 5
 
 # parsers and seeded weight sets one process keeps; the least recently
 # used goes first
@@ -77,9 +79,14 @@ def _load_config_file(path: str, subparsers) -> dict:
              for opt in action.option_strings
              if opt.startswith("--") and not action.required
              and action.default is not argparse.SUPPRESS}      # not --help
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read config: {exc}") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+    for lineno, line in enumerate(text.splitlines(), 1):
+        # a comment starts with the line or after whitespace: a#b is a value
+        line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -100,8 +107,8 @@ def _load_config_file(path: str, subparsers) -> dict:
 
 @lru_cache(maxsize=_CACHED)
 def _build_parser(defaults=()):
-    """``(pre, parser, children)``: the preliminary parser that finds
-    ``--config``, the full parser and its subcommand parsers.
+    """``(parser, children)``: the full parser and its subcommand parsers,
+    each of which sets ``run`` to its ``cmd_<name>`` handler.
 
     ``defaults`` are the sorted ``(dest, value)`` pairs a config file set;
     they are baked into the full parser and into each subcommand parser,
@@ -109,8 +116,6 @@ def _build_parser(defaults=()):
     parent put in the namespace.  Parsing leaves a parser unchanged, so one
     is built per distinct ``defaults`` and reused.
     """
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
     parser = argparse.ArgumentParser(
         prog="hybridse",
         description="Dual-channel low-SNR speech enhancement (IVA + refinement network)")
@@ -118,10 +123,11 @@ def _build_parser(defaults=()):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enhance", help="enhance stereo WAV files to mono speech")
+    p.set_defaults(run=cmd_enhance)
     p.add_argument("inputs", nargs="+", help="stereo 16 kHz WAV files")
     p.add_argument("--preset", default=DEFAULT_PRESET)
     p.add_argument("--weights", help="weight file; omitted = seeded random init")
-    p.add_argument("--iva-iters", type=int, default=IvaConfig.iterations)
+    p.add_argument("--iva-iters", type=_non_negative_int, default=IvaConfig.iterations)
     p.add_argument("--no-iva", action="store_true",
                    help="feed the noisy spectrogram in place of the IVA output")
     p.add_argument("--seed", type=_non_negative_int, default=0,
@@ -131,11 +137,13 @@ def _build_parser(defaults=()):
                    help="parallel worker processes over the input files")
 
     p = sub.add_parser("separate", help="Aux-IVA separation only")
+    p.set_defaults(run=cmd_separate)
     p.add_argument("inputs", nargs="+", help="stereo 16 kHz WAV files")
-    p.add_argument("--iva-iters", type=int, default=IvaConfig.iterations)
+    p.add_argument("--iva-iters", type=_non_negative_int, default=IvaConfig.iterations)
     p.add_argument("--out", help="output file or directory")
 
     p = sub.add_parser("simulate", help="render random scenes from dry corpora")
+    p.set_defaults(run=cmd_simulate)
     p.add_argument("--speech-dir", required=True)
     p.add_argument("--noise-dir", required=True)
     p.add_argument("--n-scenes", type=int, required=True)
@@ -144,17 +152,19 @@ def _build_parser(defaults=()):
     p.add_argument("--out", help="output directory (default: scenes)")
 
     p = sub.add_parser("eval", help="SI-SNR report for estimate/reference pairs")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--est-dir", required=True, help="mono 16 kHz WAV files")
     p.add_argument("--ref-dir", required=True, help="mono 16 kHz WAV files")
     p.add_argument("--out", help="also write the report to this file")
 
     p = sub.add_parser("inspect", help="parameter and MAC accounting for a preset")
+    p.set_defaults(run=cmd_inspect)
     p.add_argument("preset", nargs="?", default=DEFAULT_PRESET)
-    p.add_argument("--iva-iters", type=int, default=IvaConfig.iterations)
+    p.add_argument("--iva-iters", type=_non_negative_int, default=IvaConfig.iterations)
     children = tuple(sub.choices.values())
     for target in [parser, *children]:
         target.set_defaults(**dict(defaults))
-    return pre, parser, children
+    return parser, children
 
 
 @lru_cache(maxsize=_CACHED)
@@ -216,6 +226,8 @@ def _naming(path):
         yield
     except (InvalidInputError, DegenerateInputError, NumericalError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+    except MemoryError as exc:      # numpy's subclass takes (shape, dtype), not a message
+        raise MemoryError(f"{path}: out of memory ({exc})") from exc
 
 
 def _enhance_one(file, cfg, w, iva_cfg, no_iva):
@@ -366,32 +378,14 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "enhance": cmd_enhance,
-    "separate": cmd_separate,
-    "simulate": cmd_simulate,
-    "eval": cmd_eval,
-    "inspect": cmd_inspect,
-}
-
-
 def main(argv=None) -> int:
-    pre, parser, children = _build_parser()
-    # config-file values become the parser's defaults, so flags still win
-    prelim, _ = pre.parse_known_args(argv)
-    if prelim.config:
-        try:
-            values = _load_config_file(prelim.config, children)
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        except InvalidInputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        _, parser, _ = _build_parser(tuple(sorted(values.items())))
+    parser, children = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        if args.config:     # its values become the parser's defaults, so flags still win
+            values = _load_config_file(args.config, children)
+            args = _build_parser(tuple(sorted(values.items())))[0].parse_args(argv)
+        return args.run(args)
     except WeightFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WEIGHTS
@@ -402,6 +396,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

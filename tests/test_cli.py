@@ -234,6 +234,40 @@ class TestEnhance:
         assert f"error: {stereo_wav}: singular demixing update" in capsys.readouterr().err
 
 
+def _out_of_memory(*args, **kwargs):
+    return np.empty(1 << 62, np.uint8)      # numpy raises its MemoryError subclass
+
+
+class TestOutOfMemory:
+    @staticmethod
+    def assert_one_error_line(err, path):
+        assert "Traceback" not in err
+        lines = [line for line in err.splitlines() if line]
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {path}: out of memory (Unable to allocate")
+
+    def test_enhance_exit_5(self, tmp_path, stereo_wav, capsys, monkeypatch):
+        monkeypatch.setattr("hybridse.cli.enhance", _out_of_memory)
+        assert main(["enhance", str(stereo_wav), "--out", str(tmp_path / "o.wav")]) == 5
+        self.assert_one_error_line(capsys.readouterr().err, stereo_wav)
+        assert not (tmp_path / "o.wav").exists()
+
+    def test_enhance_jobs_exit_5(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("hybridse.cli.enhance", _out_of_memory)
+        rng = np.random.default_rng(7)
+        paths = [tmp_path / f"m{i}.wav" for i in range(2)]
+        for path in paths:
+            write_wav(path, FS, 0.1 * rng.standard_normal((2, 3000)))
+        assert main(["enhance", *map(str, paths), "--out", str(tmp_path / "outs"),
+                     "--jobs", "2"]) == 5
+        self.assert_one_error_line(capsys.readouterr().err, paths[0])
+
+    def test_separate_exit_5(self, tmp_path, stereo_wav, capsys, monkeypatch):
+        monkeypatch.setattr("hybridse.cli.auxiva_separate", _out_of_memory)
+        assert main(["separate", str(stereo_wav), "--out", str(tmp_path / "outs")]) == 5
+        self.assert_one_error_line(capsys.readouterr().err, stereo_wav)
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("command", [["enhance"], ["enhance", "--no-iva"],
@@ -420,6 +454,14 @@ class TestFlags:
             main([*argv, "--seed", "-1"])
         assert info.value.code == 2
         assert "--seed: expected a non-negative integer, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["enhance", "x.wav"], ["separate", "x.wav"], ["inspect"]],
+                             ids=["enhance", "separate", "inspect"])
+    def test_negative_iva_iters_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--iva-iters", "-1"])
+        assert info.value.code == 2
+        assert "--iva-iters: expected a non-negative integer, got -1" in capsys.readouterr().err
 
 
 _ONE_FRAME_STEREO = _stereo_wav_bytes(frames=1)
@@ -784,6 +826,22 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "inspect"]) == 2
         assert "error: cannot read config" in capsys.readouterr().err
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path, stereo_wav, capsys):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "runs" / "take#2.wav"
+        cfg.write_text(f"out = {out}\n")
+        assert main(["--config", str(cfg), "enhance", str(stereo_wav), "--no-iva"]) == 0
+        assert capsys.readouterr().out == f"{out}\n"
+        assert out.is_file()
+
+    def test_comment_after_whitespace(self, tmp_path, stereo_wav, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1  # note\n")
+        assert main(["--config", str(cfg), "enhance", str(stereo_wav), "--no-iva",
+                     "--out", str(tmp_path / "config.wav")]) == 0
+        assert main(["enhance", str(stereo_wav), "--no-iva", "--seed", "1",
+                     "--out", str(tmp_path / "flag.wav")]) == 0
+        assert (tmp_path / "config.wav").read_bytes() == (tmp_path / "flag.wav").read_bytes()
+
     def test_malformed_line_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just words\n")
@@ -792,10 +850,11 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line, message", [
         ("jobs = 0", "jobs: expected a positive integer, got 0"),
-        ("iva-iters = many", "iva-iters: invalid literal"),
+        ("iva-iters = many", "iva-iters: expected a non-negative integer, got many"),
         ("seed = -3", "seed: expected a non-negative integer, got -3"),
         ("no-iva = ture", "no-iva: expected one of 1/0/true/false/yes/no/on/off, got ture"),
-    ], ids=["jobs_zero", "not_an_int", "negative_seed", "not_a_boolean"])
+        ("iva-iters = -1", "iva-iters: expected a non-negative integer, got -1"),
+    ], ids=["jobs_zero", "not_an_int", "negative_seed", "not_a_boolean", "negative_iva_iters"])
     def test_bad_value_exit_2(self, tmp_path, stereo_wav, capsys, line, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")

@@ -17,8 +17,8 @@ def test_same_lines_twice_on_a_reduced_input():
     assert len(set(names)) == len(names)
     assert all(re.fullmatch(r".+ [0-9a-f]{64}", line) for line in first)
     assert {name.split()[0] for name in names} == {
-        "enhance", "separate", "istft", "conv2d", "image_rir", "render_scene", "simulate",
-        "inspect"}
+        "enhance", "separate", "fail", "istft", "conv2d", "image_rir", "render_scene",
+        "simulate", "inspect"}
     assert "image_rir seed 1 noise" in names
     assert {"separate scene-10s noise", "separate cli scene-10s.noise.wav",
             "istft stereo length 3328", "conv2d depthwise float32 2000 frames"} <= set(names)
@@ -27,3 +27,6 @@ def test_same_lines_twice_on_a_reduced_input():
     assert list(cli_runs) == ["seed-0", "seed-1", "config-lps-s-m2", "seed-0-again"]
     assert cli_runs["seed-0"] == cli_runs["seed-0-again"]
     assert len(set(cli_runs.values())) == 3
+    failures = {line.split()[1]: line.split()[3] for line in first if line.startswith("fail ")}
+    assert failures == {"missing-config": "2", "config-negative-seed": "2",
+                        "config-unknown-key": "2", "enhance-mono": "2", "corrupt-weights": "3"}
