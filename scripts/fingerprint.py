@@ -14,6 +14,10 @@ The artifacts, one line each:
 - ``enhance`` wave and mask for every preset, with and without IVA, on a
   2 s scene, a 10 s scene (625 frames, which the network runs in three
   blocks), a silent file (IVA bypass) and a 100-sample file;
+- ``enhance`` wave and mask for every preset on the 2 s scene with IVA,
+  its weights' batch norm statistics and PReLU slopes drawn per channel
+  (:func:`with_norms`), so that each fold of a batch norm into its conv
+  and each PReLU shows in the output;
 - ``separate``'s speech and noise waves (Aux-IVA, then ``istft`` at the
   input length) on the 2 s and the 10 s scene, and the WAVs one
   ``hybridse separate`` run over both scenes writes;
@@ -71,6 +75,20 @@ def dry_signals(seed: int, n: int):
     return 0.1 * env * rng.laplace(size=n), 0.1 * rng.standard_normal(n)
 
 
+def with_norms(w, seed: int):
+    """``w`` with every batch norm's gamma, beta, mean and var and every
+    PReLU slope drawn per channel; the slopes lie in (-0.5, 1.5)."""
+    rng = np.random.default_rng(seed)
+    draws = {"gamma": (0.5, 1.5), "beta": (-0.2, 0.2), "mean": (-0.2, 0.2),
+             "var": (0.3, 2.0), "alpha": (-0.5, 1.5)}
+    out = dict(w)
+    for name, tensor in w.items():
+        leaf = name.rsplit(".", 1)[1]
+        if leaf in draws:
+            out[name] = rng.uniform(*draws[leaf], tensor.shape).astype(np.float32)
+    return out
+
+
 def run_cli(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -110,6 +128,9 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
                 tag = f"enhance {preset} {'iva' if use_iva else 'no-iva'} {name}"
                 yield f"{tag} wave {digest(res.wave)}"
                 yield f"{tag} mask {digest(res.mask)}"
+        res = enhance(inputs["scene"], with_norms(w, 5), PRESETS[preset], IvaConfig())
+        yield f"enhance {preset} iva scene norms wave {digest(res.wave)}"
+        yield f"enhance {preset} iva scene norms mask {digest(res.mask)}"
 
     for name in ("scene", "scene-10s"):
         wave = inputs[name]

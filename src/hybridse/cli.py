@@ -14,10 +14,11 @@ a boolean; explicit command-line flags win.
 A process that calls :func:`main` many times, as a host driving it per file
 does, builds what does not depend on the file only once: the argument
 parsers (once per distinct set of config-file values; the file itself is
-still read and checked on every call) and the seeded random weights (once
-per preset and ``--seed``, kept read-only).  Each cache keeps the
-``_CACHED`` most recently used.  A ``--weights`` file is read on every
-call, so a rewritten file takes effect.
+still read and checked on every call) and the prepared plans of the seeded
+weights (:func:`model.prepare`, once per preset and ``--seed``, read-only).
+Each cache keeps the ``_CACHED`` most recently used.  A ``--weights`` file
+is read on every call, so a rewritten file takes effect, and prepared once
+per call for all of its input files.
 """
 
 import argparse
@@ -37,7 +38,7 @@ from .errors import (DegenerateInputError, InvalidInputError, NumericalError,
 from .loss import si_snr
 from .model import (DEFAULT_PRESET, count_macs, count_params, enhance,
                     init_random, load_weights, macs_breakdown, param_breakdown,
-                    preset_config)
+                    prepare, preset_config)
 from .simkit import render_scene, sample_scene, write_manifest
 from .wavio import read_wav, write_wav
 
@@ -47,8 +48,8 @@ EXIT_WEIGHTS = 3
 EXIT_NUMERICAL = 4
 EXIT_MEMORY = 5
 
-# parsers and seeded weight sets one process keeps; the least recently
-# used goes first
+# parsers and seeded plans one process keeps; the least recently used goes
+# first
 _CACHED = 16
 
 
@@ -169,17 +170,15 @@ def _build_parser(defaults=()):
 
 @lru_cache(maxsize=_CACHED)
 def _seeded_weights(cfg, seed: int):
-    """``init_random(cfg, seed)`` with every array read-only, built once per
-    ``(cfg, seed)`` and shared by every later call."""
-    w = init_random(cfg, seed)
-    for tensor in w.values():
-        tensor.flags.writeable = False
-    return w
+    """The plan of ``init_random(cfg, seed)``, built once per ``(cfg,
+    seed)`` and shared by every later call; a plan is read-only."""
+    return prepare(init_random(cfg, seed), cfg)
 
 
 def _read_input(path, channels: int):
     """Read a 16 kHz WAV of ``channels`` channels: [n] if mono, else [channels, n]."""
-    rate, wave = read_wav(path)
+    with _naming(path, errors=()):      # read_wav and OSError name the file themselves
+        rate, wave = read_wav(path)
     if rate != DEFAULT_SAMPLE_RATE:
         raise InvalidInputError(f"{path}: expected {DEFAULT_SAMPLE_RATE} Hz, got {rate}")
     got = 1 if wave.ndim == 1 else wave.shape[0]
@@ -213,21 +212,23 @@ def _targets(out, inputs, suffixes):
     return targets
 
 
-def _write(target: Path, wave: np.ndarray) -> None:
-    target.parent.mkdir(parents=True, exist_ok=True)
-    write_wav(target, DEFAULT_SAMPLE_RATE, wave)
-
-
 @contextmanager
-def _naming(path):
-    """Prefix ``path`` to a per-file processing error, keeping its class and
-    so its exit code."""
+def _naming(path, errors=(InvalidInputError, DegenerateInputError, NumericalError)):
+    """Prefix ``path`` to a per-file error of one of the classes
+    ``errors``, keeping its class and so its exit code, and to running out
+    of memory."""
     try:
         yield
-    except (InvalidInputError, DegenerateInputError, NumericalError) as exc:
+    except errors as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     except MemoryError as exc:      # numpy's subclass takes (shape, dtype), not a message
         raise MemoryError(f"{path}: out of memory ({exc})") from exc
+
+
+def _write(target: Path, wave: np.ndarray) -> None:
+    with _naming(target, errors=()):    # write_wav and OSError name the file themselves
+        target.parent.mkdir(parents=True, exist_ok=True)
+        write_wav(target, DEFAULT_SAMPLE_RATE, wave)
 
 
 def _enhance_one(file, cfg, w, iva_cfg, no_iva):
@@ -251,7 +252,7 @@ def cmd_enhance(args) -> int:
     files = [(path, target) for path, (target,) in zip(args.inputs, targets)]
     cfg = preset_config(args.preset)
     if args.weights:
-        w = load_weights(Path(args.weights).read_bytes(), cfg)
+        w = prepare(load_weights(Path(args.weights).read_bytes(), cfg), cfg)
     else:
         w = _seeded_weights(cfg, args.seed)
     enhance_file = partial(_enhance_one, cfg=cfg, w=w,
@@ -315,8 +316,8 @@ def cmd_simulate(args) -> int:
             render = render_scene(scene, speech, noise)
         mix_name = f"scene_{i:05d}.mix.wav"
         tgt_name = f"scene_{i:05d}.target.wav"
-        write_wav(out_dir / mix_name, DEFAULT_SAMPLE_RATE, render.mixture)
-        write_wav(out_dir / tgt_name, DEFAULT_SAMPLE_RATE, render.target)
+        _write(out_dir / mix_name, render.mixture)
+        _write(out_dir / tgt_name, render.target)
         g2 = np.sum((render.mixture[0] - render.norm * render.speech_image[0]) ** 2)
         measured = 10.0 * np.log10(
             np.sum((render.norm * render.speech_image[0]) ** 2) / g2)

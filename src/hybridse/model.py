@@ -10,15 +10,18 @@ channel.
 
 Everything below the feature stage runs in float32 on the framework-free
 primitives from :mod:`hybridse.nn`.  Weights are a plain ordered ``dict``
-of name -> float32 array, and every layer hands its tensors from that map
-straight to the kernels.  One private layer table, ``_layers(cfg)``, is the
-single description of the architecture: the tensor inventory
+of name -> float32 array.  One private layer table, ``_layers(cfg)``, is
+the single description of the architecture: the tensor inventory
 (:func:`expected_shapes`, which loading validates against exactly), the
 seeded initialisation (:func:`init_random`), the parameter counts and the
 MAC accounting are all read from it, and so is the forward pass.  Each
-conv, BN and PReLU row carries the ``nn`` call that runs it, so encoder,
-G-T-conv blocks and decoder just run their rows in table order; each
-G-DPRNN path reads its GRUs and projections from its rows.
+conv, BN and PReLU row carries the ``nn`` call that runs it, and
+:func:`prepare` walks the table once per weight set into a :class:`Plan`:
+each batch norm folded into the conv before it, each PReLU's slopes on
+the conv it follows, each G-DPRNN path's GRUs and projections stacked.
+Encoder, G-T-conv blocks and decoder run the plan's rows in table order.
+Every public function that takes weights takes a dict or a plan, and
+prepares a dict on entry, so both run the same arithmetic.
 
 The network is causal in time, and :func:`forward` runs it over blocks of
 at most :data:`BLOCK_FRAMES` frames, so its working set is one block's
@@ -39,7 +42,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -286,7 +289,7 @@ def load_weights(data: bytes, cfg: ModelConfig) -> Dict[str, np.ndarray]:
 
 
 # --------------------------------------------------------------------------
-# forward pass
+# features
 
 
 def _spectrograms(y, y_iva) -> Tuple[np.ndarray, np.ndarray]:
@@ -334,11 +337,110 @@ def sfe(x: np.ndarray, kernel: int = 3) -> np.ndarray:
     return gathered.transpose(0, 1, 3, 2, 4).reshape(b, c * kernel, t, f)
 
 
-@cache
-def _blocks(cfg: ModelConfig):
-    """The table's rows grouped by the block that holds them, in table order."""
-    return tuple((block, tuple(rows)) for block, rows in
-                 itertools.groupby(_layers(cfg), lambda row: row[0].rpartition(".")[0]))
+# --------------------------------------------------------------------------
+# prepared plan
+
+
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """A weight set in the form the forward pass runs it, built by
+    :func:`prepare` once per weight set and config.
+
+    ``blocks`` holds the table's conv and transposed-conv rows grouped by
+    the block that holds them, in table order, each as ``(layer, op,
+    (kernel, bias), slopes)``: the batch norm that follows the row folded
+    into its kernel and bias, and ``slopes`` the :func:`nn.prelu_slopes` of
+    the PReLU that follows it, or ``None``.  ``paths`` holds, per G-DPRNN
+    path, its GRUs stacked in :func:`nn.gru_gate_major`'s layout, per group
+    the forward GRU and then any backward one, and its projection kernels
+    [groups, directions, 1, hidden, group width] and biases [groups, 1, 1,
+    group width].  Every array is read-only, and a plan pickles.
+    """
+    cfg: ModelConfig
+    blocks: tuple
+    paths: tuple
+
+    def arrays(self):
+        """Every array the plan holds, in plan order."""
+        for _, steps in self.blocks:
+            for *_, tensors, slopes in steps:
+                yield from tensors if slopes is None else (*tensors, slopes[0])
+        for _, weights in self.paths:
+            yield from weights
+
+
+Weights = Union[Dict[str, np.ndarray], Plan]
+
+
+def _fold(op, kernel, bias, gamma, beta, mean, var):
+    """The kernel and bias of the conv or transposed-conv row run by ``op``
+    with the batch norm that follows it folded in, computed in float64 and
+    rounded once: each output channel's taps and bias are scaled by that
+    channel's :func:`nn.batch_norm_affine` scale, and its shift is added to
+    the bias.  A conv kernel [out, in / groups, kt, kf] holds the output
+    channels on its first axis; a transposed one [in, out / groups, kt, kf]
+    holds, group by group, group ``g``'s outputs on its second axis."""
+    dtype = np.result_type(kernel, bias, gamma, beta, mean, var)
+    scale, shift = nn.batch_norm_affine(*(np.asarray(t, np.float64)
+                                          for t in (gamma, beta, mean, var)))
+    if getattr(op, "func", op) is nn.conv_transpose2d:
+        groups = op.keywords.get("groups", 1)
+        in_ch, o_per_g, kt, kf = kernel.shape
+        scaled = (kernel.reshape(groups, in_ch // groups, o_per_g, kt, kf)
+                  * scale.reshape(groups, 1, o_per_g, 1, 1)).reshape(kernel.shape)
+    else:
+        scaled = kernel * scale[:, None, None, None]
+    return scaled.astype(dtype), (bias * scale + shift).astype(dtype)
+
+
+def _path_weights(grus, projs, groups: int):
+    """One G-DPRNN path's ``(w_x, w_h, bias, kernel, proj_bias)`` from its
+    GRU and projection rows' tensors, in table order."""
+    directions = len(grus) // groups
+    kernels, biases = (np.stack(t) for t in zip(*projs))
+    kernels = kernels.reshape(groups, directions, 1, -1, kernels.shape[-1])
+    return (*nn.gru_gate_major(*(np.stack(t) for t in zip(*grus))), kernels,
+            biases[:, None, None])
+
+
+def prepare(w: Weights, cfg: ModelConfig) -> Plan:
+    """The :class:`Plan` of the weight dict ``w`` for ``cfg``, built by one
+    walk of the layer table; a plan comes back as it is, and must be one
+    for ``cfg``.  Each tensor is read once, by name, and none is written.
+
+    Every batch norm in the table directly follows a conv or a transposed
+    conv and folds into it, and every PReLU directly follows a batch norm
+    and runs in place on the conv's output, through :func:`nn.prelu_with`.
+    So the plan's output differs from a pass that runs each batch norm on
+    its own only by float32 rounding.
+    """
+    if isinstance(w, Plan):
+        if w.cfg != cfg:
+            raise InvalidInputError(f"a plan prepared for {w.cfg} cannot run {cfg}")
+        return w
+    steps, grus, projs = [], {}, {}
+    for layer, leaves, mac, _, _, op in _layers(cfg):
+        tensors = tuple(np.array(w[f"{layer}.{leaf}"]) for leaf in leaves)   # the plan's own
+        if op is nn.batch_norm_infer:
+            steps[-1][2] = _fold(steps[-1][1], *steps[-1][2], *tensors)
+        elif op is nn.prelu:
+            steps[-1][3] = nn.prelu_slopes(tensors[0])
+        elif op is not None:
+            steps.append([layer, op, tensors, None])
+        else:
+            (grus if "w_x" in leaves else projs).setdefault(mac, []).append(tensors)
+    blocks = tuple((block, tuple(map(tuple, group))) for block, group in
+                   itertools.groupby(steps, lambda step: step[0].rpartition(".")[0]))
+    paths = tuple((path, _path_weights(grus[path], projs[path], cfg.dprnn_groups))
+                  for path in grus)
+    plan = Plan(cfg, blocks, paths)
+    for array in plan.arrays():
+        array.flags.writeable = False
+    return plan
+
+
+# --------------------------------------------------------------------------
+# network blocks
 
 
 def _carry(op, x: np.ndarray, tensors, state: dict, layer: str) -> np.ndarray:
@@ -355,38 +457,39 @@ def _carry(op, x: np.ndarray, tensors, state: dict, layer: str) -> np.ndarray:
     return out if past is None else out[:, :, past.shape[2]:]
 
 
-def _run(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig, prefix: str,
-         state: Optional[dict] = None) -> np.ndarray:
-    """Run the table's layers under ``prefix`` in table order: each row
-    directly under it through its ``op``, each G-T-conv block
-    ``{prefix}.gt{i}`` as one :func:`gtconv_block`.  With a ``state``, the
-    rows whose op binds a dilation (the depthwise time convs) run through
-    :func:`_carry`."""
-    for block, rows in _blocks(cfg):
+def _run(x: np.ndarray, plan: Plan, prefix: str, state: Optional[dict] = None) -> np.ndarray:
+    """Run the plan's rows under ``prefix`` in table order: each row
+    directly under it through its ``op``, then its PReLU in place, and each
+    G-T-conv block ``{prefix}.gt{i}`` as one :func:`gtconv_block`.  With a
+    ``state``, the rows whose op binds a dilation (the depthwise time
+    convs) run through :func:`_carry`."""
+    for block, steps in plan.blocks:
         if block == prefix:
-            for layer, leaves, *_, op in rows:
-                tensors = tuple(w[f"{layer}.{leaf}"] for leaf in leaves)
+            for layer, op, tensors, slopes in steps:
                 if state is not None and "dilation" in getattr(op, "keywords", ()):
                     x = _carry(op, x, tensors, state, layer)
                 else:
                     x = op(x, *tensors)
+                if slopes is not None:
+                    nn.prelu_with(x, slopes, out=x)
         elif block.startswith(f"{prefix}.gt"):
-            x = gtconv_block(x, w, block, cfg, state)
+            x = gtconv_block(x, plan, block, plan.cfg, state)
     return x
 
 
-def gtconv_block(x: np.ndarray, w: Dict[str, np.ndarray], prefix: str,
+def gtconv_block(x: np.ndarray, w: Weights, prefix: str,
                  cfg: ModelConfig, state: Optional[dict] = None) -> np.ndarray:
     """Half-identity grouped temporal conv block: the second channel half
     runs the block's rows (pointwise expand, causal time-dilated depthwise,
     pointwise squeeze, the first two with BN+PReLU), and the halves are
     re-joined shuffled across two groups in one copy: output channel ``2c``
     is kept channel ``c``, ``2c + 1`` transformed channel ``c``."""
+    plan = prepare(w, cfg)
     b, ch = x.shape[:2]
     if ch % 2 != 0:
         raise InvalidInputError("gtconv block needs an even channel count")
     half = ch // 2
-    t = _run(x[:, half:], w, cfg, prefix, state)
+    t = _run(x[:, half:], plan, prefix, state)
     out = np.empty(x.shape, dtype=np.result_type(x, t))
     pairs = out.reshape(b, half, 2, *x.shape[2:])
     pairs[:, :, 0] = x[:, :half]
@@ -394,60 +497,57 @@ def gtconv_block(x: np.ndarray, w: Dict[str, np.ndarray], prefix: str,
     return out
 
 
-def encode(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig,
+def encode(x: np.ndarray, w: Weights, cfg: ModelConfig,
            state: Optional[dict] = None):
     """Feature tensor [batch, 3P, time, 129] to ``(latent, skip)``, both
     [batch, 16, time, 33]; the skip is the latent itself.  A dual encoder
     fuses the outputs of its noisy-plane and IVA-plane branches."""
+    plan = prepare(w, cfg)
     if x.ndim != 4:
         raise InvalidInputError(f"expected [batch, channel, time, freq], got {x.shape}")
     if cfg.encoder == "dual":
         n_main = 4 * cfg.sfe_kernel
-        x = np.concatenate([_run(x[:, :n_main], w, cfg, "enc.main", state),
-                            _run(x[:, n_main:], w, cfg, "enc.aux", state)], axis=1)
-    latent = _run(x, w, cfg, "enc", state)
+        x = np.concatenate([_run(x[:, :n_main], plan, "enc.main", state),
+                            _run(x[:, n_main:], plan, "enc.aux", state)], axis=1)
+    latent = _run(x, plan, "enc", state)
     return latent, latent
 
 
-def _dprnn_path(x: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig, path: str,
-                perm: Tuple[int, ...], state: Optional[dict] = None) -> np.ndarray:
+def _dprnn_path(x: np.ndarray, plan: Plan, path: str, perm: Tuple[int, ...],
+                state: Optional[dict] = None) -> np.ndarray:
     """One G-DPRNN path: ``x`` plus the channel-shuffled projection of the
     path's GRUs.  ``perm`` lays ``x``, viewed as [batch, groups, gw, time,
-    bands], out as [groups, scanned, batch, other, gw].  The path's rows list
-    per group its GRUs (forward, then any backward one) and its projection;
-    one :func:`nn.gru_scan` runs them all, a backward GRU over the reversed
-    scan axis, and each projection sums its directions' halves straight into
-    the shuffled order: output channel ``j * groups + g`` is unit ``j`` of
-    group ``g``.  With a ``state``, the scan starts from ``state[path]``
-    (zeros if absent) and leaves its last step there."""
+    bands], out as [groups, scanned, batch, other, gw].  One
+    :func:`nn.gru_scan_gate_major` runs all of the path's GRUs from the
+    plan, a backward GRU over the reversed scan axis, and each projection
+    sums its directions' halves straight into the shuffled order: output
+    channel ``j * groups + g`` is unit ``j`` of group ``g``.  With a
+    ``state``, the scan starts from ``state[path]`` (zeros if absent) and
+    leaves its last step there."""
     b, c, t, f = x.shape
-    groups = cfg.dprnn_groups
+    groups = plan.cfg.dprnn_groups
     gw = c // groups
-    rows = [(layer, leaves) for layer, leaves, mac, *_ in _layers(cfg) if mac == path]
-    grus = [layer for layer, leaves in rows if "w_x" in leaves]
-    projs = [layer for layer, leaves in rows if "kernel" in leaves]
-    directions = len(grus) // groups
+    w_x, w_h, bias, k, proj_bias = dict(plan.paths)[path]
+    directions = k.shape[1]
     seq = x.reshape(b, groups, gw, t, f).transpose(perm)
     _, n_scan, _, n_other, _ = seq.shape
     if directions == 2:
         seq = np.stack([seq, seq[:, ::-1]], axis=1)
-    h = nn.gru_scan(seq.reshape(groups * directions, n_scan, b * n_other, gw),
-                    *(np.stack([w[f"{n}.{k}"] for n in grus]) for k in ("w_x", "w_h", "bias")),
-                    h0=None if state is None else state.get(path))
+    h = nn.gru_scan_gate_major(seq.reshape(groups * directions, n_scan, b * n_other, gw),
+                               w_x, w_h, bias, h0=None if state is None else state.get(path))
     if state is not None:
         state[path] = h[:, -1].copy()
     h = h.reshape(groups, directions, *h.shape[1:])
-    k = np.stack([w[f"{n}.kernel"] for n in projs]).reshape(groups, directions, 1, -1, gw)
     p = np.matmul(h[:, 0], k[:, 0])
     if directions == 2:
         p += np.matmul(h[:, 1], k[:, 1])[:, ::-1]
-    p += np.stack([w[f"{n}.bias"] for n in projs])[:, None, None]
+    p += proj_bias
     p = p.reshape(groups, n_scan, b, n_other, gw)
     shuffled = p.transpose([perm.index(a) for a in (0, 2, 1, 3, 4)])
     return (x.reshape(b, gw, groups, t, f) + shuffled).reshape(b, c, t, f)
 
 
-def gdprnn(latent: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig,
+def gdprnn(latent: np.ndarray, w: Weights, cfg: ModelConfig,
            state: Optional[dict] = None) -> np.ndarray:
     """Grouped dual-path block: bidirectional GRUs over bands within each
     frame, then causal GRUs over time within each band, each followed by a
@@ -455,37 +555,45 @@ def gdprnn(latent: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig,
     add, each path one :func:`_dprnn_path`.  Output shape equals input shape.
     Only the inter path, the one over time, reads and writes ``state``.
     """
+    plan = prepare(w, cfg)
     c = latent.shape[1]
     if c % cfg.dprnn_groups != 0:
         raise InvalidInputError(f"{c} channels not divisible by {cfg.dprnn_groups} groups")
-    x = _dprnn_path(latent, w, cfg, "dprnn.intra", (1, 4, 0, 3, 2))
-    return _dprnn_path(x, w, cfg, "dprnn.inter", (1, 3, 0, 4, 2), state)
+    x = _dprnn_path(latent, plan, "dprnn.intra", (1, 4, 0, 3, 2))
+    return _dprnn_path(x, plan, "dprnn.inter", (1, 3, 0, 4, 2), state)
 
 
-def decode(z: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig,
+def decode(z: np.ndarray, w: Weights, cfg: ModelConfig,
            state: Optional[dict] = None) -> np.ndarray:
     """Latent-plus-skip [batch, 16, time, 33] to a two-plane mask at 129
     bands, squashed to (-1, 1) by the final tanh."""
-    return np.tanh(_run(z, w, cfg, "dec", state))
+    return np.tanh(_run(z, prepare(w, cfg), "dec", state))
 
 
-def _forward_block(y: np.ndarray, y_iva: np.ndarray, w: Dict[str, np.ndarray],
+# --------------------------------------------------------------------------
+# forward pass
+
+
+def _forward_block(y: np.ndarray, y_iva: np.ndarray, w: Weights,
                    cfg: ModelConfig, state: Optional[dict]) -> np.ndarray:
     """The float32 mask [2, frames, 257] of the frames that follow the ones
     ``state`` has seen, which it then carries past these; ``None`` is the
     zero state and keeps nothing."""
+    plan = prepare(w, cfg)
     merged = band_merge(build_features(y, y_iva, cfg)).astype(np.float32)
-    latent, skip = encode(sfe(merged[None], cfg.sfe_kernel), w, cfg, state)
-    z = gdprnn(latent, w, cfg, state) + skip
-    return band_split(decode(z, w, cfg, state))[0]
+    latent, skip = encode(sfe(merged[None], cfg.sfe_kernel), plan, cfg, state)
+    z = gdprnn(latent, plan, cfg, state) + skip
+    return band_split(decode(z, plan, cfg, state))[0]
 
 
-def forward(y: np.ndarray, y_iva: np.ndarray, w: Dict[str, np.ndarray],
+def forward(y: np.ndarray, y_iva: np.ndarray, w: Weights,
             cfg: ModelConfig) -> np.ndarray:
     """Complex ratio mask [2, frames, 257] for the given spectrograms.
 
     Plane 0 is the real mask, plane 1 the imaginary mask; both lie in
     [-1, 1] (tanh output propagated through the convex band split).
+    ``w`` is a weight dict, prepared here once for every block, or a
+    :class:`Plan`.
 
     The network runs over consecutive blocks from one carried state, each
     block's mask written into the output, so the memory it needs beyond its
@@ -496,6 +604,7 @@ def forward(y: np.ndarray, y_iva: np.ndarray, w: Dict[str, np.ndarray],
     long blocks keep the mask byte for byte the one a single block over all
     frames gives.
     """
+    plan = prepare(w, cfg)
     y, y_iva = _spectrograms(y, y_iva)
     frames = y.shape[1]
     n_blocks = max(-(-frames // BLOCK_FRAMES), 1)
@@ -503,7 +612,7 @@ def forward(y: np.ndarray, y_iva: np.ndarray, w: Dict[str, np.ndarray],
     mask = np.empty((2, frames, N_BINS))
     state: dict = {}
     for a, b in zip(edges, edges[1:]):
-        mask[:, a:b] = _forward_block(y[:, a:b], y_iva[:, a:b], w, cfg, state)
+        mask[:, a:b] = _forward_block(y[:, a:b], y_iva[:, a:b], plan, cfg, state)
     return mask
 
 
@@ -572,7 +681,7 @@ class EnhanceResult:
     used_iva: bool
 
 
-def enhance(wave: np.ndarray, w: Dict[str, np.ndarray], cfg: ModelConfig,
+def enhance(wave: np.ndarray, w: Weights, cfg: ModelConfig,
             iva_cfg: IvaConfig = IvaConfig(),
             use_iva: bool = True) -> EnhanceResult:
     """Enhance a two-channel waveform [2, n] into mono speech of length n.

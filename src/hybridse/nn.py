@@ -27,8 +27,11 @@ candidate), so a caller folds groups and directions into ``S``; a backward
 GRU is a forward one over the time-reversed input.  It starts from zeros,
 or from ``h0`` [S, batch, H]: passing a scan's last step as the next
 scan's ``h0`` continues it bit for bit, which is how a caller runs a
-sequence in blocks.  :func:`gru_sequence` is the single-GRU
-[time, batch, input] view of the same kernel.
+sequence in blocks.  :func:`gru_gate_major` lays the weights out the way
+the steps read them, so a caller that scans with one weight set many times
+lays them out once and calls :func:`gru_scan_gate_major`.
+:func:`gru_sequence` is the single-GRU [time, batch, input] view of the
+same kernel.
 """
 
 from dataclasses import dataclass
@@ -210,27 +213,61 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
     return out
 
 
+def batch_norm_affine(gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray,
+                      var: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Inference batch norm as the per-channel affine map it is,
+    ``(scale, shift)`` with ``x * scale + shift``: ``scale = gamma /
+    sqrt(var + eps)`` and ``shift = beta - mean * scale``, in the dtype of
+    the statistics.  The variance floor ``eps`` is fixed at 1e-5, PyTorch's
+    default."""
+    scale = gamma / np.sqrt(var + 1e-5)
+    return scale, beta - mean * scale
+
+
 def batch_norm_infer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                      mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     """Inference batch norm over the channel axis with running ``mean`` and
-    ``var``; the variance floor ``eps`` is fixed at 1e-5, PyTorch's
-    default."""
-    scale = gamma / np.sqrt(var + 1e-5)
-    shift = beta - mean * scale
+    ``var``, through :func:`batch_norm_affine`."""
+    scale, shift = batch_norm_affine(gamma, beta, mean, var)
     return x * scale[None, :, None, None] + shift[None, :, None, None]
 
 
 def prelu(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Per-channel parametric ReLU, as ``max(x, 0) + alpha * min(x, 0)``.
+    """Per-channel parametric ReLU: ``x if x >= 0 else alpha * x``.
 
-    Equal to ``x if x >= 0 else alpha * x`` for every input, NaN and +-inf
-    included, bit for bit except the sign of a zero result: it can be +0.0
-    where that expression gives -0.0.
+    Exact for every input, NaN and +-inf included, bit for bit except the
+    sign of a zero result, which can be +0.0 where that expression gives
+    -0.0.  When every slope is in (0, 1] it is one product and one
+    ``maximum``, ``max(x, alpha * x)``; any other slopes, 0 among them
+    (``0 * inf`` is NaN), take ``max(x, 0) + alpha * min(x, 0)``.  A caller
+    that runs one set of slopes many times picks the form once, with
+    :func:`prelu_slopes`, and calls :func:`prelu_with`, which can also run
+    in place.
     """
+    return prelu_with(x, prelu_slopes(alpha))
+
+
+def prelu_slopes(alpha: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """``(slopes, one_product)``: ``alpha`` broadcast over [batch, channel,
+    time, freq], and whether :func:`prelu` is ``max(x, alpha * x)`` for
+    these slopes, which holds when every slope is in (0, 1]."""
     alpha = np.asarray(alpha)
-    out = np.minimum(x, 0)
-    out *= alpha[None, :, None, None]
-    out += np.maximum(x, 0)
+    one_product = bool(alpha.min(initial=1.0) > 0 and alpha.max(initial=1.0) <= 1)
+    return alpha[None, :, None, None], one_product
+
+
+def prelu_with(x: np.ndarray, slopes: Tuple[np.ndarray, bool],
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`prelu` with the slopes :func:`prelu_slopes` returned, into
+    ``out``, which may be ``x`` itself."""
+    a, one_product = slopes
+    if one_product:
+        scaled = np.multiply(x, a, out=np.empty_like(x) if out is None or out is x else out)
+        return np.maximum(x, scaled, out=scaled if out is None else out)
+    neg = np.minimum(x, 0)
+    neg *= a
+    out = np.maximum(x, 0, out=out)
+    out += neg
     return out
 
 
@@ -242,6 +279,20 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     x *= 0.5
     x += 0.5
     return x
+
+
+def gru_gate_major(w_x: np.ndarray, w_h: np.ndarray,
+                   bias: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`gru_scan`'s stacked weights in the layout its steps read:
+    ``w_x`` as [S, 3, input, H] and ``w_h`` as [S, 3, H, H], contiguous
+    copies so that every gate plane is one block, and ``bias`` as
+    [S, 3, 1, H].  A caller that scans with the same weights many times
+    builds them once and runs :func:`gru_scan_gate_major`."""
+    s, d_in, h3 = w_x.shape
+    h_dim = h3 // 3
+    wx = w_x.reshape(s, d_in, 3, h_dim).transpose(0, 2, 1, 3).copy()
+    wh = w_h.reshape(s, h_dim, 3, h_dim).transpose(0, 2, 1, 3).copy()
+    return wx, wh, bias.reshape(s, 3, 1, h_dim)
 
 
 def gru_scan(x: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
@@ -257,18 +308,21 @@ def gru_scan(x: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
     the last returned step as the next call's ``h0`` continues the scan
     exactly where it stopped.
     """
-    s, t_len, batch, d_in = x.shape
-    h_dim = w_h.shape[1]
+    return gru_scan_gate_major(x, *gru_gate_major(w_x, w_h, bias), h0)
+
+
+def gru_scan_gate_major(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
+                        h0: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`gru_scan` on weights already in :func:`gru_gate_major`'s
+    layout; the same steps, so the same bits."""
+    s, t_len, batch, _ = x.shape
+    h_dim = wh.shape[-1]
     if h0 is None:
         h = np.zeros((s, batch, h_dim), dtype=x.dtype)
     elif np.shape(h0) != (s, batch, h_dim):
         raise InvalidInputError(f"h0 has shape {np.shape(h0)}, expected {(s, batch, h_dim)}")
     else:
         h = np.asarray(h0, dtype=x.dtype)
-    # gate-major copies, [S, 3, in|H, H], so every gate plane is contiguous
-    wx = w_x.reshape(s, d_in, 3, h_dim).transpose(0, 2, 1, 3).copy()
-    wh = w_h.reshape(s, h_dim, 3, h_dim).transpose(0, 2, 1, 3).copy()
-    b = bias.reshape(s, 3, 1, h_dim)
     out = np.empty((s, t_len, batch, h_dim), dtype=x.dtype)
     for t in range(t_len):
         pre = np.matmul(x[:, t, None], wx)

@@ -18,11 +18,12 @@ from scipy.io import wavfile
 
 from conftest import FS, instantaneous_scene
 from test_weights import gtcw_stream
-from hybridse import cli, stft
+from hybridse import cli, model, stft
 from hybridse.cli import main
 from hybridse.errors import NumericalError
 from hybridse.loss import si_snr
-from hybridse.model import ModelConfig, init_random, preset_config, save_weights
+from hybridse.model import (ModelConfig, init_random, prepare, preset_config,
+                            save_weights)
 from hybridse.wavio import read_wav, write_wav
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -169,13 +170,23 @@ class TestEnhance:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_model_built_once_per_call(self, tmp_path, capsys, monkeypatch, jobs):
-        calls = []
+        # one plan is built, in this process; a worker gets it pickled and
+        # runs it as it is
+        calls, plans = [], tmp_path / "plans.txt"
 
         def counting_init(cfg, seed):
             calls.append(seed)
             return init_random(cfg, seed)
 
+        def counting_prepare(w, cfg):
+            if not isinstance(w, model.Plan):
+                with open(plans, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+            return prepare(w, cfg)
+
         monkeypatch.setattr("hybridse.cli.init_random", counting_init)
+        monkeypatch.setattr("hybridse.cli.prepare", counting_prepare)
+        monkeypatch.setattr("hybridse.model.prepare", counting_prepare)
         cli._seeded_weights.cache_clear()       # an earlier test may have built them
         rng = np.random.default_rng(4)
         paths = []
@@ -186,8 +197,27 @@ class TestEnhance:
         out_dir = tmp_path / "outs"
         assert main(["enhance", *paths, "--out", str(out_dir), "--jobs", jobs]) == 0
         assert calls == [0]
+        assert plans.read_text().split() == [str(os.getpid())]
         assert sorted(p.name for p in out_dir.iterdir()) == \
             ["m0.enhanced.wav", "m1.enhanced.wav", "m2.enhanced.wav"]
+
+    @pytest.mark.parametrize("weights", [False, True], ids=["seeded", "weights_file"])
+    def test_jobs_two_writes_what_jobs_one_writes(self, tmp_path, capsys, weights_file,
+                                                  weights):
+        # the workers run the plan pickled into them
+        rng = np.random.default_rng(9)
+        paths = []
+        for i in range(3):
+            p = tmp_path / f"m{i}.wav"
+            write_wav(p, FS, 0.1 * rng.standard_normal((2, 5000)))
+            paths.append(str(p))
+        flags = ["--weights", str(weights_file)] if weights else ["--seed", "1"]
+        for jobs in ("1", "2"):
+            assert main(["enhance", *paths, "--out", str(tmp_path / jobs),
+                         "--jobs", jobs, *flags]) == 0
+        for i in range(3):
+            name = f"m{i}.enhanced.wav"
+            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
     def test_jobs_pool_capped_at_input_count(self, tmp_path, capsys, monkeypatch):
         import concurrent.futures
@@ -266,6 +296,32 @@ class TestOutOfMemory:
         monkeypatch.setattr("hybridse.cli.auxiva_separate", _out_of_memory)
         assert main(["separate", str(stereo_wav), "--out", str(tmp_path / "outs")]) == 5
         self.assert_one_error_line(capsys.readouterr().err, stereo_wav)
+
+    @pytest.mark.parametrize("command, failing", [
+        ("enhance", "read_wav"), ("enhance", "write_wav"), ("separate", "read_wav"),
+        ("separate", "write_wav"), ("simulate", "read_wav"), ("simulate", "write_wav"),
+        ("eval", "read_wav")])
+    def test_read_or_write_names_its_file_once(self, tmp_path, stereo_wav, capsys,
+                                               monkeypatch, command, failing):
+        mono = tmp_path / "mono"
+        mono.mkdir()
+        write_wav(mono / "a.wav", FS, 0.1 * np.random.default_rng(8).standard_normal(16000))
+        argv = {"enhance": ["enhance", str(stereo_wav), "--out", str(tmp_path / "o.wav")],
+                "separate": ["separate", str(stereo_wav), "--out", str(tmp_path / "outs")],
+                "simulate": ["simulate", "--speech-dir", str(mono), "--noise-dir", str(mono),
+                             "--n-scenes", "1", "--out", str(tmp_path / "scenes")],
+                "eval": ["eval", "--est-dir", str(mono), "--ref-dir", str(mono)]}[command]
+        seen = []
+
+        def out_of_memory(path, *args):
+            seen.append(path)
+            return _out_of_memory()
+
+        monkeypatch.setattr(f"hybridse.cli.{failing}", out_of_memory)
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        self.assert_one_error_line(err, seen[0])
+        assert err.count(str(seen[0])) == 1
 
 
 class TestNonFiniteInput:
@@ -928,14 +984,16 @@ class TestRepeatedCalls:
         assert outputs[1] == self.enhanced(stereo_wav, tmp_path / "s.wav", "--seed", "1")
 
     def test_cached_weights_are_read_only(self):
-        w = cli._seeded_weights(ModelConfig(), 0)
-        want = init_random(ModelConfig(), 0)
-        assert w.keys() == want.keys()
-        for name, tensor in w.items():
+        plan = cli._seeded_weights(ModelConfig(), 0)
+        assert plan is cli._seeded_weights(ModelConfig(), 0)
+        want = prepare(init_random(ModelConfig(), 0), ModelConfig())
+        got, expected = list(plan.arrays()), list(want.arrays())
+        assert len(got) == len(expected) > 0
+        for tensor, other in zip(got, expected):
             assert not tensor.flags.writeable
-            assert tensor.tobytes() == want[name].tobytes()
+            assert tensor.tobytes() == other.tobytes()
         with pytest.raises(ValueError, match="read-only"):
-            next(iter(w.values()))[...] = 0
+            got[0][...] = 0
 
     def test_built_once_per_preset_and_seed(self, tmp_path, stereo_wav, capsys,
                                             monkeypatch):

@@ -1,10 +1,13 @@
 """Mask-refinement network: features, blocks, forward pass, cost accounting."""
 
 import dataclasses
+import importlib.util
 import inspect
 import itertools
+import pickle
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from hybridse import loss, model, nn, simkit
 from hybridse.auxiva import IvaConfig, iva_macs_per_second
-from hybridse.bands import ErbFilterbank
+from hybridse.bands import ErbFilterbank, band_merge, band_split
 from hybridse.dsp import StftConfig, log_power
 from hybridse.errors import InvalidInputError
 from hybridse.model import (PRESETS, ModelConfig, apply_mask, build_features,
@@ -216,21 +219,20 @@ class TestGtconvBlock:
 
     @pytest.mark.parametrize("shape", [(1, 16, 6, 33), (2, 16, 9, 33), (1, 16, 1, 5)])
     def test_interleave_equals_concatenate_then_shuffle(self, shape):
-        # the block writes both halves straight into the shuffled order
+        # the block writes both halves straight into the shuffled order; the
+        # reference runs the plan's conv tensors, their batch norms folded in
         cfg = ModelConfig()
         w = init_random(cfg, 7)
         x = np.random.default_rng(8).standard_normal(shape).astype(np.float32)
+        folded = {layer: tensors for block, steps in model.prepare(w, cfg).blocks
+                  if block == "enc.gt1" for layer, _, tensors, _ in steps}
 
-        def bn_prelu(t, bn, prelu):
-            t = nn.batch_norm_infer(t, *(w[f"enc.gt1.{bn}.{k}"]
-                                         for k in ("gamma", "beta", "mean", "var")))
+        def conv_prelu(t, conv, prelu, **kwargs):
+            t = nn.conv2d(t, *folded[f"enc.gt1.{conv}"], **kwargs)
             return nn.prelu(t, w[f"enc.gt1.{prelu}.alpha"])
 
-        t = nn.conv2d(x[:, 8:], w["enc.gt1.pconv1.kernel"], w["enc.gt1.pconv1.bias"])
-        t = bn_prelu(t, "bn1", "prelu1")
-        t = nn.conv2d(t, w["enc.gt1.dwconv.kernel"], w["enc.gt1.dwconv.bias"],
-                      dilation=(2, 1), groups=16)
-        t = bn_prelu(t, "bn2", "prelu2")
+        t = conv_prelu(x[:, 8:], "pconv1", "prelu1")
+        t = conv_prelu(t, "dwconv", "prelu2", dilation=(2, 1), groups=16)
         t = nn.conv2d(t, w["enc.gt1.pconv2.kernel"], w["enc.gt1.pconv2.bias"])
         want = nn.channel_shuffle(np.concatenate([x[:, :8], t], axis=1), 2)
         got = gtconv_block(x, w, "enc.gt1", cfg)
@@ -547,6 +549,110 @@ class TestBlockedForward:
 
         (short, short_mask), (long, long_mask) = growth(20), growth(60)
         assert long - short <= (long_mask - short_mask) + (1 << 20)
+
+
+def with_random_norms(cfg, seed):
+    """Seed-0 weights with every batch norm statistic and PReLU slope drawn
+    per channel by ``scripts/fingerprint.py``'s ``with_norms``, which its
+    ``norms`` artifacts use too; the slopes lie in (-0.5, 1.5), below 0 and
+    above 1 too."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fingerprint.py"
+    spec = importlib.util.spec_from_file_location("fingerprint", script)
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    return fingerprint.with_norms(init_random(cfg, 0), seed)
+
+
+def unfused_mask(y, yi, w, cfg):
+    """The mask of the whole input as one block, composed from the layer
+    table's rows one ``nn`` call each: every conv or transposed conv, then
+    its ``nn.batch_norm_infer`` and its ``nn.prelu`` as passes of their
+    own.  The G-DPRNN, which has neither, is ``gdprnn``'s."""
+    rows = model._layers(cfg)
+
+    def run(x, prefix):
+        done = set()
+        for layer, leaves, *_, op in rows:
+            block = layer.rpartition(".")[0]
+            if block == prefix and op is not None:
+                x = op(x, *(w[f"{layer}.{leaf}"] for leaf in leaves))
+            elif block.startswith(f"{prefix}.gt") and block not in done:
+                done.add(block)
+                half = x.shape[1] // 2
+                x = nn.channel_shuffle(
+                    np.concatenate([x[:, :half], run(x[:, half:], block)], axis=1), 2)
+        return x
+
+    x = sfe(band_merge(build_features(y, yi, cfg)).astype(np.float32)[None], cfg.sfe_kernel)
+    if cfg.encoder == "dual":
+        n_main = 4 * cfg.sfe_kernel
+        x = np.concatenate([run(x[:, :n_main], "enc.main"), run(x[:, n_main:], "enc.aux")],
+                           axis=1)
+    latent = run(x, "enc")
+    return band_split(np.tanh(run(gdprnn(latent, w, cfg) + latent, "dec")))[0]
+
+
+class TestPrepare:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_folded_forward_matches_unfused_composition(self, preset):
+        cfg = PRESETS[preset]
+        w = with_random_norms(cfg, 23)
+        y, yi = rand_specs(24, frames=9)
+        got = forward(y, yi, w, cfg)
+        want = unfused_mask(y, yi, w, cfg)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-5
+
+    def test_leaves_read_only_seeded_arrays_unmodified(self):
+        cfg = ModelConfig()
+        w = init_random(cfg, 0)
+        for tensor in w.values():
+            tensor.flags.writeable = False
+        before = {name: tensor.copy() for name, tensor in w.items()}
+        model.prepare(w, cfg)
+        for name, tensor in w.items():
+            assert not tensor.flags.writeable
+            assert tensor.tobytes() == before[name].tobytes()
+
+    def test_plan_keeps_no_reference_to_the_dict(self):
+        cfg = ModelConfig()
+        w = init_random(cfg, 3)
+        y, yi = rand_specs(25, frames=5)
+        plan = model.prepare(w, cfg)
+        want = forward(y, yi, plan, cfg)
+        for tensor in w.values():
+            tensor[...] = 0
+        assert forward(y, yi, plan, cfg).tobytes() == want.tobytes()
+
+    def test_plan_arrays_are_read_only(self):
+        plan = model.prepare(init_random(ModelConfig(), 0), ModelConfig())
+        arrays = list(plan.arrays())
+        # 22 conv rows' kernel and bias, 15 PReLUs' slopes, 2 paths of 5
+        assert len(arrays) == 2 * 22 + 15 + 2 * 5
+        assert not any(t.flags.writeable for t in arrays)
+
+    def test_applied_to_a_plan_returns_that_plan(self):
+        cfg = ModelConfig()
+        plan = model.prepare(init_random(cfg, 0), cfg)
+        assert model.prepare(plan, cfg) is plan
+        with pytest.raises(InvalidInputError, match="prepared for"):
+            model.prepare(plan, preset_config("lps-s-m2"))
+
+    @pytest.mark.parametrize("preset", ["lps-sn-m2", "lps-sn-m2-dual"])
+    def test_plan_pickles(self, preset):
+        cfg = PRESETS[preset]
+        plan = model.prepare(with_random_norms(cfg, 26), cfg)
+        y, yi = rand_specs(27, frames=6)
+        copy = pickle.loads(pickle.dumps(plan))
+        assert forward(y, yi, copy, cfg).tobytes() == forward(y, yi, plan, cfg).tobytes()
+
+    def test_raw_dict_and_plan_give_the_same_bytes(self):
+        cfg = ModelConfig()
+        w = with_random_norms(cfg, 28)
+        y, yi = rand_specs(29, frames=7)
+        plan = model.prepare(w, cfg)
+        assert forward(y, yi, w, cfg).tobytes() == forward(y, yi, plan, cfg).tobytes()
+        x = sfe(np.ones((1, 6, 7, 129), np.float32))
+        assert encode(x, w, cfg)[0].tobytes() == encode(x, plan, cfg)[0].tobytes()
 
 
 class TestApplyMask:

@@ -8,7 +8,8 @@ import pytest
 import oracles
 from hybridse.errors import InvalidInputError
 from hybridse.nn import (GruParams, batch_norm_infer, channel_shuffle, conv2d,
-                         conv_transpose2d, gru_scan, gru_sequence, prelu)
+                         conv_transpose2d, gru_gate_major, gru_scan, gru_sequence,
+                         prelu, prelu_slopes, prelu_with)
 
 
 def rel_linf(got, want):
@@ -355,12 +356,58 @@ class TestActivations:
                                       want.view(np.uint32)[nonzero])
 
 
+    @pytest.mark.parametrize("slopes, one_product", [
+        ((0.25, 1.0), True), ((1e-30, 0.5), True), ((1.0, 1.0), True),
+        ((1.75, 3.0), False), ((-0.5, 0.25), False), ((0.0, 0.25), False),
+        ((0.5, 1.5), False)])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_prelu_every_form_matches_naive(self, slopes, one_product, in_place):
+        # the one-product form is picked from the slopes; it, like the
+        # general form, gives the naive bits but for the sign of a zero
+        special = [-0.0, 0.0, np.inf, -np.inf, np.nan, -3.0, 2.5, -1e-30]
+        x = np.array(special * 2, dtype=np.float32).reshape(1, 2, 1, 8)
+        alpha = np.array(slopes, dtype=np.float32)
+        assert prelu_slopes(alpha)[1] is one_product
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # 0 * inf
+            want = oracles.prelu_naive(x, alpha)
+            got = prelu_with(x, prelu_slopes(alpha), out=x) if in_place else prelu(x, alpha)
+        assert (got is x) == in_place and got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+        nonzero = want != 0
+        np.testing.assert_array_equal(got.view(np.uint32)[nonzero],
+                                      want.view(np.uint32)[nonzero])
+
+    @pytest.mark.parametrize("slopes", [(0.25, 0.5), (-0.5, 1.5)])
+    def test_prelu_in_place_on_a_view(self, slopes):
+        base = np.random.default_rng(15).standard_normal((1, 2, 6, 5)).astype(np.float32)
+        alpha = np.array(slopes, dtype=np.float32)
+        want = base.copy()
+        want[:, :, 2:] = oracles.prelu_naive(base[:, :, 2:], alpha)
+        view = base[:, :, 2:]
+        assert prelu_with(view, prelu_slopes(alpha), out=view) is view
+        assert base.tobytes() == want.tobytes()
+
+
 class TestGru:
     @staticmethod
     def random_params(rng, d_in, hidden, scale=0.5):
         return GruParams(w_x=scale * rng.standard_normal((d_in, 3 * hidden)),
                          w_h=scale * rng.standard_normal((hidden, 3 * hidden)),
                          bias=scale * rng.standard_normal(3 * hidden))
+
+    def test_gate_major_layout(self):
+        # plane [s, g] holds gate g's columns of GRU s: update, reset, candidate
+        rng = np.random.default_rng(21)
+        w_x, w_h, bias = (rng.standard_normal(shape) for shape in
+                          ((2, 3, 12), (2, 4, 12), (2, 12)))
+        wx, wh, b = gru_gate_major(w_x, w_h, bias)
+        assert wx.flags.c_contiguous and wh.flags.c_contiguous
+        for s in range(2):
+            for g in range(3):
+                np.testing.assert_array_equal(wx[s, g], w_x[s, :, 4 * g:4 * g + 4])
+                np.testing.assert_array_equal(wh[s, g], w_h[s, :, 4 * g:4 * g + 4])
+                np.testing.assert_array_equal(b[s, g, 0], bias[s, 4 * g:4 * g + 4])
 
     def test_zero_weights_give_zero_outputs(self):
         p = GruParams(w_x=np.zeros((4, 12)), w_h=np.zeros((4, 12)),
