@@ -28,8 +28,15 @@ The artifacts, one line each:
 - the exit code and stderr of five failing ``hybridse`` calls: a missing
   ``--config`` file, ``seed = -3`` and an unknown key in a config file, a
   mono input to ``enhance`` and a corrupt ``--weights`` file;
+- per preset, at 1, 18, 19 and 208 frames of the 10 s scene: the
+  ``build_features`` planes, their ``band_merge`` in float32 and in
+  float64, and the ``sfe`` stack of the float64 merge cast to float32
+  (what the network read before the merge kept float32);
 - a depthwise ``conv2d`` at 600 and 2000 frames, float32 and float64,
   dilation ``(5, 1)``;
+- a 1x1 depthwise and a 1x5 strided ``conv2d`` on input that holds exact
+  zeros, with and without a bias that holds -0.0, so the sign of every
+  zero sum shows;
 - ``istft`` of a stereo spectrogram at lengths short of, at and beyond
   its overlap-add extent;
 - ``image_rir`` taps and direct-path indices of ``sample_scene`` seeds
@@ -55,7 +62,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from hybridse import (PRESETS, IvaConfig, auxiva_separate, enhance,  # noqa: E402
                       image_rir, init_random, istft, render_scene, sample_scene,
                       stft, write_wav)
+from hybridse.bands import band_merge  # noqa: E402
 from hybridse.cli import main as cli_main  # noqa: E402
+from hybridse.model import build_features, sfe  # noqa: E402
 from hybridse.nn import conv2d  # noqa: E402
 
 FS = 16000
@@ -176,6 +185,19 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
                 ("corrupt-weights", [*enhance_scene, "--weights", str(root / "corrupt.gtcw")])]:
             yield f"fail {name} {failing_cli(argv, root)}"
 
+    y = stft(inputs["scene-10s"])
+    y_iva = 0.5 * y[::-1]
+    for preset in presets:
+        cfg = PRESETS[preset]
+        for frames in (1, 18, 19, 208):
+            feats = build_features(y[:, :frames], y_iva[:, :frames], cfg)
+            merged64 = band_merge(feats.astype(np.float64))
+            tag = f"{preset} {frames} frames"
+            yield f"features {tag} {digest(feats)}"
+            yield f"band_merge float32 {tag} {digest(band_merge(feats))}"
+            yield f"band_merge float64 {tag} {digest(merged64)}"
+            yield f"sfe {tag} {digest(sfe(merged64.astype(np.float32)[None], cfg.sfe_kernel))}"
+
     rng = np.random.default_rng(4)
     for dtype in (np.float32, np.float64):
         k = rng.standard_normal((16, 1, 3, 3)).astype(dtype)
@@ -184,6 +206,18 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
             x = rng.standard_normal((1, 16, frames, 33)).astype(dtype)
             out = conv2d(x, k, bias, dilation=(5, 1), groups=16)
             yield f"conv2d depthwise {np.dtype(dtype).name} {frames} frames {digest(out)}"
+
+    x = rng.standard_normal((1, 16, 40, 33)).astype(np.float32)
+    x.reshape(-1)[::3] = 0.0
+    x[:, :, 5] = -0.0
+    signed_bias = rng.standard_normal(16).astype(np.float32)
+    signed_bias[::2] = [-0.0, 0.0] * 4
+    for name, shape, kwargs in (("1x1 depthwise", (16, 1, 1, 1), {"groups": 16}),
+                                ("1x5 stride 2", (16, 16, 1, 5), {"stride": (1, 2)})):
+        k = rng.standard_normal(shape).astype(np.float32)
+        for bias in ("no-bias", "bias"):
+            out = conv2d(x, k, signed_bias if bias == "bias" else None, **kwargs)
+            yield f"conv2d {name} zeros {bias} {digest(out)}"
 
     rng = np.random.default_rng(3)
     spec = rng.standard_normal((2, 12, 257)) + 1j * rng.standard_normal((2, 12, 257))

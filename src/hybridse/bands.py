@@ -33,7 +33,8 @@ def hz_to_erb_rate(freq_hz):
 
 
 def _erb_layout():
-    """Read-only ``(merge_weights, split_weights, band_of_bin, center_erb)``:
+    """Read-only ``(merge_weights, merge_weights32, split_weights,
+    band_of_bin, center_erb)``:
     band edges are uniform on the ERB-rate scale from the frequency of bin 65
     up to Nyquist, and a bin joins the band whose edge interval contains it,
     so bin 65 lands in band 0 and the Nyquist bin in band 63."""
@@ -44,7 +45,7 @@ def _erb_layout():
     split = np.eye(N_ERB)[band_of_bin]
     merge = np.ascontiguousarray((split / split.sum(axis=0)).T)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    layout = (merge, split, band_of_bin, centers)
+    layout = (merge, merge.astype(np.float32), split, band_of_bin, centers)
     for a in layout:
         a.flags.writeable = False
     return layout
@@ -55,10 +56,11 @@ class ErbFilterbank:
     """The band layout, as class constants: the network is built for its 129
     bands, so nothing is settable and all instances compare equal."""
     merge_weights: ClassVar[np.ndarray]   # [64, 192], rows sum to 1 (in-band averaging)
+    merge_weights32: ClassVar[np.ndarray]  # merge_weights rounded to float32
     split_weights: ClassVar[np.ndarray]   # [192, 64], rows one-hot (band broadcast)
     band_of_bin: ClassVar[np.ndarray]     # [192] ERB band index of each high bin
     center_erb: ClassVar[np.ndarray]      # [64] band centers on the ERB-rate scale
-    merge_weights, split_weights, band_of_bin, center_erb = _erb_layout()
+    merge_weights, merge_weights32, split_weights, band_of_bin, center_erb = _erb_layout()
     n_low: ClassVar[int] = N_LOW
     n_bins: ClassVar[int] = N_BINS
     n_bands: ClassVar[int] = N_BANDS
@@ -70,13 +72,23 @@ def make_erb_filterbank() -> ErbFilterbank:
 
 
 def band_merge(x: np.ndarray, fb: ErbFilterbank = ErbFilterbank()) -> np.ndarray:
-    """Compress the last axis from 257 bins to 129 bands (``fb`` kept for perfbench)."""
+    """Compress the last axis from 257 bins to 129 bands (``fb`` kept for perfbench).
+
+    The low bins are copied and the high bins take one product with the
+    merge weights, written into the output: a float32 input stays float32
+    and runs against :attr:`ErbFilterbank.merge_weights32`, any other input
+    against the float64 weights.  BLAS rounds a product of 18 rows (frames)
+    or fewer differently from a taller one, so a merge of 19 frames or more
+    equals the same frames of a longer merge byte for byte.
+    """
     x = np.asarray(x)
     if x.shape[-1] != fb.n_bins:
         raise InvalidInputError(f"expected {fb.n_bins} bins on the last axis, got {x.shape[-1]}")
-    low = x[..., :fb.n_low]
-    high = x[..., fb.n_low:] @ fb.merge_weights.T
-    return np.concatenate([low, high], axis=-1)
+    weights = fb.merge_weights32 if x.dtype == np.float32 else fb.merge_weights
+    out = np.empty(x.shape[:-1] + (fb.n_bands,), dtype=np.result_type(x, weights))
+    out[..., :fb.n_low] = x[..., :fb.n_low]
+    np.matmul(x[..., fb.n_low:], weights.T, out=out[..., fb.n_low:])
+    return out
 
 
 def band_split(x: np.ndarray, fb: ErbFilterbank = ErbFilterbank()) -> np.ndarray:

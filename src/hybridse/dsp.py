@@ -134,6 +134,12 @@ def check_float32_range(*parts: np.ndarray) -> None:
 
 
 def log_power(spec: np.ndarray) -> np.ndarray:
-    """Log-power spectrogram ln(max(|Y|^2, 1e-12)), same shape as the input."""
-    power = np.abs(np.asarray(spec)) ** 2
-    return np.log(np.maximum(power, _POWER_FLOOR))
+    """Log-power spectrogram ln(max(|Y|^2, 1e-12)), same shape as the input,
+    computed in place in one array.  A power beyond the float range comes
+    out +inf, silently: rejecting it is the caller's range check."""
+    spec = np.asarray(spec)
+    with np.errstate(over="ignore"):
+        power = np.abs(spec.astype(np.result_type(spec, 1.0), copy=False))
+        power **= 2
+    np.maximum(power, _POWER_FLOOR, out=power)
+    return np.log(power, out=power)

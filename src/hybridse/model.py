@@ -304,7 +304,8 @@ def _spectrograms(y, y_iva) -> Tuple[np.ndarray, np.ndarray]:
 def build_features(y: np.ndarray, y_iva: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Real feature planes [planes, frames, bins] from the noisy and IVA
     spectrograms: Re/Im of both noisy channels, then the configured IVA
-    planes (Re/Im pairs or log-power, speech channel first).  Raises
+    planes (Re/Im pairs or log-power, speech channel first).  Each plane is
+    range-checked in float64, then written into one float32 array; raises
     :class:`InvalidInputError` when a plane leaves the float32 range."""
     y, y_iva = _spectrograms(y, y_iva)
     planes = [y[0].real, y[0].imag, y[1].real, y[1].imag]
@@ -315,9 +316,15 @@ def build_features(y: np.ndarray, y_iva: np.ndarray, cfg: ModelConfig) -> np.nda
             planes.append(y_iva[ch].imag)
         else:
             planes.append(log_power(y_iva[ch]))
-    feats = np.stack(planes)
-    check_float32_range(feats)
-    return feats.astype(np.float32)
+    feats = np.empty((len(planes), *y.shape[1:]), dtype=np.float32)
+    buf = np.empty(y.shape[1:])
+    for out, plane in zip(feats, planes):
+        if not (plane.dtype == np.float64 and plane.flags.c_contiguous):
+            np.copyto(buf, plane)
+            plane = buf
+        check_float32_range(plane)
+        out[...] = plane
+    return feats
 
 
 def sfe(x: np.ndarray, kernel: int = 3) -> np.ndarray:
@@ -325,16 +332,22 @@ def sfe(x: np.ndarray, kernel: int = 3) -> np.ndarray:
 
     Edge bands replicate; output channel ``c * kernel + j`` holds plane c at
     band offset ``j - kernel//2``, so each plane's stencil stays contiguous.
+    Each offset is one shifted slice copy plus the replicated edge bands.
     """
     if kernel < 1 or kernel % 2 == 0:
         raise InvalidInputError("sfe kernel must be odd and positive")
     if x.ndim != 4:
         raise InvalidInputError(f"expected [batch, channel, time, freq], got {x.shape}")
     b, c, t, f = x.shape
-    half = kernel // 2
-    idx = np.clip(np.arange(f)[None, :] + np.arange(-half, half + 1)[:, None], 0, f - 1)
-    gathered = x[:, :, :, idx]                    # [b, c, t, kernel, f]
-    return gathered.transpose(0, 1, 3, 2, 4).reshape(b, c * kernel, t, f)
+    out = np.empty((b, c, kernel, t, f), dtype=x.dtype)
+    for j in range(kernel):
+        s = j - kernel // 2
+        lo, hi = min(max(-s, 0), f), max(min(f - s, f), 0)   # bands with a neighbor at s
+        dst = out[:, :, j]
+        dst[..., lo:hi] = x[..., lo + s:hi + s]
+        dst[..., :lo] = x[..., :1]
+        dst[..., hi:] = x[..., f - 1:]
+    return out.reshape(b, c * kernel, t, f)
 
 
 # --------------------------------------------------------------------------
@@ -567,7 +580,8 @@ def decode(z: np.ndarray, w: Weights, cfg: ModelConfig,
            state: Optional[dict] = None) -> np.ndarray:
     """Latent-plus-skip [batch, 16, time, 33] to a two-plane mask at 129
     bands, squashed to (-1, 1) by the final tanh."""
-    return np.tanh(_run(z, prepare(w, cfg), "dec", state))
+    out = _run(z, prepare(w, cfg), "dec", state)
+    return np.tanh(out, out=out)
 
 
 # --------------------------------------------------------------------------
@@ -580,9 +594,11 @@ def _forward_block(y: np.ndarray, y_iva: np.ndarray, w: Weights,
     ``state`` has seen, which it then carries past these; ``None`` is the
     zero state and keeps nothing."""
     plan = prepare(w, cfg)
-    merged = band_merge(build_features(y, y_iva, cfg)).astype(np.float32)
-    latent, skip = encode(sfe(merged[None], cfg.sfe_kernel), plan, cfg, state)
-    z = gdprnn(latent, plan, cfg, state) + skip
+    x = sfe(band_merge(build_features(y, y_iva, cfg))[None], cfg.sfe_kernel)
+    latent, skip = encode(x, plan, cfg, state)
+    del x                  # neither the bands nor their stack is held past encode
+    z = gdprnn(latent, plan, cfg, state)
+    z += skip
     return band_split(decode(z, plan, cfg, state))[0]
 
 
@@ -597,12 +613,14 @@ def forward(y: np.ndarray, y_iva: np.ndarray, w: Weights,
 
     The network runs over consecutive blocks from one carried state, each
     block's mask written into the output, so the memory it needs beyond its
-    input and output does not grow with the frame count.  The frames are
-    cut into ``ceil(frames / BLOCK_FRAMES)`` blocks whose lengths differ by
-    at most one, so no block is shorter than half of :data:`BLOCK_FRAMES`:
-    BLAS rounds a product of a few rows differently from a tall one, and
-    long blocks keep the mask byte for byte the one a single block over all
-    frames gives.
+    input and output does not grow with the frame count.  Each block's
+    features are written once into one float32 array, and the band merge,
+    the SFE stack and the network all run in float32 from there.  The
+    frames are cut into ``ceil(frames / BLOCK_FRAMES)`` blocks whose
+    lengths differ by at most one, so no block is shorter than half of
+    :data:`BLOCK_FRAMES`: BLAS rounds a product of 18 rows or fewer (the
+    band merge's frames) differently from a tall one, and long blocks keep
+    the mask byte for byte the one a single block over all frames gives.
     """
     plan = prepare(w, cfg)
     y, y_iva = _spectrograms(y, y_iva)
@@ -619,7 +637,9 @@ def forward(y: np.ndarray, y_iva: np.ndarray, w: Weights,
 def apply_mask(mask: np.ndarray, y: np.ndarray, y_iva: np.ndarray,
                mode: str) -> np.ndarray:
     """Multiply the complex mask onto the configured target spectrogram:
-    the IVA speech channel (mask1_iva) or the noisy reference (mask2_noisy)."""
+    the IVA speech channel (mask1_iva) or the noisy reference (mask2_noisy).
+    The mask planes are written into one complex output, which the target
+    then multiplies in place."""
     if mode == "mask1_iva":
         target = np.asarray(y_iva)[0]
     elif mode == "mask2_noisy":
@@ -630,7 +650,11 @@ def apply_mask(mask: np.ndarray, y: np.ndarray, y_iva: np.ndarray,
     if mask.ndim != 3 or mask.shape[0] != 2 or mask.shape[1:] != target.shape:
         raise InvalidInputError(
             f"mask shape {mask.shape} does not match target {target.shape}")
-    return (mask[0] + 1j * mask[1]) * target
+    out = np.empty(target.shape, dtype=np.result_type(mask, target, 1j))
+    out.real = mask[0]
+    out.imag = mask[1]
+    out *= target
+    return out
 
 
 # --------------------------------------------------------------------------

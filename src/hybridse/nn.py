@@ -15,7 +15,8 @@ so every kernel tap reads or writes one contiguous window of one plane at a
 fixed offset, and every group advances at once.  :func:`conv2d` pads its
 input once into the planes and takes one batched product per tap over all
 groups, a broadcast product when each group has a single input channel
-(depthwise); :func:`conv_transpose2d` adds each tap's batched
+(depthwise), the first tap's written straight into the accumulator, so no
+pass zero-fills it; :func:`conv_transpose2d` adds each tap's batched
 ``kernel^T @ x`` into a window of its output phase and interleaves the
 phases once at the end.
 
@@ -28,8 +29,10 @@ GRU is a forward one over the time-reversed input.  It starts from zeros,
 or from ``h0`` [S, batch, H]: passing a scan's last step as the next
 scan's ``h0`` continues it bit for bit, which is how a caller runs a
 sequence in blocks.  :func:`gru_gate_major` lays the weights out the way
-the steps read them, so a caller that scans with one weight set many times
-lays them out once and calls :func:`gru_scan_gate_major`.
+the steps read them, the update and reset planes halved so that each
+step's logistic is one ``tanh`` and two in-place passes, and a caller that
+scans with one weight set many times lays them out once and calls
+:func:`gru_scan_gate_major`.
 :func:`gru_sequence` is the single-GRU [time, batch, input] view of the
 same kernel.
 """
@@ -92,8 +95,11 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: Optional[np.ndarray] = None,
     unstrided conv reads ``x`` itself.  Each tap is one product over all
     groups into a buffer of the accumulator's shape: a batched
     ``np.matmul``, or a broadcast ``np.multiply`` when each group has one
-    input channel (depthwise).  Taps are summed in ``(i, j)`` order into a
-    zeroed accumulator.
+    input channel (depthwise).  The first tap's product is written straight
+    into the accumulator, so a single tap needs no product buffer, and the
+    other taps are added to it in ``(i, j)`` order.  Adding ``+0.0`` with the
+    bias then gives every output the bits a sum into a zeroed accumulator
+    gives, the sign of a zero included.
     """
     _check_geometry(x, kernel, stride, dilation, groups)
     out_ch, in_per_g, kt, kf = kernel.shape
@@ -132,20 +138,22 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: Optional[np.ndarray] = None,
     n = t_out * fq
     o_per_g = out_ch // groups
     kg = kernel.reshape(groups, o_per_g, in_per_g, kt, kf)
-    acc = np.zeros((b, groups, o_per_g, n), dtype=x.dtype)
-    prod = np.empty(acc.shape, dtype=np.result_type(x, kernel))
+    acc = np.empty((b, groups, o_per_g, n), dtype=x.dtype)
     # depthwise: [groups, out/g, 1] * [b, groups, 1, n]
     tap_product = np.multiply if in_per_g == 1 else np.matmul
-    for i, j, p, off in taps:
+    (i, j, p, off), *rest = taps
+    tap_product(kg[:, :, :, i, j], flat[p, ..., off:off + n], out=acc)
+    if rest:
+        prod = np.empty(acc.shape, dtype=np.result_type(x, kernel))
+    for i, j, p, off in rest:
         tap_product(kg[:, :, :, i, j], flat[p, ..., off:off + n], out=prod)
         acc += prod
     rows = acc.reshape(b, out_ch, t_out, fq)[..., :f_out]
     out = rows if fq == f_out else np.empty(rows.shape, dtype=x.dtype)
-    if bias is not None:
-        np.add(rows, bias[None, :, None, None], out=out)
-    elif out is not rows:
-        out[...] = rows
-    return out
+    # + 0.0 turns a -0.0 sum into the +0.0 a zeroed accumulator would give,
+    # and turns a -0.0 bias into +0.0, which changes no other sum
+    shift = 0.0 if bias is None else bias[None, :, None, None] + 0.0
+    return np.add(rows, shift, out=out)
 
 
 def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
@@ -271,28 +279,23 @@ def prelu_with(x: np.ndarray, slopes: Tuple[np.ndarray, bool],
     return out
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
-    """In-place logistic ``0.5 * tanh(0.5 * x) + 0.5``: one transcendental
-    pass, no masking, and no overflow for any finite input."""
-    x *= 0.5
-    np.tanh(x, out=x)
-    x *= 0.5
-    x += 0.5
-    return x
-
-
 def gru_gate_major(w_x: np.ndarray, w_h: np.ndarray,
                    bias: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`gru_scan`'s stacked weights in the layout its steps read:
     ``w_x`` as [S, 3, input, H] and ``w_h`` as [S, 3, H, H], contiguous
     copies so that every gate plane is one block, and ``bias`` as
-    [S, 3, 1, H].  A caller that scans with the same weights many times
-    builds them once and runs :func:`gru_scan_gate_major`."""
+    [S, 3, 1, H].  The update and reset planes are stored times 0.5, which
+    is exact away from the subnormal range, so a step's logistic
+    ``0.5 * tanh(0.5 * a) + 0.5`` reads its halved argument ready-made.  A caller that scans with the same weights
+    many times builds them once and runs :func:`gru_scan_gate_major`."""
     s, d_in, h3 = w_x.shape
     h_dim = h3 // 3
-    wx = w_x.reshape(s, d_in, 3, h_dim).transpose(0, 2, 1, 3).copy()
-    wh = w_h.reshape(s, h_dim, 3, h_dim).transpose(0, 2, 1, 3).copy()
-    return wx, wh, bias.reshape(s, 3, 1, h_dim)
+    planes = (w_x.reshape(s, d_in, 3, h_dim).transpose(0, 2, 1, 3).copy(),
+              w_h.reshape(s, h_dim, 3, h_dim).transpose(0, 2, 1, 3).copy(),
+              bias.reshape(s, 3, 1, h_dim).copy())
+    for a in planes:
+        a[:, :2] *= 0.5
+    return planes
 
 
 def gru_scan(x: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
@@ -328,7 +331,10 @@ def gru_scan_gate_major(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.nda
         pre = np.matmul(x[:, t, None], wx)
         pre += b
         rec = np.matmul(h[:, None], wh)
-        zr = _logistic(pre[:, :2] + rec[:, :2])
+        zr = pre[:, :2] + rec[:, :2]             # halved: logistic in three passes
+        np.tanh(zr, out=zr)
+        zr *= 0.5
+        zr += 0.5
         c = np.tanh(pre[:, 2] + zr[:, 1] * rec[:, 2])
         z = zr[:, 0]
         h = (1.0 - z) * c + z * h

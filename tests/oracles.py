@@ -337,6 +337,34 @@ def gru_naive(x, w_x, w_h, bias):
     return out
 
 
+def gru_scan_unhalved(x, w_x, w_h, bias, h0=None):
+    """The stacked GRU scan with its gate planes laid out unscaled and each
+    step's logistic as ``0.5 * tanh(0.5 * a) + 0.5`` in four in-place passes:
+    the step the package's pre-halved gate planes replaced.  Halving a plane
+    is exact, so the two agree bit for bit."""
+    s, t_len, batch, _ = x.shape
+    d_in, hidden = w_x.shape[1], w_h.shape[1]
+    wx = w_x.reshape(s, d_in, 3, hidden).transpose(0, 2, 1, 3).copy()
+    wh = w_h.reshape(s, hidden, 3, hidden).transpose(0, 2, 1, 3).copy()
+    b = bias.reshape(s, 3, 1, hidden)
+    h = np.zeros((s, batch, hidden), x.dtype) if h0 is None else np.asarray(h0, x.dtype)
+    out = np.empty((s, t_len, batch, hidden), dtype=x.dtype)
+    for t in range(t_len):
+        pre = np.matmul(x[:, t, None], wx)
+        pre += b
+        rec = np.matmul(h[:, None], wh)
+        zr = pre[:, :2] + rec[:, :2]
+        zr *= 0.5
+        np.tanh(zr, out=zr)
+        zr *= 0.5
+        zr += 0.5
+        c = np.tanh(pre[:, 2] + zr[:, 1] * rec[:, 2])
+        z = zr[:, 0]
+        h = (1.0 - z) * c + z * h
+        out[:, t] = h
+    return out
+
+
 def channel_shuffle_naive(x, groups):
     b, c = x.shape[:2]
     per = c // groups
@@ -425,6 +453,15 @@ def band_merge_naive(vec, fb):
     return out
 
 
+def band_merge_concat(x, fb):
+    """Low bins and the product of the high bins with the float64 merge
+    weights, concatenated: the merge that every input took before float32
+    input kept its dtype.  Exact against the package on float64 input."""
+    x = np.asarray(x)
+    return np.concatenate([x[..., :fb.n_low], x[..., fb.n_low:] @ fb.merge_weights.T],
+                          axis=-1)
+
+
 def band_split_naive(vec, fb):
     out = np.zeros(fb.n_bins)
     for i in range(fb.n_low):
@@ -459,6 +496,36 @@ def sfe_naive(x, kernel):
                     src = min(max(fi + j - half, 0), f - 1)
                     out[n, ci * kernel + j, :, fi] = x[n, ci, :, src]
     return out
+
+
+def sfe_gather(x, kernel):
+    """Neighbor stacking by one clipped fancy-index gather and a transposed
+    copy, the form the package's slice copies replaced; exact against it."""
+    b, c, t, f = x.shape
+    half = kernel // 2
+    idx = np.clip(np.arange(f)[None, :] + np.arange(-half, half + 1)[:, None], 0, f - 1)
+    return x[:, :, :, idx].transpose(0, 1, 3, 2, 4).reshape(b, c * kernel, t, f)
+
+
+def build_features_stacked(y, y_iva, cfg):
+    """Feature planes stacked by ``np.stack`` at their own dtype, then cast
+    to float32 in one ``astype``, with the log power written out of place:
+    the stack-and-cast the package's plane-by-plane fill replaced, exact
+    against it on input inside the float32 range."""
+    planes = [y[0].real, y[0].imag, y[1].real, y[1].imag]
+    for ch in range(1 if cfg.iva_channels == "s" else 2):
+        if cfg.feature == "complex":
+            planes += [y_iva[ch].real, y_iva[ch].imag]
+        else:
+            planes.append(np.log(np.maximum(np.abs(y_iva[ch]) ** 2, 1e-12)))
+    return np.stack(planes).astype(np.float32)
+
+
+def apply_mask_complex(mask, target):
+    """``(mask[0] + 1j * mask[1]) * target``: the mask built as a complex
+    array, then multiplied.  Exact against the package on finite masks, the
+    sign of a zero mask value aside."""
+    return (mask[0] + 1j * mask[1]) * target
 
 
 # ---------------------------------------------------------------------------

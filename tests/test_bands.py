@@ -27,9 +27,14 @@ class TestConstruction:
         assert fb == ErbFilterbank()
         with pytest.raises(TypeError):
             dataclasses.replace(fb, n_bins=300)
-        for a in (fb.merge_weights, fb.split_weights, fb.band_of_bin, fb.center_erb):
+        for a in (fb.merge_weights, fb.merge_weights32, fb.split_weights, fb.band_of_bin,
+                  fb.center_erb):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+    def test_float32_weights_round_the_float64_ones(self, fb):
+        assert fb.merge_weights32.dtype == np.float32
+        assert fb.merge_weights32.tobytes() == fb.merge_weights.astype(np.float32).tobytes()
 
     def test_boundary_bins(self, fb):
         # bin 64 stays in the pass-through region, bin 65 opens band 0,
@@ -109,6 +114,47 @@ class TestMerge:
     def test_shape_mismatch_rejected(self, fb):
         with pytest.raises(InvalidInputError):
             band_merge(np.zeros(129), fb)
+
+    @pytest.mark.parametrize("kind", ["signed", "log-power", "positive"])
+    def test_float32_within_dot_product_rounding(self, fb, kind):
+        # float32 in, float32 out: the low bins pass unchanged, and each band
+        # is within the rounding bound of an n-term dot product plus the
+        # rounding of the weights, gamma_{n+1} * sum |w x| (u = 2**-24), of
+        # the float64 product; measured, about 2.5 float32 ulps of sum |w x|
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((6, 40, 257))
+        if kind == "log-power":
+            x = np.log(np.maximum(x ** 2, 1e-12))
+        elif kind == "positive":
+            x = 100 * np.abs(x)
+        x = x.astype(np.float32)
+        got = band_merge(x, fb)
+        assert got.dtype == np.float32
+        assert got[..., :65].tobytes() == x[..., :65].tobytes()
+        x64 = x.astype(np.float64)[..., 65:]
+        width = (fb.merge_weights > 0).sum(axis=1) + 1
+        gamma = width * 2.0 ** -24 / (1 - width * 2.0 ** -24)
+        bound = gamma * (np.abs(x64) @ fb.merge_weights.T)
+        assert np.all(np.abs(got[..., 65:] - x64 @ fb.merge_weights.T) <= bound)
+
+    def test_float64_gives_the_concatenated_product(self, fb):
+        x = np.random.default_rng(9).standard_normal((3, 30, 257))
+        got = band_merge(x, fb)
+        assert got.dtype == np.float64
+        assert got.tobytes() == oracles.band_merge_concat(x, fb).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_of_19_frames_or_more_equal_the_whole_merge(self, fb, dtype):
+        # BLAS rounds a product of 18 rows or fewer differently from a
+        # taller one; the forward pass's blocks are never that short
+        x = (10 * np.random.default_rng(10).standard_normal((6, 625, 257))).astype(dtype)
+        whole = band_merge(x, fb)
+        for rows in (19, 20, 33, 64, 128, 208, 209, 256):
+            for start in (0, 7, 625 - rows):
+                block = band_merge(x[:, start:start + rows], fb)
+                assert block.tobytes() == whole[:, start:start + rows].tobytes()
+        for a, b in ((0, 208), (208, 416), (416, 625)):
+            assert band_merge(x[:, a:b], fb).tobytes() == whole[:, a:b].tobytes()
 
     def test_default_layout(self, fb):
         x = np.random.default_rng(7).standard_normal((2, 257))

@@ -1,6 +1,7 @@
 """Analysis/synthesis transforms: framing, round trips, energy bookkeeping."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -280,3 +281,20 @@ class TestLogPower:
         for idx in [(0, 0, 0), (1, 3, 100), (1, 5, 256)]:
             v = abs(spec[idx]) ** 2
             assert out[idx] == pytest.approx(np.log(max(v, 1e-12)), rel=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128, np.float64])
+    def test_in_place_passes_equal_fresh_arrays(self, dtype):
+        rng = np.random.default_rng(6)
+        spec = (rng.standard_normal((2, 6, 257)) + 1j * rng.standard_normal((2, 6, 257)))
+        spec = (spec.real if dtype == np.float64 else spec).astype(dtype)
+        spec[0, 0, :3] = 0.0                      # the floor
+        want = np.log(np.maximum(np.abs(spec) ** 2, 1e-12))
+        got = log_power(spec)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_overflowing_power_is_inf_without_warning(self):
+        # rejecting it is the caller's range check, as for stft's overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = log_power(np.array([1e200 + 0j, -1e300, 1.0]))
+        assert out.tolist() == [np.inf, np.inf, 0.0]

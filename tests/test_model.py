@@ -155,6 +155,37 @@ class TestBuildFeatures:
                 build_features(1e38 * y if feature == "lps" else y, yi, cfg)
 
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_equals_stack_and_cast(self, preset):
+        # the plane-by-plane fill against the stack-and-cast it replaced
+        cfg = PRESETS[preset]
+        y, yi = rand_specs(5, frames=19)
+        for specs in ((y, yi), (y.real.copy(), yi.real.copy()),
+                      (y.astype(np.complex64), yi.astype(np.complex64))):
+            got = build_features(*specs, cfg)
+            assert got.dtype == np.float32
+            assert got.tobytes() == oracles.build_features_stacked(*specs, cfg).tobytes()
+
+    # (feature, spectrogram, channel, part): a noisy Re or Im plane of either
+    # channel, an IVA Re or Im plane, or an IVA log-power plane
+    @pytest.mark.parametrize("plane", [
+        ("lps", 0, 0, "re"), ("lps", 0, 1, "im"), ("complex", 0, 1, "re"),
+        ("complex", 1, 0, "re"), ("complex", 1, 1, "im"), ("lps", 1, 0, "re"),
+        ("lps", 1, 1, "im")])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "loud"])
+    def test_bad_plane_rejected_without_warning(self, plane, bad):
+        feature, spec, ch, part = plane
+        # a log-power plane leaves the float32 range only where |Y|^2
+        # overflows float64
+        loud = 1e200 if (feature, spec) == ("lps", 1) else -1e39
+        value = loud if bad == "loud" else float(bad)
+        specs = rand_specs(6)
+        specs[spec][ch, 4, 100] = complex(value, 0.5) if part == "re" else complex(0.5, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="float32"):
+                build_features(*specs, ModelConfig(feature=feature, iva_channels="s_and_n"))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("feature", ["lps", "complex"])
     def test_non_finite_bin_rejected_by_forward(self, bad, feature):
@@ -186,6 +217,16 @@ class TestSfe:
         for kernel in (1, 3, 5):
             np.testing.assert_array_equal(sfe(x, kernel),
                                           oracles.sfe_naive(x, kernel))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_gather_bytes(self, dtype):
+        # the slice copies against the gather and transpose they replaced,
+        # down to bands fewer than the kernel's reach
+        rng = np.random.default_rng(2)
+        for bands in (1, 2, 3, 129):
+            x = rng.standard_normal((2, 3, 4, bands)).astype(dtype)
+            for kernel in (1, 3, 5):
+                assert sfe(x, kernel).tobytes() == oracles.sfe_gather(x, kernel).tobytes()
 
     def test_bad_kernel_rejected(self):
         x = np.zeros((1, 1, 1, 5), np.float32)
@@ -674,6 +715,17 @@ class TestApplyMask:
         mask = rng.uniform(-1, 1, (2, 12, 257))
         out = apply_mask(mask, y, yi, "mask2_noisy")
         np.testing.assert_allclose(out, (mask[0] + 1j * mask[1]) * y[0], atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_complex_mask_product_bytes(self, dtype):
+        # filling one complex output from the mask planes and multiplying in
+        # place against building the complex mask first
+        y, yi = rand_specs(10)
+        mask = np.random.default_rng(1).uniform(-1, 1, (2, 12, 257)).astype(dtype)
+        for mode, target in (("mask2_noisy", y[0]), ("mask1_iva", yi[0])):
+            got = apply_mask(mask, y, yi, mode)
+            want = oracles.apply_mask_complex(mask, target)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_unknown_mode_rejected(self):
         y, yi = rand_specs(8)

@@ -243,6 +243,25 @@ class TestShiftedWindowConv:
             assert_same_bytes(conv2d(x, k, bias, stride, (5, 1), groups),
                               oracles.conv2d_per_tap(x, k, bias, stride, (5, 1), groups))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [(1, 1), (1, 5), (3, 3)])
+    @pytest.mark.parametrize("grouping", ["groups1", "depthwise"])
+    def test_signed_zeros_equal_per_tap(self, grouping, kernel, dtype):
+        # all-zero input rows make every tap product a signed zero, and the bias
+        # holds -0.0 and +0.0: the first tap written straight into the
+        # accumulator must still give a zeroed accumulator's signs
+        c_in, out_ch, groups = _GROUPINGS[grouping]
+        rng = np.random.default_rng(23)
+        x = _with_zeros(rng, (1, c_in, 4, 9), dtype)
+        x[:, :, 1] = 0.0
+        x[:, :, 2] = -0.0
+        k = rng.standard_normal((out_ch, c_in // groups, *kernel)).astype(dtype)
+        k.reshape(-1)[::3] *= -1
+        for bias in (None, np.array([-0.0, 0.0, -0.0, 1.5, -0.0, 0.0][:out_ch], dtype)):
+            for stride in ((1, 1), (1, 2)):
+                assert_same_bytes(conv2d(x, k, bias, stride, (1, 1), groups),
+                                  oracles.conv2d_per_tap(x, k, bias, stride, (1, 1), groups))
+
 
 class TestConvBoundary:
     @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
@@ -397,17 +416,18 @@ class TestGru:
                          bias=scale * rng.standard_normal(3 * hidden))
 
     def test_gate_major_layout(self):
-        # plane [s, g] holds gate g's columns of GRU s: update, reset, candidate
+        # plane [s, g] holds gate g's columns of GRU s: update, reset, candidate,
+        # the update and reset planes times 0.5
         rng = np.random.default_rng(21)
         w_x, w_h, bias = (rng.standard_normal(shape) for shape in
                           ((2, 3, 12), (2, 4, 12), (2, 12)))
         wx, wh, b = gru_gate_major(w_x, w_h, bias)
         assert wx.flags.c_contiguous and wh.flags.c_contiguous
         for s in range(2):
-            for g in range(3):
-                np.testing.assert_array_equal(wx[s, g], w_x[s, :, 4 * g:4 * g + 4])
-                np.testing.assert_array_equal(wh[s, g], w_h[s, :, 4 * g:4 * g + 4])
-                np.testing.assert_array_equal(b[s, g, 0], bias[s, 4 * g:4 * g + 4])
+            for g, scale in enumerate((0.5, 0.5, 1.0)):
+                np.testing.assert_array_equal(wx[s, g], scale * w_x[s, :, 4 * g:4 * g + 4])
+                np.testing.assert_array_equal(wh[s, g], scale * w_h[s, :, 4 * g:4 * g + 4])
+                np.testing.assert_array_equal(b[s, g, 0], scale * bias[s, 4 * g:4 * g + 4])
 
     def test_zero_weights_give_zero_outputs(self):
         p = GruParams(w_x=np.zeros((4, 12)), w_h=np.zeros((4, 12)),
@@ -499,6 +519,17 @@ class TestGru:
             steps.append(gru_scan(x[:, t:t + 1], *weights, h0=h))
             h = steps[-1][:, -1]
         assert np.concatenate(steps, axis=1).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_halved_gate_planes_equal_the_unhalved_step(self, dtype):
+        # halving the update and reset planes is exact, so the three-pass
+        # logistic gives the four-pass one's bits, from zeros and from h0
+        rng = np.random.default_rng(29)
+        x, weights = self.random_stack(rng, 3, 7, 4, 5, 6, dtype)
+        h0 = rng.standard_normal((3, 4, 6)).astype(dtype)
+        for start in (None, h0):
+            got = gru_scan(x, *weights, h0=start)
+            assert got.tobytes() == oracles.gru_scan_unhalved(x, *weights, h0=start).tobytes()
 
     def test_zero_h0_is_the_zero_state(self):
         rng = np.random.default_rng(27)
