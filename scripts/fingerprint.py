@@ -37,6 +37,11 @@ The artifacts, one line each:
 - a 1x1 depthwise and a 1x5 strided ``conv2d`` on input that holds exact
   zeros, with and without a bias that holds -0.0, so the sign of every
   zero sum shows;
+- ``gru_scan`` at the G-DPRNN's intra shape (4 GRUs over 33 bands, the
+  block's frames as the batch, 8 -> 32) and inter shape (2 GRUs over the
+  block's frames, 33 bands as the batch, 8 -> 16) at 125 and 208 frames,
+  and at ``[1, 7, 5, 3 -> 4]``, float32 and float64, from zeros and from
+  an ``h0``;
 - ``istft`` of a stereo spectrogram at lengths short of, at and beyond
   its overlap-add extent;
 - ``image_rir`` taps and direct-path indices of ``sample_scene`` seeds
@@ -65,7 +70,7 @@ from hybridse import (PRESETS, IvaConfig, auxiva_separate, enhance,  # noqa: E40
 from hybridse.bands import band_merge  # noqa: E402
 from hybridse.cli import main as cli_main  # noqa: E402
 from hybridse.model import build_features, sfe  # noqa: E402
-from hybridse.nn import conv2d  # noqa: E402
+from hybridse.nn import conv2d, gru_scan  # noqa: E402
 
 FS = 16000
 
@@ -218,6 +223,20 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
         for bias in ("no-bias", "bias"):
             out = conv2d(x, k, signed_bias if bias == "bias" else None, **kwargs)
             yield f"conv2d {name} zeros {bias} {digest(out)}"
+
+    rng = np.random.default_rng(6)
+    shapes = [(f"{name} {frames} frames", shape) for frames in (125, 208)
+              for name, shape in (("intra", (4, 33, frames, 8, 32)),
+                                  ("inter", (2, frames, 33, 8, 16)))]
+    for name, (s, t_len, batch, d_in, hidden) in [*shapes, ("1x7x5 3->4", (1, 7, 5, 3, 4))]:
+        for dtype in (np.float32, np.float64):
+            x = rng.standard_normal((s, t_len, batch, d_in)).astype(dtype)
+            weights = [(0.3 * rng.standard_normal(shape)).astype(dtype) for shape in
+                       ((s, d_in, 3 * hidden), (s, hidden, 3 * hidden), (s, 3 * hidden))]
+            h0 = rng.standard_normal((s, batch, hidden)).astype(dtype)
+            for start, h in (("zeros", None), ("h0", h0)):
+                out = gru_scan(x, *weights, h0=h)
+                yield f"gru_scan {name} {np.dtype(dtype).name} {start} {digest(out)}"
 
     rng = np.random.default_rng(3)
     spec = rng.standard_normal((2, 12, 257)) + 1j * rng.standard_normal((2, 12, 257))

@@ -364,8 +364,9 @@ class Plan:
     (kernel, bias), slopes)``: the batch norm that follows the row folded
     into its kernel and bias, and ``slopes`` the :func:`nn.prelu_slopes` of
     the PReLU that follows it, or ``None``.  ``paths`` holds, per G-DPRNN
-    path, its GRUs stacked in :func:`nn.gru_gate_major`'s layout, per group
-    the forward GRU and then any backward one, and its projection kernels
+    path, its GRUs stacked in :func:`nn.gru_gate_major`'s layout (each
+    bias the last input row of its ``w_x``), per group the forward GRU
+    and then any backward one, and its projection kernels
     [groups, directions, 1, hidden, group width] and biases [groups, 1, 1,
     group width].  Every array is read-only, and a plan pickles.
     """
@@ -407,7 +408,7 @@ def _fold(op, kernel, bias, gamma, beta, mean, var):
 
 
 def _path_weights(grus, projs, groups: int):
-    """One G-DPRNN path's ``(w_x, w_h, bias, kernel, proj_bias)`` from its
+    """One G-DPRNN path's ``(w_x, w_h, kernel, proj_bias)`` from its
     GRU and projection rows' tensors, in table order."""
     directions = len(grus) // groups
     kernels, biases = (np.stack(t) for t in zip(*projs))
@@ -534,20 +535,25 @@ def _dprnn_path(x: np.ndarray, plan: Plan, path: str, perm: Tuple[int, ...],
     :func:`nn.gru_scan_gate_major` runs all of the path's GRUs from the
     plan, a backward GRU over the reversed scan axis, and each projection
     sums its directions' halves straight into the shuffled order: output
-    channel ``j * groups + g`` is unit ``j`` of group ``g``.  With a
-    ``state``, the scan starts from ``state[path]`` (zeros if absent) and
-    leaves its last step there."""
+    channel ``j * groups + g`` is unit ``j`` of group ``g``.  The copy
+    into the scan layout (for the intra path, the direction stack) also
+    writes the constant-1 last input column that the GRUs' bias row
+    reads.  With a ``state``, the scan starts from ``state[path]`` (zeros
+    if absent) and leaves its last step there."""
     b, c, t, f = x.shape
     groups = plan.cfg.dprnn_groups
     gw = c // groups
-    w_x, w_h, bias, k, proj_bias = dict(plan.paths)[path]
+    w_x, w_h, k, proj_bias = dict(plan.paths)[path]
     directions = k.shape[1]
     seq = x.reshape(b, groups, gw, t, f).transpose(perm)
     _, n_scan, _, n_other, _ = seq.shape
+    xa = np.empty((groups, directions, n_scan, b, n_other, gw + 1), dtype=x.dtype)
+    xa[:, 0, ..., :gw] = seq
     if directions == 2:
-        seq = np.stack([seq, seq[:, ::-1]], axis=1)
-    h = nn.gru_scan_gate_major(seq.reshape(groups * directions, n_scan, b * n_other, gw),
-                               w_x, w_h, bias, h0=None if state is None else state.get(path))
+        xa[:, 1, ..., :gw] = seq[:, ::-1]
+    xa[..., gw] = 1
+    h = nn.gru_scan_gate_major(xa.reshape(groups * directions, n_scan, b * n_other, gw + 1),
+                               w_x, w_h, h0=None if state is None else state.get(path))
     if state is not None:
         state[path] = h[:, -1].copy()
     h = h.reshape(groups, directions, *h.shape[1:])

@@ -29,10 +29,13 @@ GRU is a forward one over the time-reversed input.  It starts from zeros,
 or from ``h0`` [S, batch, H]: passing a scan's last step as the next
 scan's ``h0`` continues it bit for bit, which is how a caller runs a
 sequence in blocks.  :func:`gru_gate_major` lays the weights out the way
-the steps read them, the update and reset planes halved so that each
-step's logistic is one ``tanh`` and two in-place passes, and a caller that
-scans with one weight set many times lays them out once and calls
-:func:`gru_scan_gate_major`.
+the steps read them: each gate's bias as one more input row of ``w_x``,
+and the update and reset planes halved so that each step's logistic is
+one ``tanh`` and two in-place passes.  A caller that scans with one weight
+set many times lays them out once and calls :func:`gru_scan_gate_major`
+on an input with a constant-1 last column, so each step's input product
+adds the bias as it goes.  With a BLAS gemm that sums a dot product in K
+order, as OpenBLAS's does, that gives the bits of a separate bias add.
 :func:`gru_sequence` is the single-GRU [time, batch, input] view of the
 same kernel.
 """
@@ -280,22 +283,26 @@ def prelu_with(x: np.ndarray, slopes: Tuple[np.ndarray, bool],
 
 
 def gru_gate_major(w_x: np.ndarray, w_h: np.ndarray,
-                   bias: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`gru_scan`'s stacked weights in the layout its steps read:
-    ``w_x`` as [S, 3, input, H] and ``w_h`` as [S, 3, H, H], contiguous
-    copies so that every gate plane is one block, and ``bias`` as
-    [S, 3, 1, H].  The update and reset planes are stored times 0.5, which
-    is exact away from the subnormal range, so a step's logistic
-    ``0.5 * tanh(0.5 * a) + 0.5`` reads its halved argument ready-made.  A caller that scans with the same weights
-    many times builds them once and runs :func:`gru_scan_gate_major`."""
+                   bias: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`gru_scan`'s stacked weights in the layout its steps read, as
+    contiguous copies so that every gate plane is one block: ``w_x`` as
+    [S, 3, input + 1, H], its last input row gate ``g``'s bias, and ``w_h``
+    as [S, 3, H, H].  The bias row takes ``w_x``'s dtype; every caller
+    passes one dtype for all three.  The update and reset planes, bias
+    row included, are stored times 0.5, which is exact away from the
+    subnormal range, so a step's logistic ``0.5 * tanh(0.5 * a) + 0.5``
+    reads its halved argument ready-made.  A caller that scans with the
+    same weights many times builds them once and runs
+    :func:`gru_scan_gate_major`."""
     s, d_in, h3 = w_x.shape
     h_dim = h3 // 3
-    planes = (w_x.reshape(s, d_in, 3, h_dim).transpose(0, 2, 1, 3).copy(),
-              w_h.reshape(s, h_dim, 3, h_dim).transpose(0, 2, 1, 3).copy(),
-              bias.reshape(s, 3, 1, h_dim).copy())
-    for a in planes:
+    wx = np.empty((s, 3, d_in + 1, h_dim), dtype=w_x.dtype)
+    wx[:, :, :d_in] = w_x.reshape(s, d_in, 3, h_dim).transpose(0, 2, 1, 3)
+    wx[:, :, d_in] = bias.reshape(s, 3, h_dim)
+    wh = w_h.reshape(s, h_dim, 3, h_dim).transpose(0, 2, 1, 3).copy()
+    for a in (wx, wh):
         a[:, :2] *= 0.5
-    return planes
+    return wx, wh
 
 
 def gru_scan(x: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
@@ -305,40 +312,49 @@ def gru_scan(x: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
 
     ``x`` is [S, time, batch, input]; the weights are stacked per GRU,
     ``w_x`` [S, input, 3H], ``w_h`` [S, H, 3H], ``bias`` [S, 3H], gate
-    columns ordered (update, reset, candidate).  Returns the hidden states
-    [S, time, batch, H].  Each step projects only that step's input and
-    advances every gate of every GRU with one batched ``h @ w_h``.  Passing
-    the last returned step as the next call's ``h0`` continues the scan
-    exactly where it stopped.
+    columns ordered (update, reset, candidate), all of ``x``'s dtype.
+    Returns the hidden states [S, time, batch, H].  Each step projects only
+    that step's input, its bias with it, and advances every gate of every
+    GRU with one batched ``h @ w_h``.  Passing the last returned step as
+    the next call's ``h0`` continues the scan exactly where it stopped.
     """
-    return gru_scan_gate_major(x, *gru_gate_major(w_x, w_h, bias), h0)
+    s, t_len, batch, d_in = x.shape
+    xa = np.empty((s, t_len, batch, d_in + 1), dtype=x.dtype)
+    xa[..., :d_in] = x
+    xa[..., d_in] = 1
+    return gru_scan_gate_major(xa, *gru_gate_major(w_x, w_h, bias), h0)
 
 
-def gru_scan_gate_major(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
+def gru_scan_gate_major(xa: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
                         h0: Optional[np.ndarray] = None) -> np.ndarray:
     """:func:`gru_scan` on weights already in :func:`gru_gate_major`'s
-    layout; the same steps, so the same bits."""
-    s, t_len, batch, _ = x.shape
-    h_dim = wh.shape[-1]
+    layout, over an input [S, time, batch, input + 1] whose last input is
+    1, so that each step's ``xa_t @ w_x`` is ``x_t W + b`` in one product.
+    A BLAS gemm that sums each dot product in K order, one fused
+    multiply-add per term, as OpenBLAS's does, rounds that last ``1 * b``
+    term as one ``+ b``: these are the bits of a product followed by a
+    separate bias add.  numpy runs a one-row product (a batch of 1)
+    through gemv instead, whose kernels may split the sum, so there the
+    last bits can move; at the network's widths they do not."""
+    s, t_len, batch, _ = xa.shape
+    h_dim = w_h.shape[-1]
     if h0 is None:
-        h = np.zeros((s, batch, h_dim), dtype=x.dtype)
+        h = np.zeros((s, batch, h_dim), dtype=xa.dtype)
     elif np.shape(h0) != (s, batch, h_dim):
         raise InvalidInputError(f"h0 has shape {np.shape(h0)}, expected {(s, batch, h_dim)}")
     else:
-        h = np.asarray(h0, dtype=x.dtype)
-    out = np.empty((s, t_len, batch, h_dim), dtype=x.dtype)
+        h = np.asarray(h0, dtype=xa.dtype)
+    out = np.empty((s, t_len, batch, h_dim), dtype=xa.dtype)
     for t in range(t_len):
-        pre = np.matmul(x[:, t, None], wx)
-        pre += b
-        rec = np.matmul(h[:, None], wh)
+        pre = np.matmul(xa[:, t, None], w_x)
+        rec = np.matmul(h[:, None], w_h)
         zr = pre[:, :2] + rec[:, :2]             # halved: logistic in three passes
         np.tanh(zr, out=zr)
         zr *= 0.5
         zr += 0.5
         c = np.tanh(pre[:, 2] + zr[:, 1] * rec[:, 2])
         z = zr[:, 0]
-        h = (1.0 - z) * c + z * h
-        out[:, t] = h
+        h = np.add((1.0 - z) * c, z * h, out=out[:, t])
     return out
 
 

@@ -339,9 +339,11 @@ def gru_naive(x, w_x, w_h, bias):
 
 def gru_scan_unhalved(x, w_x, w_h, bias, h0=None):
     """The stacked GRU scan with its gate planes laid out unscaled and each
-    step's logistic as ``0.5 * tanh(0.5 * a) + 0.5`` in four in-place passes:
-    the step the package's pre-halved gate planes replaced.  Halving a plane
-    is exact, so the two agree bit for bit."""
+    step's logistic as ``0.5 * tanh(0.5 * a) + 0.5`` in four in-place passes,
+    the bias added to each step's input product in a pass of its own: the
+    step the package's pre-halved gate planes and bias row replaced.
+    Halving a plane is exact, and a BLAS that sums each dot product in K
+    order adds the bias row last, so the two agree bit for bit."""
     s, t_len, batch, _ = x.shape
     d_in, hidden = w_x.shape[1], w_h.shape[1]
     wx = w_x.reshape(s, d_in, 3, hidden).transpose(0, 2, 1, 3).copy()

@@ -18,11 +18,17 @@ def test_same_lines_twice_on_a_reduced_input():
     assert all(re.fullmatch(r".+ [0-9a-f]{64}", line) for line in first)
     assert {name.split()[0] for name in names} == {
         "enhance", "separate", "fail", "features", "band_merge", "sfe", "istft", "conv2d",
-        "image_rir", "render_scene", "simulate", "inspect"}
+        "gru_scan", "image_rir", "render_scene", "simulate", "inspect"}
     assert "image_rir seed 1 noise" in names
     assert {"separate scene-10s noise", "separate cli scene-10s.noise.wav",
             "istft stereo length 3328", "conv2d depthwise float32 2000 frames",
             "conv2d 1x1 depthwise zeros bias", "conv2d 1x5 stride 2 zeros no-bias"} <= set(names)
+    for frames in (125, 208):
+        for path in ("intra", "inter"):
+            for dtype in ("float32", "float64"):
+                assert {f"gru_scan {path} {frames} frames {dtype} {start}"
+                        for start in ("zeros", "h0")} <= set(names)
+    assert {f"gru_scan 1x7x5 3->4 {dtype} h0" for dtype in ("float32", "float64")} <= set(names)
     for frames in (1, 18, 19, 208):
         tag = f"lps-sn-m2 {frames} frames"
         assert {f"features {tag}", f"band_merge float32 {tag}", f"band_merge float64 {tag}",

@@ -667,8 +667,8 @@ class TestPrepare:
     def test_plan_arrays_are_read_only(self):
         plan = model.prepare(init_random(ModelConfig(), 0), ModelConfig())
         arrays = list(plan.arrays())
-        # 22 conv rows' kernel and bias, 15 PReLUs' slopes, 2 paths of 5
-        assert len(arrays) == 2 * 22 + 15 + 2 * 5
+        # 22 conv rows' kernel and bias, 15 PReLUs' slopes, 2 paths of 4
+        assert len(arrays) == 2 * 22 + 15 + 2 * 4
         assert not any(t.flags.writeable for t in arrays)
 
     def test_applied_to_a_plan_returns_that_plan(self):

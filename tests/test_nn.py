@@ -417,17 +417,19 @@ class TestGru:
 
     def test_gate_major_layout(self):
         # plane [s, g] holds gate g's columns of GRU s: update, reset, candidate,
-        # the update and reset planes times 0.5
+        # its last input row the gate's bias, the update and reset planes
+        # times 0.5, bias row included
         rng = np.random.default_rng(21)
         w_x, w_h, bias = (rng.standard_normal(shape) for shape in
                           ((2, 3, 12), (2, 4, 12), (2, 12)))
-        wx, wh, b = gru_gate_major(w_x, w_h, bias)
+        wx, wh = gru_gate_major(w_x, w_h, bias)
+        assert wx.shape == (2, 3, 4, 4) and wh.shape == (2, 3, 4, 4)
         assert wx.flags.c_contiguous and wh.flags.c_contiguous
         for s in range(2):
             for g, scale in enumerate((0.5, 0.5, 1.0)):
-                np.testing.assert_array_equal(wx[s, g], scale * w_x[s, :, 4 * g:4 * g + 4])
+                np.testing.assert_array_equal(wx[s, g, :3], scale * w_x[s, :, 4 * g:4 * g + 4])
+                np.testing.assert_array_equal(wx[s, g, 3], scale * bias[s, 4 * g:4 * g + 4])
                 np.testing.assert_array_equal(wh[s, g], scale * w_h[s, :, 4 * g:4 * g + 4])
-                np.testing.assert_array_equal(b[s, g, 0], scale * bias[s, 4 * g:4 * g + 4])
 
     def test_zero_weights_give_zero_outputs(self):
         p = GruParams(w_x=np.zeros((4, 12)), w_h=np.zeros((4, 12)),
@@ -523,10 +525,43 @@ class TestGru:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_halved_gate_planes_equal_the_unhalved_step(self, dtype):
         # halving the update and reset planes is exact, so the three-pass
-        # logistic gives the four-pass one's bits, from zeros and from h0
+        # logistic gives the four-pass one's bits; and a BLAS gemm that sums
+        # each dot product in K order adds the bias row last, as the
+        # oracle's separate pass does.  From zeros and from h0, at every
+        # input width from 1 to 17, across the kernels' K-unroll edges
         rng = np.random.default_rng(29)
-        x, weights = self.random_stack(rng, 3, 7, 4, 5, 6, dtype)
-        h0 = rng.standard_normal((3, 4, 6)).astype(dtype)
+        for batch in (4, 18, 19, 208):
+            for d_in in range(1, 18):
+                x, weights = self.random_stack(rng, 3, 5, batch, d_in, 6, dtype)
+                h0 = rng.standard_normal((3, batch, 6)).astype(dtype)
+                for start in (None, h0):
+                    got = gru_scan(x, *weights, h0=start)
+                    want = oracles.gru_scan_unhalved(x, *weights, h0=start)
+                    assert got.tobytes() == want.tobytes(), f"batch {batch}, input {d_in}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_row_bias_fold_is_within_rounding(self, dtype):
+        # numpy runs a one-row product through gemv, whose OpenBLAS kernels
+        # split a dot product over several accumulators, so at batch 1 the
+        # bias row can land mid-sum and move the last bits (measured: float64
+        # at odd input widths, float32 at widths 3 and 4 with hidden 6)
+        rng = np.random.default_rng(30)
+        for d_in in range(1, 18):
+            x, weights = self.random_stack(rng, 3, 5, 1, d_in, 6, dtype)
+            h0 = rng.standard_normal((3, 1, 6)).astype(dtype)
+            for start in (None, h0):
+                got = gru_scan(x, *weights, h0=start)
+                want = oracles.gru_scan_unhalved(x, *weights, h0=start)
+                assert rel_linf(got, want) < 4 * np.finfo(dtype).eps, f"input {d_in}"
+
+    @pytest.mark.parametrize("hidden", [32, 16])
+    def test_one_row_at_the_model_widths_equals_the_unhalved_step(self, hidden):
+        # the network's GRUs (float32, input 8, hidden 32 intra and 16
+        # inter) fold the bias exactly even at one row, which a one-frame
+        # block gives the intra scan
+        rng = np.random.default_rng(31)
+        x, weights = self.random_stack(rng, 4, 6, 1, 8, hidden, np.float32)
+        h0 = rng.standard_normal((4, 1, hidden)).astype(np.float32)
         for start in (None, h0):
             got = gru_scan(x, *weights, h0=start)
             assert got.tobytes() == oracles.gru_scan_unhalved(x, *weights, h0=start).tobytes()
