@@ -13,7 +13,9 @@ The artifacts, one line each:
 
 - ``enhance`` wave and mask for every preset, with and without IVA, on a
   2 s scene, a 10 s scene (625 frames, which the network runs in three
-  blocks), a silent file (IVA bypass) and a 100-sample file;
+  blocks), a silent file (IVA bypass) and a 100-sample file; the scenes
+  are mixed by :func:`fixed_mixture`, so a change to the simulator's
+  convolution moves only the ``render_scene`` and ``simulate`` lines;
 - ``enhance`` wave and mask for every preset on the 2 s scene with IVA,
   its weights' batch norm statistics and PReLU slopes drawn per channel
   (:func:`with_norms`), so that each fold of a batch norm into its conv
@@ -65,12 +67,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hybridse import (PRESETS, IvaConfig, auxiva_separate, enhance,  # noqa: E402
-                      image_rir, init_random, istft, render_scene, sample_scene,
-                      stft, write_wav)
+                      image_rir, init_random, istft, mix_at_snr, render_scene,
+                      sample_scene, stft, write_wav)
 from hybridse.bands import band_merge  # noqa: E402
 from hybridse.cli import main as cli_main  # noqa: E402
 from hybridse.model import build_features, sfe  # noqa: E402
 from hybridse.nn import conv2d, gru_scan  # noqa: E402
+from hybridse.simkit import _fft_length  # noqa: E402
 
 FS = 16000
 
@@ -87,6 +90,22 @@ def dry_signals(seed: int, n: int):
     rng = np.random.default_rng(seed)
     env = np.repeat(0.05 + rng.exponential(0.5, n // 800 + 1), 800)[:n]
     return 0.1 * env * rng.laplace(size=n), 0.1 * rng.standard_normal(n)
+
+
+def fixed_mixture(seed: int, speech, noise):
+    """The mixture ``render_scene(sample_scene(seed), speech, noise)`` gave
+    while the simulator convolved whole signals: each source convolved with
+    its ``image_rir`` taps at the full convolution's fast FFT length, mixed
+    by ``mix_at_snr``.  The ``enhance`` and ``separate`` inputs stay fixed
+    when the simulator's convolution changes."""
+    scene = sample_scene(seed)
+
+    def image(wave, position):
+        taps = image_rir(dataclasses.replace(scene, source_position=position)).taps
+        nfft = _fft_length(wave.size + taps.shape[1] - 1)
+        return np.fft.irfft(np.fft.rfft(wave, nfft) * np.fft.rfft(taps, nfft), nfft)[:, :wave.size]
+    return mix_at_snr(image(speech, scene.source_position),
+                      image(noise, scene.noise_position), scene.snr_db)[0]
 
 
 def with_norms(w, seed: int):
@@ -128,8 +147,8 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
     """Yield ``"<artifact> <sha256>"`` lines."""
     speech, noise = dry_signals(0, 2 * FS)
     long_speech, long_noise = dry_signals(2, 10 * FS)
-    inputs = {"scene": render_scene(sample_scene(0), speech, noise).mixture,
-              "scene-10s": render_scene(sample_scene(1), long_speech, long_noise).mixture,
+    inputs = {"scene": fixed_mixture(0, speech, noise),
+              "scene-10s": fixed_mixture(1, long_speech, long_noise),
               "silent": np.zeros((2, 2 * FS)),
               "short": 0.1 * np.random.default_rng(1).standard_normal((2, 100))}
     for preset in presets:

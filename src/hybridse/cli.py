@@ -18,10 +18,13 @@ still read and checked on every call) and the prepared plans of the seeded
 weights (:func:`model.prepare`, once per preset and ``--seed``, read-only).
 Each cache keeps the ``_CACHED`` most recently used.  A ``--weights`` file
 is read on every call, so a rewritten file takes effect, and prepared once
-per call for all of its input files.
+per call for all of its input files.  On glibc the first call also fixes
+the allocator's thresholds, so freed memory is reused by the next file
+(:func:`_keep_freed_heap`).
 """
 
 import argparse
+import os
 import re
 import sys
 import warnings
@@ -51,6 +54,43 @@ EXIT_MEMORY = 5
 # parsers and seeded plans one process keeps; the least recently used goes
 # first
 _CACHED = 16
+
+# glibc's mallopt parameters, and the values its dynamic rule reaches at its
+# 64-bit ceiling (trim = 2 x the mmap threshold)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+@lru_cache(maxsize=None)
+def _keep_freed_heap() -> None:
+    """Once per process, on glibc only: serve blocks under 32 MiB from the
+    heap and keep up to 64 MiB of freed heap mapped, so the next file reuses
+    the pages the last one touched instead of faulting in fresh ones; larger
+    blocks, such as a long file's spectrogram, still go straight back to the
+    OS.  Setting either value turns off glibc's own adjustment of both, so
+    both are set.  ``--jobs`` workers are forked and inherit the policy."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):      # not POSIX, or not glibc
+        return
+    import ctypes       # deferred: importing the CLI module costs nothing more
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):    # 0 where glibc refuses it
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+class _Parser(argparse.ArgumentParser):
+    def _get_values(self, action, arg_strings):
+        # Python 3.11 strips the "--" of "--seed=--" and hands the option an
+        # empty list, past its type check
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
 def _positive_int(raw: str) -> int:
@@ -117,7 +157,7 @@ def _build_parser(defaults=()):
     parent put in the namespace.  Parsing leaves a parser unchanged, so one
     is built per distinct ``defaults`` and reused.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hybridse",
         description="Dual-channel low-SNR speech enhancement (IVA + refinement network)")
     parser.add_argument("--config", help="key=value file preloading any flag")
@@ -380,6 +420,7 @@ def cmd_inspect(args) -> int:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser, children = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -36,6 +36,13 @@ def src_env():
     return env
 
 
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
 @pytest.fixture()
 def stereo_wav(tmp_path):
     rng = np.random.default_rng(0)
@@ -527,11 +534,33 @@ _FLAG_TEXT = st.one_of(st.integers(-10 ** 6, 10 ** 30).map(str),
                        st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"))))
 
 
+def _value_options():
+    """``(lead, option)`` for every option of every subcommand that takes
+    a value, ``lead`` naming the subcommand, and the top-level ``--config``."""
+    parser, children = cli._build_parser()
+    for lead, p in [([], parser), *(([child.prog.split()[-1]], child) for child in children)]:
+        for action in p._actions:
+            if action.nargs is None and action.option_strings:
+                yield lead, action.option_strings[-1]
+
+
+@pytest.mark.parametrize("lead, option", list(_value_options()),
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_option_given_dashes_is_a_usage_error(lead, option, tmp_path, capsys):
+    # Python 3.11's argparse hands "--seed=--" an empty list, past the
+    # option's type check
+    with pytest.raises(SystemExit) as info:
+        main([*lead, f"{option}=--"])
+    assert info.value.code == 2
+    assert f"error: argument {option}: expected one argument" in capsys.readouterr().err
+
+
 class TestFlagBoundary:
     @settings(max_examples=60, deadline=None)
     @given(key=st.sampled_from(["preset", "iva-iters", "no-iva", "seed", "jobs"]),
            value=_FLAG_TEXT, as_flag=st.booleans())
     @example(key="seed", value="-1", as_flag=True)
+    @example(key="seed", value="--", as_flag=True)
     def test_any_value_exits_0_2_or_3(self, key, value, as_flag):
         # a flag's value, on the command line or in a config file, runs or is
         # rejected at the boundary.  The one input keeps --jobs from starting a
@@ -983,6 +1012,19 @@ class TestRepeatedCalls:
         assert outputs[0] != outputs[1] and outputs[0] == outputs[2]
         assert outputs[1] == self.enhanced(stereo_wav, tmp_path / "s.wav", "--seed", "1")
 
+    @pytest.mark.skipif(not _glibc(), reason="the allocator policy is set on glibc only")
+    def test_later_calls_reuse_freed_pages(self, tmp_path):
+        # freed heap stays mapped from one call to the next, so a later call
+        # touches almost no fresh pages (about 1000 per call when glibc trims
+        # the heap after every file)
+        write_wav(tmp_path / "in.wav", FS,
+                  0.1 * np.random.default_rng(0).standard_normal((2, 2 * FS)))
+        env = {**src_env(), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_CALL, str(tmp_path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 50
+
     def test_cached_weights_are_read_only(self):
         plan = cli._seeded_weights(ModelConfig(), 0)
         assert plan is cli._seeded_weights(ModelConfig(), 0)
@@ -1051,6 +1093,24 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["enhance=0", "enhance--no-iva=0", "separate=0",
                                        "simulate=0", "eval=0", "inspect=0"]
+
+
+# Runs 6 ``enhance --no-iva`` calls through cli.main and prints the mean
+# minor page faults per call over the last 4.
+_FAULTS_PER_CALL = """\
+import contextlib, io, resource, sys
+from pathlib import Path
+from hybridse.cli import main
+
+tmp = Path(sys.argv[1])
+argv = ["enhance", str(tmp / "in.wav"), "--no-iva", "--out", str(tmp / "out.wav")]
+with contextlib.redirect_stdout(io.StringIO()):
+    for call in range(6):
+        if call == 2:
+            start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 4)
+"""
 
 
 # Runs every subcommand through cli.main in an interpreter where importing

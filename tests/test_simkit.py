@@ -264,6 +264,32 @@ class TestConvolution:
             np.testing.assert_allclose(got[m], oracles.convolve_naive(wave, taps[m]),
                                        atol=1e-9)
 
+    # with 64-point blocks: 20 taps give a 64-point transform and a hop of
+    # 45 samples, 50 taps need a 100-point transform (2L - 1 = 99, above the
+    # block) and a hop of 51
+    @pytest.mark.parametrize("n, taps", [(25, 40), (45, 20), (90, 20), (135, 20),
+                                         (46, 20), (300, 50), (1, 1), (200, 1)],
+                             ids=["n<L", "one-block", "2-hops", "3-hops", "hop+1",
+                                  "2L-1-above-block", "1x1", "1-tap"])
+    def test_overlap_add_across_block_edges(self, monkeypatch, n, taps):
+        monkeypatch.setattr(simkit, "_BLOCK_FFT", 64)
+        rng = np.random.default_rng(n + taps)
+        x = rng.standard_normal(n)
+        kernels = rng.standard_normal((3, taps))
+        got = simkit._convolve(x, kernels)
+        assert got.shape == (3, n)
+        for row, kernel in zip(got, kernels):
+            np.testing.assert_allclose(row, oracles.convolve_naive(x, kernel), atol=1e-9)
+
+    def test_overlap_add_matches_numpy_at_full_size(self):
+        # a 4.5 s signal and a 0.4 s RIR run in several 16384-point blocks
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(72000)
+        kernels = 0.05 * rng.standard_normal((2, 6400))
+        got = simkit._convolve(x, kernels)
+        for row, kernel in zip(got, kernels):
+            np.testing.assert_allclose(row, np.convolve(x, kernel)[:x.size], atol=1e-9)
+
     def test_empty_impulse_response_rejected(self):
         rir = Rir(taps=np.zeros((2, 0)), direct_path_index=np.array([0, 0]))
         for convolve in (apply_rir, early_target):
