@@ -9,6 +9,10 @@ package from the ``src/`` next to it:
     python3 scripts/fingerprint.py > after.txt     # with the change
     diff before.txt after.txt
 
+The first line, ``# blas <name> <version>; <thread variables>``, names the
+BLAS library numpy was built with and the thread-count variables of the
+run, so a diff between two machines shows where it may come from.
+
 The artifacts, one line each:
 
 - ``enhance`` wave and mask for every preset, with and without IVA, on a
@@ -57,6 +61,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import os
 import sys
 import tempfile
 import warnings
@@ -73,9 +78,11 @@ from hybridse.bands import band_merge  # noqa: E402
 from hybridse.cli import main as cli_main  # noqa: E402
 from hybridse.model import build_features, sfe  # noqa: E402
 from hybridse.nn import conv2d, gru_scan  # noqa: E402
-from hybridse.simkit import _fft_length  # noqa: E402
 
 FS = 16000
+# the environment variables that set a BLAS or OpenMP thread count
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def digest(*arrays) -> str:
@@ -92,6 +99,20 @@ def dry_signals(seed: int, n: int):
     return 0.1 * env * rng.laplace(size=n), 0.1 * rng.standard_normal(n)
 
 
+def smooth_length(n: int) -> int:
+    """The smallest 2-3-5-smooth integer >= ``n``: the FFT length the
+    simulator once used for a whole-signal convolution."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def fixed_mixture(seed: int, speech, noise):
     """The mixture ``render_scene(sample_scene(seed), speech, noise)`` gave
     while the simulator convolved whole signals: each source convolved with
@@ -102,7 +123,7 @@ def fixed_mixture(seed: int, speech, noise):
 
     def image(wave, position):
         taps = image_rir(dataclasses.replace(scene, source_position=position)).taps
-        nfft = _fft_length(wave.size + taps.shape[1] - 1)
+        nfft = smooth_length(wave.size + taps.shape[1] - 1)
         return np.fft.irfft(np.fft.rfft(wave, nfft) * np.fft.rfft(taps, nfft), nfft)[:, :wave.size]
     return mix_at_snr(image(speech, scene.source_position),
                       image(noise, scene.noise_position), scene.snr_db)[0]
@@ -294,6 +315,15 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
         yield f"inspect {preset} {hashlib.sha256(text.encode()).hexdigest()}"
 
 
+def environment() -> str:
+    """``"# blas <name> <version>; <thread variables>"``: what a diff of two
+    machines' lines may come from."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in THREAD_VARS)
+    return f"# blas {blas.get('name')} {blas.get('version')}; {threads}"
+
+
 if __name__ == "__main__":
+    print(environment())
     for line in fingerprints():
         print(line)

@@ -149,8 +149,10 @@ def _envelopes(spec: np.ndarray, stats: np.ndarray, w: np.ndarray,
 
 def _weighted_covariances(stats: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Hermitian ``[2, bins, 2, 2]`` covariances, source m's frames weighted
-    by ``1 / r[:, m]``."""
-    p00, p11, re, im = np.moveaxis(((1.0 / r).T @ stats).reshape(2, 4, -1), 1, 0)
+    by ``1 / r[:, m]``.  The frame sum runs in ``einsum``'s fixed order, not
+    through BLAS, whose summation order follows its thread count."""
+    p00, p11, re, im = np.moveaxis(
+        np.einsum("lm,lk->mk", 1.0 / r, stats).reshape(2, 4, -1), 1, 0)
     v = np.empty(p00.shape + (2, 2), dtype=np.complex128)
     v[..., 0, 0] = p00
     v[..., 1, 1] = p11

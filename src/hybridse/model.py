@@ -273,19 +273,27 @@ def load_weights(data: bytes, cfg: ModelConfig) -> Dict[str, np.ndarray]:
     :class:`WeightFormatError` naming the offender; nothing partial escapes.
     """
     raw = deserialize_tensors(data)
+    _check_inventory(raw, cfg)
+    return {name: raw[name] for name in expected_shapes(cfg)}
+
+
+def _check_inventory(w, cfg: ModelConfig) -> None:
+    """Raise :class:`WeightFormatError` naming the first missing, misshapen,
+    non-finite or unexpected tensor of the name -> array mapping ``w``
+    against the config's inventory."""
     shapes = expected_shapes(cfg)
     for name, shp in shapes.items():
-        if name not in raw:
+        if name not in w:
             raise WeightFormatError(f"missing tensor {name!r} for this config")
-        if raw[name].shape != tuple(shp):
+        tensor = w[name]
+        if np.shape(tensor) != tuple(shp):
             raise WeightFormatError(
-                f"tensor {name!r} has shape {raw[name].shape}, expected {tuple(shp)}")
-        if not np.all(np.isfinite(raw[name])):
+                f"tensor {name!r} has shape {np.shape(tensor)}, expected {tuple(shp)}")
+        if not np.isfinite(tensor).all():
             raise WeightFormatError(f"tensor {name!r} contains non-finite values")
-    for name in raw:
+    for name in w:
         if name not in shapes:
             raise WeightFormatError(f"unexpected tensor {name!r} for this config")
-    return {name: raw[name] for name in shapes}
 
 
 # --------------------------------------------------------------------------
@@ -426,12 +434,14 @@ def prepare(w: Weights, cfg: ModelConfig) -> Plan:
     conv and folds into it, and every PReLU directly follows a batch norm
     and runs in place on the conv's output, through :func:`nn.prelu_with`.
     So the plan's output differs from a pass that runs each batch norm on
-    its own only by float32 rounding.
+    its own only by float32 rounding.  A dict is first checked against the
+    config's inventory, like a loaded file (:func:`_check_inventory`).
     """
     if isinstance(w, Plan):
         if w.cfg != cfg:
             raise InvalidInputError(f"a plan prepared for {w.cfg} cannot run {cfg}")
         return w
+    _check_inventory(w, cfg)
     steps, grus, projs = [], {}, {}
     for layer, leaves, mac, _, _, op in _layers(cfg):
         tensors = tuple(np.array(w[f"{layer}.{leaf}"]) for leaf in leaves)   # the plan's own

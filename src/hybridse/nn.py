@@ -380,11 +380,3 @@ def gru_sequence(x: np.ndarray,
         raise InvalidInputError(f"unknown direction {direction!r}")
     return _gru_run(x, p)
 
-
-def channel_shuffle(x: np.ndarray, groups: int) -> np.ndarray:
-    """Interleave channels across groups (ShuffleNet-style)."""
-    shape = x.shape
-    if x.ndim < 2 or groups < 1 or shape[1] % groups != 0:
-        raise InvalidInputError(f"cannot shuffle shape {shape} across {groups} groups")
-    x = x.reshape(shape[0], groups, shape[1] // groups, *shape[2:])
-    return np.swapaxes(x, 1, 2).reshape(shape)

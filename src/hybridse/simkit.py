@@ -230,41 +230,28 @@ def image_rir(scene: SceneSpec) -> Rir:
     return Rir(taps=taps, direct_path_index=dpi)
 
 
-# the longest overlap-add block transform: 12288 to 20480 points ran fastest
+# the overlap-add block transform: 12288 to 20480 points ran fastest
 # on 2400-7200-tap RIRs, 32768 and more slower, as whole-signal transforms of
 # some 72000 points fall out of the L2 cache
 _BLOCK_FFT = 16384
-
-
-def _fft_length(n: int) -> int:
-    """The smallest 2-3-5-smooth integer >= ``n``: a fast real FFT size."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def _convolve(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Each row of ``kernels`` [k, L] convolved with ``x`` [n], cut to [k, n].
 
     Overlap-add: ``x`` is cut into blocks of ``nfft - L + 1`` samples, each
-    transformed at ``nfft``, at most ``_BLOCK_FFT`` unless the kernels need
-    more.  One batched transform of the blocks serves every row, and one
-    batched inverse gives every row's blocks; each block's last ``L - 1``
-    samples are added to the start of the next.  A row's result does not
-    depend on which other rows share the call."""
+    transformed at ``nfft``: ``_BLOCK_FFT``, or the smallest power of two
+    >= ``2L - 1`` when the kernels need more.  One batched transform of the
+    blocks serves every row, and one batched inverse gives every row's
+    blocks; each block's last ``L - 1`` samples are added to the start of
+    the next.  A row's result does not depend on which other rows share
+    the call."""
     n, taps = x.size, kernels.shape[1]
     if taps == 0:
         raise InvalidInputError("empty impulse response")
-    # an empty x is one block of zeros; with two blocks or more, nfft >=
-    # 2 taps - 1, so hop >= taps and a block's tail reaches only the next
-    nfft = min(_fft_length(max(n, 1) + taps - 1),
-               max(_BLOCK_FFT, _fft_length(2 * taps - 1)))
+    # an empty x is one block of zeros; nfft >= 2 taps - 1, so hop >= taps
+    # and a block's tail reaches only the next
+    nfft = max(_BLOCK_FFT, 1 << (2 * taps - 2).bit_length())
     hop = nfft - taps + 1
     blocks = np.zeros((-(-max(n, 1) // hop), hop))
     blocks.reshape(-1)[:n] = x

@@ -184,10 +184,13 @@ def read_wav(path):
 
 
 def write_wav(path, sample_rate: int, wave: np.ndarray) -> None:
-    """Write [n] or [channels, n] float samples as 16-bit PCM (truncating)."""
+    """Write [n] or [channels, n] float samples as 16-bit PCM (truncating);
+    non-finite samples are rejected before the file is opened."""
     wave = np.asarray(wave, dtype=np.float64)
     if wave.ndim not in (1, 2):
         raise InvalidInputError(f"waveform must be 1-D or 2-D, got shape {wave.shape}")
+    if not np.isfinite(wave).all():
+        raise InvalidInputError(f"{path}: non-finite samples")
     pcm = np.trunc(np.clip(wave, -1.0, 1.0) * 32767.0).astype("<i2")
     channels = 1 if pcm.ndim == 1 else pcm.shape[0]
     frames = pcm.T.tobytes()

@@ -97,9 +97,9 @@ def test_criterion_02_nn_primitives_vs_oracles():
         track("gru", nn.gru_sequence(seq, gp, "forward"),
               oracles.gru_naive(seq, gp.w_x, gp.w_h, gp.bias))
 
-        xs = rng.standard_normal((b, 2 * g * 3, t, f)).astype(np.float32)
-        track("channel_shuffle", nn.channel_shuffle(xs, g),
-              oracles.channel_shuffle_naive(xs, g))
+        # the draw of the retired channel-shuffle track, kept so that every
+        # later draw stays the same
+        rng.standard_normal((b, 2 * g * 3, t, f))
     elapsed = time.perf_counter() - t0
     peak = max(worst.values())
     ok = peak <= 1e-5 and elapsed < 60.0

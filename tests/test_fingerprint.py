@@ -1,16 +1,54 @@
 """The byte-identity script prints the same fingerprints on every run."""
 
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "fingerprint.py"
+# loads the script from argv[1] and prints its lines for two presets
+_REDUCED_RUN = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("fingerprint", sys.argv[1])
+fp = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(fp)
+for line in fp.fingerprints(rir_seeds=range(2), presets=("lps-sn-m2", "lps-sn-m2-dual")):
+    print(line)
+"""
 
 
-def test_same_lines_twice_on_a_reduced_input():
+def load_script():
     spec = importlib.util.spec_from_file_location("fingerprint", SCRIPT)
     fp = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fp)
+    return fp
+
+
+def test_same_lines_at_one_and_two_blas_threads():
+    fp = load_script()
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, **{var: threads for var in fp.THREAD_VARS}}
+        runs.append(subprocess.run([sys.executable, "-c", _REDUCED_RUN, str(SCRIPT)], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+    assert "enhance lps-sn-m2 iva scene-10s wave" in runs[0]
+    assert runs[0].splitlines() == runs[1].splitlines()
+
+
+def test_environment_line_names_the_blas_and_every_thread_variable(monkeypatch):
+    fp = load_script()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    line = fp.environment()
+    assert re.fullmatch(r"# blas \S+ \S+; .+", line)
+    assert "OPENBLAS_NUM_THREADS=3" in line and "OMP_NUM_THREADS=unset" in line
+    assert [word.split("=")[0] for word in line.split("; ", 1)[1].split()] == list(fp.THREAD_VARS)
+
+
+def test_same_lines_twice_on_a_reduced_input():
+    fp = load_script()
     first = list(fp.fingerprints(rir_seeds=range(2), presets=("lps-sn-m2",)))
     assert first == list(fp.fingerprints(rir_seeds=range(2), presets=("lps-sn-m2",)))
     names = [line.rsplit(" ", 1)[0] for line in first]

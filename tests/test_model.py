@@ -19,7 +19,7 @@ from hybridse import loss, model, nn, simkit
 from hybridse.auxiva import IvaConfig, iva_macs_per_second
 from hybridse.bands import ErbFilterbank, band_merge, band_split
 from hybridse.dsp import StftConfig, log_power
-from hybridse.errors import InvalidInputError
+from hybridse.errors import InvalidInputError, WeightFormatError
 from hybridse.model import (PRESETS, ModelConfig, apply_mask, build_features,
                             count_macs, count_params, decode, encode, enhance,
                             expected_shapes, forward, gdprnn, gtconv_block,
@@ -252,7 +252,7 @@ class TestGtconvBlock:
     def test_zero_transform_leaves_shuffled_half_identity(self):
         cfg = ModelConfig()
         x = np.random.default_rng(2).standard_normal((1, 16, 6, 33)).astype(np.float32)
-        expect = nn.channel_shuffle(
+        expect = oracles.channel_shuffle_naive(
             np.concatenate([x[:, :8], np.zeros_like(x[:, :8])], axis=1), 2)
         for block in blocks_at(1) + blocks_at(2) + blocks_at(5):
             w = zero_block(init_random(cfg, 0), block)
@@ -275,7 +275,7 @@ class TestGtconvBlock:
         t = conv_prelu(x[:, 8:], "pconv1", "prelu1")
         t = conv_prelu(t, "dwconv", "prelu2", dilation=(2, 1), groups=16)
         t = nn.conv2d(t, w["enc.gt1.pconv2.kernel"], w["enc.gt1.pconv2.bias"])
-        want = nn.channel_shuffle(np.concatenate([x[:, :8], t], axis=1), 2)
+        want = oracles.channel_shuffle_naive(np.concatenate([x[:, :8], t], axis=1), 2)
         got = gtconv_block(x, w, "enc.gt1", cfg)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -499,6 +499,29 @@ class TestForward:
         assert read == set(expected_shapes(cfg))
         assert np.all(np.isfinite(mask))
 
+    # a dict is held to the inventory that a weight file is held to
+    @pytest.mark.parametrize("name, value, message", [
+        ("enc.conv1.bias", None, "missing tensor 'enc.conv1.bias'"),
+        ("enc.bn1.gamma", np.ones(17, np.float32),
+         r"tensor 'enc.bn1.gamma' has shape \(17,\), expected \(16,\)"),
+        ("enc.prelu1.alpha", np.ones(1, np.float32),
+         r"tensor 'enc.prelu1.alpha' has shape \(1,\), expected \(16,\)"),
+        ("enc.conv1.kernel", np.nan, "tensor 'enc.conv1.kernel' contains non-finite values"),
+        ("enc.conv9.bias", np.ones(16, np.float32), "unexpected tensor 'enc.conv9.bias'")],
+        ids=["missing", "wrong-shape", "one-slope", "nan", "unexpected"])
+    def test_dict_outside_the_inventory_rejected(self, name, value, message):
+        cfg = ModelConfig()
+        w = init_random(cfg, 0)
+        if value is None:
+            del w[name]
+        elif np.isscalar(value):
+            w[name] = w[name].copy()
+            w[name].flat[7] = value
+        else:
+            w[name] = value
+        with pytest.raises(WeightFormatError, match=message):
+            forward(*rand_specs(4, frames=3), w, cfg)
+
 
 _PRESET_WEIGHTS = {name: init_random(cfg, 0) for name, cfg in PRESETS.items()}
 
@@ -620,7 +643,7 @@ def unfused_mask(y, yi, w, cfg):
             elif block.startswith(f"{prefix}.gt") and block not in done:
                 done.add(block)
                 half = x.shape[1] // 2
-                x = nn.channel_shuffle(
+                x = oracles.channel_shuffle_naive(
                     np.concatenate([x[:, :half], run(x[:, half:], block)], axis=1), 2)
         return x
 

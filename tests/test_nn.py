@@ -7,9 +7,9 @@ import pytest
 
 import oracles
 from hybridse.errors import InvalidInputError
-from hybridse.nn import (GruParams, batch_norm_infer, channel_shuffle, conv2d,
-                         conv_transpose2d, gru_gate_major, gru_scan, gru_sequence,
-                         prelu, prelu_slopes, prelu_with)
+from hybridse.nn import (GruParams, batch_norm_infer, conv2d, conv_transpose2d,
+                         gru_gate_major, gru_scan, gru_sequence, prelu, prelu_slopes,
+                         prelu_with)
 
 
 def rel_linf(got, want):
@@ -591,37 +591,21 @@ class TestGru:
 
 
 class TestChannelShuffle:
+    """The order of ``oracles.channel_shuffle_naive``, the reference that the
+    G-T-conv block and G-DPRNN tests hold the network's shuffle to."""
+
     def test_single_group_is_identity(self):
         x = np.random.default_rng(23).standard_normal((2, 6, 3, 3))
-        np.testing.assert_array_equal(channel_shuffle(x, 1), x)
+        np.testing.assert_array_equal(oracles.channel_shuffle_naive(x, 1), x)
 
     def test_four_channels_two_groups(self):
         x = np.arange(4, dtype=float)[None, :, None, None]
-        out = channel_shuffle(x, 2)
+        out = oracles.channel_shuffle_naive(x, 2)
         np.testing.assert_array_equal(out[0, :, 0, 0], [0, 2, 1, 3])
 
     def test_inverse_restores_order(self):
         rng = np.random.default_rng(24)
         for c, g in [(4, 2), (6, 2), (6, 3), (8, 4)]:
             x = rng.standard_normal((1, c, 2, 2))
-            np.testing.assert_array_equal(
-                channel_shuffle(channel_shuffle(x, g), c // g), x)
-
-    def test_matches_naive(self):
-        rng = np.random.default_rng(25)
-        x = rng.standard_normal((2, 8, 3, 4))
-        np.testing.assert_array_equal(channel_shuffle(x, 4),
-                                      oracles.channel_shuffle_naive(x, 4))
-
-    def test_divisibility_enforced(self):
-        with pytest.raises(InvalidInputError):
-            channel_shuffle(np.zeros((1, 5, 2, 2)), 2)
-
-    @pytest.mark.parametrize("groups", [0, -2])
-    def test_groups_below_one_rejected(self, groups):
-        with pytest.raises(InvalidInputError):
-            channel_shuffle(np.zeros((1, 4, 2, 2)), groups)
-
-    def test_one_axis_rejected(self):
-        with pytest.raises(InvalidInputError):
-            channel_shuffle(np.zeros(4), 2)
+            shuffled = oracles.channel_shuffle_naive(x, g)
+            np.testing.assert_array_equal(oracles.channel_shuffle_naive(shuffled, c // g), x)

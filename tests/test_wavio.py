@@ -208,3 +208,15 @@ class TestWrite:
         want = io.BytesIO()
         wavfile.write(want, FS, pcm.T if pcm.ndim == 2 else pcm)
         assert path.read_bytes() == want.getvalue()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("shape", [(100,), (2, 100)], ids=["mono", "stereo"])
+    def test_non_finite_sample_rejected_before_the_file_opens(self, tmp_path, shape, value):
+        wave = np.zeros(shape)
+        wave.flat[-1] = value
+        path = tmp_path / "x.wav"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: non-finite"):
+                write_wav(path, FS, wave)
+        assert not path.exists()
