@@ -13,11 +13,13 @@ rank-1 terms ``y y^H`` do not depend on the demixing state, so
 ``[frames, 4 * bins]`` array.  A source's squared frame envelope and its
 weighted covariance are both linear in those terms.  Source m's envelope and
 covariance read only row m of ``w``, which the other source's update leaves
-alone, so a sweep starts with one pass of ``stats`` against both rows'
-envelope coefficients and one ``(1 / r).T @ stats`` product for both
-covariances.  Each source is then updated in turn by a closed-form 2x2
-adjugate solve against the current demixing state, and renormalized so the
-updated vector has unit quadratic form under its own covariance.
+alone, so a sweep starts with one matrix product of ``stats`` and both
+rows' envelope coefficients, and one frame sum of ``stats`` weighted by
+``1 / r`` for both covariances, an ``np.einsum`` whose summation order,
+unlike BLAS's, does not follow the thread count.  Each source is then
+updated in turn by a closed-form 2x2 adjugate solve against the current
+demixing state, and renormalized so the updated vector has unit quadratic
+form under its own covariance.
 
 The envelope read off the statistics loses digits to cancellation when a
 source is strongly suppressed; the frames where that could show are
@@ -366,9 +368,10 @@ def iva_macs_per_second(cfg: IvaConfig) -> float:
 
     The implementation performs fewer.  :func:`auxiva_separate` builds the
     rank-1 terms once per utterance, and each sweep then runs about
-    ``8 * bins`` real MACs per frame and source as GEMVs over them:
-    ``4 * bins`` for the squared envelope, whose direct half also bounds the
-    cancellation guard, and ``4 * bins`` for the weighted covariance.
+    ``8 * bins`` real MACs per frame and source over them: ``4 * bins`` for
+    the squared envelope, a matrix product whose direct half also bounds the
+    cancellation guard, and ``4 * bins`` for the weighted covariance, a
+    fixed-order ``einsum``.
     """
     n_bins = StftConfig.n_bins
     frames_per_second = StftConfig.frames_per_second

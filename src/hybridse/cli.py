@@ -3,8 +3,9 @@
 Subcommands: enhance (full pipeline), separate (IVA only), simulate (scene
 generator), eval (SI-SNR report), inspect (parameter/MAC accounting).
 
-Exit codes are a stable contract: 0 success, 2 input validation, 3 weight
-format or config mismatch, 4 numerical failure, 5 out of memory.
+Exit codes are a stable contract (``_EXIT_CODES``): 0 success, 2 input
+validation or any other toolkit or OS error, 3 weight format or config
+mismatch, 4 numerical failure, 5 out of memory.
 
 A plain ``key = value`` config file can preload any long flag a subcommand
 takes but does not require (names without the leading double dash).  The
@@ -36,20 +37,26 @@ import numpy as np
 
 from .auxiva import IvaConfig, auxiva_separate, iva_macs_per_second
 from .dsp import DEFAULT_SAMPLE_RATE, stft, istft
-from .errors import (DegenerateInputError, InvalidInputError, NumericalError,
-                     SceneInfeasibleError, WeightFormatError)
+from .errors import (DegenerateInputError, HybridseError, InvalidInputError,
+                     NumericalError, WeightFormatError)
 from .loss import si_snr
 from .model import (DEFAULT_PRESET, count_macs, count_params, enhance,
-                    init_random, load_weights, macs_breakdown, param_breakdown,
-                    prepare, preset_config)
+                    init_random, macs_breakdown, param_breakdown, prepare,
+                    preset_config)
 from .simkit import render_scene, sample_scene, write_manifest
 from .wavio import read_wav, write_wav
+from .weights import deserialize_tensors
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_WEIGHTS = 3
 EXIT_NUMERICAL = 4
 EXIT_MEMORY = 5
+
+# exit code by error class; an error takes the first class of its MRO listed
+_EXIT_CODES = {WeightFormatError: EXIT_WEIGHTS, NumericalError: EXIT_NUMERICAL,
+               MemoryError: EXIT_MEMORY, HybridseError: EXIT_INVALID,
+               OSError: EXIT_INVALID}
 
 # parsers and seeded plans one process keeps; the least recently used goes
 # first
@@ -292,7 +299,8 @@ def cmd_enhance(args) -> int:
     files = [(path, target) for path, (target,) in zip(args.inputs, targets)]
     cfg = preset_config(args.preset)
     if args.weights:
-        w = prepare(load_weights(Path(args.weights).read_bytes(), cfg), cfg)
+        # prepare checks the inventory as load_weights would, with its messages
+        w = prepare(deserialize_tensors(Path(args.weights).read_bytes()), cfg)
     else:
         w = _seeded_weights(cfg, args.seed)
     enhance_file = partial(_enhance_one, cfg=cfg, w=w,
@@ -428,19 +436,9 @@ def main(argv=None) -> int:
             values = _load_config_file(args.config, children)
             args = _build_parser(tuple(sorted(values.items())))[0].parse_args(argv)
         return args.run(args)
-    except WeightFormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WEIGHTS
-    except (InvalidInputError, DegenerateInputError, SceneInfeasibleError,
-            OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except MemoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MEMORY
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -40,9 +40,9 @@ state and keeps nothing: one call over all frames.
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, partial
-from typing import ClassVar, Dict, Optional, Tuple, Union
+from typing import ClassVar, Dict, Literal, Optional, Tuple, Union, get_args
 
 import numpy as np
 
@@ -52,11 +52,6 @@ from .bands import N_BANDS, N_BINS, N_HIGH, band_merge, band_split
 from .dsp import StftConfig, check_float32_range, istft, log_power, stft
 from .errors import DegenerateInputError, InvalidInputError, WeightFormatError
 from .weights import deserialize_tensors, serialize_tensors
-
-_FEATURES = ("complex", "lps")
-_IVA_CHANNELS = ("s", "s_and_n")
-_MASKINGS = ("mask1_iva", "mask2_noisy")
-_ENCODERS = ("single", "dual")
 
 # Most frames in one block of the forward pass (about 4 s of audio).
 BLOCK_FRAMES = 256
@@ -68,12 +63,13 @@ class ModelConfig:
     IVA channels fed to the network, the masking target and the encoder.
 
     The refinement net itself has GTCRN's fixed lightweight geometry (Rong
-    et al., ICASSP 2024), given by the class constants below.
+    et al., ICASSP 2024), given by the class constants below.  Each axis's
+    annotation lists its allowed values, and construction checks them.
     """
-    feature: str = "lps"
-    iva_channels: str = "s_and_n"
-    masking: str = "mask2_noisy"
-    encoder: str = "single"
+    feature: Literal["complex", "lps"] = "lps"
+    iva_channels: Literal["s", "s_and_n"] = "s_and_n"
+    masking: Literal["mask1_iva", "mask2_noisy"] = "mask2_noisy"
+    encoder: Literal["single", "dual"] = "single"
 
     sfe_kernel: ClassVar[int] = 3
     gtconv_channels: ClassVar[int] = 16
@@ -92,14 +88,10 @@ class ModelConfig:
     dual_branch_channels: ClassVar[int] = 12
 
     def __post_init__(self):
-        if self.feature not in _FEATURES:
-            raise InvalidInputError(f"feature must be one of {_FEATURES}")
-        if self.iva_channels not in _IVA_CHANNELS:
-            raise InvalidInputError(f"iva_channels must be one of {_IVA_CHANNELS}")
-        if self.masking not in _MASKINGS:
-            raise InvalidInputError(f"masking must be one of {_MASKINGS}")
-        if self.encoder not in _ENCODERS:
-            raise InvalidInputError(f"encoder must be one of {_ENCODERS}")
+        for field in fields(self):
+            choices = get_args(field.type)
+            if getattr(self, field.name) not in choices:
+                raise InvalidInputError(f"{field.name} must be one of {choices}")
 
     @property
     def iva_planes(self) -> int:

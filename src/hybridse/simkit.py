@@ -16,7 +16,7 @@ RIRs are at 16 kHz and the image order follows from the RT60 + 50 ms horizon.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar, Sequence, Tuple
 
 import numpy as np
@@ -55,27 +55,22 @@ class SceneSpec:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "room_dims": [float(v) for v in self.room_dims],
-            "rt60": float(self.rt60),
-            "mic_positions": [[float(v) for v in m] for m in self.mic_positions],
-            "source_position": [float(v) for v in self.source_position],
-            "noise_position": [float(v) for v in self.noise_position],
-            "snr_db": float(self.snr_db),
-        }
+        """The JSON-native record of the scene: arrays as nested lists of
+        floats, each other field through the type it is annotated with."""
+        return {f.name: _to_json(f.type, getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
-        return cls(
-            room_dims=np.asarray(d["room_dims"], dtype=np.float64),
-            rt60=float(d["rt60"]),
-            mic_positions=np.asarray(d["mic_positions"], dtype=np.float64),
-            source_position=np.asarray(d["source_position"], dtype=np.float64),
-            noise_position=np.asarray(d["noise_position"], dtype=np.float64),
-            snr_db=float(d["snr_db"]),
-            seed=int(d["seed"]),
-        )
+        """The scene of a :meth:`to_dict` record; other keys are ignored."""
+        return cls(**{f.name: _from_json(f.type, d[f.name]) for f in fields(cls)})
+
+
+def _to_json(kind, value):
+    return np.asarray(value, dtype=np.float64).tolist() if kind is np.ndarray else kind(value)
+
+
+def _from_json(kind, value):
+    return np.asarray(value, dtype=np.float64) if kind is np.ndarray else kind(value)
 
 
 @dataclass(frozen=True, eq=False)

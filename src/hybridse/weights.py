@@ -8,7 +8,7 @@ Layout (all integers little-endian):
     per tensor:
         u16    name length in bytes
         bytes  UTF-8 name
-        u8     rank
+        u8     rank (numpy arrays have at most 64 axes, so any fits)
         u32[]  dims
         f32[]  row-major IEEE-754 values
     u32    CRC-32 of every preceding byte
@@ -39,8 +39,6 @@ def serialize_tensors(tensors) -> bytes:
         if not 0 < len(nb) <= 0xFFFF:
             raise WeightFormatError(f"tensor name {name!r} not encodable")
         arr = np.ascontiguousarray(arr, dtype="<f4")
-        if arr.ndim > 0xFF:
-            raise WeightFormatError(f"tensor {name!r} rank {arr.ndim} too large")
         out += struct.pack("<H", len(nb))
         out += nb
         out.append(arr.ndim)

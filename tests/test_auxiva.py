@@ -58,6 +58,12 @@ class TestDemix:
         spec = random_spec(np.random.default_rng(0), frames=5)
         np.testing.assert_array_equal(demix(spec, identity_w()), spec)
 
+    def test_real_spectrogram_cast_to_complex(self):
+        spec = np.random.default_rng(0).standard_normal((2, 5, 8))
+        out = demix(spec, identity_w(8))
+        assert out.dtype == np.complex128
+        np.testing.assert_array_equal(out, spec.astype(np.complex128))
+
     def test_channel_count_checked(self):
         spec = random_spec(np.random.default_rng(0), frames=5, bins=4)
         with pytest.raises(InvalidInputError):

@@ -18,7 +18,7 @@ from scipy.io import wavfile
 
 from conftest import FS, instantaneous_scene
 from test_weights import gtcw_stream
-from hybridse import cli, model, stft
+from hybridse import cli, errors, model, stft
 from hybridse.cli import main
 from hybridse.errors import NumericalError
 from hybridse.loss import si_snr
@@ -143,6 +143,18 @@ class TestEnhance:
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         assert main(["enhance", str(stereo_wav), "--weights", str(path)]) == 3
         assert "truncated" in capsys.readouterr().err
+
+    def test_weights_file_checked_once(self, tmp_path, stereo_wav, weights_file, monkeypatch):
+        checked, check_inventory = [], model._check_inventory
+
+        def counting_check(w, cfg):
+            checked.append(len(w))
+            return check_inventory(w, cfg)
+
+        monkeypatch.setattr("hybridse.model._check_inventory", counting_check)
+        assert main(["enhance", str(stereo_wav), "--out", str(tmp_path / "o.wav"),
+                     "--weights", str(weights_file)]) == 0
+        assert checked == [len(init_random(ModelConfig(), 0))]
 
     def test_config_mismatch_weights_exit_3(self, tmp_path, stereo_wav, capsys):
         blob = save_weights(init_random(ModelConfig(encoder="dual"), 0))
@@ -269,6 +281,36 @@ class TestEnhance:
         monkeypatch.setattr("hybridse.model.auxiva_separate", failing_iva)
         assert main(["enhance", str(stereo_wav), "--out", str(tmp_path / "o.wav")]) == 4
         assert f"error: {stereo_wav}: singular demixing update" in capsys.readouterr().err
+
+    def test_non_finite_output_exit_4(self, tmp_path, stereo_wav, capsys):
+        # every kernel 1e30 times larger, still finite float32: the
+        # activations overflow on the way through the network
+        w = {name: tensor * np.float32(1e30) if name.endswith(".kernel") else tensor
+             for name, tensor in init_random(ModelConfig(), 0).items()}
+        weights = tmp_path / "loud.gtcw"
+        weights.write_bytes(save_weights(w))
+        out = tmp_path / "o.wav"
+        assert main(["enhance", str(stereo_wav), "--out", str(out),
+                     "--weights", str(weights)]) == 4
+        assert capsys.readouterr().err == \
+            f"error: {stereo_wav}: enhancement produced non-finite samples\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.HybridseError, 2), (errors.InvalidInputError, 2),
+    (errors.DegenerateInputError, 2), (errors.NumericalError, 4),
+    (errors.WeightFormatError, 3), (errors.SceneInfeasibleError, 2),
+    (type("UnnamedError", (errors.HybridseError,), {}), 2),
+    (OSError, 2), (FileNotFoundError, 2), (MemoryError, 5)],
+    ids=lambda case: case.__name__ if isinstance(case, type) else str(case))
+def test_each_error_class_exits_with_its_code(capsys, monkeypatch, error, code):
+    def failing(name):
+        raise error("the message")
+
+    monkeypatch.setattr("hybridse.cli.preset_config", failing)
+    assert main(["inspect"]) == code
+    assert capsys.readouterr() == ("", "error: the message\n")
 
 
 def _out_of_memory(*args, **kwargs):

@@ -1,5 +1,6 @@
 """Analysis/synthesis transforms: framing, round trips, energy bookkeeping."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -141,6 +142,10 @@ class TestStft:
         with pytest.raises(InvalidInputError):
             stft(np.zeros(0), StftConfig())
 
+    def test_waveform_beyond_2d_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"1-D or 2-D, got shape \(2, 2, 300\)"):
+            stft(np.zeros((2, 2, 300)), StftConfig())
+
     def test_linearity(self):
         cfg = StftConfig()
         rng = np.random.default_rng(2)
@@ -225,6 +230,12 @@ class TestIstft:
     def test_bin_count_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             istft(np.zeros((10, 129), dtype=complex), StftConfig(), length=100)
+
+    @pytest.mark.parametrize("shape", [(257,), (2, 2, 10, 257)], ids=["1d", "4d"])
+    def test_spectrogram_not_2d_or_3d_rejected(self, shape):
+        message = f"2-D or 3-D, got shape {re.escape(str(shape))}"
+        with pytest.raises(InvalidInputError, match=message):
+            istft(np.zeros(shape, dtype=complex), StftConfig())
 
     def test_negative_length_rejected(self):
         with pytest.raises(InvalidInputError, match="non-negative"):

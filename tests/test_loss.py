@@ -56,6 +56,13 @@ class TestSiSnr:
         with pytest.raises(DegenerateInputError):
             si_snr(np.ones(10), np.zeros(10))
 
+    def test_empty_signals_rejected(self):
+        with pytest.raises(InvalidInputError, match="empty signals"):
+            si_snr(np.zeros(0), np.zeros(0))
+
+    def test_all_zero_estimate_hits_floor(self):
+        assert si_snr(np.zeros(10), np.ones(10)) == -100.0
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             si_snr(np.ones(10), np.ones(11))
@@ -174,3 +181,7 @@ class TestPlainSnr:
     def test_exact_match_capped(self):
         x = np.ones(50)
         assert snr(x, x) == 100.0
+
+    def test_zero_reference_rejected(self):
+        with pytest.raises(DegenerateInputError, match="reference signal is all zeros"):
+            snr(np.ones(10), np.zeros(10))

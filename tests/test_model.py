@@ -69,6 +69,20 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             ModelConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, choices", [
+        ("feature", "('complex', 'lps')"),
+        ("iva_channels", "('s', 's_and_n')"),
+        ("masking", "('mask1_iva', 'mask2_noisy')"),
+        ("encoder", "('single', 'dual')"),
+    ])
+    def test_invalid_field_message(self, field, choices):
+        # every later field is invalid too: the first in field order is named
+        names = [f.name for f in dataclasses.fields(ModelConfig)]
+        bad = {name: "x" for name in names[names.index(field):]}
+        with pytest.raises(InvalidInputError) as err:
+            ModelConfig(**bad)
+        assert str(err.value) == f"{field} must be one of {choices}"
+
     def test_settable_fields(self):
         def init_fields(cls):
             return [f.name for f in dataclasses.fields(cls) if f.init]
@@ -358,6 +372,11 @@ class TestEncodeDecode:
         x = np.random.default_rng(1).standard_normal((1, 18, 4, 129)).astype(np.float32)
         latent, _ = encode(x, w, cfg)
         np.testing.assert_array_equal(latent, 0.0)
+
+    def test_input_not_4d_rejected(self):
+        cfg = ModelConfig()
+        with pytest.raises(InvalidInputError, match=r"got \(18, 4, 129\)"):
+            encode(np.zeros((18, 4, 129), np.float32), init_random(cfg, 1), cfg)
 
     def test_dual_encoder_shapes(self):
         cfg = ModelConfig(encoder="dual")

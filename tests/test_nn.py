@@ -271,6 +271,20 @@ class TestConvBoundary:
             op(np.zeros((1, 2, 4, 5)), np.zeros(shape))
 
     @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
+    def test_input_not_4d_rejected(self, op):
+        with pytest.raises(InvalidInputError, match=r"time, freq\], got shape \(2, 4, 5\)"):
+            op(np.zeros((2, 4, 5)), np.zeros((2, 2, 1, 3)))
+
+    # conv2d's output channels and conv_transpose2d's input channels
+    @pytest.mark.parametrize("op, channels, k_shape, which", [
+        (conv2d, 4, (3, 2, 1, 3), "output"),
+        (conv_transpose2d, 3, (3, 1, 1, 3), "input"),
+    ], ids=["conv2d", "conv_transpose2d"])
+    def test_channels_not_divisible_by_groups_rejected(self, op, channels, k_shape, which):
+        with pytest.raises(InvalidInputError, match=f"{which} channels must be divisible"):
+            op(np.zeros((1, channels, 4, 5)), np.zeros(k_shape), groups=2)
+
+    @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
     @pytest.mark.parametrize("stride", [(1, 0), (0, 1), (-1, 2)])
     def test_stride_below_one_rejected(self, op, stride):
         with pytest.raises(InvalidInputError, match="at least 1"):

@@ -12,7 +12,7 @@ from hybridse import (Rir, SceneConstraints, SceneSpec, apply_rir,
                       schroeder_rt60, simkit, write_manifest)
 from hybridse.cli import main
 from hybridse.errors import InvalidInputError, SceneInfeasibleError
-from hybridse.wavio import write_wav
+from hybridse.wavio import read_wav, write_wav
 
 FS = 16000
 
@@ -84,10 +84,25 @@ class TestSampleScene:
 
     def test_spec_dict_round_trip(self):
         s = sample_scene(9)
-        back = SceneSpec.from_dict(s.to_dict())
-        np.testing.assert_array_equal(back.mic_positions, s.mic_positions)
-        assert back.rt60 == s.rt60
-        assert back.seed == s.seed
+        record = s.to_dict()
+        back = SceneSpec.from_dict({**record, "speech_file": "s.wav", "norm": 0.5})
+        for field in dataclasses.fields(SceneSpec):
+            want, got = getattr(s, field.name), getattr(back, field.name)
+            assert type(got) is type(want)
+            np.testing.assert_array_equal(got, want)
+        assert back.room_dims.dtype == back.mic_positions.dtype == np.float64
+
+        def json_native(value):
+            if isinstance(value, list):
+                return all(map(json_native, value))
+            return type(value) in (float, int)
+
+        assert set(record) == {field.name for field in dataclasses.fields(SceneSpec)}
+        assert all(map(json_native, record.values()))
+        assert type(record["seed"]) is int and type(record["rt60"]) is float
+        del record["snr_db"]
+        with pytest.raises(KeyError, match="snr_db"):
+            SceneSpec.from_dict(record)
 
 
 class TestSabine:
@@ -432,6 +447,25 @@ class TestManifest:
         path = tmp_path / "manifest.jsonl"
         write_manifest(path, recs)
         assert read_manifest(path) == recs
+
+    def test_record_and_dry_files_reproduce_the_audio(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        for kind in ("speech", "noise"):
+            (tmp_path / kind).mkdir()
+            for name in ("a", "b"):
+                write_wav(tmp_path / kind / f"{name}.wav", FS, 0.2 * rng.standard_normal(8000))
+        out = tmp_path / "scenes"
+        assert main(["simulate", "--speech-dir", str(tmp_path / "speech"),
+                     "--noise-dir", str(tmp_path / "noise"), "--n-scenes", "3",
+                     "--seed", "2", "--out", str(out)]) == 0
+        for i, record in enumerate(read_manifest(out / "manifest.jsonl")):
+            render = render_scene(SceneSpec.from_dict(record),
+                                  read_wav(record["speech_file"])[1],
+                                  read_wav(record["noise_file"])[1])
+            for key, wave in (("mixture", render.mixture), ("target", render.target)):
+                path = tmp_path / f"{i}.{key}.wav"
+                write_wav(path, FS, wave)
+                assert path.read_bytes() == (out / record[key]).read_bytes()
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "manifest.jsonl"

@@ -188,6 +188,24 @@ class TestReadRejects:
         with pytest.raises(InvalidInputError, match=f"data chunk ends inside {message}"):
             read_wav(path)
 
+    @pytest.mark.parametrize("layout, patch, message", [
+        # the fmt chunk's size field (bytes 16-19) under the 16 bytes PCM needs
+        ({}, lambda b: b[:16] + struct.pack("<I", 14) + b[20:], "fmt chunk of 14 bytes"),
+        # EXTENSIBLE cbSize (bytes 36-37) too small for its 22-byte tail
+        ({"extensible": True}, lambda b: b[:36] + struct.pack("<H", 20) + b[38:],
+         "truncated WAVE_FORMAT_EXTENSIBLE header"),
+        ({"rf64": True}, lambda b: b[:12] + b"junk" + b[16:], "RF64 file without a ds64 chunk"),
+        ({}, lambda b: b[:8] + b"AVI " + b[12:], "RIFF form b'AVI ' is not WAVE"),
+        # a RIFF size that ends the chunk list at the form
+        ({}, lambda b: b[:4] + struct.pack("<I", 4) + b[8:], "no data chunk"),
+    ], ids=["short_fmt", "short_extensible", "rf64_without_ds64", "not_wave", "no_data"])
+    def test_malformed_container(self, tmp_path, layout, patch, message):
+        path = tmp_path / "x.wav"
+        path.write_bytes(patch(hand_built("i16", 1, 3, **layout)))
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"{path}: not a readable WAV file ({message})")):
+            read_wav(path)
+
     def test_pcm_byte_rate_must_match(self, tmp_path):
         path = tmp_path / "x.wav"
         path.write_bytes(build(bytes(8), tag=1, width=2, bits=16, channels=1,
@@ -208,6 +226,12 @@ class TestWrite:
         want = io.BytesIO()
         wavfile.write(want, FS, pcm.T if pcm.ndim == 2 else pcm)
         assert path.read_bytes() == want.getvalue()
+
+    def test_wave_beyond_2d_rejected_before_the_file_opens(self, tmp_path):
+        path = tmp_path / "x.wav"
+        with pytest.raises(InvalidInputError, match=r"1-D or 2-D, got shape \(2, 2, 100\)"):
+            write_wav(path, FS, np.zeros((2, 2, 100)))
+        assert not path.exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("shape", [(100,), (2, 100)], ids=["mono", "stereo"])
