@@ -30,7 +30,8 @@ The artifacts, one line each:
 - the WAVs of four ``hybridse enhance`` runs on the 2 s scene in one
   process: seed 0, seed 1, a ``--config`` file that switches the preset,
   then seed 0 again, so a setting one call leaves behind shows as a
-  changed line;
+  changed line; and of one run with a ``--weights`` file that holds the
+  default preset's seed-0 weights, drawn per channel by :func:`with_norms`;
 - the exit code and stderr of five failing ``hybridse`` calls: a missing
   ``--config`` file, ``seed = -3`` and an unknown key in a config file, a
   mono input to ``enhance`` and a corrupt ``--weights`` file;
@@ -71,9 +72,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hybridse import (PRESETS, IvaConfig, auxiva_separate, enhance,  # noqa: E402
-                      image_rir, init_random, istft, mix_at_snr, render_scene,
-                      sample_scene, stft, write_wav)
+from hybridse import (DEFAULT_PRESET, PRESETS, IvaConfig,  # noqa: E402
+                      auxiva_separate, enhance, image_rir, init_random, istft,
+                      mix_at_snr, render_scene, sample_scene, save_weights,
+                      stft, write_wav)
 from hybridse.bands import band_merge  # noqa: E402
 from hybridse.cli import main as cli_main  # noqa: E402
 from hybridse.model import build_features, sfe  # noqa: E402
@@ -206,10 +208,13 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
         write_wav(root / "scene.wav", FS, inputs["scene"])
         (root / "preset.cfg").write_text("preset = lps-s-m2\n")
         config = ["--config", str(root / "preset.cfg")]
+        weights = root / "norms.gtcw"
+        weights.write_bytes(save_weights(with_norms(init_random(PRESETS[DEFAULT_PRESET], 0), 5)))
         for name, lead, flags in [("seed-0", [], ["--seed", "0"]),
                                   ("seed-1", [], ["--seed", "1"]),
                                   ("config-lps-s-m2", config, []),
-                                  ("seed-0-again", [], ["--seed", "0"])]:
+                                  ("seed-0-again", [], ["--seed", "0"]),
+                                  ("weights", [], ["--weights", str(weights)])]:
             out = root / f"{name}.wav"
             run_cli([*lead, "enhance", str(root / "scene.wav"), "--out", str(out), *flags])
             yield f"enhance cli {name} {hashlib.sha256(out.read_bytes()).hexdigest()}"

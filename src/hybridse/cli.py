@@ -41,11 +41,10 @@ from .errors import (DegenerateInputError, HybridseError, InvalidInputError,
                      NumericalError, WeightFormatError)
 from .loss import si_snr
 from .model import (DEFAULT_PRESET, count_macs, count_params, enhance,
-                    init_random, macs_breakdown, param_breakdown, prepare,
-                    preset_config)
+                    init_random, load_weights, macs_breakdown, param_breakdown,
+                    prepare, preset_config)
 from .simkit import render_scene, sample_scene, write_manifest
 from .wavio import read_wav, write_wav
-from .weights import deserialize_tensors
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -194,7 +193,7 @@ def _build_parser(defaults=()):
     p.set_defaults(run=cmd_simulate)
     p.add_argument("--speech-dir", required=True)
     p.add_argument("--noise-dir", required=True)
-    p.add_argument("--n-scenes", type=int, required=True)
+    p.add_argument("--n-scenes", type=_non_negative_int, required=True)
     p.add_argument("--seed", type=_non_negative_int, default=0,
                    help="seed for scene generation")
     p.add_argument("--out", help="output directory (default: scenes)")
@@ -299,8 +298,7 @@ def cmd_enhance(args) -> int:
     files = [(path, target) for path, (target,) in zip(args.inputs, targets)]
     cfg = preset_config(args.preset)
     if args.weights:
-        # prepare checks the inventory as load_weights would, with its messages
-        w = prepare(deserialize_tensors(Path(args.weights).read_bytes()), cfg)
+        w = load_weights(Path(args.weights).read_bytes(), cfg)
     else:
         w = _seeded_weights(cfg, args.seed)
     enhance_file = partial(_enhance_one, cfg=cfg, w=w,
@@ -342,8 +340,6 @@ def _wav_files(directory: str):
 
 
 def cmd_simulate(args) -> int:
-    if args.n_scenes < 0:
-        raise InvalidInputError("n-scenes must be >= 0")
     speech_files = _wav_files(args.speech_dir)
     noise_files = _wav_files(args.noise_dir)
     if args.n_scenes > 0 and (not speech_files or not noise_files):

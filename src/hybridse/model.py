@@ -258,15 +258,13 @@ def save_weights(w: Dict[str, np.ndarray]) -> bytes:
     return serialize_tensors(w)
 
 
-def load_weights(data: bytes, cfg: ModelConfig) -> Dict[str, np.ndarray]:
-    """Parse a weight blob and validate it against the config's inventory.
-
-    Any missing, extra, misshapen, or non-finite tensor raises
-    :class:`WeightFormatError` naming the offender; nothing partial escapes.
+def load_weights(data: bytes, cfg: ModelConfig) -> "Plan":
+    """The :class:`Plan` of a weight blob for ``cfg``.  :func:`prepare`
+    checks it against the config's inventory: any missing, extra, misshapen,
+    or non-finite tensor raises :class:`WeightFormatError` naming the
+    offender; nothing partial escapes.
     """
-    raw = deserialize_tensors(data)
-    _check_inventory(raw, cfg)
-    return {name: raw[name] for name in expected_shapes(cfg)}
+    return prepare(deserialize_tensors(data), cfg)
 
 
 def _check_inventory(w, cfg: ModelConfig) -> None:

@@ -358,10 +358,6 @@ def gru_scan_gate_major(xa: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
     return out
 
 
-def _gru_run(x: np.ndarray, p: GruParams) -> np.ndarray:
-    return gru_scan(x[None], p.w_x[None], p.w_h[None], p.bias[None])[0]
-
-
 def gru_sequence(x: np.ndarray,
                  p: Union[GruParams, Tuple[GruParams, GruParams]],
                  direction: str = "forward") -> np.ndarray:
@@ -375,8 +371,8 @@ def gru_sequence(x: np.ndarray,
     """
     if direction == "bidirectional":
         pf, pb = p
-        return np.concatenate([_gru_run(x, pf), _gru_run(x[::-1], pb)[::-1]], axis=-1)
+        return np.concatenate([gru_sequence(x, pf), gru_sequence(x[::-1], pb)[::-1]], axis=-1)
     if direction != "forward":
         raise InvalidInputError(f"unknown direction {direction!r}")
-    return _gru_run(x, p)
+    return gru_scan(x[None], p.w_x[None], p.w_h[None], p.bias[None])[0]
 

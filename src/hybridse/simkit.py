@@ -75,9 +75,8 @@ def _from_json(kind, value):
 
 @dataclass(frozen=True, eq=False)
 class Rir:
-    taps: np.ndarray               # [2, n] at fs
+    taps: np.ndarray               # [2, n] at 16 kHz
     direct_path_index: np.ndarray  # [2] sample of first arrival per mic
-    fs: ClassVar[int] = DEFAULT_SAMPLE_RATE
 
 
 def _unit(rng) -> np.ndarray:
@@ -149,8 +148,8 @@ def _sabine_alpha(room_dims, rt60: float) -> float:
 def sabine_absorption(room_dims, rt60: float) -> float:
     """Uniform wall absorption alpha per Sabine; errors if the geometry
     cannot reach the requested RT60 (alpha would hit 1)."""
-    if min(float(v) for v in room_dims) <= 0 or rt60 <= 0:
-        raise InvalidInputError("room dims and rt60 must be positive")
+    if not all(0.0 < float(v) < np.inf for v in (*room_dims, rt60)):
+        raise InvalidInputError("room dims and rt60 must be positive and finite")
     alpha = _sabine_alpha(room_dims, rt60)
     if alpha >= 1.0:
         raise InvalidInputError(
@@ -175,9 +174,13 @@ def image_rir(scene: SceneSpec) -> Rir:
     image's squared distance is read from per-axis tables (x plus y, then z:
     the order of ``np.linalg.norm``) and its gain from a table per order; the
     images are taken in C order, so each tap is the sum a loop over them forms.
+    Microphones and source must lie strictly inside the room.
     """
     dims = np.asarray(scene.room_dims, dtype=np.float64)
     beta = float(np.sqrt(1.0 - sabine_absorption(dims, scene.rt60)))
+    points = np.vstack([scene.mic_positions, scene.source_position])
+    if not np.all((points > 0.0) & (points < dims)):
+        raise InvalidInputError("microphones and source must lie strictly inside the room")
 
     n_taps = int(round((scene.rt60 + 0.05) * DEFAULT_SAMPLE_RATE))
     horizon = SPEED_OF_SOUND * (n_taps / DEFAULT_SAMPLE_RATE)
@@ -260,7 +263,7 @@ def _early_kernel(rir: Rir) -> np.ndarray:
     """The channel-1 RIR from the direct-path arrival to 50 ms after it,
     zero elsewhere (delay preserved), at the RIR's full length."""
     dpi = int(rir.direct_path_index[0])
-    stop = min(dpi + int(round(_EARLY_WINDOW_S * rir.fs)), rir.taps.shape[1])
+    stop = min(dpi + int(round(_EARLY_WINDOW_S * DEFAULT_SAMPLE_RATE)), rir.taps.shape[1])
     kernel = np.zeros(rir.taps.shape[1])
     kernel[dpi:stop] = rir.taps[0, dpi:stop]
     return kernel
@@ -345,9 +348,11 @@ def render_scene(scene: SceneSpec, speech: np.ndarray, noise: np.ndarray) -> Sce
                        noise_image=n_img, norm=norm, scene=scene)
 
 
-def schroeder_rt60(taps: np.ndarray, fs: int = DEFAULT_SAMPLE_RATE) -> float:
-    """Reverberation time from the Schroeder backward integral, via a line
-    fit on the -5 dB to -25 dB stretch extrapolated to 60 dB of decay."""
+def schroeder_rt60(taps: np.ndarray) -> float:
+    """Reverberation time of 16 kHz taps from the Schroeder backward
+    integral, via a line fit on the -5 dB to -25 dB stretch extrapolated to
+    60 dB of decay.  A stretch that holds one level (the curve crosses it in
+    a gap of zero taps) does not decay: its fitted slope is rounding noise."""
     taps = np.asarray(taps, dtype=np.float64).ravel()
     energy = taps ** 2
     total = float(np.sum(energy))
@@ -359,9 +364,9 @@ def schroeder_rt60(taps: np.ndarray, fs: int = DEFAULT_SAMPLE_RATE) -> float:
     sel = (curve <= -5.0) & (curve >= -25.0)
     if np.count_nonzero(sel) < 2:
         raise InvalidInputError("decay range too short for a Schroeder fit")
-    t = np.nonzero(sel)[0] / fs
+    t = np.nonzero(sel)[0] / DEFAULT_SAMPLE_RATE
     slope, _ = np.polyfit(t, curve[sel], 1)
-    if slope >= 0:
+    if np.ptp(curve[sel]) == 0 or slope >= 0:
         raise InvalidInputError("impulse response does not decay")
     return float(-60.0 / slope)
 

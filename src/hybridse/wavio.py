@@ -136,8 +136,6 @@ def _parse(buf: bytes):
     while r.pos < riff_size + 8:
         chunk = r.take(4)
         if len(chunk) < 4:
-            if data is None:
-                raise ValueError("no data chunk")
             break
         if chunk == b"fmt ":
             fmt = _parse_fmt(r, e)

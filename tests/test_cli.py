@@ -804,17 +804,26 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert str(sp_dir / "s.wav") in err and "empty speech signal" in err
 
-    @pytest.mark.parametrize("case", ["negative_count", "missing_speech_dir"])
+    @pytest.mark.parametrize("case", ["negative_count", "underscored_count", "signed_count",
+                                      "missing_speech_dir"])
     def test_invalid_arguments_write_nothing(self, tmp_path, capsys, case):
         sp_dir, nz_dir = self._corpus(tmp_path)
-        n_scenes = "-1" if case == "negative_count" else "1"
+        n_scenes = {"negative_count": "-1", "underscored_count": "3_0",
+                    "signed_count": "+1"}.get(case, "1")
         if case == "missing_speech_dir":
             sp_dir = tmp_path / "absent"
         out = tmp_path / "scenes"
-        rc = main(["simulate", "--speech-dir", str(sp_dir), "--noise-dir",
-                   str(nz_dir), "--n-scenes", n_scenes, "--out", str(out)])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        argv = ["simulate", "--speech-dir", str(sp_dir), "--noise-dir",
+                str(nz_dir), "--n-scenes", n_scenes, "--out", str(out)]
+        if case != "missing_speech_dir":
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert f"--n-scenes: expected a non-negative integer, got {n_scenes}" in \
+                capsys.readouterr().err
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_zero_scenes_ok(self, tmp_path):
@@ -968,6 +977,20 @@ class TestConfigFile:
         assert main(["enhance", str(stereo_wav), "--no-iva", "--seed", "1",
                      "--out", str(tmp_path / "flag.wav")]) == 0
         assert (tmp_path / "config.wav").read_bytes() == (tmp_path / "flag.wav").read_bytes()
+
+    def test_switch_values(self, tmp_path, stereo_wav, capsys):
+        # each spelling of a switch gives the bytes of the run it names
+        def run(*lead, flags=()):
+            out = tmp_path / "out.wav"
+            assert main([*lead, "enhance", str(stereo_wav), *flags, "--out", str(out)]) == 0
+            return out.read_bytes()
+        want = {True: run(flags=["--no-iva"]), False: run()}
+        assert want[True] != want[False]
+        cfg = tmp_path / "run.cfg"
+        for value, on in [("on", True), ("YES", True), ("1", True),
+                          ("off", False), ("False", False), ("0", False)]:
+            cfg.write_text(f"no-iva = {value}\n")
+            assert run("--config", str(cfg)) == want[on], value
 
     def test_malformed_line_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

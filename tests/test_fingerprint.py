@@ -73,9 +73,9 @@ def test_same_lines_twice_on_a_reduced_input():
                 f"sfe {tag}"} <= set(names)
     cli_runs = {line.split()[2]: line.split()[3] for line in first
                 if line.startswith("enhance cli ")}
-    assert list(cli_runs) == ["seed-0", "seed-1", "config-lps-s-m2", "seed-0-again"]
+    assert list(cli_runs) == ["seed-0", "seed-1", "config-lps-s-m2", "seed-0-again", "weights"]
     assert cli_runs["seed-0"] == cli_runs["seed-0-again"]
-    assert len(set(cli_runs.values())) == 3
+    assert len(set(cli_runs.values())) == 4
     failures = {line.split()[1]: line.split()[3] for line in first if line.startswith("fail ")}
     assert failures == {"missing-config": "2", "config-negative-seed": "2",
                         "config-unknown-key": "2", "enhance-mono": "2", "corrupt-weights": "3"}

@@ -123,6 +123,12 @@ class TestSabine:
         with pytest.raises(InvalidInputError):
             sabine_absorption((5.0, 4.0, 3.0), 0.0)
 
+    @pytest.mark.parametrize("dims", [(5.0, np.nan, 3.0), (5.0, 4.0, np.inf)],
+                             ids=["nan", "inf"])
+    def test_non_finite_dims_rejected(self, dims):
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            sabine_absorption(dims, 0.3)
+
 
 class TestImageRir:
     def test_direct_tap_is_the_first_and_unreflected(self):
@@ -130,7 +136,6 @@ class TestImageRir:
         # the free-field 1 / (4 pi d) gain and no reflection loss
         sc = controlled_scene()
         rir = image_rir(sc)
-        assert rir.fs == FS
         for m in range(2):
             d = np.linalg.norm(sc.source_position - sc.mic_positions[m])
             idx = int(round(d * FS / 343.0))
@@ -227,7 +232,33 @@ class TestImageRir:
         # within +-30% of the request (closer mics or very short RT60 bias
         # the fit through the direct-path energy step)
         rir = image_rir(controlled_scene(rt60=rt60))
-        assert schroeder_rt60(rir.taps[0], rir.fs) == pytest.approx(rt60, rel=0.3)
+        assert schroeder_rt60(rir.taps[0]) == pytest.approx(rt60, rel=0.3)
+
+    @pytest.mark.parametrize("case", ["source_beyond_wall", "source_on_wall",
+                                      "mic_behind_wall"])
+    def test_point_outside_the_room_rejected(self, case):
+        # a manifest record is outside input; a point past a wall would
+        # render the RIR of its mirror images, not of this room
+        record = sample_scene(0).to_dict()
+        x_wall = record["room_dims"][0]
+        if case == "source_beyond_wall":
+            record["source_position"][0] = x_wall + 3.0
+        elif case == "source_on_wall":
+            record["source_position"][0] = x_wall
+        else:
+            record["mic_positions"][1][0] = -1.0
+        with pytest.raises(InvalidInputError, match="strictly inside the room"):
+            image_rir(SceneSpec.from_dict(record))
+
+    def test_noise_outside_the_room_rejected(self):
+        scene = dataclasses.replace(controlled_scene(), noise_position=np.array([1.0, 1.0, -0.5]))
+        with pytest.raises(InvalidInputError, match="strictly inside the room"):
+            render_scene(scene, np.ones(100), np.ones(100))
+
+    @pytest.mark.parametrize("rt60", [np.nan, np.inf])
+    def test_non_finite_rt60_rejected(self, rt60):
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            image_rir(controlled_scene(rt60=rt60))
 
 
 class TestEarlyTarget:
@@ -422,22 +453,35 @@ class TestSchroeder:
         t = np.arange(int(0.6 * FS)) / FS
         taps = np.exp(-t / tau)
         expect = 60.0 * tau / (20.0 * np.log10(np.e))
-        assert schroeder_rt60(taps, FS) == pytest.approx(expect, rel=0.02)
+        assert schroeder_rt60(taps) == pytest.approx(expect, rel=0.02)
 
     def test_monotone_in_decay_rate(self):
         t = np.arange(int(0.5 * FS)) / FS
-        fast = schroeder_rt60(np.exp(-t / 0.02), FS)
-        slow = schroeder_rt60(np.exp(-t / 0.06), FS)
+        fast = schroeder_rt60(np.exp(-t / 0.02))
+        slow = schroeder_rt60(np.exp(-t / 0.06))
         assert fast < slow
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(InvalidInputError):
-            schroeder_rt60(np.zeros(100), FS)
+            schroeder_rt60(np.zeros(100))
         # too short for the decay curve to span the fit window
         with pytest.raises(InvalidInputError):
-            schroeder_rt60(np.ones(5), FS)
+            schroeder_rt60(np.ones(5))
         with pytest.raises(InvalidInputError):
-            schroeder_rt60(np.r_[1.0, np.zeros(99)], FS)
+            schroeder_rt60(np.r_[1.0, np.zeros(99)])
+
+    def test_flat_fit_window_does_not_decay(self):
+        # the curve falls from 0 dB past -5 dB in a gap of zero taps and
+        # stays there, so the fit window holds one level and the fitted
+        # slope is rounding noise, not a decay
+        with pytest.raises(InvalidInputError, match="does not decay"):
+            schroeder_rt60(np.array([1.0, 0.0, 0.3]))
+
+    @pytest.mark.parametrize("channel", [0, 1])
+    def test_rendered_rir_with_a_flat_fit_window_does_not_decay(self, channel):
+        rir = image_rir(sample_scene(104))
+        with pytest.raises(InvalidInputError, match="does not decay"):
+            schroeder_rt60(rir.taps[channel])
 
 
 class TestManifest:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hybridse.errors import WeightFormatError
 from hybridse.model import (PRESETS, ModelConfig, expected_shapes, init_random,
-                            load_weights, preset_config, save_weights)
+                            load_weights, prepare, preset_config, save_weights)
 from hybridse.weights import deserialize_tensors, serialize_tensors
 
 CFG = ModelConfig()
@@ -248,9 +248,10 @@ class TestLoadWeights:
     def test_save_load_round_trip(self):
         w = init_random(CFG, 7)
         back = load_weights(save_weights(w), CFG)
-        assert list(back) == list(w)
-        for name in w:
-            np.testing.assert_array_equal(back[name], w[name])
+        want = list(prepare(w, CFG).arrays())
+        assert back.cfg == CFG and len(list(back.arrays())) == len(want)
+        for got, ref in zip(back.arrays(), want):
+            assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
 
     def test_missing_tensor_named(self):
         t = init_random(CFG, 0)
