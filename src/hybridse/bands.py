@@ -8,8 +8,9 @@ form a partition of unity), merging averages the member bins, and splitting
 copies each band value back to its member bins.  This makes merge(split(v))
 the exact identity on band space and split(merge(x)) exact on any spectrum
 that is constant within each band, and both directions map constants to
-constants and preserve nonnegativity.  The layout is fixed: its weights and
-counts are read-only class constants of :class:`ErbFilterbank`.
+constants and preserve nonnegativity.  The layout is fixed: its counts are
+the module constants ``N_BINS``, ``N_LOW`` and ``N_BANDS``, and its weights
+are read-only class constants of :class:`ErbFilterbank`.
 """
 
 from dataclasses import dataclass
@@ -33,8 +34,7 @@ def hz_to_erb_rate(freq_hz):
 
 
 def _erb_layout():
-    """Read-only ``(merge_weights, merge_weights32, split_weights,
-    band_of_bin, center_erb)``:
+    """Read-only ``(merge_weights, split_weights, band_of_bin, center_erb)``:
     band edges are uniform on the ERB-rate scale from the frequency of bin 65
     up to Nyquist, and a bin joins the band whose edge interval contains it,
     so bin 65 lands in band 0 and the Nyquist bin in band 63."""
@@ -45,7 +45,7 @@ def _erb_layout():
     split = np.eye(N_ERB)[band_of_bin]
     merge = np.ascontiguousarray((split / split.sum(axis=0)).T)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    layout = (merge, merge.astype(np.float32), split, band_of_bin, centers)
+    layout = (merge, split, band_of_bin, centers)
     for a in layout:
         a.flags.writeable = False
     return layout
@@ -56,14 +56,10 @@ class ErbFilterbank:
     """The band layout, as class constants: the network is built for its 129
     bands, so nothing is settable and all instances compare equal."""
     merge_weights: ClassVar[np.ndarray]   # [64, 192], rows sum to 1 (in-band averaging)
-    merge_weights32: ClassVar[np.ndarray]  # merge_weights rounded to float32
     split_weights: ClassVar[np.ndarray]   # [192, 64], rows one-hot (band broadcast)
     band_of_bin: ClassVar[np.ndarray]     # [192] ERB band index of each high bin
     center_erb: ClassVar[np.ndarray]      # [64] band centers on the ERB-rate scale
-    merge_weights, merge_weights32, split_weights, band_of_bin, center_erb = _erb_layout()
-    n_low: ClassVar[int] = N_LOW
-    n_bins: ClassVar[int] = N_BINS
-    n_bands: ClassVar[int] = N_BANDS
+    merge_weights, split_weights, band_of_bin, center_erb = _erb_layout()
 
 
 def make_erb_filterbank() -> ErbFilterbank:
@@ -76,24 +72,24 @@ def band_merge(x: np.ndarray, fb: ErbFilterbank = ErbFilterbank()) -> np.ndarray
 
     The low bins are copied and the high bins take one product with the
     merge weights, written into the output: a float32 input stays float32
-    and runs against :attr:`ErbFilterbank.merge_weights32`, any other input
-    against the float64 weights.  BLAS rounds a product of 18 rows (frames)
-    or fewer differently from a taller one, so a merge of 19 frames or more
-    equals the same frames of a longer merge byte for byte.
+    and runs against the weights rounded to float32 on the call, any other
+    input against the float64 weights.  BLAS rounds a product of 18 rows
+    (frames) or fewer differently from a taller one, so a merge of 19
+    frames or more equals the same frames of a longer merge byte for byte.
     """
     x = np.asarray(x)
-    if x.shape[-1] != fb.n_bins:
-        raise InvalidInputError(f"expected {fb.n_bins} bins on the last axis, got {x.shape[-1]}")
-    weights = fb.merge_weights32 if x.dtype == np.float32 else fb.merge_weights
-    out = np.empty(x.shape[:-1] + (fb.n_bands,), dtype=np.result_type(x, weights))
-    out[..., :fb.n_low] = x[..., :fb.n_low]
-    np.matmul(x[..., fb.n_low:], weights.T, out=out[..., fb.n_low:])
+    if x.shape[-1] != N_BINS:
+        raise InvalidInputError(f"expected {N_BINS} bins on the last axis, got {x.shape[-1]}")
+    weights = fb.merge_weights.astype(np.float32) if x.dtype == np.float32 else fb.merge_weights
+    out = np.empty(x.shape[:-1] + (N_BANDS,), dtype=np.result_type(x, weights))
+    out[..., :N_LOW] = x[..., :N_LOW]
+    np.matmul(x[..., N_LOW:], weights.T, out=out[..., N_LOW:])
     return out
 
 
 def band_split(x: np.ndarray, fb: ErbFilterbank = ErbFilterbank()) -> np.ndarray:
     """Expand the last axis from 129 bands back to 257 bins (``fb`` kept for perfbench)."""
     x = np.asarray(x)
-    if x.shape[-1] != fb.n_bands:
-        raise InvalidInputError(f"expected {fb.n_bands} bands on the last axis, got {x.shape[-1]}")
-    return x[..., np.concatenate([np.arange(fb.n_low), fb.n_low + fb.band_of_bin])]
+    if x.shape[-1] != N_BANDS:
+        raise InvalidInputError(f"expected {N_BANDS} bands on the last axis, got {x.shape[-1]}")
+    return x[..., np.concatenate([np.arange(N_LOW), N_LOW + fb.band_of_bin])]

@@ -360,8 +360,8 @@ class Plan:
     ``blocks`` holds the table's conv and transposed-conv rows grouped by
     the block that holds them, in table order, each as ``(layer, op,
     (kernel, bias), slopes)``: the batch norm that follows the row folded
-    into its kernel and bias, and ``slopes`` the :func:`nn.prelu_slopes` of
-    the PReLU that follows it, or ``None``.  ``paths`` holds, per G-DPRNN
+    into its kernel and bias, and ``slopes`` the ``alpha`` of the PReLU
+    that follows it, or ``None``.  ``paths`` holds, per G-DPRNN
     path, its GRUs stacked in :func:`nn.gru_gate_major`'s layout (each
     bias the last input row of its ``w_x``), per group the forward GRU
     and then any backward one, and its projection kernels
@@ -376,7 +376,7 @@ class Plan:
         """Every array the plan holds, in plan order."""
         for _, steps in self.blocks:
             for *_, tensors, slopes in steps:
-                yield from tensors if slopes is None else (*tensors, slopes[0])
+                yield from tensors if slopes is None else (*tensors, slopes)
         for _, weights in self.paths:
             yield from weights
 
@@ -422,7 +422,7 @@ def prepare(w: Weights, cfg: ModelConfig) -> Plan:
 
     Every batch norm in the table directly follows a conv or a transposed
     conv and folds into it, and every PReLU directly follows a batch norm
-    and runs in place on the conv's output, through :func:`nn.prelu_with`.
+    and runs in place on the conv's output, through :func:`nn.prelu`.
     So the plan's output differs from a pass that runs each batch norm on
     its own only by float32 rounding.  A dict is first checked against the
     config's inventory, like a loaded file (:func:`_check_inventory`).
@@ -438,7 +438,7 @@ def prepare(w: Weights, cfg: ModelConfig) -> Plan:
         if op is nn.batch_norm_infer:
             steps[-1][2] = _fold(steps[-1][1], *steps[-1][2], *tensors)
         elif op is nn.prelu:
-            steps[-1][3] = nn.prelu_slopes(tensors[0])
+            steps[-1][3] = tensors[0]
         elif op is not None:
             steps.append([layer, op, tensors, None])
         else:
@@ -485,7 +485,7 @@ def _run(x: np.ndarray, plan: Plan, prefix: str, state: Optional[dict] = None) -
                 else:
                     x = op(x, *tensors)
                 if slopes is not None:
-                    nn.prelu_with(x, slopes, out=x)
+                    nn.prelu(x, slopes, out=x)
         elif block.startswith(f"{prefix}.gt"):
             x = gtconv_block(x, plan, block, plan.cfg, state)
     return x

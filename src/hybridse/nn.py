@@ -243,36 +243,21 @@ def batch_norm_infer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return x * scale[None, :, None, None] + shift[None, :, None, None]
 
 
-def prelu(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Per-channel parametric ReLU: ``x if x >= 0 else alpha * x``.
+def prelu(x: np.ndarray, alpha: np.ndarray,
+          out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-channel parametric ReLU over [batch, channel, time, freq]:
+    ``x if x >= 0 else alpha * x``, into ``out``, which may be ``x`` itself.
 
     Exact for every input, NaN and +-inf included, bit for bit except the
     sign of a zero result, which can be +0.0 where that expression gives
-    -0.0.  When every slope is in (0, 1] it is one product and one
-    ``maximum``, ``max(x, alpha * x)``; any other slopes, 0 among them
-    (``0 * inf`` is NaN), take ``max(x, 0) + alpha * min(x, 0)``.  A caller
-    that runs one set of slopes many times picks the form once, with
-    :func:`prelu_slopes`, and calls :func:`prelu_with`, which can also run
-    in place.
+    -0.0.  The form is picked from ``alpha`` on each call: when every slope
+    is in (0, 1] it is one product and one ``maximum``, ``max(x, alpha *
+    x)``; any other slopes, 0 among them (``0 * inf`` is NaN), take
+    ``max(x, 0) + alpha * min(x, 0)``.
     """
-    return prelu_with(x, prelu_slopes(alpha))
-
-
-def prelu_slopes(alpha: np.ndarray) -> Tuple[np.ndarray, bool]:
-    """``(slopes, one_product)``: ``alpha`` broadcast over [batch, channel,
-    time, freq], and whether :func:`prelu` is ``max(x, alpha * x)`` for
-    these slopes, which holds when every slope is in (0, 1]."""
     alpha = np.asarray(alpha)
-    one_product = bool(alpha.min(initial=1.0) > 0 and alpha.max(initial=1.0) <= 1)
-    return alpha[None, :, None, None], one_product
-
-
-def prelu_with(x: np.ndarray, slopes: Tuple[np.ndarray, bool],
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-    """:func:`prelu` with the slopes :func:`prelu_slopes` returned, into
-    ``out``, which may be ``x`` itself."""
-    a, one_product = slopes
-    if one_product:
+    a = alpha[None, :, None, None]
+    if alpha.min(initial=1.0) > 0 and alpha.max(initial=1.0) <= 1:
         scaled = np.multiply(x, a, out=np.empty_like(x) if out is None or out is x else out)
         return np.maximum(x, scaled, out=scaled if out is None else out)
     neg = np.minimum(x, 0)

@@ -5,9 +5,9 @@ requested reverberation time through Sabine's formula.  Impulse responses
 come from the image method with nearest-sample delays, truncated at
 RT60 + 50 ms, with image distances and gains read from per-axis tables.
 Sources are imaged by overlap-add FFT convolution with their RIRs, and
-mixtures are speech and noise images summed at a requested channel-1 SNR;
-the training target is the speech convolved with the early (first 50 ms
-after the direct path) part of the channel-1 RIR.
+mixtures are speech and noise images summed at a requested SNR at
+microphone 0; the training target is the speech convolved with the early
+(first 50 ms after the direct path) part of microphone 0's RIR.
 
 Everything is deterministic given a seed, so a scene record plus the dry
 source files reproduce the audio bit for bit.  The protocol is fixed: the
@@ -25,7 +25,7 @@ from .dsp import DEFAULT_SAMPLE_RATE
 from .errors import InvalidInputError, SceneInfeasibleError
 
 SPEED_OF_SOUND = 343.0
-# the training target keeps this much of the channel-1 RIR after the direct path
+# the training target keeps this much of microphone 0's RIR after the direct path
 _EARLY_WINDOW_S = 0.050
 
 
@@ -260,7 +260,7 @@ def _convolve(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 
 
 def _early_kernel(rir: Rir) -> np.ndarray:
-    """The channel-1 RIR from the direct-path arrival to 50 ms after it,
+    """Microphone 0's RIR from the direct-path arrival to 50 ms after it,
     zero elsewhere (delay preserved), at the RIR's full length."""
     dpi = int(rir.direct_path_index[0])
     stop = min(dpi + int(round(_EARLY_WINDOW_S * DEFAULT_SAMPLE_RATE)), rir.taps.shape[1])
@@ -270,7 +270,7 @@ def _early_kernel(rir: Rir) -> np.ndarray:
 
 
 def early_target(speech: np.ndarray, rir: Rir) -> np.ndarray:
-    """Speech convolved with the early part of the channel-1 RIR.
+    """Speech convolved with the early part of microphone 0's RIR.
 
     The kernel keeps taps from the direct-path arrival to 50 ms after it
     (delay preserved), so the target stays time-aligned with the full
@@ -288,7 +288,7 @@ def apply_rir(wave: np.ndarray, rir: Rir) -> np.ndarray:
 def mix_at_snr(speech_img: np.ndarray, noise_img: np.ndarray,
                snr_db: float) -> Tuple[np.ndarray, float]:
     """Sum two-channel images with the noise scaled to hit ``snr_db`` at
-    channel 1; returns ``(mixture, norm)`` where ``norm`` is the scalar the
+    microphone 0; returns ``(mixture, norm)`` where ``norm`` is the scalar the
     mixture was multiplied by to avoid clipping (1.0 when no rescale was
     needed).  Apply the same scalar to any stored target.
     """
@@ -302,7 +302,7 @@ def mix_at_snr(speech_img: np.ndarray, noise_img: np.ndarray,
     if e_n == 0.0:
         raise InvalidInputError("zero-energy noise image")
     if e_s == 0.0:
-        raise InvalidInputError("zero-energy speech image at channel 1")
+        raise InvalidInputError("zero-energy speech image at microphone 0")
     g = np.sqrt(e_s / (e_n * 10.0 ** (snr_db / 10.0)))
     mix = speech_img + g * noise_img
     peak = float(np.max(np.abs(mix)))
@@ -316,7 +316,7 @@ def mix_at_snr(speech_img: np.ndarray, noise_img: np.ndarray,
 @dataclass(frozen=True, eq=False)
 class SceneRender:
     mixture: np.ndarray    # [2, n]
-    target: np.ndarray     # [n], early-reflection speech at channel 1
+    target: np.ndarray     # [n], early-reflection speech at microphone 0
     speech_image: np.ndarray
     noise_image: np.ndarray
     norm: float

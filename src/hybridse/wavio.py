@@ -182,15 +182,25 @@ def read_wav(path):
 
 
 def write_wav(path, sample_rate: int, wave: np.ndarray) -> None:
-    """Write [n] or [channels, n] float samples as 16-bit PCM (truncating);
-    non-finite samples are rejected before the file is opened."""
+    """Write [n] or [channels, n] float samples as 16-bit PCM (truncating).
+
+    What its header cannot describe is rejected before the file is opened:
+    no channel or more than 32767 (``nBlockAlign`` is ``2 * channels`` in 16
+    bits), a rate that is not a whole number of Hz whose byte rate ``2 *
+    channels * rate`` fits 32 bits, and non-finite samples."""
     wave = np.asarray(wave, dtype=np.float64)
     if wave.ndim not in (1, 2):
         raise InvalidInputError(f"waveform must be 1-D or 2-D, got shape {wave.shape}")
+    channels = 1 if wave.ndim == 1 else wave.shape[0]
+    if not 1 <= channels <= 0x7FFF:
+        raise InvalidInputError(f"{path}: {channels} channels; a 16-bit WAV file holds 1 to 32767")
+    limit = 0xFFFFFFFF // (2 * channels)
+    if not (float(sample_rate).is_integer() and 0 <= sample_rate <= limit):
+        raise InvalidInputError(f"{path}: sample rate {sample_rate} is not a whole number of Hz "
+                                f"from 0 to {limit}, where a {channels}-channel byte rate fits")
     if not np.isfinite(wave).all():
         raise InvalidInputError(f"{path}: non-finite samples")
     pcm = np.trunc(np.clip(wave, -1.0, 1.0) * 32767.0).astype("<i2")
-    channels = 1 if pcm.ndim == 1 else pcm.shape[0]
     frames = pcm.T.tobytes()
     if len(frames) > 0xFFFFFFFF - 36:
         raise InvalidInputError(f"{path}: {len(frames)} bytes of samples exceed a RIFF file")

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from hybridse.bands import N_BANDS, N_BINS, N_LOW
+
 
 # ---------------------------------------------------------------------------
 # Fourier analysis
@@ -444,14 +446,14 @@ def gdprnn_naive(x, w, groups):
 
 def band_merge_naive(vec, fb):
     """Dense matrix-vector product for a single 257-bin spectrum."""
-    out = np.zeros(fb.n_bands)
-    for i in range(fb.n_low):
+    out = np.zeros(N_BANDS)
+    for i in range(N_LOW):
         out[i] = vec[i]
-    for band in range(fb.n_bands - fb.n_low):
+    for band in range(N_BANDS - N_LOW):
         acc = 0.0
-        for j in range(fb.n_bins - fb.n_low):
-            acc += fb.merge_weights[band, j] * vec[fb.n_low + j]
-        out[fb.n_low + band] = acc
+        for j in range(N_BINS - N_LOW):
+            acc += fb.merge_weights[band, j] * vec[N_LOW + j]
+        out[N_LOW + band] = acc
     return out
 
 
@@ -460,19 +462,19 @@ def band_merge_concat(x, fb):
     weights, concatenated: the merge that every input took before float32
     input kept its dtype.  Exact against the package on float64 input."""
     x = np.asarray(x)
-    return np.concatenate([x[..., :fb.n_low], x[..., fb.n_low:] @ fb.merge_weights.T],
+    return np.concatenate([x[..., :N_LOW], x[..., N_LOW:] @ fb.merge_weights.T],
                           axis=-1)
 
 
 def band_split_naive(vec, fb):
-    out = np.zeros(fb.n_bins)
-    for i in range(fb.n_low):
+    out = np.zeros(N_BINS)
+    for i in range(N_LOW):
         out[i] = vec[i]
-    for j in range(fb.n_bins - fb.n_low):
+    for j in range(N_BINS - N_LOW):
         acc = 0.0
-        for band in range(fb.n_bands - fb.n_low):
-            acc += fb.split_weights[j, band] * vec[fb.n_low + band]
-        out[fb.n_low + j] = acc
+        for band in range(N_BANDS - N_LOW):
+            acc += fb.split_weights[j, band] * vec[N_LOW + band]
+        out[N_LOW + j] = acc
     return out
 
 
@@ -482,8 +484,8 @@ def band_split_dense(x, fb):
     package's gather on finite input, whose values it only multiplies by 1
     and adds zeros to."""
     x = np.asarray(x)
-    high = x[..., fb.n_low:] @ fb.split_weights.T
-    return np.concatenate([x[..., :fb.n_low], high], axis=-1)
+    high = x[..., N_LOW:] @ fb.split_weights.T
+    return np.concatenate([x[..., :N_LOW], high], axis=-1)
 
 
 def sfe_naive(x, kernel):

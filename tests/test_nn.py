@@ -8,8 +8,7 @@ import pytest
 import oracles
 from hybridse.errors import InvalidInputError
 from hybridse.nn import (GruParams, batch_norm_infer, conv2d, conv_transpose2d,
-                         gru_gate_major, gru_scan, gru_sequence, prelu, prelu_slopes,
-                         prelu_with)
+                         gru_gate_major, gru_scan, gru_sequence, prelu)
 
 
 def rel_linf(got, want):
@@ -395,16 +394,15 @@ class TestActivations:
         ((0.5, 1.5), False)])
     @pytest.mark.parametrize("in_place", [False, True])
     def test_prelu_every_form_matches_naive(self, slopes, one_product, in_place):
-        # the one-product form is picked from the slopes; it, like the
-        # general form, gives the naive bits but for the sign of a zero
+        # ``one_product`` names the form prelu picks from these slopes; it,
+        # like the general form, gives the naive bits but for the sign of a zero
         special = [-0.0, 0.0, np.inf, -np.inf, np.nan, -3.0, 2.5, -1e-30]
         x = np.array(special * 2, dtype=np.float32).reshape(1, 2, 1, 8)
         alpha = np.array(slopes, dtype=np.float32)
-        assert prelu_slopes(alpha)[1] is one_product
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)   # 0 * inf
             want = oracles.prelu_naive(x, alpha)
-            got = prelu_with(x, prelu_slopes(alpha), out=x) if in_place else prelu(x, alpha)
+            got = prelu(x, alpha, out=x) if in_place else prelu(x, alpha)
         assert (got is x) == in_place and got.dtype == np.float32
         np.testing.assert_array_equal(got, want)
         nonzero = want != 0
@@ -418,7 +416,7 @@ class TestActivations:
         want = base.copy()
         want[:, :, 2:] = oracles.prelu_naive(base[:, :, 2:], alpha)
         view = base[:, :, 2:]
-        assert prelu_with(view, prelu_slopes(alpha), out=view) is view
+        assert prelu(view, alpha, out=view) is view
         assert base.tobytes() == want.tobytes()
 
 

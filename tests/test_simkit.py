@@ -260,6 +260,16 @@ class TestImageRir:
         with pytest.raises(InvalidInputError, match="positive and finite"):
             image_rir(controlled_scene(rt60=rt60))
 
+    def test_source_past_the_horizon_gives_an_empty_response(self):
+        # a manifest record can place the source farther from both
+        # microphones than sound travels in RT60 + 50 ms, so no image
+        # lands inside the response
+        record = {**sample_scene(0).to_dict(), "room_dims": [100.0, 100.0, 0.05],
+                  "rt60": 0.01, "mic_positions": [[1.0, 1.0, 0.02], [1.04, 1.0, 0.02]],
+                  "source_position": [90.0, 90.0, 0.02]}
+        with pytest.raises(InvalidInputError, match="empty impulse response; check geometry"):
+            image_rir(SceneSpec.from_dict(record))
+
 
 class TestEarlyTarget:
     def test_anechoic_rir_gives_delayed_scaled_speech(self):

@@ -206,6 +206,17 @@ class TestReadRejects:
                            match=re.escape(f"{path}: not a readable WAV file ({message})")):
             read_wav(path)
 
+    def test_data_chunk_before_the_fmt_chunk(self, tmp_path):
+        # scipy rejects the same file: "No fmt chunk before data"
+        riff = hand_built("i16", 1, 3)
+        data = riff.index(b"data")                 # the last chunk: move it first
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff[:12] + riff[data:] + riff[12:data])
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{path}: not a readable WAV file (data chunk before the fmt chunk)")):
+            read_wav(path)
+        assert not agrees_with_oracle(path)
+
     def test_pcm_byte_rate_must_match(self, tmp_path):
         path = tmp_path / "x.wav"
         path.write_bytes(build(bytes(8), tag=1, width=2, bits=16, channels=1,
@@ -232,6 +243,31 @@ class TestWrite:
         with pytest.raises(InvalidInputError, match=r"1-D or 2-D, got shape \(2, 2, 100\)"):
             write_wav(path, FS, np.zeros((2, 2, 100)))
         assert not path.exists()
+
+    @pytest.mark.parametrize("rate, shape, message", [
+        (FS, (0, 100), "0 channels; a 16-bit WAV file holds 1 to 32767"),
+        (FS, (32768, 1), "32768 channels; a 16-bit WAV file holds 1 to 32767"),
+        (-1, (100,), "sample rate -1 is not a whole number of Hz from 0 to 2147483647"),
+        (2 ** 32, (100,), "sample rate 4294967296 is not a whole number of Hz from 0 to"),
+        (2 ** 31 - 1, (2, 100), "sample rate 2147483647 is not a whole number of Hz from 0 "
+                                "to 1073741823, where a 2-channel byte rate fits"),
+        (16000.5, (100,), "sample rate 16000.5 is not a whole number of Hz"),
+    ], ids=["no-channel", "32768-channels", "negative-rate", "rate-over-32-bits",
+            "byte-rate-over-32-bits", "fractional-rate"])
+    def test_header_overflow_rejected_before_the_file_opens(self, tmp_path, rate, shape,
+                                                            message):
+        path = tmp_path / "x.wav"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'{path}: {message}')}"):
+            write_wav(path, rate, np.zeros(shape))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("rate, shape", [(2 ** 31 - 1, (100,)), (FS, (32767, 1))],
+                             ids=["largest-mono-rate", "most-channels"])
+    def test_header_limits_write_readable_files(self, tmp_path, rate, shape):
+        path = tmp_path / "x.wav"
+        write_wav(path, rate, np.zeros(shape))
+        got_rate, got = read_wav(path)
+        assert got_rate == rate and got.shape == shape
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("shape", [(100,), (2, 100)], ids=["mono", "stereo"])
