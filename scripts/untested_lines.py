@@ -12,11 +12,14 @@ no coverage package.  Run it from the repository root:
     python3 scripts/untested_lines.py tests/test_loss.py  # one module
 
 Arguments, if any, go to pytest in place of its configured test paths.  The
-exit status is pytest's.
+exit status is pytest's.  The run fixes hypothesis' seed at 0, so the test
+inputs it draws, and with them the list, are the same from run to run.
 
-The hook sees only this process.  Lines that run only in a subprocess, such
-as ``__main__.py``, the console script, the ``--jobs`` workers and the
-tests that start a fresh interpreter, are reported as untested.
+The hook sees this process and the threads it starts, such as the one
+``render_scene`` convolves the noise on.  Lines that run only in a
+subprocess, such as ``__main__.py``, the console script, the ``--jobs``
+workers and the tests that start a fresh interpreter, are reported as
+untested.
 """
 
 import contextlib
@@ -62,7 +65,8 @@ def run_traced(pytest_args) -> tuple:
     sys.settrace(trace_calls)
     try:
         with contextlib.redirect_stdout(sys.stderr):
-            status = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args])
+            status = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+                                  *pytest_args])
     finally:
         sys.settrace(None)
         threading.settrace(None)

@@ -20,8 +20,8 @@ weights (:func:`model.prepare`, once per preset and ``--seed``, read-only).
 Each cache keeps the ``_CACHED`` most recently used.  A ``--weights`` file
 is read on every call, so a rewritten file takes effect, and prepared once
 per call for all of its input files.  On glibc the first call also fixes
-the allocator's thresholds, so freed memory is reused by the next file
-(:func:`_keep_freed_heap`).
+the allocator's thresholds and keeps every thread on one heap, so freed
+memory is reused by the next file (:func:`_keep_freed_heap`).
 """
 
 import argparse
@@ -65,6 +65,7 @@ _CACHED = 16
 # 64-bit ceiling (trim = 2 x the mmap threshold)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 64 << 20
 
@@ -76,7 +77,10 @@ def _keep_freed_heap() -> None:
     the pages the last one touched instead of faulting in fresh ones; larger
     blocks, such as a long file's spectrogram, still go straight back to the
     OS.  Setting either value turns off glibc's own adjustment of both, so
-    both are set.  ``--jobs`` workers are forked and inherit the policy."""
+    both are set.  Every thread allocates from the one heap (one arena):
+    the helper thread of :func:`simkit.render_scene` would otherwise keep a
+    second arena, with its own freed pages mapped.  ``--jobs`` workers are
+    forked and inherit the policy."""
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
             return
@@ -88,6 +92,7 @@ def _keep_freed_heap() -> None:
     mallopt.restype = ctypes.c_int
     if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):    # 0 where glibc refuses it
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+        mallopt(_M_ARENA_MAX, 1)
 
 
 class _Parser(argparse.ArgumentParser):

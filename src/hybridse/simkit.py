@@ -4,10 +4,12 @@ Scenes are shoebox rooms with uniform wall absorption derived from the
 requested reverberation time through Sabine's formula.  Impulse responses
 come from the image method with nearest-sample delays, truncated at
 RT60 + 50 ms, with image distances and gains read from per-axis tables.
-Sources are imaged by overlap-add FFT convolution with their RIRs, and
-mixtures are speech and noise images summed at a requested SNR at
-microphone 0; the training target is the speech convolved with the early
-(first 50 ms after the direct path) part of microphone 0's RIR.
+Sources are imaged by overlap-add FFT convolution with their RIRs, the
+speech on the calling thread while one helper thread images the noise
+(numpy's FFT releases the GIL), and mixtures are speech and noise images
+summed at a requested SNR at microphone 0; the training target is the
+speech convolved with the early (first 50 ms after the direct path) part
+of microphone 0's RIR.
 
 Everything is deterministic given a seed, so a scene record plus the dry
 source files reproduce the audio bit for bit.  The protocol is fixed: the
@@ -16,6 +18,7 @@ RIRs are at 16 kHz and the image order follows from the RT60 + 50 ms horizon.
 """
 
 import json
+import threading
 from dataclasses import dataclass, fields, replace
 from typing import ClassVar, Sequence, Tuple
 
@@ -210,15 +213,25 @@ def image_rir(scene: SceneSpec) -> Rir:
             & (rz <= max_order - rxy[cells, None]))
     icell, iz = np.divmod(np.flatnonzero(kept), cz.size)
     ixy = cells[icell]
-    gains = (beta ** np.arange(max_order + 1) / (4.0 * np.pi))[rxy[ixy] + rz[iz]]
+    order = rxy[ixy]
+    order += rz[iz]
+    gains = (beta ** np.arange(max_order + 1) / (4.0 * np.pi))[order]
+    # a heavy scene keeps 10^5 and more images, so their arrays set the peak
+    # memory of a render: what is read is dropped, the rest is done in place
+    del kept, icell, order
 
-    taps = np.zeros((2, n_taps), dtype=np.float64)
-    for m in range(2):
-        exy, ez = squared_distances(mics[m])
-        d = np.maximum(np.sqrt(exy.ravel()[ixy] + ez[iz]), 1e-3)
-        idx = np.rint(d * DEFAULT_SAMPLE_RATE / SPEED_OF_SOUND).astype(np.int64)
+    def mic_taps(p):  # max(sqrt(d^2), 1e-3), rint(d * fs / c) and gain / d, in place
+        exy, ez = squared_distances(p)
+        d = exy.ravel()[ixy]
+        d += ez[iz]
+        d = np.maximum(np.sqrt(d, out=d), 1e-3, out=d)
+        delay = np.multiply(d, DEFAULT_SAMPLE_RATE)
+        delay /= SPEED_OF_SOUND
+        idx = np.rint(delay, out=delay).astype(np.int64)
         # summed in input order, like np.add.at; taps past the horizon are cut
-        taps[m] = np.bincount(idx, gains / d, minlength=n_taps)[:n_taps]
+        return np.bincount(idx, np.divide(gains, d, out=delay), minlength=n_taps)[:n_taps]
+
+    taps = np.stack([mic_taps(p) for p in mics])
 
     peak = np.max(np.abs(taps), axis=1, keepdims=True)
     if np.any(peak == 0):
@@ -239,11 +252,11 @@ def _convolve(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 
     Overlap-add: ``x`` is cut into blocks of ``nfft - L + 1`` samples, each
     transformed at ``nfft``: ``_BLOCK_FFT``, or the smallest power of two
-    >= ``2L - 1`` when the kernels need more.  One batched transform of the
-    blocks serves every row, and one batched inverse gives every row's
-    blocks; each block's last ``L - 1`` samples are added to the start of
-    the next.  A row's result does not depend on which other rows share
-    the call."""
+    >= ``2L - 1`` when the kernels need more.  The blocks are transformed
+    once; then row by row, their product with the row's kernel is inverted
+    into one buffer and each block's last ``L - 1`` samples are added to
+    the start of the next.  A row's result does not depend on which other
+    rows share the call."""
     n, taps = x.size, kernels.shape[1]
     if taps == 0:
         raise InvalidInputError("empty impulse response")
@@ -253,10 +266,16 @@ def _convolve(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     hop = nfft - taps + 1
     blocks = np.zeros((-(-max(n, 1) // hop), hop))
     blocks.reshape(-1)[:n] = x
-    spec = np.fft.rfft(blocks, nfft) * np.fft.rfft(kernels, nfft)[:, None]
-    out = np.fft.irfft(spec, nfft)  # [k, blocks, nfft]
-    out[:, 1:, :taps - 1] += out[:, :-1, hop:]
-    return out[:, :, :hop].reshape(kernels.shape[0], -1)[:, :n]
+    spec = np.fft.rfft(blocks, nfft)
+    del blocks                      # render_scene runs two convolutions at once
+    inverse = np.empty((spec.shape[0], nfft))
+    out = np.empty((kernels.shape[0], spec.shape[0] * hop))
+    for row, kernel in zip(out, np.fft.rfft(kernels, nfft)):
+        np.fft.irfft(spec * kernel, nfft, out=inverse)
+        row = row.reshape(-1, hop)
+        row[:] = inverse[:, :hop]
+        row[1:, :taps - 1] += inverse[:-1, hop:]
+    return out[:, :n]
 
 
 def _early_kernel(rir: Rir) -> np.ndarray:
@@ -324,7 +343,17 @@ class SceneRender:
 
 
 def render_scene(scene: SceneSpec, speech: np.ndarray, noise: np.ndarray) -> SceneRender:
-    """Full pipeline: RIRs for both sources, imaging, SNR mixing, target."""
+    """Full pipeline: RIRs for both sources, imaging, SNR mixing, target.
+
+    Both RIRs are computed first.  Then a helper thread convolves the noise
+    while the calling thread convolves the speech, its image and its early
+    target from one transform.  The helper is joined before mixing, on
+    every path, and whatever it raised is raised here, so no thread
+    outlives the call; an interrupt (Ctrl-C) that breaks into the join is
+    raised once the helper is done.  The bytes are those of
+    :func:`apply_rir`, :func:`early_target` and :func:`mix_at_snr` called
+    one after the other.
+    """
     speech = np.asarray(speech, dtype=np.float64).ravel()
     noise = np.asarray(noise, dtype=np.float64).ravel()
     if speech.size == 0:
@@ -338,10 +367,29 @@ def render_scene(scene: SceneSpec, speech: np.ndarray, noise: np.ndarray) -> Sce
 
     rir_s = image_rir(scene)
     rir_n = image_rir(replace(scene, source_position=scene.noise_position))
-    # one transform of the speech serves its image and its early target
-    rows = _convolve(speech, np.vstack([rir_s.taps, _early_kernel(rir_s)]))
+    noise_image = {}                # the helper's image, or what it raised
+
+    def image_noise():
+        try:
+            noise_image["image"] = apply_rir(noise, rir_n)
+        except BaseException as error:      # re-raised below, in the caller
+            noise_image["error"] = error
+
+    helper = threading.Thread(target=image_noise, name="render_scene noise")
+    helper.start()
+    try:
+        # one transform of the speech serves its image and its early target
+        rows = _convolve(speech, np.vstack([rir_s.taps, _early_kernel(rir_s)]))
+    finally:
+        try:
+            helper.join()
+        except BaseException:       # an interrupt broke into the wait
+            helper.join()
+            raise
+    if "error" in noise_image:
+        raise noise_image.pop("error")
     s_img = rows[:2]
-    n_img = apply_rir(noise, rir_n)
+    n_img = noise_image["image"]
     mix, norm = mix_at_snr(s_img, n_img, scene.snr_db)
     target = rows[2] * norm
     return SceneRender(mixture=mix, target=target, speech_image=s_img,

@@ -1,6 +1,10 @@
 """Scene sampling, image-method RIRs, SNR mixing, decay measurement."""
 
 import dataclasses
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,6 +449,125 @@ class TestRenderScene:
         r = render_scene(sc, speech, noise)
         rir_n = image_rir(dataclasses.replace(sc, source_position=sc.noise_position))
         np.testing.assert_array_equal(r.noise_image, apply_rir(noise, rir_n))
+
+    # seed 60 is the heaviest scene of seeds 0-63 (RT60 0.397 s); 23000
+    # noise samples are tiled to 64000; 1600 samples fit one transform block
+    @pytest.mark.parametrize("seed, n_speech, n_noise", [
+        (60, 64000, 80000), (3, 64000, 23000), (21, 1600, 1600), (9, 16000, 16000)],
+        ids=["heavy", "tiled-noise", "sub-block", "1s"])
+    def test_equals_the_sequential_composition(self, seed, n_speech, n_noise):
+        # the noise is imaged on a helper thread, with the same bytes as the
+        # public functions called one after the other
+        rng = np.random.default_rng(seed)
+        speech, noise = 0.1 * rng.standard_normal(n_speech), 0.1 * rng.standard_normal(n_noise)
+        scene = sample_scene(seed)
+        threads = threading.active_count()
+        r = render_scene(scene, speech, noise)
+        assert threading.active_count() == threads
+        rir_s = image_rir(scene)
+        rir_n = image_rir(dataclasses.replace(scene, source_position=scene.noise_position))
+        s_img = apply_rir(speech, rir_s)
+        n_img = apply_rir(np.tile(noise, -(-n_speech // n_noise))[:n_speech], rir_n)
+        mix, norm = mix_at_snr(s_img, n_img, scene.snr_db)
+        assert r.norm == norm
+        for got, want in ((r.mixture, mix), (r.target, early_target(speech, rir_s) * norm),
+                          (r.speech_image, s_img), (r.noise_image, n_img)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_concurrent_renders_get_their_own_bytes(self):
+        # four callers, each with its own helper, on two cores, switching
+        # threads often: each render equals the one made alone
+        rng = np.random.default_rng(10)
+        scenes = [controlled_scene(rt60=0.15 + 0.05 * k, dist=1.0 + 0.4 * k) for k in range(4)]
+        sources = [0.1 * rng.standard_normal((2, 6000)) for _ in scenes]
+        want = [render_scene(sc, *src).mixture for sc, src in zip(scenes, sources)]
+        mismatches = [0] * len(scenes)
+
+        def render(k):
+            for _ in range(8):
+                got = render_scene(scenes[k], *sources[k]).mixture
+                mismatches[k] += not np.array_equal(got, want[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=render, args=(k,)) for k in range(len(scenes))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert mismatches == [0] * len(scenes)
+
+    @pytest.mark.parametrize("rows", [2, 3], ids=["noise", "speech"])
+    def test_a_convolution_error_reaches_the_caller(self, tmp_path, monkeypatch, capsys, rows):
+        # the noise (2 kernels) is convolved on the helper thread, the speech
+        # (image and early target, 3 kernels) on the caller's
+        convolve, where = simkit._convolve, []
+
+        def failing(x, kernels):
+            if kernels.shape[0] == rows:
+                where.append(threading.current_thread())
+                raise MemoryError("no room for the image")
+            return convolve(x, kernels)
+
+        monkeypatch.setattr(simkit, "_convolve", failing)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="no room for the image") as raised:
+            render_scene(controlled_scene(), np.ones(4000), np.ones(4000))
+        assert type(raised.value) is MemoryError
+        assert (where[0] is threading.main_thread()) == (rows == 3)
+        assert threading.active_count() == threads
+        for kind in ("speech", "noise"):
+            (tmp_path / kind).mkdir()
+            write_wav(tmp_path / kind / "a.wav", FS, 0.1 * np.ones(4000))
+        assert main(["simulate", "--speech-dir", str(tmp_path / "speech"),
+                     "--noise-dir", str(tmp_path / "noise"), "--n-scenes", "1",
+                     "--out", str(tmp_path / "out")]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "out of memory" in err[0]
+        assert threading.active_count() == threads
+
+    def test_an_interrupted_join_waits_for_the_helper(self, monkeypatch):
+        # a Ctrl-C breaking into the join leaves render_scene only once the
+        # slow helper is done
+        convolve, helpers = simkit._convolve, []
+
+        def slow(x, kernels):
+            if kernels.shape[0] == 2:
+                time.sleep(0.2)
+            return convolve(x, kernels)
+
+        class Interrupted(threading.Thread):
+            def join(self, timeout=None):
+                helpers.append(self)
+                if len(helpers) == 1:
+                    raise KeyboardInterrupt
+                super().join(timeout)
+
+        monkeypatch.setattr(simkit, "_convolve", slow)
+        monkeypatch.setattr(threading, "Thread", Interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            render_scene(controlled_scene(), np.ones(4000), np.ones(4000))
+        assert len(helpers) == 2 and not helpers[0].is_alive()
+
+    def test_peak_memory_of_the_heaviest_scene(self):
+        # tracemalloc's peak over one render of the heaviest of seeds 0-63,
+        # both threads' blocks counted, is capped at what the render took on
+        # one thread: 17930178 bytes
+        scene = max((sample_scene(seed) for seed in range(64)),
+                    key=lambda s: (s.rt60 + 0.05) ** 3 / np.prod(s.room_dims))
+        speech, noise = 0.1 * np.random.default_rng(12).standard_normal((2, 64000))
+        render_scene(scene, speech, noise)
+        tracemalloc.start()
+        try:
+            render_scene(scene, speech, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17930178
 
     @pytest.mark.parametrize("n_speech, n_noise, message", [
         (0, 100, "empty speech signal"),
