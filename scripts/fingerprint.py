@@ -24,8 +24,12 @@ The artifacts, one line each:
   its weights' batch norm statistics and PReLU slopes drawn per channel
   (:func:`with_norms`), so that each fold of a batch norm into its conv
   and each PReLU shows in the output;
+- ``enhance`` wave and mask for every preset with IVA on two rank-deficient
+  inputs: microphone 0 of the 2 s scene on both channels, and microphone 1
+  on both;
 - ``separate``'s speech and noise waves (Aux-IVA, then ``istft`` at the
-  input length) on the 2 s and the 10 s scene, and the WAVs one
+  input length) on the 2 s and the 10 s scene and on the two rank-deficient
+  inputs, and the WAVs one
   ``hybridse separate`` run over both scenes writes;
 - the WAVs of four ``hybridse enhance`` runs on the 2 s scene in one
   process: seed 0, seed 1, a ``--config`` file that switches the preset,
@@ -174,6 +178,7 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
               "scene-10s": fixed_mixture(1, long_speech, long_noise),
               "silent": np.zeros((2, 2 * FS)),
               "short": 0.1 * np.random.default_rng(1).standard_normal((2, 100))}
+    copied = {"mic0-twice": inputs["scene"][[0, 0]], "mic1-twice": inputs["scene"][[1, 1]]}
     for preset in presets:
         w = init_random(PRESETS[preset], 0)
         for use_iva in (True, False):
@@ -187,9 +192,13 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
         res = enhance(inputs["scene"], with_norms(w, 5), PRESETS[preset], IvaConfig())
         yield f"enhance {preset} iva scene norms wave {digest(res.wave)}"
         yield f"enhance {preset} iva scene norms mask {digest(res.mask)}"
+        for name, wave in copied.items():
+            res = enhance(wave, w, PRESETS[preset], IvaConfig())
+            yield f"enhance {preset} iva {name} wave {digest(res.wave)}"
+            yield f"enhance {preset} iva {name} mask {digest(res.mask)}"
 
-    for name in ("scene", "scene-10s"):
-        wave = inputs[name]
+    for name, wave in [("scene", inputs["scene"]), ("scene-10s", inputs["scene-10s"]),
+                       *copied.items()]:
         sources, _ = auxiva_separate(stft(wave), IvaConfig())
         for source, spec in zip(("speech", "noise"), sources):
             yield f"separate {name} {source} {digest(istft(spec, length=wave.shape[1]))}"

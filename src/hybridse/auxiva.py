@@ -344,13 +344,17 @@ def order_sources(y_sep: np.ndarray) -> np.ndarray:
     frames exist: analysis zero-pads the signal tail, so that frame is a
     guaranteed low-energy outlier that would dominate the kurtosis of any
     stationary source and invert the ranking.  A flat envelope, whose
-    kurtosis is undefined, ranks as -3.
+    kurtosis is undefined, ranks as -3, and so does a source that is zero
+    to working precision, its envelope power at most ``eps^2`` times the
+    strongest source's: what IVA leaves of a rank-1 mixture.
     """
     env = np.sqrt(np.sum(np.abs(y_sep) ** 2, axis=2))  # [source, frame]
     if env.shape[1] >= 3:
         env = env[:, :-1]
+    power = np.sum(env ** 2, axis=1)
+    faint = power <= np.finfo(env.dtype).eps ** 2 * np.max(power)
     k = _excess_kurtosis(env)
-    k = np.where(np.isfinite(k), k, -3.0)
+    k = np.where(np.isfinite(k) & ~faint, k, -3.0)
     return np.argsort(-k, kind="stable")
 
 

@@ -10,15 +10,14 @@ Layer tensors are passed as plain arrays: a conv kernel is
 [out, in/groups, kt, kf], a transposed-conv kernel [in, out/groups, kt, kf],
 and batch norm takes its affine pair and running statistics one per channel.
 
-The convolutions work on flattened polyphase planes, one per stride phase,
-so every kernel tap reads or writes one contiguous window of one plane at a
-fixed offset, and every group advances at once.  :func:`conv2d` pads its
-input once into the planes and takes one batched product per tap over all
-groups, a broadcast product when each group has a single input channel
-(depthwise), the first tap's written straight into the accumulator, so no
-pass zero-fills it; :func:`conv_transpose2d` adds each tap's batched
-``kernel^T @ x`` into a window of its output phase and interleaves the
-phases once at the end.
+:func:`conv2d` is the one convolution kernel.  It pads its input once into
+flattened polyphase planes, one per stride phase, so every tap reads one
+contiguous window of one plane at a fixed offset, and takes one batched
+product per tap over all groups, a broadcast product when each group has a
+single input channel (depthwise), the first tap's written straight into the
+accumulator, so no pass zero-fills it.  :func:`conv_transpose2d` is one
+conv2d per output stride phase over the reversed input, with the same bits
+as a scatter-add of each tap's ``kernel^T @ x``.
 
 Recurrences run through one kernel, :func:`gru_scan`, which advances ``S``
 independent forward GRUs in lockstep.  Its inputs are stacked on a leading
@@ -75,9 +74,9 @@ def _check_geometry(x: np.ndarray, kernel: np.ndarray, stride, dilation, groups:
 
 
 def _phase_start(phase: int, pad: int, step: int) -> Tuple[int, int]:
-    """First plane index of a stride phase inside the unpadded axis (conv2d's
-    input, conv_transpose2d's output), and the unpadded index it holds:
-    padded index ``phase + k * step`` is unpadded ``phase + k * step - pad``."""
+    """First plane index of a stride phase of conv2d's padded input that lies
+    inside the unpadded axis, and the unpadded index it holds: padded index
+    ``phase + k * step`` is unpadded ``phase + k * step - pad``."""
     k = -((phase - pad) // step)
     return k, phase + k * step - pad
 
@@ -167,18 +166,22 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
     with the same stride and groups arguments.
 
     ``kernel`` is [in, out / groups, kt, kf], the layout of the matching
-    conv2d's kernel; ``bias``, if given, is [out].
+    conv2d's kernel; ``bias``, if given, is [out].  The result has ``x``'s
+    dtype, as :func:`conv2d`'s does.
 
     Output extents are ``(n - 1) * stride + 1`` per axis (scatter-add of the
     kernel, then the conv2d padding margins are trimmed), which restores the
     input extent of a matching conv2d whenever ``(extent - 1) % stride == 0``.
 
-    The scatter target is split into one flattened plane per stride phase,
-    ``[.., tq * fq]`` with a spare row, and ``x`` is widened with zero
-    columns to the plane width ``fq``.  Tap ``(i, j)``'s batched
-    ``kernel^T @ x`` then adds into one contiguous window of one phase, in
-    ``(i, j)`` order; for a finite kernel the widening columns add zeros.  The phases are
-    interleaved into the trimmed output once at the end.
+    Output phase ``out[..., a::st, e::sf]`` is one conv2d, with the taps
+    that reach it (``i = (a + pt) mod st`` and ``j = (e + pf_l) mod sf``
+    onwards, a stride apart) in conv2d's layout, over ``x`` reversed on both
+    axes and read back reversed; a phase no tap reaches holds the bias.
+    Each output then sums its taps in ``(i, j)`` order over descending input
+    positions, as a scatter-add does, and gets its bits, except where numpy
+    hands a 1x1 input with several input channels per group to BLAS gemv,
+    whose rounding depends on where the data sit.  Every window lies inside
+    conv2d's own padding, so ``x`` is not copied here.
     """
     _check_geometry(x, kernel, stride, (1, 1), groups)
     in_ch, o_per_g, kt, kf = kernel.shape
@@ -191,36 +194,27 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
 
     b, _, t_in, f_in = x.shape
     pt, pf_l, _ = _pads(kt, kf, 1, 1)
-    tq, fq = t_in - 1 - (-kt // st), f_in - 1 - (-kf // sf)
-    xw = np.zeros((b, in_ch, t_in, fq), dtype=x.dtype)
-    xw[..., :f_in] = x
-    n = t_in * fq
     i_per_g = in_ch // groups
     out_ch = o_per_g * groups
-    xg = xw.reshape(b, groups, i_per_g, n)
-    kg = kernel.reshape(groups, i_per_g, o_per_g, kt, kf)
-    phases = np.zeros((st, sf, b, groups, o_per_g, (tq + 1) * fq), dtype=x.dtype)
-    prod = np.empty((b, groups, o_per_g, n), dtype=np.result_type(x, kernel))
-    for i in range(kt):
-        qi, a = divmod(i, st)
-        for j in range(kf):
-            qj, e = divmod(j, sf)
-            np.matmul(kg[:, :, :, i, j].transpose(0, 2, 1), xg, out=prod)
-            phases[a, e, ..., qi * fq + qj:qi * fq + qj + n] += prod
-
-    planes = phases.reshape(st, sf, b, out_ch, tq + 1, fq)
-    out = np.empty((b, out_ch, (t_in - 1) * st + 1, (f_in - 1) * sf + 1),
-                   dtype=x.dtype if bias is None else np.result_type(x, bias))
+    swapped = kernel.reshape(groups, i_per_g, o_per_g, kt, kf).swapaxes(1, 2)
+    taps = swapped.reshape(out_ch, i_per_g, kt, kf)
+    x_rev = x[:, :, ::-1, ::-1]
+    out = np.empty((b, out_ch, (t_in - 1) * st + 1, (f_in - 1) * sf + 1), dtype=x.dtype)
     for a in range(st):
-        u, r = _phase_start(a, pt, st)
+        da, i = divmod(a + pt, st)
         for e in range(sf):
-            v, c = _phase_start(e, pf_l, sf)
-            dst = out[:, :, r::st, c::sf]
-            src = planes[a, e, :, :, u:u + dst.shape[2], v:v + dst.shape[3]]
-            if bias is None:
-                dst[...] = src
-            else:
-                np.add(src, bias[None, :, None, None], out=dst)
+            de, j = divmod(e + pf_l, sf)
+            dst = out[:, :, a::st, e::sf]
+            if i >= kt or j >= kf:
+                dst[...] = 0.0 if bias is None else bias[None, :, None, None] + 0.0
+                continue
+            phase = taps[:, :, i::st, j::sf]
+            # phase row r reads x[r + da - k] at time tap k, conv2d(x_rev)'s row
+            # q reads x[t_in - 1 + lt - q - k]: r is row t_in - 1 + lt - da - r
+            lt, lf, _ = _pads(*phase.shape[2:], 1, 1)
+            u, v = t_in + lt - da - dst.shape[2], f_in + lf - de - dst.shape[3]
+            y = conv2d(x_rev, phase, bias, groups=groups)
+            dst[...] = y[:, :, u:u + dst.shape[2], v:v + dst.shape[3]][:, :, ::-1, ::-1]
     return out
 
 

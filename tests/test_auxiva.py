@@ -312,6 +312,17 @@ class TestSeparate:
         np.testing.assert_array_equal(y1, y2)
         np.testing.assert_array_equal(w1, w2)
 
+    def test_identical_channels_put_the_signal_first(self):
+        # a mono recording copied to both channels is a rank-1 mixture: IVA
+        # leaves one source at rounding level, and that source ranks last
+        mono = instantaneous_scene(0)[0][0]
+        spec = stft(0.9 / np.max(np.abs(mono)) * np.stack([mono, mono]))
+        sources, _ = auxiva_separate(spec)
+        power = np.sum(np.abs(sources) ** 2, axis=(1, 2))
+        assert power[1] <= np.finfo(float).eps ** 2 * power[0]
+        np.testing.assert_allclose(sources[0], spec[0], rtol=0,
+                                   atol=1e-9 * np.max(np.abs(spec)))
+
     def test_single_channel_rejected(self):
         with pytest.raises(InvalidInputError):
             auxiva_separate(np.zeros((1, 10, 257), dtype=complex))
@@ -404,6 +415,18 @@ class TestOrderSources:
         ch = self.enveloped_spec(rng, rng.standard_normal(100))
         perm = order_sources(np.stack([ch, ch]))
         np.testing.assert_array_equal(perm, [0, 1])
+
+    def test_source_at_rounding_level_ranks_last(self):
+        # heavier-tailed, but zero to working precision against the other:
+        # power at most eps^2 times the other's ranks last, a source above
+        # that ranks by kurtosis
+        rng = np.random.default_rng(14)
+        lap = self.enveloped_spec(rng, rng.laplace(size=100))
+        gau = self.enveloped_spec(rng, rng.standard_normal(100))
+        gau *= np.sqrt(np.sum(np.abs(lap) ** 2) / np.sum(np.abs(gau) ** 2))
+        np.testing.assert_array_equal(order_sources(np.stack([1e-17 * lap, gau])), [1, 0])
+        np.testing.assert_array_equal(order_sources(np.stack([gau, 1e-17 * lap])), [0, 1])
+        np.testing.assert_array_equal(order_sources(np.stack([1e-15 * lap, gau])), [0, 1])
 
     @staticmethod
     def scipy_reference(y):

@@ -680,6 +680,40 @@ def test_out_on_the_input_exit_2(tmp_path, stereo_wav, capsys):
     assert stereo_wav.read_bytes() == before
 
 
+def mono_copied_wav(path):
+    """Microphone 0 of a mixture on both channels, as a mono recording
+    copied to stereo gives: a rank-1 input.  Its rounding-level IVA source
+    has the higher kurtosis, so ranked by kurtosis alone every output would
+    be silent."""
+    mono = instantaneous_scene(2)[0][0]
+    write_wav(path, FS, 0.9 / np.max(np.abs(mono)) * np.stack([mono, mono]))
+    return path
+
+
+def rms(wave):
+    return float(np.sqrt(np.mean(wave ** 2)))
+
+
+class TestIdenticalChannels:
+    @pytest.mark.parametrize("preset", sorted(p for p, cfg in model.PRESETS.items()
+                                              if cfg.masking == "mask1_iva"))
+    def test_enhance_with_iva_masks_the_signal(self, tmp_path, preset):
+        # the mask multiplies IVA's first source, which must be the signal
+        # and not the rank-1 mixture's rounding-level remainder
+        path = mono_copied_wav(tmp_path / "mono2.wav")
+        out = tmp_path / "out.wav"
+        assert main(["enhance", str(path), "--out", str(out), "--preset", preset]) == 0
+        assert rms(read_wav(out)[1]) > 1e-3 * rms(read_wav(path)[1][0])
+
+    def test_separate_writes_the_signal_as_speech(self, tmp_path):
+        path = mono_copied_wav(tmp_path / "mono2.wav")
+        assert main(["separate", str(path), "--out", str(tmp_path)]) == 0
+        speech = read_wav(tmp_path / "mono2.speech.wav")[1]
+        noise = read_wav(tmp_path / "mono2.noise.wav")[1]
+        assert rms(speech) > 0.5 * rms(read_wav(path)[1][0])
+        assert rms(noise) < 1e-6 * rms(speech)
+
+
 class TestSeparate:
     def test_wav_out_is_a_directory_for_two_outputs(self, tmp_path, stereo_wav, capsys):
         # speech and noise are two files, so neither is written to out.wav

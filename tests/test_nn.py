@@ -73,8 +73,13 @@ class TestConv2d:
             conv2d(x, np.zeros((4, 2, 1, 1)), groups=2)
 
     def test_dtype_preserved(self):
-        x = np.zeros((1, 2, 4, 4), dtype=np.float32)
-        assert conv2d(x, np.zeros((2, 2, 1, 1), dtype=np.float32)).dtype == np.float32
+        # both convs return x's dtype, also beside a float64 bias
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
+        k = rng.standard_normal((2, 2, 1, 3)).astype(np.float32)
+        for op in (conv2d, conv_transpose2d):
+            for bias in (None, np.ones(2), np.ones(2, dtype=np.float32)):
+                assert op(x, k, bias, (1, 2)).dtype == np.float32
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("multiplier", [1, 2])
@@ -166,6 +171,9 @@ _GROUPINGS = {"groups1": (4, 6, 1), "groups2": (4, 6, 2),
 _STRIDES = [(1, 1), (1, 2), (2, 1), (2, 2)]
 _DILATIONS = [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (1, 2)]
 _KERNELS = [(kt, kf) for kt in (1, 3, 5) for kf in (1, 3, 5)]
+# the network's transposed convs, dec.deconv1 and dec.deconv2, at their
+# input bands: (input channels, output channels, groups, bands)
+_DECONV_ROWS = {"deconv1": (16, 16, 2, 33), "deconv2": (16, 2, 1, 65)}
 
 
 def assert_same_bytes(got, want):
@@ -185,10 +193,12 @@ class TestShiftedWindowConv:
     (``oracles.conv2d_per_tap``, ``oracles.conv_transpose2d_per_tap``): the
     same products and the same sums in the same order, so the same bytes.
 
-    Left out are groups with one output channel and several input channels:
-    there numpy hands each tap to a BLAS matrix-vector product whose rounding
-    depends on where the data sit in memory, so neither kernel fixes its
-    bytes.  The model has no such layer; ``*_matches_naive`` covers them."""
+    Left out are groups with one output channel and several input channels,
+    and for the transposed conv a 1x1 input with several input channels per
+    group: there numpy hands a tap to a BLAS matrix-vector product whose
+    rounding depends on where the data sit in memory, so neither kernel
+    fixes its bytes.  The model runs neither; ``*_matches_naive`` covers
+    them."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("stride", _STRIDES)
@@ -209,14 +219,14 @@ class TestShiftedWindowConv:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("stride", _STRIDES)
-    @pytest.mark.parametrize("grouping", list(_GROUPINGS))
+    @pytest.mark.parametrize("grouping", [*_GROUPINGS, *_DECONV_ROWS])
     def test_conv_transpose2d_equals_per_tap(self, grouping, stride, dtype):
-        c_in, c_out, groups = _GROUPINGS[grouping]
+        c_in, c_out, groups, f = _DECONV_ROWS.get(grouping) or (*_GROUPINGS[grouping], 9)
         rng = np.random.default_rng(21)
         for kt, kf in _KERNELS:
             for t in (1, 2, 3, 8):
                 for batch in (1, 2):
-                    x = _with_zeros(rng, (batch, c_in, t, 9), dtype)
+                    x = _with_zeros(rng, (batch, c_in, t, f), dtype)
                     k = rng.standard_normal((c_in, c_out // groups, kt, kf)).astype(dtype)
                     bias = rng.standard_normal(c_out).astype(dtype) if batch == 1 else None
                     assert_same_bytes(
@@ -263,6 +273,20 @@ class TestShiftedWindowConv:
 
 
 class TestConvBoundary:
+    @pytest.mark.parametrize("kernel, stride", [((1, 1), (1, 1)), ((1, 5), (1, 2)),
+                                                ((3, 2), (2, 3))])
+    @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
+    def test_input_kept_and_result_fresh(self, op, kernel, stride):
+        # the transposed conv reads reversed views of x, and decode runs
+        # PReLU and tanh in place on either conv's result
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((2, 4, 5, 9))
+        before = x.copy()
+        out = op(x, rng.standard_normal((4, 2, *kernel)), np.ones(4), stride, groups=2)
+        np.testing.assert_array_equal(x, before)
+        assert not np.shares_memory(out, x)
+        assert out.flags.c_contiguous and out.flags.writeable
+
     @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
     @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 2, 1, 1, 1)])
     def test_kernel_not_4d_rejected(self, op, shape):
