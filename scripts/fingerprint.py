@@ -26,10 +26,12 @@ The artifacts, one line each:
   and each PReLU shows in the output;
 - ``enhance`` wave and mask for every preset with IVA on two rank-deficient
   inputs: microphone 0 of the 2 s scene on both channels, and microphone 1
-  on both;
+  on both; and for the ``mask1_iva`` presets, microphone 0 of the 2 s and
+  of the 10 s scene on both channels, scaled to peak 10 and to peak 1000:
+  beyond full scale, where IVA's remainder sits at its envelope floor;
 - ``separate``'s speech and noise waves (Aux-IVA, then ``istft`` at the
-  input length) on the 2 s and the 10 s scene and on the two rank-deficient
-  inputs, and the WAVs one
+  input length) on the 2 s and the 10 s scene, on the two rank-deficient
+  inputs and on the four loud ones, and the WAVs one
   ``hybridse separate`` run over both scenes writes;
 - the WAVs of four ``hybridse enhance`` runs on the 2 s scene in one
   process: seed 0, seed 1, a ``--config`` file that switches the preset,
@@ -179,6 +181,9 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
               "silent": np.zeros((2, 2 * FS)),
               "short": 0.1 * np.random.default_rng(1).standard_normal((2, 100))}
     copied = {"mic0-twice": inputs["scene"][[0, 0]], "mic1-twice": inputs["scene"][[1, 1]]}
+    loud = {f"{tag}mic0-twice-peak{peak}": peak / np.max(np.abs(mix[0])) * mix[[0, 0]]
+            for tag, mix in (("", inputs["scene"]), ("10s-", inputs["scene-10s"]))
+            for peak in (10, 1000)}
     for preset in presets:
         w = init_random(PRESETS[preset], 0)
         for use_iva in (True, False):
@@ -196,9 +201,14 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
             res = enhance(wave, w, PRESETS[preset], IvaConfig())
             yield f"enhance {preset} iva {name} wave {digest(res.wave)}"
             yield f"enhance {preset} iva {name} mask {digest(res.mask)}"
+        if PRESETS[preset].masking == "mask1_iva":
+            for name, wave in loud.items():
+                res = enhance(wave, w, PRESETS[preset], IvaConfig())
+                yield f"enhance {preset} iva {name} wave {digest(res.wave)}"
+                yield f"enhance {preset} iva {name} mask {digest(res.mask)}"
 
     for name, wave in [("scene", inputs["scene"]), ("scene-10s", inputs["scene-10s"]),
-                       *copied.items()]:
+                       *copied.items(), *loud.items()]:
         sources, _ = auxiva_separate(stft(wave), IvaConfig())
         for source, spec in zip(("speech", "noise"), sources):
             yield f"separate {name} {source} {digest(istft(spec, length=wave.shape[1]))}"

@@ -16,10 +16,10 @@ from .errors import (DegenerateInputError, HybridseError, InvalidInputError,
 from .loss import (hybrid_loss, imag_loss, mag_loss, real_loss, si_snr,
                    sisnr_loss, snr)
 from .model import (DEFAULT_PRESET, PRESETS, EnhanceResult, ModelConfig, Plan,
-                    apply_mask, build_features, count_macs, count_params,
-                    decode, encode, enhance, expected_shapes, forward, gdprnn,
-                    gtconv_block, init_random, load_weights, macs_breakdown,
-                    param_breakdown, prepare, preset_config, save_weights, sfe)
+                    apply_mask, build_features, count_params, decode, encode,
+                    enhance, expected_shapes, forward, gdprnn, init_random,
+                    load_weights, macs_breakdown, param_breakdown, prepare,
+                    preset_config, save_weights, sfe)
 from .simkit import (Rir, SceneConstraints, SceneRender, SceneSpec, apply_rir,
                      early_target, image_rir, mix_at_snr, read_manifest,
                      render_scene, sabine_absorption, sample_scene,

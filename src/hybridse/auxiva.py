@@ -16,10 +16,11 @@ covariance read only row m of ``w``, which the other source's update leaves
 alone, so a sweep starts with one matrix product of ``stats`` and both
 rows' envelope coefficients, and one frame sum of ``stats`` weighted by
 ``1 / r`` for both covariances, an ``np.einsum`` whose summation order,
-unlike BLAS's, does not follow the thread count.  Each source is then
-updated in turn by a closed-form 2x2 adjugate solve against the current
-demixing state, and renormalized so the updated vector has unit quadratic
-form under its own covariance.
+unlike BLAS's, does not follow the thread count.  These two products are
+what :func:`iva_macs_per_second` counts.  Each source is then updated in
+turn by a closed-form 2x2 adjugate solve against the current demixing
+state, and renormalized so the updated vector has unit quadratic form
+under its own covariance.
 
 The envelope read off the statistics loses digits to cancellation when a
 source is strongly suppressed; the frames where that could show are
@@ -344,15 +345,16 @@ def order_sources(y_sep: np.ndarray) -> np.ndarray:
     frames exist: analysis zero-pads the signal tail, so that frame is a
     guaranteed low-energy outlier that would dominate the kurtosis of any
     stationary source and invert the ranking.  A flat envelope, whose
-    kurtosis is undefined, ranks as -3, and so does a source that is zero
-    to working precision, its envelope power at most ``eps^2`` times the
-    strongest source's: what IVA leaves of a rank-1 mixture.
+    kurtosis is undefined, ranks as -3, and so does a source whose envelope
+    power is at most ``IvaConfig.eps`` times the strongest source's: what
+    IVA leaves of a rank-1 mixture, rounding level or, in loud input, its
+    envelope floor.
     """
     env = np.sqrt(np.sum(np.abs(y_sep) ** 2, axis=2))  # [source, frame]
     if env.shape[1] >= 3:
         env = env[:, :-1]
     power = np.sum(env ** 2, axis=1)
-    faint = power <= np.finfo(env.dtype).eps ** 2 * np.max(power)
+    faint = power <= IvaConfig.eps * np.max(power)
     k = _excess_kurtosis(env)
     k = np.where(np.isfinite(k) & ~faint, k, -3.0)
     return np.argsort(-k, kind="stable")
@@ -360,30 +362,13 @@ def order_sources(y_sep: np.ndarray) -> np.ndarray:
 
 def iva_macs_per_second(cfg: IvaConfig) -> float:
     """Real multiply-accumulates per second of audio for ``cfg.iterations``
-    sweeps, counting one complex MAC as four real MACs.
-
-    The figure is the marginal (streaming) cost of the algorithm as written:
-    per frame and per source it counts demixing the current source,
-    squared-envelope accumulation, the 1/r frame weighting, and the rank-1
-    covariance accumulation, then scales by the fixed :class:`StftConfig`
-    frame rate.  The per-bin 2x2 solve and renormalization cost a
-    fixed amount per sweep regardless of utterance length and are excluded,
-    so the count is exactly linear in the iteration count.
-
-    The implementation performs fewer.  :func:`auxiva_separate` builds the
-    rank-1 terms once per utterance, and each sweep then runs about
-    ``8 * bins`` real MACs per frame and source over them: ``4 * bins`` for
-    the squared envelope, a matrix product whose direct half also bounds the
-    cancellation guard, and ``4 * bins`` for the weighted covariance, a
-    fixed-order ``einsum``.
+    sweeps of :func:`iva_sweep`: per frame, two products for each of the
+    two sources over the ``4 * bins`` columns of :func:`covariance_stats`,
+    the envelope product in ``_envelopes`` and the weighted-covariance
+    ``einsum``.  The per-bin 2x2 solves, the one statistics build per
+    utterance and the frames recomputed after cancellation (as many as the
+    data call for) are left out, so the count is exactly linear in the
+    iteration count.
     """
-    n_bins = StftConfig.n_bins
-    frames_per_second = StftConfig.frames_per_second
-    m = 2
-    per_frame = (
-        4 * n_bins * m          # demix current source across bins
-        + 4 * n_bins            # |x|^2 envelope accumulation
-        + 2 * m * n_bins        # scale spectra by 1/r
-        + 4 * n_bins * m * m    # rank-1 covariance accumulation
-    )
-    return float(cfg.iterations * m * per_frame * frames_per_second)
+    return float(cfg.iterations * 2 * 2 * 4 * StftConfig.n_bins
+                 * StftConfig.frames_per_second)

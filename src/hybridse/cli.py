@@ -40,9 +40,9 @@ from .dsp import DEFAULT_SAMPLE_RATE, stft, istft
 from .errors import (DegenerateInputError, HybridseError, InvalidInputError,
                      NumericalError, WeightFormatError)
 from .loss import si_snr
-from .model import (DEFAULT_PRESET, count_macs, count_params, enhance,
-                    init_random, load_weights, macs_breakdown, param_breakdown,
-                    prepare, preset_config)
+from .model import (DEFAULT_PRESET, count_params, enhance, init_random,
+                    load_weights, macs_breakdown, param_breakdown, prepare,
+                    preset_config)
 from .simkit import render_scene, sample_scene, write_manifest
 from .wavio import read_wav, write_wav
 
@@ -419,7 +419,7 @@ def cmd_inspect(args) -> int:
     for layer, n in params.items():
         print(f"  {layer:28s} {n:8d}")
     macs = macs_breakdown(cfg, iva_cfg=iva_cfg)
-    print(f"MACs/s: {count_macs(cfg, iva_cfg=iva_cfg) / 1e6:.2f} M total")
+    print(f"MACs/s: {sum(macs.values()) / 1e6:.2f} M total")
     for layer, n in macs.items():
         print(f"  {layer:28s} {n / 1e6:10.3f} M")
     per_iter = iva_macs_per_second(IvaConfig(iterations=1)) / 1e6

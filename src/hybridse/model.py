@@ -25,13 +25,13 @@ prepares a dict on entry, so both run the same arithmetic.
 
 The network is causal in time, and :func:`forward` runs it over blocks of
 at most :data:`BLOCK_FRAMES` frames, so its working set is one block's
-whatever the file length.  :func:`encode`, :func:`gtconv_block`,
-:func:`gdprnn` and :func:`decode` take an optional ``state`` dict that
-carries what crosses a block boundary, keyed by layer or path name: each
-depthwise time conv (the rows whose op binds a dilation) keeps its last
-``(kt - 1) * d`` input frames, 2, 4 or 10, which stand in for its causal
-zero padding in the next block, and the inter path keeps the inter-GRU's
-hidden state, which :func:`nn.gru_scan` takes as ``h0``.  Everything else
+whatever the file length.  :func:`encode`, :func:`gdprnn` and
+:func:`decode` take an optional ``state`` dict that carries what crosses a
+block boundary, keyed by layer or path name: each depthwise time conv (the
+rows whose op binds a dilation) keeps its last ``(kt - 1) * d`` input
+frames, 2, 4 or 10, which stand in for its causal zero padding in the next
+block, and the inter path keeps the inter-GRU's hidden state, which
+:func:`nn.gru_scan` takes as ``h0``.  Everything else
 (features, band merge and split, SFE, the strided ``kt = 1`` convs and
 deconvs, the intra-GRU) is local to a frame.  ``state=None`` is the zero
 state and keeps nothing: one call over all frames.
@@ -474,7 +474,7 @@ def _carry(op, x: np.ndarray, tensors, state: dict, layer: str) -> np.ndarray:
 def _run(x: np.ndarray, plan: Plan, prefix: str, state: Optional[dict] = None) -> np.ndarray:
     """Run the plan's rows under ``prefix`` in table order: each row
     directly under it through its ``op``, then its PReLU in place, and each
-    G-T-conv block ``{prefix}.gt{i}`` as one :func:`gtconv_block`.  With a
+    G-T-conv block ``{prefix}.gt{i}`` as one :func:`_gtconv_block`.  With a
     ``state``, the rows whose op binds a dilation (the depthwise time
     convs) run through :func:`_carry`."""
     for block, steps in plan.blocks:
@@ -487,18 +487,17 @@ def _run(x: np.ndarray, plan: Plan, prefix: str, state: Optional[dict] = None) -
                 if slopes is not None:
                     nn.prelu(x, slopes, out=x)
         elif block.startswith(f"{prefix}.gt"):
-            x = gtconv_block(x, plan, block, plan.cfg, state)
+            x = _gtconv_block(x, plan, block, state)
     return x
 
 
-def gtconv_block(x: np.ndarray, w: Weights, prefix: str,
-                 cfg: ModelConfig, state: Optional[dict] = None) -> np.ndarray:
+def _gtconv_block(x: np.ndarray, plan: Plan, prefix: str,
+                  state: Optional[dict] = None) -> np.ndarray:
     """Half-identity grouped temporal conv block: the second channel half
     runs the block's rows (pointwise expand, causal time-dilated depthwise,
     pointwise squeeze, the first two with BN+PReLU), and the halves are
     re-joined shuffled across two groups in one copy: output channel ``2c``
     is kept channel ``c``, ``2c + 1`` transformed channel ``c``."""
-    plan = prepare(w, cfg)
     b, ch = x.shape[:2]
     if ch % 2 != 0:
         raise InvalidInputError("gtconv block needs an even channel count")
@@ -594,12 +593,12 @@ def decode(z: np.ndarray, w: Weights, cfg: ModelConfig,
 # forward pass
 
 
-def _forward_block(y: np.ndarray, y_iva: np.ndarray, w: Weights,
-                   cfg: ModelConfig, state: Optional[dict]) -> np.ndarray:
+def _forward_block(y: np.ndarray, y_iva: np.ndarray, plan: Plan,
+                   state: Optional[dict]) -> np.ndarray:
     """The float32 mask [2, frames, 257] of the frames that follow the ones
     ``state`` has seen, which it then carries past these; ``None`` is the
     zero state and keeps nothing."""
-    plan = prepare(w, cfg)
+    cfg = plan.cfg
     x = sfe(band_merge(build_features(y, y_iva, cfg))[None], cfg.sfe_kernel)
     latent, skip = encode(x, plan, cfg, state)
     del x                  # neither the bands nor their stack is held past encode
@@ -636,7 +635,7 @@ def forward(y: np.ndarray, y_iva: np.ndarray, w: Weights,
     mask = np.empty((2, frames, N_BINS))
     state: dict = {}
     for a, b in zip(edges, edges[1:]):
-        mask[:, a:b] = _forward_block(y[:, a:b], y_iva[:, a:b], plan, cfg, state)
+        mask[:, a:b] = _forward_block(y[:, a:b], y_iva[:, a:b], plan, state)
     return mask
 
 
@@ -675,7 +674,8 @@ def macs_breakdown(cfg: ModelConfig, iva_cfg: Optional[IvaConfig] = None) -> Dic
     matrix products for GRUs, sparse effective cost for the band filterbank,
     four real MACs per complex multiply in the mask application.  Batch
     norms and activations fold into their neighbors and are not counted.
-    The IVA term comes from :func:`iva_macs_per_second`.
+    The IVA term comes from :func:`iva_macs_per_second`.  The sum of the
+    items is the total, which ``hybridse inspect`` prints.
     """
     per_frame: Dict[str, float] = {"band_merge": cfg.feature_planes * N_HIGH}
     for _, leaves, mac, bands, *_ in _layers(cfg):
@@ -689,12 +689,6 @@ def macs_breakdown(cfg: ModelConfig, iva_cfg: Optional[IvaConfig] = None) -> Dic
     if iva_cfg is not None:
         out["auxiva"] = iva_macs_per_second(iva_cfg)
     return out
-
-
-def count_macs(cfg: ModelConfig, iva_cfg: Optional[IvaConfig] = IvaConfig()) -> float:
-    """Total MACs per second of audio, network plus IVA (see
-    :func:`macs_breakdown` for the convention)."""
-    return float(sum(macs_breakdown(cfg, iva_cfg).values()))
 
 
 # --------------------------------------------------------------------------

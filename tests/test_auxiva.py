@@ -8,9 +8,10 @@ import scipy.stats
 
 import oracles
 from conftest import instantaneous_scene, separate_to_waves
-from hybridse import (IvaConfig, StftConfig, auxiva_separate,
-                      covariance_stats, demix, iva_macs_per_second,
-                      iva_sweep, order_sources, projection_back, si_snr, stft)
+from hybridse import (PRESETS, IvaConfig, StftConfig, auxiva_separate,
+                      covariance_stats, demix, enhance, init_random,
+                      iva_macs_per_second, iva_sweep, order_sources,
+                      projection_back, si_snr, stft)
 from hybridse.auxiva import _excess_kurtosis
 from hybridse.errors import (DegenerateInputError, InvalidInputError,
                              NumericalError)
@@ -323,6 +324,25 @@ class TestSeparate:
         np.testing.assert_allclose(sources[0], spec[0], rtol=0,
                                    atol=1e-9 * np.max(np.abs(spec)))
 
+    @pytest.mark.parametrize("peak", [1e-3, 1e-1, 1.0, 10.0, 100.0, 1e4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_identical_channels_put_the_signal_first_at_any_level(self, seed, peak):
+        # beyond full scale IVA's remainder sits at its envelope floor, far
+        # above rounding level, and still ranks last; the mask1_iva presets
+        # then mask the signal, not the remainder
+        mono = instantaneous_scene(seed)[0][0]
+        wave = peak / np.max(np.abs(mono)) * np.stack([mono, mono])
+        spec = stft(wave)
+        sources, _ = auxiva_separate(spec)
+        power = np.sum(np.abs(sources) ** 2, axis=(1, 2))
+        assert power[1] <= IvaConfig.eps * power[0]
+        np.testing.assert_allclose(sources[0], spec[0], rtol=0,
+                                   atol=1e-7 * np.max(np.abs(spec)))
+        cfg = PRESETS["cplx-s-m1"]
+        res = enhance(wave, init_random(cfg, 0), cfg)
+        assert res.used_iva
+        assert np.sqrt(np.mean(res.wave ** 2)) > 1e-3 * peak
+
     def test_single_channel_rejected(self):
         with pytest.raises(InvalidInputError):
             auxiva_separate(np.zeros((1, 10, 257), dtype=complex))
@@ -417,16 +437,16 @@ class TestOrderSources:
         np.testing.assert_array_equal(perm, [0, 1])
 
     def test_source_at_rounding_level_ranks_last(self):
-        # heavier-tailed, but zero to working precision against the other:
-        # power at most eps^2 times the other's ranks last, a source above
-        # that ranks by kurtosis
+        # heavier-tailed, but faint against the other: power at most
+        # IvaConfig.eps times the other's ranks last, a source above that
+        # ranks by kurtosis
         rng = np.random.default_rng(14)
         lap = self.enveloped_spec(rng, rng.laplace(size=100))
         gau = self.enveloped_spec(rng, rng.standard_normal(100))
         gau *= np.sqrt(np.sum(np.abs(lap) ** 2) / np.sum(np.abs(gau) ** 2))
-        np.testing.assert_array_equal(order_sources(np.stack([1e-17 * lap, gau])), [1, 0])
-        np.testing.assert_array_equal(order_sources(np.stack([gau, 1e-17 * lap])), [0, 1])
-        np.testing.assert_array_equal(order_sources(np.stack([1e-15 * lap, gau])), [0, 1])
+        np.testing.assert_array_equal(order_sources(np.stack([1e-5 * lap, gau])), [1, 0])
+        np.testing.assert_array_equal(order_sources(np.stack([gau, 1e-5 * lap])), [0, 1])
+        np.testing.assert_array_equal(order_sources(np.stack([1e-3 * lap, gau])), [0, 1])
 
     @staticmethod
     def scipy_reference(y):
@@ -486,6 +506,14 @@ class TestMacs:
         cfg = IvaConfig()
         per_iter = iva_macs_per_second(cfg) / cfg.iterations / 1e6
         assert 0.05 <= per_iter <= 2.0
+
+    def test_count_reads_the_statistics_width(self):
+        # two products per source and frame, each over every column of the
+        # statistics a sweep runs on
+        spec = random_spec(np.random.default_rng(0), frames=3)
+        per_iter = iva_macs_per_second(IvaConfig(iterations=1))
+        assert per_iter == 2 * 2 * covariance_stats(spec).shape[1] * StftConfig.frames_per_second
+        assert per_iter == 257000.0
 
     def test_linear_in_iterations(self):
         assert (iva_macs_per_second(IvaConfig(iterations=40))

@@ -18,7 +18,7 @@ from scipy.io import wavfile
 
 from conftest import FS, instantaneous_scene
 from test_weights import gtcw_stream
-from hybridse import cli, errors, model, stft
+from hybridse import IvaConfig, cli, errors, model, stft
 from hybridse.cli import main
 from hybridse.errors import NumericalError
 from hybridse.loss import si_snr
@@ -295,6 +295,18 @@ class TestEnhance:
         assert capsys.readouterr().err == \
             f"error: {stereo_wav}: enhancement produced non-finite samples\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("preset", sorted(name for name, cfg in model.PRESETS.items()
+                                              if cfg.masking == "mask1_iva"))
+    def test_loud_mono_copied_to_both_channels_keeps_the_signal(self, tmp_path, preset):
+        # a float WAV beyond full scale: IVA's remainder of the rank-1
+        # mixture ranks last, so the mask acts on the signal
+        mono = instantaneous_scene(0, n=4096)[0][0]
+        path = tmp_path / "loud.wav"
+        wavfile.write(path, FS, 10.0 / np.max(np.abs(mono)) * np.stack([mono, mono], axis=1))
+        out = tmp_path / "out.wav"
+        assert main(["enhance", str(path), "--out", str(out), "--preset", preset]) == 0
+        assert np.sqrt(np.mean(read_wav(out)[1] ** 2)) > 0.01
 
 
 @pytest.mark.parametrize("error, code", [
@@ -962,6 +974,14 @@ class TestInspect:
     def test_named_preset(self, capsys):
         assert main(["inspect", "lps-s-m2"]) == 0
         assert "25506 total" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("iters", [0, 20])
+    def test_total_is_the_breakdown_sum(self, capsys, iters):
+        macs = model.macs_breakdown(preset_config(model.DEFAULT_PRESET),
+                                    IvaConfig(iterations=iters))
+        assert main(["inspect", "--iva-iters", str(iters)]) == 0
+        assert f"MACs/s: {sum(macs.values()) / 1e6:.2f} M total" in \
+            capsys.readouterr().out.splitlines()
 
     def test_unknown_preset_exit_2(self, capsys):
         assert main(["inspect", "zzz"]) == 2

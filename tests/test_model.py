@@ -21,10 +21,10 @@ from hybridse.bands import ErbFilterbank, band_merge, band_split
 from hybridse.dsp import StftConfig, log_power
 from hybridse.errors import InvalidInputError, WeightFormatError
 from hybridse.model import (PRESETS, ModelConfig, apply_mask, build_features,
-                            count_macs, count_params, decode, encode, enhance,
-                            expected_shapes, forward, gdprnn, gtconv_block,
-                            init_random, macs_breakdown, param_breakdown,
-                            preset_config, sfe)
+                            count_params, decode, encode, enhance,
+                            expected_shapes, forward, gdprnn, init_random,
+                            macs_breakdown, param_breakdown, preset_config,
+                            sfe)
 
 
 def rand_specs(seed, frames=12, bins=257):
@@ -100,7 +100,6 @@ class TestConfig:
     @pytest.mark.parametrize("fn, params", [pytest.param(*case, id=case[0].__name__) for case in [
         (enhance, ["wave", "w", "cfg", "iva_cfg", "use_iva"]),
         (macs_breakdown, ["cfg", "iva_cfg"]),
-        (count_macs, ["cfg", "iva_cfg"]),
         (nn.conv2d, ["x", "kernel", "bias", "stride", "dilation", "groups"]),
         (nn.conv_transpose2d, ["x", "kernel", "bias", "stride", "groups"]),
         (nn.batch_norm_infer, ["x", "gamma", "beta", "mean", "var"]),
@@ -269,8 +268,8 @@ class TestGtconvBlock:
         expect = oracles.channel_shuffle_naive(
             np.concatenate([x[:, :8], np.zeros_like(x[:, :8])], axis=1), 2)
         for block in blocks_at(1) + blocks_at(2) + blocks_at(5):
-            w = zero_block(init_random(cfg, 0), block)
-            np.testing.assert_array_equal(gtconv_block(x, w, block, cfg), expect)
+            plan = model.prepare(zero_block(init_random(cfg, 0), block), cfg)
+            np.testing.assert_array_equal(model._gtconv_block(x, plan, block), expect)
 
     @pytest.mark.parametrize("shape", [(1, 16, 6, 33), (2, 16, 9, 33), (1, 16, 1, 5)])
     def test_interleave_equals_concatenate_then_shuffle(self, shape):
@@ -279,7 +278,8 @@ class TestGtconvBlock:
         cfg = ModelConfig()
         w = init_random(cfg, 7)
         x = np.random.default_rng(8).standard_normal(shape).astype(np.float32)
-        folded = {layer: tensors for block, steps in model.prepare(w, cfg).blocks
+        plan = model.prepare(w, cfg)
+        folded = {layer: tensors for block, steps in plan.blocks
                   if block == "enc.gt1" for layer, _, tensors, _ in steps}
 
         def conv_prelu(t, conv, prelu, **kwargs):
@@ -290,35 +290,35 @@ class TestGtconvBlock:
         t = conv_prelu(t, "dwconv", "prelu2", dilation=(2, 1), groups=16)
         t = nn.conv2d(t, w["enc.gt1.pconv2.kernel"], w["enc.gt1.pconv2.bias"])
         want = oracles.channel_shuffle_naive(np.concatenate([x[:, :8], t], axis=1), 2)
-        got = gtconv_block(x, w, "enc.gt1", cfg)
+        got = model._gtconv_block(x, plan, "enc.gt1")
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dilation", [1, 2, 5])
     def test_shape_preserved(self, dilation):
         cfg = ModelConfig()
-        w = init_random(cfg, 3)
+        plan = model.prepare(init_random(cfg, 3), cfg)
         x = np.random.default_rng(4).standard_normal((2, 16, 9, 33)).astype(np.float32)
         for block in blocks_at(dilation):
-            assert gtconv_block(x, w, block, cfg).shape == x.shape
+            assert model._gtconv_block(x, plan, block).shape == x.shape
 
     @pytest.mark.parametrize("dilation", [1, 2, 5])
     def test_causal_in_time(self, dilation):
         cfg = ModelConfig()
-        w = init_random(cfg, 5)
+        plan = model.prepare(init_random(cfg, 5), cfg)
         x = np.random.default_rng(6).standard_normal((1, 16, 12, 33)).astype(np.float32)
         x2 = x.copy()
         x2[:, :, 7:] += 1.0
         for block in blocks_at(dilation):
-            a = gtconv_block(x, w, block, cfg)
-            b = gtconv_block(x2, w, block, cfg)
+            a = model._gtconv_block(x, plan, block)
+            b = model._gtconv_block(x2, plan, block)
             np.testing.assert_array_equal(a[:, :, :7], b[:, :, :7])
 
     def test_odd_channels_rejected(self):
         cfg = ModelConfig()
-        w = init_random(cfg, 0)
+        plan = model.prepare(init_random(cfg, 0), cfg)
         with pytest.raises(InvalidInputError):
-            gtconv_block(np.zeros((1, 15, 4, 33), np.float32), w, "enc.gt0", cfg)
+            model._gtconv_block(np.zeros((1, 15, 4, 33), np.float32), plan, "enc.gt0")
 
     @pytest.mark.parametrize("dilation", [1, 2, 5])
     def test_carried_depthwise_row_equals_whole_conv(self, dilation):
@@ -342,15 +342,15 @@ class TestGtconvBlock:
     @pytest.mark.parametrize("dilation", [1, 2, 5])
     def test_carried_block_equals_whole_block(self, dilation):
         cfg = ModelConfig()
-        w = init_random(cfg, 15)
+        plan = model.prepare(init_random(cfg, 15), cfg)
         x = np.random.default_rng(16).standard_normal((1, 16, 20, 33)).astype(np.float32)
         for block in blocks_at(dilation):
             state = {}
-            parts = [gtconv_block(x[:, :, a:b], w, block, cfg, state)
+            parts = [model._gtconv_block(x[:, :, a:b], plan, block, state)
                      for a, b in ((0, 3), (3, 12), (12, 20))]
             assert list(state) == [f"{block}.dwconv"]
             assert (np.concatenate(parts, axis=2).tobytes()
-                    == gtconv_block(x, w, block, cfg).tobytes())
+                    == model._gtconv_block(x, plan, block).tobytes())
 
 
 class TestEncodeDecode:
@@ -548,7 +548,7 @@ _PRESET_WEIGHTS = {name: init_random(cfg, 0) for name, cfg in PRESETS.items()}
 def one_block_mask(y, yi, w, cfg):
     """The mask of the whole input run as one block from the zero state, in
     ``forward``'s float64."""
-    return model._forward_block(y, yi, w, cfg, None).astype(np.float64)
+    return model._forward_block(y, yi, model.prepare(w, cfg), None).astype(np.float64)
 
 
 class TestBlockedForward:
@@ -565,8 +565,8 @@ class TestBlockedForward:
         w = _PRESET_WEIGHTS[preset]
         y, yi = rand_specs(seed, frames=frames)
         edges = sorted({0, frames, *(c for c in cuts if c < frames)})
-        state = {}
-        blocked = np.concatenate([model._forward_block(y[:, a:b], yi[:, a:b], w, cfg, state)
+        plan, state = model.prepare(w, cfg), {}
+        blocked = np.concatenate([model._forward_block(y[:, a:b], yi[:, a:b], plan, state)
                                   for a, b in zip(edges, edges[1:])], axis=1)
         whole = one_block_mask(y, yi, w, cfg)
         assert blocked.shape == whole.shape == (2, frames, 257)
@@ -808,7 +808,6 @@ class TestCostAccounting:
         cfg = ModelConfig()
         bd = macs_breakdown(cfg, IvaConfig())
         assert all(v > 0 for v in bd.values())
-        assert count_macs(cfg) == pytest.approx(sum(bd.values()))
         assert bd["auxiva"] == iva_macs_per_second(IvaConfig())
 
     @pytest.mark.parametrize("name, total", [
@@ -818,7 +817,7 @@ class TestCostAccounting:
         ("lps-sn-m2-dual", 54499750.0),
     ])
     def test_network_macs_per_preset(self, name, total):
-        assert count_macs(preset_config(name), iva_cfg=None) == total
+        assert sum(macs_breakdown(preset_config(name), iva_cfg=None).values()) == total
 
     def test_macs_breakdown_pinned(self):
         gt, dprnn = 825000.0, {"dprnn.intra": 33792000.0, "dprnn.inter": 5280000.0}
@@ -839,7 +838,8 @@ class TestCostAccounting:
 
     def test_macs_without_iva_smaller(self):
         cfg = ModelConfig()
-        assert count_macs(cfg, iva_cfg=None) < count_macs(cfg)
+        assert (sum(macs_breakdown(cfg, iva_cfg=None).values())
+                < sum(macs_breakdown(cfg, IvaConfig()).values()))
         assert "auxiva" not in macs_breakdown(cfg, None)
 
 
