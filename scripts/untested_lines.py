@@ -16,7 +16,7 @@ exit status is pytest's.  The run fixes hypothesis' seed at 0, so the test
 inputs it draws, and with them the list, are the same from run to run.
 
 The hook sees this process and the threads it starts, such as the one
-``render_scene`` convolves the noise on.  Lines that run only in a
+``render_scene`` images the noise on.  Lines that run only in a
 subprocess, such as ``__main__.py``, the console script, the ``--jobs``
 workers and the tests that start a fresh interpreter, are reported as
 untested.

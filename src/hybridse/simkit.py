@@ -3,13 +3,16 @@
 Scenes are shoebox rooms with uniform wall absorption derived from the
 requested reverberation time through Sabine's formula.  Impulse responses
 come from the image method with nearest-sample delays, truncated at
-RT60 + 50 ms, with image distances and gains read from per-axis tables.
-Sources are imaged by overlap-add FFT convolution with their RIRs, the
-speech on the calling thread while one helper thread images the noise
-(numpy's FFT releases the GIL), and mixtures are speech and noise images
-summed at a requested SNR at microphone 0; the training target is the
-speech convolved with the early (first 50 ms after the direct path) part
-of microphone 0's RIR.
+RT60 + 50 ms, with image distances and gains read from per-axis tables;
+the images are accumulated a chunk of fixed size at a time, so the memory
+a RIR takes does not grow with the scene.  Sources are imaged by
+overlap-add FFT convolution with their RIRs.  The calling thread computes
+the speech RIR and image while one helper thread computes the noise RIR
+and image, so one source's RIR overlaps the other's transforms (numpy's
+FFT releases the GIL).  Mixtures are speech and noise images summed at a
+requested SNR at microphone 0; the training target is the speech
+convolved with the early (first 50 ms after the direct path) part of
+microphone 0's RIR.
 
 Everything is deterministic given a seed, so a scene record plus the dry
 source files reproduce the audio bit for bit.  The protocol is fixed: the
@@ -167,6 +170,12 @@ def _axis_images(src: float, length: float, n_max: int):
     return coords, refl
 
 
+# image_rir takes the candidate images of this many x-y cells by z at a time
+# (at least one cell).  Two calls on two threads ran faster than one after
+# the other at 32768 and 65536 candidates, slower at 16384 and 8192
+_CHUNK_IMAGES = 32768
+
+
 def image_rir(scene: SceneSpec) -> Rir:
     """Image-method RIR for both microphones.
 
@@ -175,9 +184,13 @@ def image_rir(scene: SceneSpec) -> Rir:
     nearest-sample delay d / c.  Taps are kept up to RT60 + 50 ms, and the
     reflection order is capped at ceil(horizon / shortest side) + 2.  An
     image's squared distance is read from per-axis tables (x plus y, then z:
-    the order of ``np.linalg.norm``) and its gain from a table per order; the
-    images are taken in C order, so each tap is the sum a loop over them forms.
-    Microphones and source must lie strictly inside the room.
+    the order of ``np.linalg.norm``) and its gain from a table per order.
+    The x-y cells that can hold a kept image are walked in chunks of about
+    ``_CHUNK_IMAGES`` candidate images, so the memory a call takes does not
+    grow with the scene; each chunk's images are added with ``np.add.at``
+    into one tap buffer per microphone, in C order, so each tap is the sum
+    a loop over all images forms.  Microphones and source must lie strictly
+    inside the room.
     """
     dims = np.asarray(scene.room_dims, dtype=np.float64)
     beta = float(np.sqrt(1.0 - sabine_absorption(dims, scene.rt60)))
@@ -192,8 +205,8 @@ def image_rir(scene: SceneSpec) -> Rir:
     # both mics, with one sample to spare for rounding, and are dropped first
     mics = np.asarray(scene.mic_positions, dtype=np.float64)
     mid = 0.5 * (mics[0] + mics[1])
-    reach = (horizon + 0.5 * float(np.linalg.norm(mics[1] - mics[0]))
-             + SPEED_OF_SOUND / DEFAULT_SAMPLE_RATE)
+    half = 0.5 * float(np.linalg.norm(mics[1] - mics[0]))
+    reach = horizon + half + SPEED_OF_SOUND / DEFAULT_SAMPLE_RATE
 
     # per axis, the images that can land within the horizon
     (cx, rx), (cy, ry), (cz, rz) = [
@@ -201,37 +214,54 @@ def image_rir(scene: SceneSpec) -> Rir:
                      int(np.ceil((horizon / dims[ax] + 1.0) / 2.0)) + 1)
         for ax in range(3)]
 
-    def squared_distances(p):  # an [nx, ny] x-plus-y table and an [nz] z table
+    def squared_distances(p):  # an [nx * ny] x-plus-y table and an [nz] z table
         ex, ey, ez = [(c - p[ax]) ** 2 for ax, c in enumerate((cx, cy, cz))]
-        return ex[:, None] + ey[None, :], ez
+        return (ex[:, None] + ey[None, :]).ravel(), ez
     dxy, dz = squared_distances(mid)
-    dxy, rxy = dxy.ravel(), (rx[:, None] + ry[None, :]).ravel()
+    rxy = (rx[:, None] + ry[None, :]).ravel()
     # x-y cells none of whose images can be kept go first: a cell's sum with
     # the smallest z term rounds no higher than its sum with any other
     cells = np.flatnonzero((dxy + dz.min() <= reach ** 2) & (rxy + rz.min() <= max_order))
-    kept = ((dxy[cells, None] + dz <= reach ** 2)
-            & (rz <= max_order - rxy[cells, None]))
-    icell, iz = np.divmod(np.flatnonzero(kept), cz.size)
-    ixy = cells[icell]
-    order = rxy[ixy]
-    order += rz[iz]
-    gains = (beta ** np.arange(max_order + 1) / (4.0 * np.pi))[order]
-    # a heavy scene keeps 10^5 and more images, so their arrays set the peak
-    # memory of a render: what is read is dropped, the rest is done in place
-    del kept, icell, order
-
-    def mic_taps(p):  # max(sqrt(d^2), 1e-3), rint(d * fs / c) and gain / d, in place
-        exy, ez = squared_distances(p)
-        d = exy.ravel()[ixy]
-        d += ez[iz]
-        d = np.maximum(np.sqrt(d, out=d), 1e-3, out=d)
-        delay = np.multiply(d, DEFAULT_SAMPLE_RATE)
-        delay /= SPEED_OF_SOUND
-        idx = np.rint(delay, out=delay).astype(np.int64)
-        # summed in input order, like np.add.at; taps past the horizon are cut
-        return np.bincount(idx, np.divide(gains, d, out=delay), minlength=n_taps)[:n_taps]
-
-    taps = np.stack([mic_taps(p) for p in mics])
+    gain_of_order = beta ** np.arange(max_order + 1) / (4.0 * np.pi)
+    at_mics = [squared_distances(p) for p in mics]
+    # a kept image is at most reach + half the spacing from either mic, so
+    # every delay lands in the buffer (one sample spare for rounding); the
+    # taps past the horizon are cut last
+    taps = np.zeros((2, int(np.ceil((reach + half) * DEFAULT_SAMPLE_RATE
+                                    / SPEED_OF_SOUND)) + 2))
+    step = max(1, min(cells.size, _CHUNK_IMAGES // cz.size))
+    # each chunk's arrays are views of buffers made once per call: a render
+    # runs two calls and two convolutions on one heap, which arrays of a new
+    # size per chunk would fragment.  Every index is in range, and
+    # mode="clip" lets np.take write into its out= unbuffered
+    near = np.empty((step, cz.size))
+    kept, low = np.empty((2, step, cz.size), dtype=bool)
+    ints = np.empty((4, step * cz.size), dtype=np.int64)
+    floats = np.empty((3, step * cz.size))
+    for start in range(0, cells.size, step):
+        chunk = cells[start:start + step]
+        m = chunk.size
+        np.less_equal(np.add(dxy[chunk, None], dz, out=near[:m]), reach ** 2, out=kept[:m])
+        kept[:m] &= np.less_equal(rz, max_order - rxy[chunk, None], out=low[:m])
+        flat = np.flatnonzero(kept[:m])
+        icell, iz, ixy, idx = ints[:, :flat.size]
+        gains, d, delay = floats[:, :flat.size]
+        np.divmod(flat, cz.size, out=(icell, iz))
+        np.take(chunk, icell, out=ixy, mode="clip")
+        # each image's reflection order, then its gain
+        np.add(np.take(rxy, ixy, out=idx, mode="clip"),
+               np.take(rz, iz, out=icell, mode="clip"), out=idx)
+        np.take(gain_of_order, idx, out=gains, mode="clip")
+        for row, (exy, ez) in zip(taps, at_mics):
+            # max(sqrt(d^2), 1e-3), rint(d * fs / c) and gain / d
+            np.add(np.take(exy, ixy, out=d, mode="clip"),
+                   np.take(ez, iz, out=delay, mode="clip"), out=d)
+            np.maximum(np.sqrt(d, out=d), 1e-3, out=d)
+            np.multiply(d, DEFAULT_SAMPLE_RATE, out=delay)
+            delay /= SPEED_OF_SOUND
+            idx[:] = np.rint(delay, out=delay)
+            np.add.at(row, idx, np.divide(gains, d, out=delay))
+    taps = taps[:, :n_taps].copy()
 
     peak = np.max(np.abs(taps), axis=1, keepdims=True)
     if np.any(peak == 0):
@@ -345,14 +375,16 @@ class SceneRender:
 def render_scene(scene: SceneSpec, speech: np.ndarray, noise: np.ndarray) -> SceneRender:
     """Full pipeline: RIRs for both sources, imaging, SNR mixing, target.
 
-    Both RIRs are computed first.  Then a helper thread convolves the noise
-    while the calling thread convolves the speech, its image and its early
-    target from one transform.  The helper is joined before mixing, on
-    every path, and whatever it raised is raised here, so no thread
-    outlives the call; an interrupt (Ctrl-C) that breaks into the join is
-    raised once the helper is done.  The bytes are those of
-    :func:`apply_rir`, :func:`early_target` and :func:`mix_at_snr` called
-    one after the other.
+    A helper thread computes the noise RIR and then the noise image, while
+    the calling thread computes the speech RIR and then the speech image
+    and its early target from one transform; so one source's RIR overlaps
+    the other's transforms, which release the GIL.  The helper is joined
+    before mixing, on every path, so no thread outlives the call.  What the
+    calling thread raised is raised first (when both RIRs fail, the
+    speech's error); otherwise what the helper raised is raised here.  An
+    interrupt (Ctrl-C) that breaks into the join is raised once the helper
+    is done.  The bytes are those of :func:`image_rir`, :func:`apply_rir`,
+    :func:`early_target` and :func:`mix_at_snr` called one after the other.
     """
     speech = np.asarray(speech, dtype=np.float64).ravel()
     noise = np.asarray(noise, dtype=np.float64).ravel()
@@ -365,12 +397,11 @@ def render_scene(scene: SceneSpec, speech: np.ndarray, noise: np.ndarray) -> Sce
         noise = np.tile(noise, reps)
     noise = noise[: speech.size]
 
-    rir_s = image_rir(scene)
-    rir_n = image_rir(replace(scene, source_position=scene.noise_position))
     noise_image = {}                # the helper's image, or what it raised
 
     def image_noise():
         try:
+            rir_n = image_rir(replace(scene, source_position=scene.noise_position))
             noise_image["image"] = apply_rir(noise, rir_n)
         except BaseException as error:      # re-raised below, in the caller
             noise_image["error"] = error
@@ -378,6 +409,7 @@ def render_scene(scene: SceneSpec, speech: np.ndarray, noise: np.ndarray) -> Sce
     helper = threading.Thread(target=image_noise, name="render_scene noise")
     helper.start()
     try:
+        rir_s = image_rir(scene)
         # one transform of the speech serves its image and its early target
         rows = _convolve(speech, np.vstack([rir_s.taps, _early_kernel(rir_s)]))
     finally:

@@ -15,7 +15,7 @@ from hybridse import (Rir, SceneConstraints, SceneSpec, apply_rir,
                       render_scene, sabine_absorption, sample_scene,
                       schroeder_rt60, simkit, write_manifest)
 from hybridse.cli import main
-from hybridse.errors import InvalidInputError, SceneInfeasibleError
+from hybridse.errors import InvalidInputError, NumericalError, SceneInfeasibleError
 from hybridse.wavio import read_wav, write_wav
 
 FS = 16000
@@ -30,6 +30,20 @@ def controlled_scene(rt60=0.3, dist=2.0):
         noise_position=np.array([1.0, 1.0, 1.5]),
         snr_db=-5.0,
         seed=0)
+
+
+def heaviest_scene():
+    # the heaviest of seeds 0-63 (seed 60, RT60 0.397 s): the most images
+    return max((sample_scene(seed) for seed in range(64)),
+               key=lambda s: (s.rt60 + 0.05) ** 3 / np.prod(s.room_dims))
+
+
+def one_file_corpora(root, n):
+    for kind in ("speech", "noise"):
+        (root / kind).mkdir()
+        write_wav(root / kind / "a.wav", FS, 0.1 * np.random.default_rng(0).standard_normal(n))
+    return ["simulate", "--speech-dir", str(root / "speech"), "--noise-dir", str(root / "noise"),
+            "--n-scenes", "1", "--out", str(root / "out")]
 
 
 class TestSampleScene:
@@ -85,6 +99,18 @@ class TestSampleScene:
         assert main(["simulate", "--speech-dir", str(sp_dir), "--noise-dir", str(nz_dir),
                      "--n-scenes", "1", "--out", str(tmp_path / "out")]) == 2
         assert "no Sabine-feasible room" in capsys.readouterr().err
+
+    def test_no_admissible_geometry_error(self, tmp_path, monkeypatch, capsys):
+        # every room admits the Sabine draw, but no source 50 m from the
+        # microphones fits inside one
+        monkeypatch.setattr(SceneConstraints, "distances", (50.0,))
+        monkeypatch.setattr(SceneConstraints, "max_attempts", 50)
+        with pytest.raises(SceneInfeasibleError,
+                           match="no admissible geometry after 50 attempts"):
+            sample_scene(0)
+        assert main(one_file_corpora(tmp_path, 1600)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no admissible geometry")
 
     def test_spec_dict_round_trip(self):
         s = sample_scene(9)
@@ -202,14 +228,38 @@ class TestImageRir:
 
     @pytest.mark.parametrize("source", ["speech", "noise"])
     @pytest.mark.parametrize("seed", [142, 1132, 1827])
-    def test_heavy_tail_scenes_match_full_box(self, seed, source):
+    def test_heavy_tail_scenes_match_full_box(self, monkeypatch, seed, source):
         # the costliest scenes: small rooms near RT60 0.4 s, where hundreds
-        # of thousands of images land within the horizon
+        # of thousands of images land within the horizon and span the most
+        # chunks.  In chunks of the default size, of one x-y cell, of a
+        # prime number of candidate images (whole cells) and of more than
+        # the whole box, each tap is summed in the full box's order
         sc = sample_scene(seed)
         assert sc.rt60 > 0.38 and np.prod(sc.room_dims) < 40.0
         if source == "noise":
             sc = dataclasses.replace(sc, source_position=sc.noise_position)
-        np.testing.assert_array_equal(image_rir(sc).taps, oracles.image_rir_full_box(sc))
+        want = oracles.image_rir_full_box(sc)
+        for chunk in (simkit._CHUNK_IMAGES, 1, 1009, 10 ** 9):
+            monkeypatch.setattr(simkit, "_CHUNK_IMAGES", chunk)
+            np.testing.assert_array_equal(image_rir(sc).taps, want)
+
+    @pytest.mark.parametrize("source", ["speech", "noise"])
+    def test_peak_memory_is_one_chunk(self, source):
+        # tracemalloc's peak over one call is one chunk's buffers, not the
+        # scene's images: 2.86 MB on the heaviest of seeds 0-63, where
+        # whole-scene image arrays took 13.0 MB; capped at 3.5 MB
+        sc = heaviest_scene()
+        assert sc.seed == 60
+        if source == "noise":
+            sc = dataclasses.replace(sc, source_position=sc.noise_position)
+        image_rir(sc)
+        tracemalloc.start()
+        try:
+            image_rir(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2 ** 20
 
     @pytest.mark.parametrize("seed", [1827, 0, 1, 2, 3, 5, 8, 13])
     def test_reflection_order_cap_costs_little(self, seed):
@@ -530,6 +580,37 @@ class TestRenderScene:
         assert len(err) == 1 and err[0].startswith("error: ") and "out of memory" in err[0]
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("failing, raised, message, code", [
+        (("noise",), NumericalError, "no noise RIR", 4),
+        (("speech", "noise"), InvalidInputError, "no speech RIR", 2)], ids=["noise", "both"])
+    def test_a_rir_error_reaches_the_caller(self, tmp_path, monkeypatch, capsys,
+                                            failing, raised, message, code):
+        # the helper computes the noise RIR and the caller the speech RIR;
+        # when both fail, the speech's error is raised, as it comes first
+        rir, where = simkit.image_rir, {}
+        errors = {"speech": InvalidInputError, "noise": NumericalError}
+
+        def failing_rir(scene):
+            source = ("noise" if np.array_equal(scene.source_position, scene.noise_position)
+                      else "speech")
+            if source in failing:
+                where[source] = threading.current_thread()
+                raise errors[source](f"no {source} RIR")
+            return rir(scene)
+
+        monkeypatch.setattr(simkit, "image_rir", failing_rir)
+        threads = threading.active_count()
+        with pytest.raises(raised, match=message) as error:
+            render_scene(controlled_scene(), np.ones(4000), np.ones(4000))
+        assert type(error.value) is raised
+        assert set(where) == set(failing) and where["noise"] is not threading.main_thread()
+        assert where.get("speech", threading.main_thread()) is threading.main_thread()
+        assert threading.active_count() == threads
+        assert main(one_file_corpora(tmp_path, 4000)) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message)
+        assert threading.active_count() == threads
+
     def test_an_interrupted_join_waits_for_the_helper(self, monkeypatch):
         # a Ctrl-C breaking into the join leaves render_scene only once the
         # slow helper is done
@@ -556,9 +637,10 @@ class TestRenderScene:
     def test_peak_memory_of_the_heaviest_scene(self):
         # tracemalloc's peak over one render of the heaviest of seeds 0-63,
         # both threads' blocks counted, is capped at what the render took on
-        # one thread: 17930178 bytes
-        scene = max((sample_scene(seed) for seed in range(64)),
-                    key=lambda s: (s.rt60 + 0.05) ** 3 / np.prod(s.room_dims))
+        # one thread: 17930178 bytes.  With each RIR in chunks, the peak is
+        # the two convolutions: 7.0-9.2 MB (13.1 MB when both RIRs came
+        # first, each holding whole-scene image arrays), capped at 10 MB
+        scene = heaviest_scene()
         speech, noise = 0.1 * np.random.default_rng(12).standard_normal((2, 64000))
         render_scene(scene, speech, noise)
         tracemalloc.start()
@@ -568,6 +650,7 @@ class TestRenderScene:
         finally:
             tracemalloc.stop()
         assert peak <= 17930178
+        assert peak <= 10 * 2 ** 20
 
     @pytest.mark.parametrize("n_speech, n_noise, message", [
         (0, 100, "empty speech signal"),

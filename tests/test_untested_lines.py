@@ -39,11 +39,12 @@ def test_same_list_on_every_run(loss_run):
 
 
 def test_lines_on_the_render_thread_are_seen():
-    # render_scene convolves the noise on a helper thread, which the hook
+    # render_scene images the noise on a helper thread, which the hook
     # follows: the helper's body, its error path included, is reached
     lines = untested("tests/test_simkit.py::TestRenderScene").stdout.splitlines()
     source = (ROOT / "src/hybridse/simkit.py").read_text().splitlines()
     start = next(i for i, line in enumerate(source) if "def image_noise():" in line)
-    helper = {f"src/hybridse/simkit.py:{start + k + 1}:" for k in range(1, 5)}
-    assert "apply_rir(noise, rir_n)" in source[start + 2]
+    helper = {f"src/hybridse/simkit.py:{start + k + 1}:" for k in range(1, 6)}
+    assert "image_rir(" in source[start + 2] and "apply_rir(noise, rir_n)" in source[start + 3]
+    assert "noise_image[\"error\"] = error" in source[start + 5]
     assert not [line for line in lines if line.split(" ", 1)[0] in helper]
