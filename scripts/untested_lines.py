@@ -16,19 +16,35 @@ exit status is pytest's.  The run fixes hypothesis' seed at 0, so the test
 inputs it draws, and with them the list, are the same from run to run.
 
 The hook sees this process and the threads it starts, such as the one
-``render_scene`` images the noise on.  Lines that run only in a
-subprocess, such as ``__main__.py``, the console script, the ``--jobs``
-workers and the tests that start a fresh interpreter, are reported as
-untested.
+``render_scene`` images the noise on.  It also sees each fresh interpreter
+a test starts with the environment it inherits, such as ``python -m
+hybridse``: a ``sitecustomize`` module on the child's ``PYTHONPATH``
+installs the same hook there, and at exit the child writes the lines it
+reached to a file that this process merges.  Lines that run only in a
+forked ``--jobs`` worker are still reported as untested, since a worker
+leaves without running exit handlers.
 """
 
+import atexit
 import contextlib
+import os
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hybridse"
+
+# the sitecustomize a traced test's fresh interpreters import at start-up:
+# it loads this script as a module and traces the interpreter
+_SITECUSTOMIZE = """\
+import importlib.util
+spec = importlib.util.spec_from_file_location("untested_lines", {script!r})
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+module.trace_this_process({out_dir!r})
+"""
 
 
 def executable_lines(path: Path) -> set:
@@ -41,13 +57,10 @@ def executable_lines(path: Path) -> set:
     return lines
 
 
-def run_traced(pytest_args) -> tuple:
-    """``(exit status, reached)``: pytest's exit status for ``pytest_args``
-    and the set of ``(filename, line)`` executed in the package meanwhile."""
-    import pytest
-
+def tracer(reached: set):
+    """A ``sys.settrace`` hook that adds each ``(filename, line)`` executed
+    in the package to ``reached``."""
     prefix = str(PACKAGE) + "/"
-    reached = set()
 
     def trace_lines(frame, event, arg):
         if event == "line":
@@ -60,16 +73,57 @@ def run_traced(pytest_args) -> tuple:
             return trace_lines
         return None
 
+    return trace_calls
+
+
+def trace_this_process(out_dir: str) -> None:
+    """Trace this interpreter and the threads it starts; at exit, write the
+    lines reached to a new file in ``out_dir``, one ``line<TAB>filename``
+    per line."""
+    reached = set()
+    hook = tracer(reached)
+    threading.settrace(hook)
+    sys.settrace(hook)
+
+    def save():
+        fd, _ = tempfile.mkstemp(suffix=".lines", dir=out_dir)
+        with os.fdopen(fd, "w") as fh:
+            fh.writelines(f"{line}\t{name}\n" for name, line in reached)
+
+    atexit.register(save)
+
+
+def run_traced(pytest_args) -> tuple:
+    """``(exit status, reached)``: pytest's exit status for ``pytest_args``
+    and the set of ``(filename, line)`` executed in the package meanwhile,
+    by this process or by an interpreter a test started."""
+    import pytest
+
+    reached = set()
+    hook = tracer(reached)
     sys.path.insert(0, str(PACKAGE.parent))
-    threading.settrace(trace_calls)
-    sys.settrace(trace_calls)
-    try:
-        with contextlib.redirect_stdout(sys.stderr):
-            status = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
-                                  *pytest_args])
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    old_path = os.environ.get("PYTHONPATH")
+    with tempfile.TemporaryDirectory() as child_dir:
+        Path(child_dir, "sitecustomize.py").write_text(
+            _SITECUSTOMIZE.format(script=str(Path(__file__).resolve()), out_dir=child_dir))
+        os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [child_dir, old_path]))
+        threading.settrace(hook)
+        sys.settrace(hook)
+        try:
+            with contextlib.redirect_stdout(sys.stderr):
+                status = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+                                      *pytest_args])
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+            if old_path is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = old_path
+        for path in Path(child_dir).glob("*.lines"):
+            for record in path.read_text().splitlines():
+                line, name = record.split("\t", 1)
+                reached.add((name, int(line)))
     return int(status), reached
 
 

@@ -61,6 +61,18 @@ class IvaConfig:
             raise InvalidInputError("iterations must be >= 0")
 
 
+def check_reference(x: np.ndarray) -> None:
+    """Raise :class:`InvalidInputError` when microphone
+    ``IvaConfig.ref_channel`` of the two-channel ``x`` (a waveform or a
+    spectrogram) is all zeros and the other is not.  Projection back and
+    both mask targets read that microphone, so every output would be
+    silence.  Two silent microphones pass: IVA then bypasses itself."""
+    ref = IvaConfig.ref_channel
+    if not np.any(x[ref]) and np.any(x[1 - ref]):
+        raise InvalidInputError(
+            f"microphone {ref}, the reference, is silent; microphone {1 - ref} is not")
+
+
 def _check_spec(spec: np.ndarray) -> np.ndarray:
     spec = np.asarray(spec)
     if spec.ndim != 3 or spec.shape[0] != 2:

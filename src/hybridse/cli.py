@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .auxiva import IvaConfig, auxiva_separate, iva_macs_per_second
+from .auxiva import IvaConfig, auxiva_separate, check_reference, iva_macs_per_second
 from .dsp import DEFAULT_SAMPLE_RATE, stft, istft
 from .errors import (DegenerateInputError, HybridseError, InvalidInputError,
                      NumericalError, WeightFormatError)
@@ -288,13 +288,15 @@ def _enhance_one(file, cfg, w, iva_cfg, no_iva):
     warning ``enhance`` raised, which the caller prints, so a worker
     process loses none."""
     path, target = file
-    wave = _read_input(path, 2)
+    read = [_read_input(path, 2)]       # read outside _naming: it names the file itself
     with _naming(path), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = enhance(wave, w, cfg, iva_cfg=iva_cfg, use_iva=not no_iva)
-    if not np.all(np.isfinite(res.wave)):
+        # popped into the call, so enhance holds the input's one reference
+        # and frees it after stft; of the result only the wave is kept
+        wave = enhance(read.pop(), w, cfg, iva_cfg=iva_cfg, use_iva=not no_iva).wave
+    if not np.all(np.isfinite(wave)):
         raise NumericalError(f"{path}: enhancement produced non-finite samples")
-    _write(target, res.wave)
+    _write(target, wave)
     return str(target), [f"warning: {path}: {item.message}" for item in caught]
 
 
@@ -330,8 +332,12 @@ def cmd_separate(args) -> int:
     for path, paths in zip(args.inputs, targets):
         wave = _read_input(path, 2)
         with _naming(path):
-            sources, _ = auxiva_separate(stft(wave), iva_cfg)
-        for target, source in zip(paths, istft(sources, length=wave.shape[1])):
+            check_reference(wave)
+            spec, n = stft(wave), wave.shape[1]
+            del wave                    # nothing reads the input after stft,
+            sources, _ = auxiva_separate(spec, iva_cfg)
+            del spec                    # nor the spectrogram after IVA
+        for target, source in zip(paths, istft(sources, length=n)):
             _write(target, source)
         print(*paths, sep="\n")
     return EXIT_OK

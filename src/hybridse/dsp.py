@@ -27,7 +27,8 @@ _COLA_FLOOR = 1e-11
 
 # stft windows this many frames of one channel at a time and transforms them
 # straight into its output, so no windowed copy of the whole file's frames is
-# built, and each transform writes one contiguous block
+# built, and each transform writes one contiguous block; istft inverts and
+# overlap-adds this many frames at a time
 _STFT_BLOCK = 64
 
 # log_power clamps |Y|^2 here, so digital silence maps to ln(1e-12) = -27.6
@@ -112,13 +113,17 @@ def istft(spec: np.ndarray, cfg: StftConfig = StftConfig(), length: int = None) 
     if length < 0:
         raise InvalidInputError(f"length must be non-negative, got {length}")
     # at the 50% hop, block b of hop samples is zero + the tail of frame b - 1
-    # + the head of frame b: the sums a frame-by-frame overlap-add forms
+    # + the head of frame b: the sums a frame-by-frame overlap-add forms.
+    # A frame block's first hop block already holds the previous frame's
+    # tail when its own head is added.
     n_blocks = max(n_frames + 1, -(-length // cfg.hop))
-    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=-1)
-    frames *= cfg.window
     out = np.zeros(lead + (n_blocks, cfg.hop), dtype=np.float64)
-    out[..., 1:n_frames + 1, :] += frames[..., cfg.hop:]
-    out[..., :n_frames, :] += frames[..., :cfg.hop]
+    for start in range(0, n_frames, _STFT_BLOCK):
+        stop = min(start + _STFT_BLOCK, n_frames)
+        frames = np.fft.irfft(spec[..., start:stop, :], n=cfg.fft_size, axis=-1)
+        frames *= cfg.window
+        out[..., start + 1:stop + 1, :] += frames[..., cfg.hop:]
+        out[..., start:stop, :] += frames[..., :cfg.hop]
     head, tail = (cfg.window**2).reshape(2, cfg.hop)
     for a, b, env in ((0, 1, head), (1, n_frames, head + tail), (n_frames, n_frames + 1, tail)):
         np.divide(out[..., a:b, :], env, out=out[..., a:b, :], where=env > _COLA_FLOOR)

@@ -47,7 +47,7 @@ from typing import ClassVar, Dict, Literal, Optional, Tuple, Union, get_args
 import numpy as np
 
 from . import nn
-from .auxiva import IvaConfig, auxiva_separate, iva_macs_per_second
+from .auxiva import IvaConfig, auxiva_separate, check_reference, iva_macs_per_second
 from .bands import N_BANDS, N_BINS, N_HIGH, band_merge, band_split
 from .dsp import StftConfig, check_float32_range, istft, log_power, stft
 from .errors import DegenerateInputError, InvalidInputError, WeightFormatError
@@ -711,13 +711,18 @@ def enhance(wave: np.ndarray, w: Weights, cfg: ModelConfig,
     """Enhance a two-channel waveform [2, n] into mono speech of length n.
     Where :func:`auxiva_separate` raises :class:`DegenerateInputError` (all
     zeros, or under 2 frames), the noisy spectrogram stands in for its output
-    and a warning carries its message + "; skipping IVA"."""
+    and a warning carries its message + "; skipping IVA".  A silent
+    reference microphone beside a live one is invalid input
+    (:func:`check_reference`).  The input is released once :func:`stft`
+    has read it."""
     wave = np.asarray(wave, dtype=np.float64)
     if wave.ndim != 2 or wave.shape[0] != 2:
         raise InvalidInputError(f"expected a [2, n] waveform, got shape {wave.shape}")
     if not np.all(np.isfinite(wave)):
         raise InvalidInputError("waveform contains non-finite samples")
-    y = stft(wave)
+    check_reference(wave)
+    y, n = stft(wave), wave.shape[1]
+    del wave                        # nothing reads the input after stft
     y_iva, used_iva = y, False
     if use_iva:
         try:
@@ -726,6 +731,6 @@ def enhance(wave: np.ndarray, w: Weights, cfg: ModelConfig,
             warnings.warn(f"{exc}; skipping IVA", stacklevel=2)
     mask = forward(y, y_iva, w, cfg)
     est = apply_mask(mask, y, y_iva, cfg.masking)
-    out = istft(est, length=wave.shape[1])
+    out = istft(est, length=n)
     return EnhanceResult(wave=out, mask=mask, est_spec=est, noisy_spec=y,
                          iva_spec=y_iva, used_iva=used_iva)

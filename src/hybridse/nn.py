@@ -145,11 +145,11 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: Optional[np.ndarray] = None,
     tap_product = np.multiply if in_per_g == 1 else np.matmul
     (i, j, p, off), *rest = taps
     tap_product(kg[:, :, :, i, j], flat[p, ..., off:off + n], out=acc)
-    if rest:
-        prod = np.empty(acc.shape, dtype=np.result_type(x, kernel))
+    prod = np.empty(acc.shape, dtype=np.result_type(x, kernel)) if rest else None
     for i, j, p, off in rest:
         tap_product(kg[:, :, :, i, j], flat[p, ..., off:off + n], out=prod)
         acc += prod
+    del planes, flat, prod              # freed before the output is allocated
     rows = acc.reshape(b, out_ch, t_out, fq)[..., :f_out]
     out = rows if fq == f_out else np.empty(rows.shape, dtype=x.dtype)
     # + 0.0 turns a -0.0 sum into the +0.0 a zeroed accumulator would give,

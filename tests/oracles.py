@@ -101,6 +101,25 @@ def istft_frame_loop(spec, fft_size, hop, window, length, floor=1e-11):
     return np.concatenate([acc, np.zeros(acc.shape[:-1] + (length - total,))], axis=-1)
 
 
+def istft_whole(spec, fft_size, hop, window, length, floor=1e-11):
+    """Invert every frame at once, then overlap-add the tails and then the
+    heads of all frames in hop blocks and divide each block by its row of
+    the squared-window envelope: the whole-array synthesis that the
+    package's per-block loop replaced, exact against it."""
+    lead, n_frames = spec.shape[:-2], spec.shape[-2]
+    n_blocks = max(n_frames + 1, -(-length // hop))
+    frames = np.fft.irfft(spec, n=fft_size, axis=-1)
+    frames *= window
+    out = np.zeros(lead + (n_blocks, hop))
+    out[..., 1:n_frames + 1, :] += frames[..., hop:]
+    out[..., :n_frames, :] += frames[..., :hop]
+    head, tail = (window ** 2).reshape(2, hop)
+    for a, b, env in ((0, 1, head), (1, n_frames, head + tail),
+                      (n_frames, n_frames + 1, tail)):
+        np.divide(out[..., a:b, :], env, out=out[..., a:b, :], where=env > floor)
+    return out.reshape(lead + (-1,))[..., :length]
+
+
 def istft_whole_envelope(spec, fft_size, hop, window, length, floor=1e-11):
     """Overlap-add in hop blocks with a whole-file squared-window envelope
     built the same way, then one masked division over the truncated output.

@@ -211,12 +211,28 @@ class TestIstft:
             assert got.tobytes() == want.tobytes()   # signed zeros too
         assert istft(spec, cfg).tobytes() == istft(spec, cfg, length=total).tobytes()
 
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["mono", "stereo"])
+    @pytest.mark.parametrize("n_frames", [1, 63, 64, 65, 128, 129, 700])
+    def test_block_loop_equals_whole_array_synthesis(self, n_frames, lead):
+        # frames are inverted _STFT_BLOCK (64) at a time: the counts sit on
+        # each side of one and two block edges, and 700 spans eleven blocks
+        cfg = StftConfig()
+        shape = lead + (n_frames, cfg.n_bins)
+        rng = np.random.default_rng(100 + n_frames)
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        total = (n_frames - 1) * cfg.hop + cfg.fft_size
+        # short of the overlap-add extent, at it, and past it
+        for length in (total - cfg.hop - 7, total, total + 3 * cfg.hop + 5):
+            got = istft(spec, cfg, length=length)
+            want = oracles.istft_whole(spec, cfg.fft_size, cfg.hop, sqrt_hann(512), length)
+            assert got.shape == want.shape == lead + (length,)
+            assert got.tobytes() == want.tobytes()   # signed zeros too
+
     def test_peak_memory_is_the_transform_and_the_output(self):
         cfg = StftConfig()
         n = 60 * FS
         spec = stft(np.random.default_rng(5).standard_normal(n), cfg)
         n_frames = spec.shape[0]
-        frames_bytes = n_frames * cfg.fft_size * 8        # the inverse transform
         out_bytes = (n_frames + 1) * cfg.hop * 8          # the overlap-add blocks
         tracemalloc.start()
         try:
@@ -225,7 +241,9 @@ class TestIstft:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - entry <= frames_bytes + out_bytes + (1 << 20)
+        # beside the output, one 64-frame block's inverse transform and its
+        # temporaries: 0.53 MB measured, against 15.4 MB for all the frames
+        assert peak - entry <= out_bytes + (1 << 20)
 
     def test_bin_count_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):

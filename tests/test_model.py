@@ -886,6 +886,28 @@ class TestEnhance:
         assert r.used_iva
         assert np.all(np.isfinite(r.wave))
 
+    @pytest.mark.parametrize("use_iva", [True, False], ids=["iva", "no_iva"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_silent_reference_microphone_rejected(self, preset, use_iva):
+        # the mask multiplies microphone 0 or IVA's projection back onto it,
+        # so beside a live microphone 1 a silent microphone 0 would enhance
+        # to silence whatever the weights
+        cfg = preset_config(preset)
+        wave = np.zeros((2, 2048))
+        wave[1] = 0.1 * np.random.default_rng(17).standard_normal(2048)
+        with pytest.raises(InvalidInputError,
+                           match="^microphone 0, the reference, is silent; microphone 1 is not$"):
+            enhance(wave, init_random(cfg, 0), cfg, use_iva=use_iva)
+
+    @pytest.mark.parametrize("use_iva", [True, False], ids=["iva", "no_iva"])
+    def test_silent_second_microphone_enhances(self, use_iva):
+        cfg = ModelConfig()
+        wave = np.zeros((2, 2048))
+        wave[0] = 0.1 * np.random.default_rng(17).standard_normal(2048)
+        r = enhance(wave, init_random(cfg, 0), cfg, use_iva=use_iva)
+        assert r.used_iva == use_iva
+        assert np.any(r.wave)
+
     def test_explicit_bypass(self):
         cfg = ModelConfig()
         w = init_random(cfg, 11)

@@ -1,5 +1,6 @@
 """Inference primitives against naive-loop references."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -107,6 +108,29 @@ class TestConv2d:
         np.testing.assert_array_equal(x, before)
         assert not np.shares_memory(out, x)
         assert rel_linf(out, oracles.conv2d_naive(x, k, np.ones(4))) < 1e-5
+
+
+    @pytest.mark.parametrize("groups", [1, 32], ids=["dense", "depthwise"])
+    def test_output_allocated_after_the_planes_are_freed(self, groups):
+        # a 2x3 kernel pads the time axis by 1 row and the frequency axis
+        # by 2 columns: the padded plane (4.36 MB), the accumulator and the
+        # product buffer (4.29 MB each) are freed down to the accumulator
+        # before the 4.23 MB output is allocated; 12.95 MB measured, where
+        # all four at once are 17.2 MB
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((1, 32, 128, 129))
+        k = rng.standard_normal((32, 32 // groups, 2, 3))
+        plane = 32 * (128 + 1 + 1) * (129 + 2) * 8
+        acc = 32 * 128 * (129 + 2) * 8
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, k, groups=groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x.shape
+        assert peak - entry <= plane + 2 * acc + (1 << 20)
 
 
 class TestConvTranspose2d:

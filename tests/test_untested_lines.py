@@ -48,3 +48,12 @@ def test_lines_on_the_render_thread_are_seen():
     assert "image_rir(" in source[start + 2] and "apply_rir(noise, rir_n)" in source[start + 3]
     assert "noise_image[\"error\"] = error" in source[start + 5]
     assert not [line for line in lines if line.split(" ", 1)[0] in helper]
+
+
+def test_lines_in_a_fresh_interpreter_are_seen():
+    # ``python -m hybridse`` runs __main__.py in a subprocess only; the
+    # sitecustomize on the child's PYTHONPATH traces it and hands its lines
+    # back, so none of the module's lines is listed
+    lines = untested("tests/test_cli.py::TestEntryPoint::test_installed_script").stdout
+    assert "src/hybridse/cli.py:" in lines          # the run still lists lines
+    assert "src/hybridse/__main__.py:" not in lines
