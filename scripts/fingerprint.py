@@ -40,7 +40,9 @@ The artifacts, one line each:
   default preset's seed-0 weights, drawn per channel by :func:`with_norms`;
 - the exit code and stderr of five failing ``hybridse`` calls: a missing
   ``--config`` file, ``seed = -3`` and an unknown key in a config file, a
-  mono input to ``enhance`` and a corrupt ``--weights`` file;
+  mono input to ``enhance`` and a corrupt ``--weights`` file; and the exit
+  code, stdout, stderr and written file names of an ``enhance`` of a
+  silent file, the 2 s scene and a mono file, in that order;
 - per preset, at 1, 18, 19 and 208 frames of the 10 s scene: the
   ``build_features`` planes, their ``band_merge`` in float32 and in
   float64, and the ``sfe`` stack of the float64 merge cast to float32
@@ -163,15 +165,21 @@ def run_cli(argv) -> str:
     return out.getvalue()
 
 
-def failing_cli(argv, root: Path) -> str:
-    """``"exit <code> <sha256 of stderr>"`` of a call that must fail, with
-    ``root`` replaced by ``<tmp>`` in its stderr."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def failing_cli(argv, root: Path, written=None) -> str:
+    """``"exit <code> <sha256>"`` of a call that must fail: the sha256 of
+    its stderr or, given the directory ``written``, of its stdout, its
+    stderr and the names of the files in ``written``; ``root`` is replaced
+    by ``<tmp>``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli_main(argv)
     if rc == 0:
         raise RuntimeError(f"hybridse {' '.join(argv)} exited 0")
-    text = err.getvalue().replace(str(root), "<tmp>")
+    text = err.getvalue()
+    if written is not None:
+        names = "".join(f"{path.name}\n" for path in sorted(written.glob("*")))
+        text = f"{out.getvalue()}\0{text}\0{names}"
+    text = text.replace(str(root), "<tmp>")
     return f"exit {rc} {hashlib.sha256(text.encode()).hexdigest()}"
 
 
@@ -256,6 +264,11 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
                 ("enhance-mono", ["enhance", str(root / "mono.wav"), "--out", str(root / "o.wav")]),
                 ("corrupt-weights", [*enhance_scene, "--weights", str(root / "corrupt.gtcw")])]:
             yield f"fail {name} {failing_cli(argv, root)}"
+        write_wav(root / "silent.wav", FS, inputs["silent"])
+        batch = root / "batch"
+        argv = ["enhance", *(str(root / f"{name}.wav") for name in ("silent", "scene", "mono")),
+                "--out", str(batch)]
+        yield f"fail enhance-batch {failing_cli(argv, root, batch)}"
 
     y = stft(inputs["scene-10s"])
     y_iva = 0.5 * y[::-1]

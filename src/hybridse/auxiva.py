@@ -357,10 +357,11 @@ def order_sources(y_sep: np.ndarray) -> np.ndarray:
     frames exist: analysis zero-pads the signal tail, so that frame is a
     guaranteed low-energy outlier that would dominate the kurtosis of any
     stationary source and invert the ranking.  A flat envelope, whose
-    kurtosis is undefined, ranks as -3, and so does a source whose envelope
-    power is at most ``IvaConfig.eps`` times the strongest source's: what
-    IVA leaves of a rank-1 mixture, rounding level or, in loud input, its
-    envelope floor.
+    kurtosis is undefined, ranks as -3, below any defined excess kurtosis
+    (at least -2).  A source whose envelope power is at most
+    ``IvaConfig.eps`` times the strongest source's ranks as -4, below a flat
+    one: what IVA leaves of a rank-1 mixture, rounding level or, in loud
+    input, its envelope floor.
     """
     env = np.sqrt(np.sum(np.abs(y_sep) ** 2, axis=2))  # [source, frame]
     if env.shape[1] >= 3:
@@ -368,7 +369,7 @@ def order_sources(y_sep: np.ndarray) -> np.ndarray:
     power = np.sum(env ** 2, axis=1)
     faint = power <= IvaConfig.eps * np.max(power)
     k = _excess_kurtosis(env)
-    k = np.where(np.isfinite(k) & ~faint, k, -3.0)
+    k = np.where(faint, -4.0, np.where(np.isfinite(k), k, -3.0))
     return np.argsort(-k, kind="stable")
 
 

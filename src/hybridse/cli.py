@@ -29,7 +29,7 @@ import os
 import re
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -311,18 +311,18 @@ def cmd_enhance(args) -> int:
     enhance_file = partial(_enhance_one, cfg=cfg, w=w,
                            iva_cfg=IvaConfig(iterations=args.iva_iters),
                            no_iva=args.no_iva)
-    if args.jobs > 1 and len(files) > 1:
-        # deferred: the process pool costs import time that one job never uses
-        from concurrent.futures import ProcessPoolExecutor
-        # fork starts every worker up front, so no more than there are files
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(files))) as pool:
-            written = list(pool.map(enhance_file, files))
-    else:
-        written = [enhance_file(file) for file in files]
-    for path, notes in written:
-        for note in notes:
-            print(note, file=sys.stderr)
-        print(path)
+    with ExitStack() as stack:
+        results = map(enhance_file, files)
+        if args.jobs > 1 and len(files) > 1:
+            # deferred: the process pool costs import time that one job never uses
+            from concurrent.futures import ProcessPoolExecutor
+            # fork starts every worker up front, so no more than there are files
+            pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(files)))
+            results = stack.enter_context(pool).map(enhance_file, files)
+        for path, notes in results:         # in input order, each once it is written
+            for note in notes:
+                print(note, file=sys.stderr)
+            print(path)
     return EXIT_OK
 
 

@@ -448,6 +448,31 @@ class TestOrderSources:
         np.testing.assert_array_equal(order_sources(np.stack([gau, 1e-5 * lap])), [0, 1])
         np.testing.assert_array_equal(order_sources(np.stack([1e-3 * lap, gau])), [0, 1])
 
+    def test_faint_source_ranks_below_a_flat_one(self):
+        # a flat envelope has no kurtosis and ranks as -3; a faint source,
+        # however heavy-tailed, ranks below it at either index
+        rng = np.random.default_rng(15)
+        flat = np.ones((100, 64), complex)
+        lap = 1e-5 * self.enveloped_spec(rng, rng.laplace(size=100))
+        np.testing.assert_array_equal(order_sources(np.stack([lap, flat])), [1, 0])
+        np.testing.assert_array_equal(order_sources(np.stack([flat, lap])), [0, 1])
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_float32_tone_enhances_as_float64(self, preset):
+        # a tone on both microphones is a rank-1 mixture with a flat
+        # envelope; IVA's remainder is faint, and must not win the tie by
+        # index, which rounding to float32 would decide
+        tone = np.sin(2 * np.pi * 1000 * (np.arange(2 * 16000) / 16000))
+        cfg, rms = PRESETS[preset], []
+        for dtype in (np.float32, np.float64):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                res = enhance(np.stack([0.5 * tone, 0.25 * tone]).astype(dtype),
+                              init_random(cfg, 0), cfg)
+            rms.append(np.sqrt(np.mean(res.wave.astype(np.float64) ** 2)))
+        assert rms[1] > 0.05
+        np.testing.assert_allclose(rms[0], rms[1], rtol=1e-5)
+
     @staticmethod
     def scipy_reference(y):
         """Envelope, scipy kurtosis and the permutation order_sources used to derive."""

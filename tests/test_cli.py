@@ -191,6 +191,25 @@ class TestEnhance:
                           for p in paths]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_files_written_before_a_failure_are_reported(self, tmp_path, capsys, jobs):
+        # each file is reported once it is written, so the failure of a
+        # later file drops neither the earlier outputs nor their warnings
+        rng = np.random.default_rng(6)
+        silent, noisy, mono = (tmp_path / f"{name}.wav" for name in ("silent", "noisy", "mono"))
+        write_wav(silent, FS, np.zeros((2, 3000)))
+        write_wav(noisy, FS, 0.1 * rng.standard_normal((2, 3000)))
+        write_wav(mono, FS, 0.1 * rng.standard_normal(3000))
+        out_dir = tmp_path / "outs"
+        assert main(["enhance", str(silent), str(noisy), str(mono), "--out", str(out_dir),
+                     "--jobs", jobs]) == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [str(out_dir / "silent.enhanced.wav"),
+                                    str(out_dir / "noisy.enhanced.wav")]
+        assert err.splitlines() == [
+            f"warning: {silent}: all-zero input; nothing to separate; skipping IVA",
+            f"error: {mono}: expected a stereo file, got 1 channels"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_model_built_once_per_call(self, tmp_path, capsys, monkeypatch, jobs):
         # one plan is built, in this process; a worker gets it pickled and
         # runs it as it is
@@ -751,6 +770,16 @@ class TestIdenticalChannels:
         assert main(["enhance", str(path), "--out", str(out), "--preset", preset]) == 0
         assert rms(read_wav(out)[1]) > 1e-3 * rms(read_wav(path)[1][0])
 
+    def test_float32_tone_keeps_the_signal(self, tmp_path):
+        # a tone's envelope is flat, and IVA's faint remainder ranks below
+        # it: in float32 too, where the remainder once won the tie by index
+        tone = np.sin(2 * np.pi * 1000 * (np.arange(2 * FS) / FS))
+        path = tmp_path / "tone.wav"
+        wavfile.write(path, FS, np.stack([0.5 * tone, 0.25 * tone], axis=1).astype(np.float32))
+        out = tmp_path / "out.wav"
+        assert main(["enhance", str(path), "--out", str(out), "--preset", "cplx-s-m1"]) == 0
+        assert rms(read_wav(out)[1]) > 0.05
+
     def test_separate_writes_the_signal_as_speech(self, tmp_path):
         path = mono_copied_wav(tmp_path / "mono2.wav")
         assert main(["separate", str(path), "--out", str(tmp_path)]) == 0
@@ -1210,6 +1239,24 @@ class TestRepeatedCalls:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) < 50
+
+    @pytest.mark.parametrize("confstr", ["absent", "empty", "refused"])
+    def test_allocator_left_alone_off_glibc(self, monkeypatch, confstr):
+        # no glibc version string, so the C library is never loaded
+        import ctypes
+
+        def refuse(name):
+            raise ValueError(f"unrecognized configuration name {name}")
+
+        def no_cdll(*args, **kwargs):
+            raise AssertionError("ctypes.CDLL called off glibc")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_cdll)
+        if confstr == "absent":
+            monkeypatch.delattr(os, "confstr")
+        else:
+            monkeypatch.setattr(os, "confstr", refuse if confstr == "refused" else lambda name: "")
+        assert cli._keep_freed_heap.__wrapped__() is None
 
     def test_cached_weights_are_read_only(self):
         plan = cli._seeded_weights(ModelConfig(), 0)
