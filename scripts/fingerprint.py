@@ -42,7 +42,9 @@ The artifacts, one line each:
   ``--config`` file, ``seed = -3`` and an unknown key in a config file, a
   mono input to ``enhance`` and a corrupt ``--weights`` file; and the exit
   code, stdout, stderr and written file names of an ``enhance`` of a
-  silent file, the 2 s scene and a mono file, in that order;
+  silent file, the 2 s scene and a mono file, in that order, and of an
+  ``enhance`` of a silent file, a mono file and the 2 s scene, serially
+  and with ``--jobs 2``, whose two lines are equal;
 - per preset, at 1, 18, 19 and 208 frames of the 10 s scene: the
   ``build_features`` planes, their ``band_merge`` in float32 and in
   float64, and the ``sfe`` stack of the float64 merge cast to float32
@@ -72,6 +74,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import shutil
 import sys
 import tempfile
 import warnings
@@ -269,6 +272,13 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
         argv = ["enhance", *(str(root / f"{name}.wav") for name in ("silent", "scene", "mono")),
                 "--out", str(batch)]
         yield f"fail enhance-batch {failing_cli(argv, root, batch)}"
+        # the mono file fails before the scene, which neither run may write
+        early = root / "early"
+        for name, jobs in (("enhance-batch-early", "1"), ("enhance-batch-early-jobs2", "2")):
+            shutil.rmtree(early, ignore_errors=True)
+            argv = ["enhance", *(str(root / f"{stem}.wav") for stem in ("silent", "mono", "scene")),
+                    "--out", str(early), "--jobs", jobs]
+            yield f"fail {name} {failing_cli(argv, root, early)}"
 
     y = stft(inputs["scene-10s"])
     y_iva = 0.5 * y[::-1]

@@ -7,6 +7,16 @@ Exit codes are a stable contract (``_EXIT_CODES``): 0 success, 2 input
 validation or any other toolkit or OS error, 3 weight format or config
 mismatch, 4 numerical failure, 5 out of memory.
 
+``enhance`` and ``separate`` run one batch loop (:func:`_run_batch`).  Each
+input file is read and computed by a call that writes nothing; then, in
+input order and in this process, its outputs are written, its ``warning:``
+lines are printed to stderr and its output paths to stdout, and its result
+is dropped before the next file's is taken.  The warnings are the
+pipeline's, then one for each output that clips at full scale or that
+truncates to all-zero 16-bit PCM.  The first failure ends the run with its
+one ``error:`` line, and no later file is written.  ``enhance --jobs``
+moves only the computing to worker processes.
+
 A plain ``key = value`` config file can preload any long flag a subcommand
 takes but does not require (names without the leading double dash).  The
 flag's own ``type`` reads the value, and a switch such as ``--no-iva`` reads
@@ -282,12 +292,26 @@ def _write(target: Path, wave: np.ndarray) -> None:
         write_wav(target, DEFAULT_SAMPLE_RATE, wave)
 
 
-def _enhance_one(file, cfg, w, iva_cfg, no_iva):
-    """Enhance the input of one ``(path, target)`` pair into its target.
-    Returns the target and a ``warning: <path>: <message>`` line for each
-    warning ``enhance`` raised, which the caller prints, so a worker
-    process loses none."""
-    path, target = file
+def _pcm_warnings(path, target: Path, wave: np.ndarray) -> list:
+    """A ``warning: <path>: ...`` line for what 16-bit PCM loses of
+    ``wave``, the output of ``path`` bound for ``target``: the samples
+    beyond full scale, which :func:`write_wav` clips, or a non-zero wave
+    whose every sample truncates to 0."""
+    # two reductions, which allocate nothing, before any count is taken
+    peak = float(max(wave.max(initial=0.0), -wave.min(initial=0.0)))
+    if peak > 1.0:
+        clipped = np.count_nonzero(wave > 1.0) + np.count_nonzero(wave < -1.0)
+        return [f"warning: {path}: {target}: {clipped} of {wave.size} samples "
+                "clipped at full scale"]
+    if 0.0 < peak and peak * 32767.0 < 1.0:     # write_wav's scale, then trunc
+        return [f"warning: {path}: {target}: every sample truncates to 0 in "
+                f"16-bit PCM (peak {peak:.3g})"]
+    return []
+
+
+def _enhance_one(path, cfg, w, iva_cfg, no_iva):
+    """The enhanced wave of one input, in a list, and a ``warning: <path>:
+    <message>`` line for each warning ``enhance`` raised."""
     read = [_read_input(path, 2)]       # read outside _naming: it names the file itself
     with _naming(path), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -296,13 +320,58 @@ def _enhance_one(file, cfg, w, iva_cfg, no_iva):
         wave = enhance(read.pop(), w, cfg, iva_cfg=iva_cfg, use_iva=not no_iva).wave
     if not np.all(np.isfinite(wave)):
         raise NumericalError(f"{path}: enhancement produced non-finite samples")
-    _write(target, wave)
-    return str(target), [f"warning: {path}: {item.message}" for item in caught]
+    return [wave], [f"warning: {path}: {item.message}" for item in caught]
+
+
+def _separate_one(path, iva_cfg):
+    """The speech and noise waves of one input, as ``[2, n]``, and no
+    warning line."""
+    wave = _read_input(path, 2)
+    with _naming(path):
+        check_reference(wave)
+        spec, n = stft(wave), wave.shape[1]
+        del wave                    # nothing reads the input after stft,
+        sources, _ = auxiva_separate(spec, iva_cfg)
+        del spec                    # nor the spectrogram after IVA
+    return istft(sources, length=n), []
+
+
+def _report(path, targets, waves, notes) -> None:
+    """Write one input's output ``waves`` to its ``targets``, then print its
+    warning lines, those of the writes last, and its output paths."""
+    for target, wave in zip(targets, waves):
+        notes += _pcm_warnings(path, target, wave)
+        _write(target, wave)
+    for note in notes:
+        print(note, file=sys.stderr)
+    print(*targets, sep="\n")
+
+
+def _run_batch(compute, inputs, targets, jobs=1) -> int:
+    """Report each input in input order: ``compute(path)`` reads it and
+    returns its output waves and warning lines, writing nothing, and this
+    process writes and prints them (:func:`_report`) before the next file.
+    With ``jobs`` above 1 only the computing moves to worker processes.
+    The first failure ends the run, and no later file is written."""
+    with ExitStack() as stack:
+        results = map(compute, inputs)
+        if jobs > 1 and len(inputs) > 1:
+            # deferred: the process pool costs import time that one job never uses
+            from concurrent.futures import ProcessPoolExecutor
+            # fork starts every worker up front, so no more than there are files
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(inputs)))
+            # on a failure, files that no worker has started are not computed
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(compute, inputs)
+        for path, paths in zip(inputs, targets):
+            # taken by next() into the call, so no name keeps a file's
+            # waves while the next file runs
+            _report(path, paths, *next(results))
+    return EXIT_OK
 
 
 def cmd_enhance(args) -> int:
     targets = _targets(args.out, args.inputs, [".enhanced.wav"])
-    files = [(path, target) for path, (target,) in zip(args.inputs, targets)]
     cfg = preset_config(args.preset)
     if args.weights:
         w = load_weights(Path(args.weights).read_bytes(), cfg)
@@ -311,36 +380,13 @@ def cmd_enhance(args) -> int:
     enhance_file = partial(_enhance_one, cfg=cfg, w=w,
                            iva_cfg=IvaConfig(iterations=args.iva_iters),
                            no_iva=args.no_iva)
-    with ExitStack() as stack:
-        results = map(enhance_file, files)
-        if args.jobs > 1 and len(files) > 1:
-            # deferred: the process pool costs import time that one job never uses
-            from concurrent.futures import ProcessPoolExecutor
-            # fork starts every worker up front, so no more than there are files
-            pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(files)))
-            results = stack.enter_context(pool).map(enhance_file, files)
-        for path, notes in results:         # in input order, each once it is written
-            for note in notes:
-                print(note, file=sys.stderr)
-            print(path)
-    return EXIT_OK
+    return _run_batch(enhance_file, args.inputs, targets, args.jobs)
 
 
 def cmd_separate(args) -> int:
     iva_cfg = IvaConfig(iterations=args.iva_iters)
     targets = _targets(args.out, args.inputs, [".speech.wav", ".noise.wav"])
-    for path, paths in zip(args.inputs, targets):
-        wave = _read_input(path, 2)
-        with _naming(path):
-            check_reference(wave)
-            spec, n = stft(wave), wave.shape[1]
-            del wave                    # nothing reads the input after stft,
-            sources, _ = auxiva_separate(spec, iva_cfg)
-            del spec                    # nor the spectrogram after IVA
-        for target, source in zip(paths, istft(sources, length=n)):
-            _write(target, source)
-        print(*paths, sep="\n")
-    return EXIT_OK
+    return _run_batch(partial(_separate_one, iva_cfg=iva_cfg), args.inputs, targets)
 
 
 def _wav_files(directory: str):

@@ -187,7 +187,9 @@ def write_wav(path, sample_rate: int, wave: np.ndarray) -> None:
     What its header cannot describe is rejected before the file is opened:
     no channel or more than 32767 (``nBlockAlign`` is ``2 * channels`` in 16
     bits), a rate that is not a whole number of Hz whose byte rate ``2 *
-    channels * rate`` fits 32 bits, and non-finite samples."""
+    channels * rate`` fits 32 bits, more samples than a RIFF file's 32-bit
+    size can count, checked from the sample count before anything is
+    converted, and non-finite samples."""
     wave = np.asarray(wave, dtype=np.float64)
     if wave.ndim not in (1, 2):
         raise InvalidInputError(f"waveform must be 1-D or 2-D, got shape {wave.shape}")
@@ -198,16 +200,17 @@ def write_wav(path, sample_rate: int, wave: np.ndarray) -> None:
     if not (float(sample_rate).is_integer() and 0 <= sample_rate <= limit):
         raise InvalidInputError(f"{path}: sample rate {sample_rate} is not a whole number of Hz "
                                 f"from 0 to {limit}, where a {channels}-channel byte rate fits")
+    size = 2 * wave.size                # 16-bit samples, before any is converted
+    if size > 0xFFFFFFFF - 36:
+        raise InvalidInputError(f"{path}: {size} bytes of samples exceed a RIFF file")
     if not np.isfinite(wave).all():
         raise InvalidInputError(f"{path}: non-finite samples")
     pcm = np.trunc(np.clip(wave, -1.0, 1.0) * 32767.0).astype("<i2")
     frames = pcm.T.tobytes()
-    if len(frames) > 0xFFFFFFFF - 36:
-        raise InvalidInputError(f"{path}: {len(frames)} bytes of samples exceed a RIFF file")
-    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(frames), b"WAVE",
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + size, b"WAVE",
                          b"fmt ", 16, _PCM, channels, int(sample_rate),
                          2 * channels * int(sample_rate), 2 * channels, 16,
-                         b"data", len(frames))
+                         b"data", size)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(frames)

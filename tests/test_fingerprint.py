@@ -80,4 +80,5 @@ def test_same_lines_twice_on_a_reduced_input():
     failures = {line.split()[1]: line.split()[3] for line in first if line.startswith("fail ")}
     assert failures == {"missing-config": "2", "config-negative-seed": "2",
                         "config-unknown-key": "2", "enhance-mono": "2", "corrupt-weights": "3",
-                        "enhance-batch": "2"}
+                        "enhance-batch": "2", "enhance-batch-early": "2",
+                        "enhance-batch-early-jobs2": "2"}

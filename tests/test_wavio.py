@@ -261,6 +261,15 @@ class TestWrite:
             write_wav(path, rate, np.zeros(shape))
         assert not path.exists()
 
+    def test_oversized_wave_rejected_before_it_is_converted(self, tmp_path):
+        # a broadcast view of one sample: checked after the conversion, it
+        # would allocate several times its 16 GB first
+        path = tmp_path / "x.wav"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: 4294967296 "
+                                                    "bytes of samples exceed a RIFF file"):
+            write_wav(path, FS, np.broadcast_to(0.0, (2 ** 31,)))
+        assert not path.exists()
+
     @pytest.mark.parametrize("rate, shape", [(2 ** 31 - 1, (100,)), (FS, (32767, 1))],
                              ids=["largest-mono-rate", "most-channels"])
     def test_header_limits_write_readable_files(self, tmp_path, rate, shape):
