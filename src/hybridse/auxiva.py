@@ -25,6 +25,13 @@ under its own covariance.
 The envelope read off the statistics loses digits to cancellation when a
 source is strongly suppressed; the frames where that could show are
 recomputed from the spectrogram (see ``_CANCELLATION_RATIO``).
+
+What the sweeps leave is a :class:`Demixer`: per bin, the demixing rows in
+speech-first order and the scale that projects each source back onto the
+reference microphone.  It is a per-bin map of the spectrogram, so it
+applies to any run of frames, and :func:`auxiva_demixer` builds no
+whole-file sources: the ordering reads frame envelopes gathered
+``_ENVELOPE_BLOCK`` frames at a time.
 """
 
 from dataclasses import dataclass
@@ -44,6 +51,9 @@ from .errors import DegenerateInputError, InvalidInputError, NumericalError
 # exceeds 1e-12, are recomputed from the spectrogram, so the weighted
 # covariance stays at rounding distance from a direct evaluation.
 _CANCELLATION_RATIO = 1e-4
+
+# Frames per block of the pass that gathers the ordering's frame envelopes.
+_ENVELOPE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -103,15 +113,41 @@ def _demix_row(spec: np.ndarray, row: np.ndarray, out: np.ndarray,
     return out
 
 
+def _demix(spec: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``out[m] = _demix_row(spec, rows[:, m, :])`` for each of the
+    ``rows.shape[1]`` sources, through one plane of scratch."""
+    out = np.empty((rows.shape[1],) + spec.shape[1:], dtype=np.result_type(spec, rows))
+    term = np.empty_like(out[0])
+    for m in range(rows.shape[1]):
+        _demix_row(spec, rows[:, m, :], out[m], term)
+    return out
+
+
 def demix(spec: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Apply per-bin demixing rows: out[m, l, k] = sum_c w[k, m, c] spec[c, l, k]."""
     spec = _check_spec(spec)
-    w = _check_w(w, spec.shape[2])
-    out = np.empty((2,) + spec.shape[1:], dtype=np.result_type(spec, w))
-    term = np.empty_like(out[0])
-    for m in range(2):
-        _demix_row(spec, w[:, m, :], out[m], term)
-    return out
+    return _demix(spec, _check_w(w, spec.shape[2]))
+
+
+@dataclass(frozen=True, eq=False)
+class Demixer:
+    """Aux-IVA's result as a per-bin map of the two-channel spectrogram.
+
+    ``w`` [bins, 2, 2] holds the demixing rows, speech first, and ``scale``
+    [2, bins] each source's projection back onto the reference microphone,
+    in the same order.  Calling it on frames ``spec[:, a:b]`` of the
+    spectrogram that :func:`auxiva_demixer` separated gives frames ``a:b``
+    of the sources, byte for byte, whatever the run of frames.
+    """
+    w: np.ndarray
+    scale: np.ndarray
+
+    def __call__(self, spec: np.ndarray, sources: int = 2) -> np.ndarray:
+        """The first ``sources`` projected sources of ``spec``, [sources,
+        frames, bins]: each demixed by its row, then scaled per bin."""
+        spec = _check_spec(spec)
+        out = _demix(spec, _check_w(self.w, spec.shape[2])[:, :sources])
+        return np.multiply(out, self.scale[:sources, None, :], out=out)
 
 
 def covariance_stats(spec: np.ndarray) -> np.ndarray:
@@ -263,23 +299,21 @@ def iva_sweep(spec: np.ndarray, w: np.ndarray, cfg: IvaConfig = IvaConfig(),
     return w, v_used
 
 
-def auxiva_separate(spec, cfg: IvaConfig = IvaConfig()):
-    """Run ``cfg.iterations`` sweeps and return ``(sources, w)``.
-
-    ``sources`` is ``[2, frames, bins]`` after projection back onto
-    ``IvaConfig.ref_channel`` (microphone 0), ordered so the channel with the
-    spikier frame envelope (higher excess kurtosis, speech-like) comes first;
-    ``w`` is the final demixing tensor ``[bins, 2, 2]`` under the same
-    ordering.  Fewer than 2 frames or an all-zero ``spec`` raise
-    :class:`DegenerateInputError`, on which ``enhance`` bypasses IVA; a part
-    beyond the float32 range, or NaN, raises :class:`InvalidInputError`.
+def auxiva_demixer(spec, cfg: IvaConfig = IvaConfig()) -> Demixer:
+    """Run ``cfg.iterations`` sweeps and return the :class:`Demixer` that
+    projects back onto ``IvaConfig.ref_channel`` (microphone 0), its sources
+    ordered so the one with the spikier frame envelope (higher excess
+    kurtosis, speech-like) comes first.  Fewer than 2 frames or an all-zero
+    ``spec`` raise :class:`DegenerateInputError`, on which ``enhance``
+    bypasses IVA; a part beyond the float32 range, or NaN, raises
+    :class:`InvalidInputError`; a demixing matrix with no inverse raises
+    :class:`NumericalError`.
 
     The rank-1 covariance terms are built once per utterance
-    (:func:`covariance_stats`) and shared by every sweep; the result is
-    bit-identical to calling ``iva_sweep(spec, w, cfg)`` ``cfg.iterations``
-    times and then projecting back and ordering.  The statistics are freed
-    before the sources are demixed, and the projection back and the ordering
-    then run in place on the demixed array.
+    (:func:`covariance_stats`), shared by every sweep and freed after the
+    last.  The ordering's frame envelopes are then gathered
+    ``_ENVELOPE_BLOCK`` frames at a time from the unordered sources, so no
+    whole-file source array is built here.
     """
     spec = _check_spec(spec)
     if spec.shape[1] < 2:
@@ -287,7 +321,7 @@ def auxiva_separate(spec, cfg: IvaConfig = IvaConfig()):
     if not np.any(spec):
         raise DegenerateInputError("all-zero input; nothing to separate")
     check_float32_range(spec.real, spec.imag)
-    n_bins = spec.shape[2]
+    n_frames, n_bins = spec.shape[1], spec.shape[2]
 
     w = np.tile(np.eye(2, dtype=np.complex128), (n_bins, 1, 1))
     stats = covariance_stats(spec)
@@ -295,14 +329,31 @@ def auxiva_separate(spec, cfg: IvaConfig = IvaConfig()):
         w, _ = iva_sweep(spec, w, cfg, stats)
     del stats
 
-    sources = demix(spec, w)
-    _project_back(sources, w, cfg.ref_channel, out=sources)
-    order = order_sources(sources)
-    if order[0] == 1:                   # swap the planes through one plane of scratch
-        speech = sources[1].copy()
-        sources[1] = sources[0]
-        sources[0] = speech
-    return sources, w[:, order, :]
+    ref_row = _reference_row(w, cfg.ref_channel)
+    unordered = Demixer(w, ref_row.T)
+    env = np.empty((2, n_frames))
+    for start in range(0, n_frames, _ENVELOPE_BLOCK):
+        block = slice(start, start + _ENVELOPE_BLOCK)
+        env[:, block] = _frame_envelopes(unordered(spec[:, block]))
+    order = _rank(env)
+    return Demixer(w[:, order, :], ref_row[:, order].T)
+
+
+def auxiva_separate(spec, cfg: IvaConfig = IvaConfig()):
+    """Run ``cfg.iterations`` sweeps and return ``(sources, w)``: the
+    :class:`Demixer` of :func:`auxiva_demixer` applied to the whole ``spec``,
+    and its demixing rows.
+
+    ``sources`` is ``[2, frames, bins]`` after projection back onto
+    ``IvaConfig.ref_channel``, speech-like source first; ``w`` is the final
+    demixing tensor ``[bins, 2, 2]`` under the same ordering.  The result is
+    bit-identical to calling ``iva_sweep(spec, w, cfg)`` ``cfg.iterations``
+    times, then :func:`projection_back` of :func:`demix`'s output and
+    reordering by :func:`order_sources`.  Errors are those of
+    :func:`auxiva_demixer`.
+    """
+    demixer = auxiva_demixer(spec, cfg)
+    return demixer(spec), demixer.w
 
 
 def projection_back(y_sep: np.ndarray, w: np.ndarray, ref_channel: int = 0) -> np.ndarray:
@@ -317,21 +368,21 @@ def projection_back(y_sep: np.ndarray, w: np.ndarray, ref_channel: int = 0) -> n
     w = _check_w(w, y_sep.shape[2])
     if not 0 <= ref_channel < 2:
         raise InvalidInputError(f"ref_channel {ref_channel} out of range")
-    return _project_back(y_sep, w, ref_channel)
+    return np.multiply(y_sep, _reference_row(w, ref_channel).T[:, None, :])
 
 
-def _project_back(y_sep: np.ndarray, w: np.ndarray, ref_channel: int,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
-    """:func:`projection_back` on checked arguments, written into ``out``
-    (``y_sep`` itself is allowed) or a new array."""
+def _reference_row(w: np.ndarray, ref_channel: int) -> np.ndarray:
+    """Row ``ref_channel`` of each bin's mixing matrix ``A = W^-1``, [bins,
+    2]: the projection-back scale of each source.  Raises
+    :class:`NumericalError` naming the first bin whose ``W`` has no finite
+    inverse."""
     with np.errstate(all="ignore"):
         adj, det = _adjugate(w)
         a = adj / det[:, None, None]
     bad = np.nonzero(~np.all(np.isfinite(a), axis=(1, 2)))[0]
     if bad.size:
         raise NumericalError(f"demixing matrix not invertible at bin {bad[0]}")
-    scale = a[:, ref_channel, :].T  # [source, bin]
-    return np.multiply(y_sep, scale[:, None, :], out=out)
+    return a[:, ref_channel, :]
 
 
 def _excess_kurtosis(env: np.ndarray) -> np.ndarray:
@@ -363,7 +414,16 @@ def order_sources(y_sep: np.ndarray) -> np.ndarray:
     one: what IVA leaves of a rank-1 mixture, rounding level or, in loud
     input, its envelope floor.
     """
-    env = np.sqrt(np.sum(np.abs(y_sep) ** 2, axis=2))  # [source, frame]
+    return _rank(_frame_envelopes(y_sep))
+
+
+def _frame_envelopes(y_sep) -> np.ndarray:
+    """Each source's frame magnitude envelope, [source, frame]."""
+    return np.sqrt(np.sum(np.abs(y_sep) ** 2, axis=2))
+
+
+def _rank(env: np.ndarray) -> np.ndarray:
+    """:func:`order_sources` on the sources' frame envelopes."""
     if env.shape[1] >= 3:
         env = env[:, :-1]
     power = np.sum(env ** 2, axis=1)

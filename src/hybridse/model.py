@@ -47,7 +47,8 @@ from typing import ClassVar, Dict, Literal, Optional, Tuple, Union, get_args
 import numpy as np
 
 from . import nn
-from .auxiva import IvaConfig, auxiva_separate, check_reference, iva_macs_per_second
+from .auxiva import (Demixer, IvaConfig, auxiva_demixer, check_reference,
+                     iva_macs_per_second)
 from .bands import N_BANDS, N_BINS, N_HIGH, band_merge, band_split
 from .dsp import StftConfig, check_float32_range, istft, log_power, stft
 from .errors import DegenerateInputError, InvalidInputError, WeightFormatError
@@ -599,12 +600,28 @@ def _forward_block(y: np.ndarray, y_iva: np.ndarray, plan: Plan,
     ``state`` has seen, which it then carries past these; ``None`` is the
     zero state and keeps nothing."""
     cfg = plan.cfg
-    x = sfe(band_merge(build_features(y, y_iva, cfg))[None], cfg.sfe_kernel)
+    x = build_features(y, y_iva, cfg)
+    del y_iva              # the block's IVA spectrum is read for its features only
+    x = band_merge(x)
+    x = sfe(x[None], cfg.sfe_kernel)
     latent, skip = encode(x, plan, cfg, state)
     del x                  # neither the bands nor their stack is held past encode
     z = gdprnn(latent, plan, cfg, state)
     z += skip
     return band_split(decode(z, plan, cfg, state))[0]
+
+
+def _forward_blocks(y: np.ndarray, iva_block, plan: Plan) -> np.ndarray:
+    """:func:`forward`'s block loop: each block's IVA spectrum is
+    ``iva_block(frames)``, for the ``slice`` of frames the block covers."""
+    frames = y.shape[1]
+    n_blocks = max(-(-frames // BLOCK_FRAMES), 1)
+    edges = [frames * i // n_blocks for i in range(n_blocks + 1)]
+    mask = np.empty((2, frames, N_BINS))
+    state: dict = {}
+    for a, b in zip(edges, edges[1:]):
+        mask[:, a:b] = _forward_block(y[:, a:b], iva_block(slice(a, b)), plan, state)
+    return mask
 
 
 def forward(y: np.ndarray, y_iva: np.ndarray, w: Weights,
@@ -626,17 +643,12 @@ def forward(y: np.ndarray, y_iva: np.ndarray, w: Weights,
     :data:`BLOCK_FRAMES`: BLAS rounds a product of 18 rows or fewer (the
     band merge's frames) differently from a tall one, and long blocks keep
     the mask byte for byte the one a single block over all frames gives.
+    :func:`enhance` runs the same block loop, with each block's IVA
+    spectrum demixed from that block's noisy frames instead of sliced.
     """
     plan = prepare(w, cfg)
     y, y_iva = _spectrograms(y, y_iva)
-    frames = y.shape[1]
-    n_blocks = max(-(-frames // BLOCK_FRAMES), 1)
-    edges = [frames * i // n_blocks for i in range(n_blocks + 1)]
-    mask = np.empty((2, frames, N_BINS))
-    state: dict = {}
-    for a, b in zip(edges, edges[1:]):
-        mask[:, a:b] = _forward_block(y[:, a:b], y_iva[:, a:b], plan, state)
-    return mask
+    return _forward_blocks(y, lambda frames: y_iva[:, frames], plan)
 
 
 def apply_mask(mask: np.ndarray, y: np.ndarray, y_iva: np.ndarray,
@@ -701,20 +713,37 @@ class EnhanceResult:
     mask: np.ndarray               # [2, frames, 257]
     est_spec: np.ndarray           # [frames, 257] complex
     noisy_spec: np.ndarray         # [2, frames, 257] complex
-    iva_spec: np.ndarray           # [2, frames, 257] complex (noisy copy if bypassed)
-    used_iva: bool
+    demixer: Optional[Demixer]     # IVA's result; None if bypassed
+
+    @property
+    def used_iva(self) -> bool:
+        return self.demixer is not None
+
+    @property
+    def iva_spec(self) -> np.ndarray:
+        """[2, frames, 257] complex: the IVA sources, demixed from
+        ``noisy_spec`` on each read, or ``noisy_spec`` itself if IVA was
+        bypassed."""
+        return self.noisy_spec if self.demixer is None else self.demixer(self.noisy_spec)
 
 
 def enhance(wave: np.ndarray, w: Weights, cfg: ModelConfig,
             iva_cfg: IvaConfig = IvaConfig(),
             use_iva: bool = True) -> EnhanceResult:
     """Enhance a two-channel waveform [2, n] into mono speech of length n.
-    Where :func:`auxiva_separate` raises :class:`DegenerateInputError` (all
+    Where :func:`auxiva_demixer` raises :class:`DegenerateInputError` (all
     zeros, or under 2 frames), the noisy spectrogram stands in for its output
     and a warning carries its message + "; skipping IVA".  A silent
     reference microphone beside a live one is invalid input
     (:func:`check_reference`).  The input is released once :func:`stft`
-    has read it."""
+    has read it.
+
+    The one whole-file spectrogram is the noisy one.  IVA hands over a
+    :class:`Demixer`, and :func:`forward`'s block loop demixes each block's
+    IVA spectrum from that block's noisy frames; a ``mask1_iva`` config
+    demixes the speech source alone for :func:`apply_mask`.  The result
+    has the same bytes as :func:`forward` and :func:`apply_mask` on the
+    whole :func:`auxiva_separate` output."""
     wave = np.asarray(wave, dtype=np.float64)
     if wave.ndim != 2 or wave.shape[0] != 2:
         raise InvalidInputError(f"expected a [2, n] waveform, got shape {wave.shape}")
@@ -723,14 +752,21 @@ def enhance(wave: np.ndarray, w: Weights, cfg: ModelConfig,
     check_reference(wave)
     y, n = stft(wave), wave.shape[1]
     del wave                        # nothing reads the input after stft
-    y_iva, used_iva = y, False
+    demixer = None
     if use_iva:
         try:
-            y_iva, used_iva = auxiva_separate(y, iva_cfg)[0], True
+            demixer = auxiva_demixer(y, iva_cfg)
         except DegenerateInputError as exc:
             warnings.warn(f"{exc}; skipping IVA", stacklevel=2)
-    mask = forward(y, y_iva, w, cfg)
-    est = apply_mask(mask, y, y_iva, cfg.masking)
+    plan = prepare(w, cfg)
+    if demixer is None:
+        mask = _forward_blocks(y, lambda frames: y[:, frames], plan)
+        target = y
+    else:
+        mask = _forward_blocks(y, lambda frames: demixer(y[:, frames]), plan)
+        target = demixer(y, 1) if cfg.masking == "mask1_iva" else y
+    est = apply_mask(mask, y, target, cfg.masking)
+    del target                      # a mask1_iva speech source is freed before istft
     out = istft(est, length=n)
     return EnhanceResult(wave=out, mask=mask, est_spec=est, noisy_spec=y,
-                         iva_spec=y_iva, used_iva=used_iva)
+                         demixer=demixer)

@@ -12,7 +12,8 @@ from hybridse import (PRESETS, IvaConfig, StftConfig, auxiva_separate,
                       covariance_stats, demix, enhance, init_random,
                       iva_macs_per_second, iva_sweep, order_sources,
                       projection_back, si_snr, stft)
-from hybridse.auxiva import _excess_kurtosis
+from hybridse import auxiva
+from hybridse.auxiva import _excess_kurtosis, auxiva_demixer
 from hybridse.errors import (DegenerateInputError, InvalidInputError,
                              NumericalError)
 
@@ -366,6 +367,50 @@ class TestSeparate:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="input too loud"):
                 auxiva_separate(spec, IvaConfig(iterations=2))
+
+
+class TestDemixer:
+    @pytest.fixture(scope="class", params=[2, 5])
+    def separated(self, request):
+        # 10 s, 625 frames; scene 2 comes out in the swapped order, scene 5
+        # does not
+        spec = stft(instantaneous_scene(request.param, n=10 * 16000)[0])
+        cfg = IvaConfig(iterations=4)
+        return spec, auxiva_demixer(spec, cfg), auxiva_separate(spec, cfg)[0]
+
+    @pytest.mark.parametrize("block", [1, 18, 19, 64, 256])
+    def test_blocks_concatenate_to_the_separated_sources(self, separated, block):
+        # 625 frames leave every block length but 1 an uneven last block
+        spec, demixer, sources = separated
+        parts = [demixer(spec[:, a:a + block]) for a in range(0, spec.shape[1], block)]
+        assert np.concatenate(parts, axis=1).tobytes() == sources.tobytes()
+
+    def test_uneven_cuts_concatenate_to_the_separated_sources(self, separated):
+        spec, demixer, sources = separated
+        edges = [0, 7, 300, 301, 577, spec.shape[1]]
+        parts = [demixer(spec[:, a:b]) for a, b in zip(edges, edges[1:])]
+        assert np.concatenate(parts, axis=1).tobytes() == sources.tobytes()
+
+    def test_speech_alone_is_the_first_source(self, separated):
+        spec, demixer, sources = separated
+        assert demixer(spec, 1).tobytes() == sources[:1].tobytes()
+
+    def test_singular_demixing_state_raises_before_any_output(self, monkeypatch):
+        # projection back needs W^-1: a sweep that ends singular raises
+        # before a single frame is demixed
+        def singular_sweep(spec, w, cfg, stats):
+            w = w.copy()
+            w[5] = 0.0
+            return w, None
+
+        def no_output(*args):
+            raise AssertionError("a source was demixed")
+
+        monkeypatch.setattr(auxiva, "iva_sweep", singular_sweep)
+        monkeypatch.setattr(auxiva, "_demix", no_output)
+        spec = stft(instantaneous_scene(0)[0])
+        with pytest.raises(NumericalError, match="^demixing matrix not invertible at bin 5$"):
+            auxiva_demixer(spec, IvaConfig(iterations=1))
 
 
 class TestProjectionBack:

@@ -314,7 +314,7 @@ class TestEnhance:
         def failing_iva(spec, cfg):
             raise NumericalError("singular demixing update")
 
-        monkeypatch.setattr("hybridse.model.auxiva_separate", failing_iva)
+        monkeypatch.setattr("hybridse.model.auxiva_demixer", failing_iva)
         assert main(["enhance", str(stereo_wav), "--out", str(tmp_path / "o.wav")]) == 4
         assert f"error: {stereo_wav}: singular demixing update" in capsys.readouterr().err
 
@@ -362,10 +362,12 @@ def test_each_error_class_exits_with_its_code(capsys, monkeypatch, error, code):
 
 
 def test_peak_memory_of_a_10s_file_with_iva(tmp_path, capsys, monkeypatch):
-    # traced peak above entry of one in-process call: 19.29 MB measured
-    # (numpy 2, one BLAS thread), 22.16 MB while the call still held the
-    # input past stft, the result's spectra past enhance and every
-    # inverse-STFT frame at once
+    # traced peak above entry of one in-process call: 14.18 MB measured
+    # (numpy 2, one BLAS thread), so the bound leaves 0.82 MB; 15.90 MB
+    # when each forward block kept its IVA spectrum past its features,
+    # 19.29 MB while IVA handed over whole-file sources, and 22.16 MB while
+    # the call also held the input past stft, the result's spectra past
+    # enhance and every inverse-STFT frame at once
     rng = np.random.default_rng(10)
     write_wav(tmp_path / "warm.wav", FS, 0.1 * rng.standard_normal((2, FS)))
     write_wav(tmp_path / "in.wav", FS, 0.1 * rng.standard_normal((2, 10 * FS)))
@@ -385,7 +387,7 @@ def test_peak_memory_of_a_10s_file_with_iva(tmp_path, capsys, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - entry <= 20_500_000
+    assert peak - entry <= 15_000_000
     # at the write only the output wave is left: 1.28 MB of overlap-add
     # blocks, 1.29 MB held measured, where the result's spectra would add
     # 15.4 MB
@@ -395,7 +397,7 @@ def test_peak_memory_of_a_10s_file_with_iva(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["enhance", "separate"])
 def test_two_files_peak_as_one(tmp_path, capsys, command):
     # each file's result is dropped before the next file runs: traced
-    # peaks above entry of 19.29 MB (enhance) and 13.04 MB (separate) for
+    # peaks above entry of 14.18 MB (enhance) and 13.01 MB (separate) for
     # one and for two 10 s files measured (numpy 2, one BLAS thread), where
     # separate once kept a file's sources and waves while the next ran and
     # two files peaked at 20.76 MB

@@ -16,15 +16,15 @@ from hypothesis import strategies as st
 
 import oracles
 from hybridse import loss, model, nn, simkit
-from hybridse.auxiva import IvaConfig, iva_macs_per_second
+from hybridse.auxiva import IvaConfig, auxiva_separate, iva_macs_per_second
 from hybridse.bands import ErbFilterbank, band_merge, band_split
-from hybridse.dsp import StftConfig, log_power
+from hybridse.dsp import StftConfig, log_power, stft
 from hybridse.errors import InvalidInputError, WeightFormatError
-from hybridse.model import (PRESETS, ModelConfig, apply_mask, build_features,
-                            count_params, decode, encode, enhance,
-                            expected_shapes, forward, gdprnn, init_random,
-                            macs_breakdown, param_breakdown, preset_config,
-                            sfe)
+from hybridse.model import (DEFAULT_PRESET, PRESETS, ModelConfig, apply_mask,
+                            build_features, count_params, decode, encode,
+                            enhance, expected_shapes, forward, gdprnn,
+                            init_random, macs_breakdown, param_breakdown,
+                            preset_config, sfe)
 
 
 def rand_specs(seed, frames=12, bins=257):
@@ -855,6 +855,75 @@ class TestEnhance:
         assert r.used_iva
         np.testing.assert_allclose(
             r.est_spec, (r.mask[0] + 1j * r.mask[1]) * r.noisy_spec[0], atol=1e-12)
+
+    @staticmethod
+    def scene(seconds):
+        rng = np.random.default_rng(18)
+        return 0.05 * rng.standard_normal((2, 2)) @ np.stack(
+            [rng.laplace(size=seconds * 16000), rng.standard_normal(seconds * 16000)])
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_iva_spec_is_the_separated_sources(self, preset):
+        cfg = PRESETS[preset]
+        wave = self.scene(2)
+        r = enhance(wave, _PRESET_WEIGHTS[preset], cfg)
+        assert r.used_iva
+        assert r.iva_spec.tobytes() == auxiva_separate(stft(wave))[0].tobytes()
+
+    @pytest.mark.parametrize("preset", sorted(name for name, cfg in PRESETS.items()
+                                              if cfg.masking == "mask1_iva"))
+    def test_mask1_masks_the_speech_source_alone(self, preset, monkeypatch):
+        # the estimate is the mask on the whole separated speech source, and
+        # the only whole-file demixing builds that source alone
+        cfg = PRESETS[preset]
+        w = _PRESET_WEIGHTS[preset]
+        wave = self.scene(10)
+        whole = []
+        call = model.Demixer.__call__
+
+        def recording(demixer, spec, sources=2):
+            if spec.shape[1] == 625:
+                whole.append(sources)
+            return call(demixer, spec, sources)
+
+        monkeypatch.setattr(model.Demixer, "__call__", recording)
+        r = enhance(wave, w, cfg)
+        assert whole == [1]
+        y = stft(wave)
+        sources = auxiva_separate(y)[0]
+        est = apply_mask(forward(y, sources, w, cfg), y, sources, cfg.masking)
+        assert r.est_spec.tobytes() == est.tobytes()
+
+    def test_iva_holds_one_block_beyond_the_bypass(self):
+        # at the entry of each forward block, what IVA keeps alive beyond a
+        # bypassed run is that block's demixed sources and the demixer, less
+        # than one full block's sources; whole-file sources held 10.3 MB
+        cfg = ModelConfig()
+        w = _PRESET_WEIGHTS[DEFAULT_PRESET]
+        wave = self.scene(20)
+        block = model._forward_block
+
+        def live_at_block_entries(use_iva):
+            seen = []
+
+            def at_entry(*args):
+                seen.append(tracemalloc.get_traced_memory()[0])
+                return block(*args)
+
+            tracemalloc.start()
+            try:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(model, "_forward_block", at_entry)
+                    enhance(wave, w, cfg, use_iva=use_iva)
+            finally:
+                tracemalloc.stop()
+            return seen
+
+        enhance(self.scene(2), w, cfg)      # what a first call caches is not counted
+        with_iva, bypassed = live_at_block_entries(True), live_at_block_entries(False)
+        block_sources = 2 * model.BLOCK_FRAMES * 257 * np.dtype(np.complex128).itemsize
+        assert len(with_iva) == len(bypassed) == 5
+        assert max(a - b for a, b in zip(with_iva, bypassed)) < block_sources
 
     def test_silence_bypasses_iva_with_warning(self):
         cfg = ModelConfig()
