@@ -30,9 +30,12 @@ The artifacts, one line each:
   of the 10 s scene on both channels, scaled to peak 10 and to peak 1000:
   beyond full scale, where IVA's remainder sits at its envelope floor;
 - ``separate``'s speech and noise waves (Aux-IVA, then ``istft`` at the
-  input length) on the 2 s and the 10 s scene, on the two rank-deficient
-  inputs and on the four loud ones, and the WAVs one
-  ``hybridse separate`` run over both scenes writes;
+  input length) on the 2 s and the 10 s scene, on the first 40 frames of
+  the 2 s scene (fewer than 64, see :func:`hybridse.covariance_stats`), on
+  the two rank-deficient inputs and on the four loud ones, and the WAVs
+  one ``hybridse separate`` run over both scenes writes;
+- the WAVs of one ``hybridse enhance`` and one ``hybridse separate`` run
+  on a 30 s scene, which the network runs in eight blocks;
 - the WAVs of four ``hybridse enhance`` runs on the 2 s scene in one
   process: seed 0, seed 1, a ``--config`` file that switches the preset,
   then seed 0 again, so a setting one call leaves behind shows as a
@@ -221,7 +224,9 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
                 yield f"enhance {preset} iva {name} wave {digest(res.wave)}"
                 yield f"enhance {preset} iva {name} mask {digest(res.mask)}"
 
+    # 40 frames: below 64, where the statistics' cross term moved once
     for name, wave in [("scene", inputs["scene"]), ("scene-10s", inputs["scene-10s"]),
+                       ("scene-40-frames", inputs["scene"][:, :40 * 256]),
                        *copied.items(), *loud.items()]:
         sources, _ = auxiva_separate(stft(wave), IvaConfig())
         for source, spec in zip(("speech", "noise"), sources):
@@ -235,6 +240,12 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
                  "--out", str(root / "out")])
         for path in sorted((root / "out").iterdir()):
             yield f"separate cli {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
+        write_wav(root / "scene-30s.wav", FS, fixed_mixture(2, *dry_signals(3, 30 * FS)))
+        for command in ("enhance", "separate"):
+            run_cli([command, str(root / "scene-30s.wav"), "--out", str(root / command)])
+            for path in sorted((root / command).iterdir()):
+                data = path.read_bytes()
+                yield f"{command} 30s cli {path.name} {hashlib.sha256(data).hexdigest()}"
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

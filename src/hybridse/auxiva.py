@@ -24,14 +24,16 @@ under its own covariance.
 
 The envelope read off the statistics loses digits to cancellation when a
 source is strongly suppressed; the frames where that could show are
-recomputed from the spectrogram (see ``_CANCELLATION_RATIO``).
+recomputed from the spectrogram (see ``_CANCELLATION_RATIO``), one pass
+block at a time.
 
 What the sweeps leave is a :class:`Demixer`: per bin, the demixing rows in
 speech-first order and the scale that projects each source back onto the
 reference microphone.  It is a per-bin map of the spectrogram, so it
 applies to any run of frames, and :func:`auxiva_demixer` builds no
 whole-file sources: the ordering reads frame envelopes gathered
-``_ENVELOPE_BLOCK`` frames at a time.
+:data:`~hybridse.dsp.PASS_FRAMES` frames at a time, the pass block that
+also builds the statistics.
 """
 
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .dsp import StftConfig, check_float32_range
+from .dsp import PASS_FRAMES, StftConfig, check_float32_range
 from .errors import DegenerateInputError, InvalidInputError, NumericalError
 
 # Row (a, b) of ``w`` splits a bin's power |a y0 + b y1|^2 into the direct
@@ -51,9 +53,6 @@ from .errors import DegenerateInputError, InvalidInputError, NumericalError
 # exceeds 1e-12, are recomputed from the spectrogram, so the weighted
 # covariance stays at rounding distance from a direct evaluation.
 _CANCELLATION_RATIO = 1e-4
-
-# Frames per block of the pass that gathers the ordering's frame envelopes.
-_ENVELOPE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -149,6 +148,13 @@ class Demixer:
         out = _demix(spec, _check_w(self.w, spec.shape[2])[:, :sources])
         return np.multiply(out, self.scale[:sources, None, :], out=out)
 
+    def blocks(self, spec: np.ndarray):
+        """Both sources of ``spec``, yielded :data:`~hybridse.dsp.PASS_FRAMES`
+        frames at a time in frame order, so no whole-file source array is
+        built."""
+        for start in range(0, np.shape(spec)[1], PASS_FRAMES):
+            yield self(spec[:, start:start + PASS_FRAMES])
+
 
 def covariance_stats(spec: np.ndarray) -> np.ndarray:
     """Per-utterance rank-1 covariance terms, ``[frames, 4 * bins]`` real.
@@ -157,17 +163,28 @@ def covariance_stats(spec: np.ndarray) -> np.ndarray:
     frame l, each a block of ``bins`` values, divided by the frame count; the
     weighted covariance for frame weights ``1 / r`` is then
     ``(1 / r) @ stats`` reshaped to ``[4, bins]``.
+
+    The rows are filled :data:`~hybridse.dsp.PASS_FRAMES` frames at a time,
+    so the only whole-file array is the output.  Every entry is a function
+    of its own frame and bin, so the bytes do not depend on the block.  The
+    cross term is ``conj(y1) * y0``, conjugate first, at every length: the
+    operand order numpy's temporary elision gives a whole-file ``y0 *
+    np.conj(y1)`` from 64 frames up, whose complex product rounds its
+    imaginary part otherwise than ``y0 * conj(y1)``.
     """
     spec = _check_spec(spec)
     n_frames, n_bins = spec.shape[1], spec.shape[2]
-    y0, y1 = spec[0], spec[1]
     stats = np.empty((n_frames, 4, n_bins))
-    np.add(y0.real ** 2, y0.imag ** 2, out=stats[:, 0])
-    np.add(y1.real ** 2, y1.imag ** 2, out=stats[:, 1])
-    cross = y0 * np.conj(y1)
-    stats[:, 2] = cross.real
-    stats[:, 3] = cross.imag
-    stats /= n_frames
+    for start in range(0, n_frames, PASS_FRAMES):
+        frames = slice(start, start + PASS_FRAMES)
+        y0, y1, rows = spec[0, frames], spec[1, frames], stats[frames]
+        np.add(y0.real ** 2, y0.imag ** 2, out=rows[:, 0])
+        np.add(y1.real ** 2, y1.imag ** 2, out=rows[:, 1])
+        cross = np.conj(y1)
+        np.multiply(cross, y0, out=cross)
+        rows[:, 2] = cross.real
+        rows[:, 3] = cross.imag
+        rows /= n_frames
     return stats.reshape(n_frames, 4 * n_bins)
 
 
@@ -177,7 +194,9 @@ def _envelopes(spec: np.ndarray, stats: np.ndarray, w: np.ndarray,
 
     ``r^2 = L * stats @ [|a|^2, |b|^2, 2 Re(a b*), -2 Im(a b*)]`` for row
     ``(a, b)`` of each source, evaluated as the direct part ``q`` plus the
-    cross part; frames that lost digits to cancellation are demixed directly.
+    cross part; frames that lost digits to cancellation are demixed directly,
+    :data:`~hybridse.dsp.PASS_FRAMES` of them at a time, since in a source
+    IVA suppresses they can be most of the file.
     """
     n_frames, n_bins = spec.shape[1], spec.shape[2]
     a, b = w[:, :, 0], w[:, :, 1]  # [bins, source]
@@ -189,13 +208,19 @@ def _envelopes(spec: np.ndarray, stats: np.ndarray, w: np.ndarray,
     r2 = q + stats[:, 2 * n_bins:] @ cross
     for m in range(2):
         lost = np.nonzero(r2[:, m] < _CANCELLATION_RATIO * q[:, m])[0]
-        if lost.size:
-            sub = spec[:, lost]
-            power = _demix_row(sub, w[:, m, :], np.empty_like(sub[0]),
-                               np.empty_like(sub[0])).view(np.float64)
-            r2[lost, m] = np.sum(np.square(power, out=power), axis=1)
+        for start in range(0, lost.size, PASS_FRAMES):
+            frames = lost[start:start + PASS_FRAMES]
+            r2[frames, m] = _frame_powers(spec[:, frames], w[:, m, :])
     r = np.sqrt(np.maximum(r2, 0.0, out=r2), out=r2)
     return np.maximum(r, eps, out=r)
+
+
+def _frame_powers(spec: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Each frame's power summed over bins, ``[frames]``, of the source that
+    ``row`` demixes from ``spec``."""
+    power = _demix_row(spec, row, np.empty_like(spec[0]),
+                       np.empty_like(spec[0])).view(np.float64)
+    return np.sum(np.square(power, out=power), axis=1)
 
 
 def _weighted_covariances(stats: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -311,9 +336,9 @@ def auxiva_demixer(spec, cfg: IvaConfig = IvaConfig()) -> Demixer:
 
     The rank-1 covariance terms are built once per utterance
     (:func:`covariance_stats`), shared by every sweep and freed after the
-    last.  The ordering's frame envelopes are then gathered
-    ``_ENVELOPE_BLOCK`` frames at a time from the unordered sources, so no
-    whole-file source array is built here.
+    last.  The ordering's frame envelopes are then gathered from the
+    unordered sources :data:`~hybridse.dsp.PASS_FRAMES` frames at a time
+    (:meth:`Demixer.blocks`), so no whole-file source array is built here.
     """
     spec = _check_spec(spec)
     if spec.shape[1] < 2:
@@ -321,21 +346,15 @@ def auxiva_demixer(spec, cfg: IvaConfig = IvaConfig()) -> Demixer:
     if not np.any(spec):
         raise DegenerateInputError("all-zero input; nothing to separate")
     check_float32_range(spec.real, spec.imag)
-    n_frames, n_bins = spec.shape[1], spec.shape[2]
-
-    w = np.tile(np.eye(2, dtype=np.complex128), (n_bins, 1, 1))
+    w = np.tile(np.eye(2, dtype=np.complex128), (spec.shape[2], 1, 1))
     stats = covariance_stats(spec)
     for _ in range(cfg.iterations):
         w, _ = iva_sweep(spec, w, cfg, stats)
     del stats
 
     ref_row = _reference_row(w, cfg.ref_channel)
-    unordered = Demixer(w, ref_row.T)
-    env = np.empty((2, n_frames))
-    for start in range(0, n_frames, _ENVELOPE_BLOCK):
-        block = slice(start, start + _ENVELOPE_BLOCK)
-        env[:, block] = _frame_envelopes(unordered(spec[:, block]))
-    order = _rank(env)
+    order = _rank(np.concatenate([_frame_envelopes(sources) for sources
+                                  in Demixer(w, ref_row.T).blocks(spec)], axis=1))
     return Demixer(w[:, order, :], ref_row[:, order].T)
 
 

@@ -45,12 +45,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .auxiva import IvaConfig, auxiva_separate, check_reference, iva_macs_per_second
-from .dsp import DEFAULT_SAMPLE_RATE, stft, istft
+from .auxiva import IvaConfig, auxiva_demixer, check_reference, iva_macs_per_second
+from .dsp import DEFAULT_SAMPLE_RATE, istft_blocks, stft
 from .errors import (DegenerateInputError, HybridseError, InvalidInputError,
                      NumericalError, WeightFormatError)
 from .loss import si_snr
-from .model import (DEFAULT_PRESET, count_params, enhance, init_random,
+from .model import (DEFAULT_PRESET, _enhance, count_params, init_random,
                     load_weights, macs_breakdown, param_breakdown, prepare,
                     preset_config)
 from .simkit import render_scene, sample_scene, write_manifest
@@ -315,9 +315,10 @@ def _enhance_one(path, cfg, w, iva_cfg, no_iva):
     read = [_read_input(path, 2)]       # read outside _naming: it names the file itself
     with _naming(path), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        # popped into the call, so enhance holds the input's one reference
-        # and frees it after stft; of the result only the wave is kept
-        wave = enhance(read.pop(), w, cfg, iva_cfg=iva_cfg, use_iva=not no_iva).wave
+        # enhance's pipeline, which keeps no mask or estimate block; popped
+        # into the call, so it holds the input's one reference and frees it
+        # after stft
+        wave = _enhance(read.pop(), w, cfg, iva_cfg, not no_iva)[0]
     if not np.all(np.isfinite(wave)):
         raise NumericalError(f"{path}: enhancement produced non-finite samples")
     return [wave], [f"warning: {path}: {item.message}" for item in caught]
@@ -325,15 +326,16 @@ def _enhance_one(path, cfg, w, iva_cfg, no_iva):
 
 def _separate_one(path, iva_cfg):
     """The speech and noise waves of one input, as ``[2, n]``, and no
-    warning line."""
+    warning line: :func:`auxiva_separate`'s sources, demixed one pass
+    block at a time and overlap-added into the output as they come, so no
+    whole-file source array is built."""
     wave = _read_input(path, 2)
     with _naming(path):
         check_reference(wave)
         spec, n = stft(wave), wave.shape[1]
-        del wave                    # nothing reads the input after stft,
-        sources, _ = auxiva_separate(spec, iva_cfg)
-        del spec                    # nor the spectrogram after IVA
-    return istft(sources, length=n), []
+        del wave                    # nothing reads the input after stft
+        demixer = auxiva_demixer(spec, iva_cfg)
+        return istft_blocks(demixer.blocks(spec), spec.shape[1], length=n), []
 
 
 def _report(path, targets, waves, notes) -> None:

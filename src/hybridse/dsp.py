@@ -25,11 +25,12 @@ DEFAULT_SAMPLE_RATE = 16000
 # (only the very first/last window tail, where sqrt-Hann -> 0).
 _COLA_FLOOR = 1e-11
 
-# stft windows this many frames of one channel at a time and transforms them
-# straight into its output, so no windowed copy of the whole file's frames is
-# built, and each transform writes one contiguous block; istft inverts and
-# overlap-adds this many frames at a time
-_STFT_BLOCK = 64
+# Frames per block of every pass over a whole file's frames: stft windows
+# and transforms this many frames of one channel at a time, straight into
+# its output, and istft_blocks inverts and overlap-adds this many; Aux-IVA
+# builds its statistics and gathers its envelopes this many at a time.  So
+# no pass holds a windowed copy, an inverse or a temporary of every frame.
+PASS_FRAMES = 64
 
 # log_power clamps |Y|^2 here, so digital silence maps to ln(1e-12) = -27.6
 _POWER_FLOOR = 1e-12
@@ -85,8 +86,8 @@ def stft(wave: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
     spec = np.empty(wave.shape[:-1] + (n_frames, cfg.n_bins), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for channel in np.ndindex(wave.shape[:-1]):
-            for start in range(0, n_frames, _STFT_BLOCK):
-                block = slice(start, start + _STFT_BLOCK)
+            for start in range(0, n_frames, PASS_FRAMES):
+                block = slice(start, start + PASS_FRAMES)
                 np.fft.rfft(frames[channel][block] * cfg.window, axis=-1,
                             out=spec[channel][block])
     return spec
@@ -99,15 +100,25 @@ def istft(spec: np.ndarray, cfg: StftConfig = StftConfig(), length: int = None) 
     truncated or zero-padded to ``length`` samples (default: full overlap-add
     extent).  Interior samples of ``istft(stft(x))`` equal ``x`` exactly up to
     roundoff; the first and last ``hop`` samples follow the window taper.
+    The frames are inverted :data:`PASS_FRAMES` at a time
+    (:func:`istft_blocks`).
     """
     spec = np.asarray(spec)
     if spec.ndim not in (2, 3):
         raise InvalidInputError(f"spectrogram must be 2-D or 3-D, got shape {spec.shape}")
-    if spec.shape[-1] != cfg.n_bins:
-        raise InvalidInputError(
-            f"bin count {spec.shape[-1]} does not match config ({cfg.n_bins})")
+    return istft_blocks((spec,), spec.shape[-2], cfg, length)
 
-    lead, n_frames = spec.shape[:-2], spec.shape[-2]
+
+def istft_blocks(blocks, n_frames: int, cfg: StftConfig = StftConfig(),
+                 length: int = None) -> np.ndarray:
+    """:func:`istft` of a spectrogram of ``n_frames`` frames that arrives as
+    consecutive runs of its frames: ``blocks`` yields them in frame order,
+    each ``[frames, bins]`` or ``[channels, frames, bins]``, with one
+    leading shape.  The result has the bytes of :func:`istft` of their
+    concatenation, which is never built: each run is inverted
+    :data:`PASS_FRAMES` frames at a time, wherever it starts, and
+    overlap-added into the output as it comes.
+    """
     total = (n_frames - 1) * cfg.hop + cfg.fft_size
     length = total if length is None else length
     if length < 0:
@@ -116,18 +127,36 @@ def istft(spec: np.ndarray, cfg: StftConfig = StftConfig(), length: int = None) 
     # + the head of frame b: the sums a frame-by-frame overlap-add forms.
     # A frame block's first hop block already holds the previous frame's
     # tail when its own head is added.
-    n_blocks = max(n_frames + 1, -(-length // cfg.hop))
-    out = np.zeros(lead + (n_blocks, cfg.hop), dtype=np.float64)
-    for start in range(0, n_frames, _STFT_BLOCK):
-        stop = min(start + _STFT_BLOCK, n_frames)
-        frames = np.fft.irfft(spec[..., start:stop, :], n=cfg.fft_size, axis=-1)
-        frames *= cfg.window
-        out[..., start + 1:stop + 1, :] += frames[..., cfg.hop:]
-        out[..., start:stop, :] += frames[..., :cfg.hop]
+    n_hops = max(n_frames + 1, -(-length // cfg.hop))
+    out, done = None, 0
+    for spec in blocks:
+        spec = np.asarray(spec)
+        if spec.ndim not in (2, 3):
+            raise InvalidInputError(f"spectrogram must be 2-D or 3-D, got shape {spec.shape}")
+        if spec.shape[-1] != cfg.n_bins:
+            raise InvalidInputError(
+                f"bin count {spec.shape[-1]} does not match config ({cfg.n_bins})")
+        if out is None:
+            out = np.zeros(spec.shape[:-2] + (n_hops, cfg.hop), dtype=np.float64)
+        if spec.shape[:-2] != out.shape[:-2] or done + spec.shape[-2] > n_frames:
+            raise InvalidInputError(f"block of shape {spec.shape} does not continue a "
+                                    f"{out.shape[:-2]} spectrogram of {n_frames} frames")
+        for start in range(0, spec.shape[-2], PASS_FRAMES):
+            frames = np.fft.irfft(spec[..., start:start + PASS_FRAMES, :], n=cfg.fft_size,
+                                  axis=-1)
+            frames *= cfg.window
+            a, b = done + start, done + start + frames.shape[-2]
+            out[..., a + 1:b + 1, :] += frames[..., cfg.hop:]
+            out[..., a:b, :] += frames[..., :cfg.hop]
+            del frames
+        done += spec.shape[-2]
+        del spec                    # dropped before the next run is made
+    if out is None or done != n_frames:
+        raise InvalidInputError(f"blocks hold {done} frames, expected {n_frames}")
     head, tail = (cfg.window**2).reshape(2, cfg.hop)
     for a, b, env in ((0, 1, head), (1, n_frames, head + tail), (n_frames, n_frames + 1, tail)):
         np.divide(out[..., a:b, :], env, out=out[..., a:b, :], where=env > _COLA_FLOOR)
-    return out.reshape(lead + (-1,))[..., :length]
+    return out.reshape(out.shape[:-2] + (-1,))[..., :length]
 
 
 def check_float32_range(*parts: np.ndarray) -> None:

@@ -31,10 +31,12 @@ block boundary, keyed by layer or path name: each depthwise time conv (the
 rows whose op binds a dilation) keeps its last ``(kt - 1) * d`` input
 frames, 2, 4 or 10, which stand in for its causal zero padding in the next
 block, and the inter path keeps the inter-GRU's hidden state, which
-:func:`nn.gru_scan` takes as ``h0``.  Everything else
+:func:`nn.gru_steps` takes as ``h0``.  Everything else
 (features, band merge and split, SFE, the strided ``kt = 1`` convs and
 deconvs, the intra-GRU) is local to a frame.  ``state=None`` is the zero
-state and keeps nothing: one call over all frames.
+state and keeps nothing: one call over all frames.  In :func:`enhance`
+each block goes on to its estimate and ends in the output wave, so no
+whole-file mask or estimate is needed beyond what the result returns.
 """
 
 import itertools
@@ -50,7 +52,7 @@ from . import nn
 from .auxiva import (Demixer, IvaConfig, auxiva_demixer, check_reference,
                      iva_macs_per_second)
 from .bands import N_BANDS, N_BINS, N_HIGH, band_merge, band_split
-from .dsp import StftConfig, check_float32_range, istft, log_power, stft
+from .dsp import StftConfig, check_float32_range, istft_blocks, log_power, stft
 from .errors import DegenerateInputError, InvalidInputError, WeightFormatError
 from .weights import deserialize_tensors, serialize_tensors
 
@@ -532,8 +534,13 @@ def _dprnn_path(x: np.ndarray, plan: Plan, path: str, perm: Tuple[int, ...],
     """One G-DPRNN path: ``x`` plus the channel-shuffled projection of the
     path's GRUs.  ``perm`` lays ``x``, viewed as [batch, groups, gw, time,
     bands], out as [groups, scanned, batch, other, gw].  One
-    :func:`nn.gru_scan_gate_major` runs all of the path's GRUs from the
-    plan, a backward GRU over the reversed scan axis, and each projection
+    :func:`nn.gru_steps` scan runs all of the path's GRUs from the plan, a
+    backward GRU over the reversed scan axis, and each step's states are
+    projected as they come, so no scan's states are held whole.  A
+    direction's term is written to its scan position when it is the
+    first to arrive there and added to the other's when it is the second
+    (at the middle of an odd scan, the forward term goes first); a sum
+    from zeros would turn a -0.0 sum into +0.0.  Each projection thus
     sums its directions' halves straight into the shuffled order: output
     channel ``j * groups + g`` is unit ``j`` of group ``g``.  The copy
     into the scan layout (for the intra path, the direction stack) also
@@ -552,14 +559,20 @@ def _dprnn_path(x: np.ndarray, plan: Plan, path: str, perm: Tuple[int, ...],
     if directions == 2:
         xa[:, 1, ..., :gw] = seq[:, ::-1]
     xa[..., gw] = 1
-    h = nn.gru_scan_gate_major(xa.reshape(groups * directions, n_scan, b * n_other, gw + 1),
-                               w_x, w_h, h0=None if state is None else state.get(path))
+    p = np.empty((groups, n_scan, b * n_other, gw), dtype=x.dtype)
+    projected = set()
+    steps = nn.gru_steps(xa.reshape(groups * directions, n_scan, b * n_other, gw + 1),
+                         w_x, w_h, h0=None if state is None else state.get(path))
+    for step, h in enumerate(steps):
+        terms = np.matmul(h.reshape(groups, directions, b * n_other, -1), k[:, :, 0])
+        for d, at in enumerate((step, n_scan - 1 - step)[:directions]):
+            if at in projected:
+                p[:, at] += terms[:, d]
+            else:
+                p[:, at] = terms[:, d]
+                projected.add(at)
     if state is not None:
-        state[path] = h[:, -1].copy()
-    h = h.reshape(groups, directions, *h.shape[1:])
-    p = np.matmul(h[:, 0], k[:, 0])
-    if directions == 2:
-        p += np.matmul(h[:, 1], k[:, 1])[:, ::-1]
+        state[path] = h
     p += proj_bias
     p = p.reshape(groups, n_scan, b, n_other, gw)
     shuffled = p.transpose([perm.index(a) for a in (0, 2, 1, 3, 4)])
@@ -611,17 +624,18 @@ def _forward_block(y: np.ndarray, y_iva: np.ndarray, plan: Plan,
     return band_split(decode(z, plan, cfg, state))[0]
 
 
-def _forward_blocks(y: np.ndarray, iva_block, plan: Plan) -> np.ndarray:
-    """:func:`forward`'s block loop: each block's IVA spectrum is
-    ``iva_block(frames)``, for the ``slice`` of frames the block covers."""
+def _masks(y: np.ndarray, iva_block, plan: Plan):
+    """The one block loop of :func:`forward` and :func:`enhance`: yields,
+    block by block in frame order, the ``slice`` of frames a block covers
+    and its float32 mask [2, frames, 257].  Each block's IVA spectrum is
+    ``iva_block(frames)``."""
     frames = y.shape[1]
     n_blocks = max(-(-frames // BLOCK_FRAMES), 1)
     edges = [frames * i // n_blocks for i in range(n_blocks + 1)]
-    mask = np.empty((2, frames, N_BINS))
     state: dict = {}
     for a, b in zip(edges, edges[1:]):
-        mask[:, a:b] = _forward_block(y[:, a:b], iva_block(slice(a, b)), plan, state)
-    return mask
+        block = slice(a, b)
+        yield block, _forward_block(y[:, block], iva_block(block), plan, state)
 
 
 def forward(y: np.ndarray, y_iva: np.ndarray, w: Weights,
@@ -648,7 +662,10 @@ def forward(y: np.ndarray, y_iva: np.ndarray, w: Weights,
     """
     plan = prepare(w, cfg)
     y, y_iva = _spectrograms(y, y_iva)
-    return _forward_blocks(y, lambda frames: y_iva[:, frames], plan)
+    mask = np.empty((2, y.shape[1], N_BINS))
+    for frames, block in _masks(y, lambda frames: y_iva[:, frames], plan):
+        mask[:, frames] = block
+    return mask
 
 
 def apply_mask(mask: np.ndarray, y: np.ndarray, y_iva: np.ndarray,
@@ -735,15 +752,33 @@ def enhance(wave: np.ndarray, w: Weights, cfg: ModelConfig,
     zeros, or under 2 frames), the noisy spectrogram stands in for its output
     and a warning carries its message + "; skipping IVA".  A silent
     reference microphone beside a live one is invalid input
-    (:func:`check_reference`).  The input is released once :func:`stft`
-    has read it.
+    (:func:`check_reference`).
 
     The one whole-file spectrogram is the noisy one.  IVA hands over a
     :class:`Demixer`, and :func:`forward`'s block loop demixes each block's
-    IVA spectrum from that block's noisy frames; a ``mask1_iva`` config
-    demixes the speech source alone for :func:`apply_mask`.  The result
-    has the same bytes as :func:`forward` and :func:`apply_mask` on the
-    whole :func:`auxiva_separate` output."""
+    IVA spectrum from that block's noisy frames.  Each block then ends in
+    the output wave: its mask is applied to its own target with
+    :func:`apply_mask` (a ``mask1_iva`` config demixes the block's speech
+    source alone) and the estimate is overlap-added by
+    :func:`~hybridse.dsp.istft_blocks`.  The mask and estimate blocks are
+    collected for the result.  The result has the same bytes as
+    :func:`forward`, :func:`apply_mask` and :func:`istft` on the whole
+    :func:`auxiva_separate` output."""
+    kept: list = []
+    out, y, demixer = _enhance(wave, w, cfg, iva_cfg, use_iva, kept)
+    masks, ests = zip(*kept)
+    return EnhanceResult(wave=out, mask=np.concatenate(masks, axis=1, dtype=np.float64),
+                         est_spec=np.concatenate(ests), noisy_spec=y, demixer=demixer)
+
+
+def _enhance(wave: np.ndarray, w: Weights, cfg: ModelConfig, iva_cfg: IvaConfig,
+             use_iva: bool, kept: Optional[list] = None):
+    """:func:`enhance`'s pipeline, returning the output wave, the noisy
+    spectrogram and the demixer (``None`` if IVA was bypassed); each
+    forward block's mask and estimate are appended to ``kept`` as a pair
+    when it is a list, and dropped otherwise.  The input is freed once
+    :func:`stft` has read it when this call holds its one reference, as the
+    CLI's call does."""
     wave = np.asarray(wave, dtype=np.float64)
     if wave.ndim != 2 or wave.shape[0] != 2:
         raise InvalidInputError(f"expected a [2, n] waveform, got shape {wave.shape}")
@@ -757,16 +792,28 @@ def enhance(wave: np.ndarray, w: Weights, cfg: ModelConfig,
         try:
             demixer = auxiva_demixer(y, iva_cfg)
         except DegenerateInputError as exc:
-            warnings.warn(f"{exc}; skipping IVA", stacklevel=2)
-    plan = prepare(w, cfg)
-    if demixer is None:
-        mask = _forward_blocks(y, lambda frames: y[:, frames], plan)
-        target = y
-    else:
-        mask = _forward_blocks(y, lambda frames: demixer(y[:, frames]), plan)
-        target = demixer(y, 1) if cfg.masking == "mask1_iva" else y
-    est = apply_mask(mask, y, target, cfg.masking)
-    del target                      # a mask1_iva speech source is freed before istft
-    out = istft(est, length=n)
-    return EnhanceResult(wave=out, mask=mask, est_spec=est, noisy_spec=y,
-                         demixer=demixer)
+            warnings.warn(f"{exc}; skipping IVA", stacklevel=3)
+    blocks = _estimates(y, demixer, prepare(w, cfg), kept)
+    return istft_blocks(blocks, y.shape[1], length=n), y, demixer
+
+
+def _estimates(y: np.ndarray, demixer: Optional[Demixer], plan: Plan,
+               kept: Optional[list]):
+    """Each forward block's estimate [frames, 257] in frame order: the
+    block's mask applied to the block's target, the noisy reference or,
+    for ``mask1_iva``, the block's IVA speech source."""
+    masking = plan.cfg.masking
+    speech = demixer is not None and masking == "mask1_iva"
+
+    def iva_block(frames):
+        return y[:, frames] if demixer is None else demixer(y[:, frames])
+
+    for frames, mask in _masks(y, iva_block, plan):
+        noisy = y[:, frames]
+        target = demixer(noisy, 1) if speech else noisy
+        est = apply_mask(mask, noisy, target, masking)
+        if kept is not None:
+            kept.append((mask, est))
+        del target
+        yield est
+        del mask, est               # dropped before the next block is made

@@ -35,8 +35,11 @@ set many times lays them out once and calls :func:`gru_scan_gate_major`
 on an input with a constant-1 last column, so each step's input product
 adds the bias as it goes.  With a BLAS gemm that sums a dot product in K
 order, as OpenBLAS's does, that gives the bits of a separate bias add.
-:func:`gru_sequence` is the single-GRU [time, batch, input] view of the
-same kernel.
+The recurrence itself is written once, in :func:`gru_steps`, which yields
+each step's state as it is made; :func:`gru_scan_gate_major` collects
+them, and a caller that reduces each step as it comes holds no more than
+one.  :func:`gru_sequence` is the single-GRU [time, batch, input] view of
+the same kernel.
 """
 
 from dataclasses import dataclass
@@ -314,7 +317,23 @@ def gru_scan_gate_major(xa: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
     term as one ``+ b``: these are the bits of a product followed by a
     separate bias add.  numpy runs a one-row product (a batch of 1)
     through gemv instead, whose kernels may split the sum, so there the
-    last bits can move; at the network's widths they do not."""
+    last bits can move; at the network's widths they do not.  The states
+    are those :func:`gru_steps` yields, collected into one [S, time,
+    batch, H] array."""
+    s, t_len, batch, _ = xa.shape
+    out = np.empty((s, t_len, batch, w_h.shape[-1]), dtype=xa.dtype)
+    for t, h in enumerate(gru_steps(xa, w_x, w_h, h0)):
+        out[:, t] = h
+    return out
+
+
+def gru_steps(xa: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
+              h0: Optional[np.ndarray] = None):
+    """The recurrence of :func:`gru_scan_gate_major`, with the same
+    arguments, one step at a time: yields each step's hidden state [S,
+    batch, H] in time order, a new array per step, so a caller that reduces
+    each step as it comes never holds the whole scan.  The state starts at
+    ``h0``, checked when the first step is taken, or at zeros."""
     s, t_len, batch, _ = xa.shape
     h_dim = w_h.shape[-1]
     if h0 is None:
@@ -323,7 +342,6 @@ def gru_scan_gate_major(xa: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
         raise InvalidInputError(f"h0 has shape {np.shape(h0)}, expected {(s, batch, h_dim)}")
     else:
         h = np.asarray(h0, dtype=xa.dtype)
-    out = np.empty((s, t_len, batch, h_dim), dtype=xa.dtype)
     for t in range(t_len):
         pre = np.matmul(xa[:, t, None], w_x)
         rec = np.matmul(h[:, None], w_h)
@@ -333,8 +351,8 @@ def gru_scan_gate_major(xa: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
         zr += 0.5
         c = np.tanh(pre[:, 2] + zr[:, 1] * rec[:, 2])
         z = zr[:, 0]
-        h = np.add((1.0 - z) * c, z * h, out=out[:, t])
-    return out
+        h = np.add((1.0 - z) * c, z * h)
+        yield h
 
 
 def gru_sequence(x: np.ndarray,

@@ -1,5 +1,6 @@
 """Auxiliary-function IVA: sweep algebra, projection back, source ordering."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -177,6 +178,51 @@ class TestCovarianceStats:
         np.testing.assert_allclose(blocks[:, 2], cross.real, rtol=1e-14)
         np.testing.assert_allclose(blocks[:, 3], cross.imag, rtol=1e-14)
 
+    @pytest.mark.parametrize("frames", [1, 63, 64, 65, 626])
+    def test_bit_equal_to_the_in_place_cross_term_whole_and_in_blocks(self, frames):
+        # the cross term is conj(y1) * y0 written in place into the
+        # conjugate, the form numpy's temporary elision gives a whole-file
+        # y0 * np.conj(y1) from 64 frames (256 KiB) up, at every length;
+        # the rows come out the same built whole or in any blocks
+        spec = random_spec(np.random.default_rng(frames), frames=frames)
+
+        def in_place_form(y):
+            cross = np.conj(y[1])
+            np.multiply(cross, y[0], out=cross)
+            rows = np.stack([y[0].real ** 2 + y[0].imag ** 2, y[1].real ** 2 + y[1].imag ** 2,
+                             cross.real, cross.imag], axis=1)
+            return (rows / frames).reshape(y.shape[1], -1)
+
+        got = covariance_stats(spec)
+        assert got.tobytes() == in_place_form(spec).tobytes()
+        for size in (1, 7, 64, 100):
+            blocks = [in_place_form(spec[:, a:a + size]) for a in range(0, frames, size)]
+            assert got.tobytes() == np.concatenate(blocks).tobytes()
+
+    def test_cancelled_frames_recomputed_one_pass_block_at_a_time(self, monkeypatch):
+        # microphone 1 is microphone 0 at half level plus a faint remainder,
+        # which row (1, -2) leaves alone, so every frame of source 0 loses
+        # its envelope to cancellation and is demixed from the spectrogram
+        rng = np.random.default_rng(25)
+        y0 = random_spec(rng, frames=625)[0]
+        spec = np.stack([y0, 0.5 * y0 + 1e-6 * random_spec(rng, frames=625)[1]])
+        w = identity_w()
+        w[:, 0, 1] = -2.0
+        stats = covariance_stats(spec)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            got = auxiva._envelopes(spec, stats, w, IvaConfig.eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's frames and their two demixing planes, 1.05 MB; all
+        # 625 frames at once held 10.3 MB
+        assert peak - entry < 1_500_000
+        monkeypatch.setattr(auxiva, "PASS_FRAMES", spec.shape[1])
+        assert got.tobytes() == auxiva._envelopes(spec, stats, w, IvaConfig.eps).tobytes()
+        assert np.all(got[:, 0] < 1e-4 * got[:, 1])
+
     def test_passed_stats_bit_identical_to_built(self):
         rng = np.random.default_rng(21)
         spec = random_spec(rng, frames=30, bins=33)
@@ -247,9 +293,10 @@ class TestCovarianceStats:
 class TestSeparate:
     def test_matches_unrolled_sweeps_bit_for_bit(self):
         # auxiva_separate shares one statistics array across sweeps and
-        # projects and orders in place; the result must equal sweeps that
-        # each build their own, then a new projected array and a reordered
-        # copy.  Scene 2 comes out in the swapped order, scene 5 does not.
+        # applies the ordered Demixer to the spectrogram; the result must
+        # equal sweeps that each build their own, then a new projected array
+        # and a reordered copy.  Scene 2 comes out in the swapped order,
+        # scene 5 does not.
         cfg = IvaConfig(iterations=4)
         firsts = set()
         for scene in (5, 2):

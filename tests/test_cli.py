@@ -362,12 +362,14 @@ def test_each_error_class_exits_with_its_code(capsys, monkeypatch, error, code):
 
 
 def test_peak_memory_of_a_10s_file_with_iva(tmp_path, capsys, monkeypatch):
-    # traced peak above entry of one in-process call: 14.18 MB measured
-    # (numpy 2, one BLAS thread), so the bound leaves 0.82 MB; 15.90 MB
-    # when each forward block kept its IVA spectrum past its features,
-    # 19.29 MB while IVA handed over whole-file sources, and 22.16 MB while
-    # the call also held the input past stft, the result's spectra past
-    # enhance and every inverse-STFT frame at once
+    # traced peak above entry of one in-process call: 12.30 MB measured
+    # (numpy 2, one BLAS thread), so the bound leaves 0.70 MB; 14.18 MB
+    # while the call built the whole-file mask and estimate, the
+    # statistics' whole-file temporaries and each intra scan's states,
+    # 15.90 MB when each forward block kept its IVA spectrum past its
+    # features, 19.29 MB while IVA handed over whole-file sources, and
+    # 22.16 MB while the call also held the input past stft, the result's
+    # spectra past enhance and every inverse-STFT frame at once
     rng = np.random.default_rng(10)
     write_wav(tmp_path / "warm.wav", FS, 0.1 * rng.standard_normal((2, FS)))
     write_wav(tmp_path / "in.wav", FS, 0.1 * rng.standard_normal((2, 10 * FS)))
@@ -387,7 +389,7 @@ def test_peak_memory_of_a_10s_file_with_iva(tmp_path, capsys, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - entry <= 15_000_000
+    assert peak - entry <= 13_000_000
     # at the write only the output wave is left: 1.28 MB of overlap-add
     # blocks, 1.29 MB held measured, where the result's spectra would add
     # 15.4 MB
@@ -397,10 +399,11 @@ def test_peak_memory_of_a_10s_file_with_iva(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["enhance", "separate"])
 def test_two_files_peak_as_one(tmp_path, capsys, command):
     # each file's result is dropped before the next file runs: traced
-    # peaks above entry of 14.18 MB (enhance) and 13.01 MB (separate) for
+    # peaks above entry of 12.30 MB (enhance) and 10.89 MB (separate) for
     # one and for two 10 s files measured (numpy 2, one BLAS thread), where
     # separate once kept a file's sources and waves while the next ran and
-    # two files peaked at 20.76 MB
+    # two files peaked at 20.76 MB; 14.18 and 13.01 MB while each file
+    # built its whole-file mask and estimate, or its whole-file sources
     rng = np.random.default_rng(13)
     write_wav(tmp_path / "warm.wav", FS, 0.1 * rng.standard_normal((2, FS)))
     paths = [str(tmp_path / f"in{i}.wav") for i in range(2)]
@@ -434,13 +437,13 @@ class TestOutOfMemory:
         assert lines[0].startswith(f"error: {path}: out of memory (Unable to allocate")
 
     def test_enhance_exit_5(self, tmp_path, stereo_wav, capsys, monkeypatch):
-        monkeypatch.setattr("hybridse.cli.enhance", _out_of_memory)
+        monkeypatch.setattr("hybridse.cli._enhance", _out_of_memory)
         assert main(["enhance", str(stereo_wav), "--out", str(tmp_path / "o.wav")]) == 5
         self.assert_one_error_line(capsys.readouterr().err, stereo_wav)
         assert not (tmp_path / "o.wav").exists()
 
     def test_enhance_jobs_exit_5(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("hybridse.cli.enhance", _out_of_memory)
+        monkeypatch.setattr("hybridse.cli._enhance", _out_of_memory)
         rng = np.random.default_rng(7)
         paths = [tmp_path / f"m{i}.wav" for i in range(2)]
         for path in paths:
@@ -450,7 +453,7 @@ class TestOutOfMemory:
         self.assert_one_error_line(capsys.readouterr().err, paths[0])
 
     def test_separate_exit_5(self, tmp_path, stereo_wav, capsys, monkeypatch):
-        monkeypatch.setattr("hybridse.cli.auxiva_separate", _out_of_memory)
+        monkeypatch.setattr("hybridse.cli.auxiva_demixer", _out_of_memory)
         assert main(["separate", str(stereo_wav), "--out", str(tmp_path / "outs")]) == 5
         self.assert_one_error_line(capsys.readouterr().err, stereo_wav)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hybridse import StftConfig, istft, log_power, stft
-from hybridse.dsp import sqrt_hann
+from hybridse.dsp import istft_blocks, sqrt_hann
 from hybridse.errors import InvalidInputError
 
 FS = 16000
@@ -214,7 +214,7 @@ class TestIstft:
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["mono", "stereo"])
     @pytest.mark.parametrize("n_frames", [1, 63, 64, 65, 128, 129, 700])
     def test_block_loop_equals_whole_array_synthesis(self, n_frames, lead):
-        # frames are inverted _STFT_BLOCK (64) at a time: the counts sit on
+        # frames are inverted PASS_FRAMES (64) at a time: the counts sit on
         # each side of one and two block edges, and 700 spans eleven blocks
         cfg = StftConfig()
         shape = lead + (n_frames, cfg.n_bins)
@@ -227,6 +227,36 @@ class TestIstft:
             want = oracles.istft_whole(spec, cfg.fft_size, cfg.hop, sqrt_hann(512), length)
             assert got.shape == want.shape == lead + (length,)
             assert got.tobytes() == want.tobytes()   # signed zeros too
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["mono", "stereo"])
+    def test_blocks_of_any_cut_equal_one_spectrogram(self, lead):
+        # each run of frames is inverted PASS_FRAMES at a time from its own
+        # start, which gives the bytes of one inversion of every frame
+        cfg = StftConfig()
+        shape = lead + (300, cfg.n_bins)
+        rng = np.random.default_rng(300)
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = istft(spec, cfg, length=300 * cfg.hop - 50)
+        for cuts in ([300], [1, 299], [63, 65, 172], [0, 100, 0, 200], [7] * 42 + [6]):
+            edges = np.cumsum([0, *cuts])
+            blocks = (spec[..., a:b, :] for a, b in zip(edges, edges[1:]))
+            got = istft_blocks(blocks, 300, cfg, length=300 * cfg.hop - 50)
+            assert got.tobytes() == want.tobytes()
+
+    def test_blocks_that_do_not_tile_the_frames_rejected(self):
+        spec = np.zeros((2, 10, 257), dtype=complex)
+        with pytest.raises(InvalidInputError, match="2-D or 3-D"):
+            istft_blocks([spec[0, 0]], 10)
+        with pytest.raises(InvalidInputError, match="bin count 129"):
+            istft_blocks([spec[..., :129]], 10)
+        with pytest.raises(InvalidInputError, match="does not continue"):
+            istft_blocks([spec[:, :6], spec[0, 6:]], 10)       # another channel count
+        with pytest.raises(InvalidInputError, match="does not continue"):
+            istft_blocks([spec, spec[:, :1]], 10)               # one frame too many
+        with pytest.raises(InvalidInputError, match="blocks hold 9 frames, expected 10"):
+            istft_blocks([spec[:, :9]], 10)
+        with pytest.raises(InvalidInputError, match="blocks hold 0 frames, expected 3"):
+            istft_blocks([], 3)
 
     def test_peak_memory_is_the_transform_and_the_output(self):
         cfg = StftConfig()

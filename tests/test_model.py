@@ -18,7 +18,7 @@ import oracles
 from hybridse import loss, model, nn, simkit
 from hybridse.auxiva import IvaConfig, auxiva_separate, iva_macs_per_second
 from hybridse.bands import ErbFilterbank, band_merge, band_split
-from hybridse.dsp import StftConfig, log_power, stft
+from hybridse.dsp import StftConfig, istft, log_power, stft
 from hybridse.errors import InvalidInputError, WeightFormatError
 from hybridse.model import (DEFAULT_PRESET, PRESETS, ModelConfig, apply_mask,
                             build_features, count_params, decode, encode,
@@ -461,6 +461,52 @@ class TestGdprnn:
         assert state["dprnn.inter"].shape == (cfg.dprnn_groups, 33, cfg.inter_hidden)
         assert np.concatenate(parts, axis=2).tobytes() == gdprnn(x, w, cfg).tobytes()
 
+    @pytest.mark.parametrize("frames", [1, 2, 208])
+    def test_stepwise_projection_equals_the_collected_scan(self, frames):
+        # each scan step is projected as it comes, and the scan's states are
+        # never held whole; the bytes are those of projecting the whole
+        # collected scan, from zeros and from a carried state, at an odd
+        # (33 bands) and at an even and an odd frame count
+        cfg = ModelConfig()
+        plan = model.prepare(_PRESET_WEIGHTS[DEFAULT_PRESET], cfg)
+        rng = np.random.default_rng(frames)
+        for path, perm in (("dprnn.intra", (1, 4, 0, 3, 2)), ("dprnn.inter", (1, 3, 0, 4, 2))):
+            got_state, want_state = {}, {}
+            for _ in range(2):
+                x = rng.standard_normal((1, 16, frames, 33)).astype(np.float32)
+                got = model._dprnn_path(x, plan, path, perm, got_state)
+                assert got.tobytes() == collected_path(x, plan, path, perm, want_state).tobytes()
+            assert got_state[path].tobytes() == want_state[path].tobytes()
+
+
+def collected_path(x, plan, path, perm, state):
+    """``model._dprnn_path`` with the whole scan collected by
+    ``nn.gru_scan_gate_major`` and then projected in one product per
+    direction, the backward one reversed onto the forward one."""
+    b, c, t, f = x.shape
+    groups = plan.cfg.dprnn_groups
+    gw = c // groups
+    w_x, w_h, k, proj_bias = dict(plan.paths)[path]
+    directions = k.shape[1]
+    seq = x.reshape(b, groups, gw, t, f).transpose(perm)
+    _, n_scan, _, n_other, _ = seq.shape
+    xa = np.empty((groups, directions, n_scan, b, n_other, gw + 1), dtype=x.dtype)
+    xa[:, 0, ..., :gw] = seq
+    if directions == 2:
+        xa[:, 1, ..., :gw] = seq[:, ::-1]
+    xa[..., gw] = 1
+    h = nn.gru_scan_gate_major(xa.reshape(groups * directions, n_scan, b * n_other, gw + 1),
+                               w_x, w_h, h0=state.get(path))
+    state[path] = h[:, -1].copy()
+    h = h.reshape(groups, directions, *h.shape[1:])
+    p = np.matmul(h[:, 0], k[:, 0])
+    if directions == 2:
+        p += np.matmul(h[:, 1], k[:, 1])[:, ::-1]
+    p += proj_bias
+    p = p.reshape(groups, n_scan, b, n_other, gw)
+    shuffled = p.transpose([perm.index(a) for a in (0, 2, 1, 3, 4)])
+    return (x.reshape(b, gw, groups, t, f) + shuffled).reshape(b, c, t, f)
+
 
 class TestForward:
     def test_shape_range_determinism(self):
@@ -873,22 +919,23 @@ class TestEnhance:
     @pytest.mark.parametrize("preset", sorted(name for name, cfg in PRESETS.items()
                                               if cfg.masking == "mask1_iva"))
     def test_mask1_masks_the_speech_source_alone(self, preset, monkeypatch):
-        # the estimate is the mask on the whole separated speech source, and
-        # the only whole-file demixing builds that source alone
+        # the estimate is the mask on the whole separated speech source, yet
+        # each forward block demixes its own speech source alone, and no
+        # demixing spans the whole file
         cfg = PRESETS[preset]
         w = _PRESET_WEIGHTS[preset]
         wave = self.scene(10)
-        whole = []
+        calls = []
         call = model.Demixer.__call__
 
         def recording(demixer, spec, sources=2):
-            if spec.shape[1] == 625:
-                whole.append(sources)
+            calls.append((spec.shape[1], sources))
             return call(demixer, spec, sources)
 
         monkeypatch.setattr(model.Demixer, "__call__", recording)
         r = enhance(wave, w, cfg)
-        assert whole == [1]
+        assert max(frames for frames, _ in calls) < 625
+        assert [c for c in calls if c[1] == 1] == [(208, 1), (208, 1), (209, 1)]
         y = stft(wave)
         sources = auxiva_separate(y)[0]
         est = apply_mask(forward(y, sources, w, cfg), y, sources, cfg.masking)
@@ -924,6 +971,26 @@ class TestEnhance:
         block_sources = 2 * model.BLOCK_FRAMES * 257 * np.dtype(np.complex128).itemsize
         assert len(with_iva) == len(bypassed) == 5
         assert max(a - b for a, b in zip(with_iva, bypassed)) < block_sources
+
+    @pytest.mark.parametrize("use_iva", [True, False], ids=["iva", "no_iva"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_blocks_end_in_the_whole_file_estimate_and_wave(self, preset, use_iva):
+        # each forward block's mask is applied to its own target and its
+        # estimate overlap-added into the wave as it comes: the bytes of
+        # apply_mask and istft over the whole file, in one block (256
+        # frames) and across the block edges of 257 and 513 frames
+        cfg = PRESETS[preset]
+        for frames in (256, 257, 513):
+            n = frames * 256 - 100
+            rng = np.random.default_rng(frames)
+            wave = 0.05 * rng.standard_normal((2, 2)) @ np.stack(
+                [rng.laplace(size=n), rng.standard_normal(n)])
+            r = enhance(wave, _PRESET_WEIGHTS[preset], cfg, IvaConfig(iterations=3), use_iva)
+            assert r.used_iva == use_iva and r.mask.shape == (2, frames, 257)
+            assert r.mask.dtype == np.float64
+            est = apply_mask(r.mask, r.noisy_spec, r.iva_spec, cfg.masking)
+            assert r.est_spec.tobytes() == est.tobytes()
+            assert r.wave.tobytes() == istft(est, length=n).tobytes()
 
     def test_silence_bypasses_iva_with_warning(self):
         cfg = ModelConfig()
