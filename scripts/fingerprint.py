@@ -20,6 +20,9 @@ The artifacts, one line each:
   blocks), a silent file (IVA bypass) and a 100-sample file; the scenes
   are mixed by :func:`fixed_mixture`, so a change to the simulator's
   convolution moves only the ``render_scene`` and ``simulate`` lines;
+- ``enhance`` wave and mask for ``lps-sn-m2`` and ``lps-sn-m2-dual``, with
+  and without IVA, on the first 65 and 129 frames of the 10 s scene: one
+  forward block whose frame-local front runs in two and three pieces;
 - ``enhance`` wave and mask for every preset on the 2 s scene with IVA,
   its weights' batch norm statistics and PReLU slopes drawn per channel
   (:func:`with_norms`), so that each fold of a batch norm into its conv
@@ -223,6 +226,18 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
                 res = enhance(wave, w, PRESETS[preset], IvaConfig())
                 yield f"enhance {preset} iva {name} wave {digest(res.wave)}"
                 yield f"enhance {preset} iva {name} mask {digest(res.mask)}"
+
+    # 65 and 129 frames: one forward block, its front run in two and three
+    # pass blocks
+    for preset in (p for p in ("lps-sn-m2", "lps-sn-m2-dual") if p in presets):
+        w = init_random(PRESETS[preset], 0)
+        for frames in (65, 129):
+            for use_iva in (True, False):
+                res = enhance(inputs["scene-10s"][:, :frames * 256], w, PRESETS[preset],
+                              IvaConfig(), use_iva=use_iva)
+                tag = f"enhance {preset} {'iva' if use_iva else 'no-iva'} {frames} frames"
+                yield f"{tag} wave {digest(res.wave)}"
+                yield f"{tag} mask {digest(res.mask)}"
 
     # 40 frames: below 64, where the statistics' cross term moved once
     for name, wave in [("scene", inputs["scene"]), ("scene-10s", inputs["scene-10s"]),

@@ -210,16 +210,22 @@ def _envelopes(spec: np.ndarray, stats: np.ndarray, w: np.ndarray,
         lost = np.nonzero(r2[:, m] < _CANCELLATION_RATIO * q[:, m])[0]
         for start in range(0, lost.size, PASS_FRAMES):
             frames = lost[start:start + PASS_FRAMES]
-            r2[frames, m] = _frame_powers(spec[:, frames], w[:, m, :])
+            r2[frames, m] = _frame_powers(spec, frames, w[:, m, :])
     r = np.sqrt(np.maximum(r2, 0.0, out=r2), out=r2)
     return np.maximum(r, eps, out=r)
 
 
-def _frame_powers(spec: np.ndarray, row: np.ndarray) -> np.ndarray:
+def _frame_powers(spec: np.ndarray, frames: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Each frame's power summed over bins, ``[frames]``, of the source that
-    ``row`` demixes from ``spec``."""
-    power = _demix_row(spec, row, np.empty_like(spec[0]),
-                       np.empty_like(spec[0])).view(np.float64)
+    ``row`` demixes from the listed ``frames`` of ``spec``.  Each channel's
+    frames are gathered straight into the plane :func:`_demix_row` then
+    multiplies in place, so no gathered copy of both channels is built.
+    The gather's ``mode="clip"`` changes no index, since ``frames`` are in
+    range; numpy's default mode gathers through a temporary instead."""
+    planes = [np.take(channel, frames, axis=0, mode="clip",
+                      out=np.empty((frames.size, spec.shape[2]), dtype=spec.dtype))
+              for channel in spec]
+    power = _demix_row(planes, row, *planes).view(np.float64)
     return np.sum(np.square(power, out=power), axis=1)
 
 

@@ -28,8 +28,12 @@ _COLA_FLOOR = 1e-11
 # Frames per block of every pass over a whole file's frames: stft windows
 # and transforms this many frames of one channel at a time, straight into
 # its output, and istft_blocks inverts and overlap-adds this many; Aux-IVA
-# builds its statistics and gathers its envelopes this many at a time.  So
-# no pass holds a windowed copy, an inverse or a temporary of every frame.
+# builds its statistics, recomputes its cancelled envelopes and gathers its
+# ordering envelopes this many at a time, and its demixer's blocks are this
+# long; the network runs each forward block's frame-local front, from the
+# IVA spectrum to the strided encoder convs, over pieces of at most this
+# many.  So no pass holds a windowed copy, an inverse or a temporary of
+# every frame.
 PASS_FRAMES = 64
 
 # log_power clamps |Y|^2 here, so digital silence maps to ln(1e-12) = -27.6

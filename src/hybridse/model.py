@@ -34,9 +34,15 @@ block, and the inter path keeps the inter-GRU's hidden state, which
 :func:`nn.gru_steps` takes as ``h0``.  Everything else
 (features, band merge and split, SFE, the strided ``kt = 1`` convs and
 deconvs, the intra-GRU) is local to a frame.  ``state=None`` is the zero
-state and keeps nothing: one call over all frames.  In :func:`enhance`
-each block goes on to its estimate and ends in the output wave, so no
-whole-file mask or estimate is needed beyond what the result returns.
+state and keeps nothing: one call over all frames.  Within a block, the
+frame-local front (the IVA spectrum, the features, the band merge, the
+SFE stack and the strided convs that open each encoder branch) runs
+:data:`~hybridse.dsp.PASS_FRAMES` frames at a time, so the SFE stack,
+which triples the merged features, is built for one piece at a time; the
+G-T-conv blocks, the G-DPRNN and the decoder run on the whole block.  In
+:func:`enhance` each block goes on to its estimate and ends in the output
+wave, so no whole-file mask or estimate is needed beyond what the result
+returns.
 """
 
 import itertools
@@ -52,7 +58,8 @@ from . import nn
 from .auxiva import (Demixer, IvaConfig, auxiva_demixer, check_reference,
                      iva_macs_per_second)
 from .bands import N_BANDS, N_BINS, N_HIGH, band_merge, band_split
-from .dsp import StftConfig, check_float32_range, istft_blocks, log_power, stft
+from .dsp import (PASS_FRAMES, StftConfig, check_float32_range, istft_blocks,
+                  log_power, stft)
 from .errors import DegenerateInputError, InvalidInputError, WeightFormatError
 from .weights import deserialize_tensors, serialize_tensors
 
@@ -474,22 +481,27 @@ def _carry(op, x: np.ndarray, tensors, state: dict, layer: str) -> np.ndarray:
     return out if past is None else out[:, :, past.shape[2]:]
 
 
-def _run(x: np.ndarray, plan: Plan, prefix: str, state: Optional[dict] = None) -> np.ndarray:
-    """Run the plan's rows under ``prefix`` in table order: each row
-    directly under it through its ``op``, then its PReLU in place, and each
-    G-T-conv block ``{prefix}.gt{i}`` as one :func:`_gtconv_block`.  With a
-    ``state``, the rows whose op binds a dilation (the depthwise time
-    convs) run through :func:`_carry`."""
-    for block, steps in plan.blocks:
-        if block == prefix:
-            for layer, op, tensors, slopes in steps:
-                if state is not None and "dilation" in getattr(op, "keywords", ()):
-                    x = _carry(op, x, tensors, state, layer)
-                else:
-                    x = op(x, *tensors)
-                if slopes is not None:
-                    nn.prelu(x, slopes, out=x)
-        elif block.startswith(f"{prefix}.gt"):
+def _rows(x: np.ndarray, plan: Plan, block: str, state: Optional[dict] = None) -> np.ndarray:
+    """Run the plan's rows of ``block`` in table order, each through its
+    ``op`` and then its PReLU in place.  With a ``state``, the rows whose op
+    binds a dilation (the depthwise time convs) run through
+    :func:`_carry`."""
+    for layer, op, tensors, slopes in dict(plan.blocks)[block]:
+        if state is not None and "dilation" in getattr(op, "keywords", ()):
+            x = _carry(op, x, tensors, state, layer)
+        else:
+            x = op(x, *tensors)
+        if slopes is not None:
+            nn.prelu(x, slopes, out=x)
+    return x
+
+
+def _gtconv_blocks(x: np.ndarray, plan: Plan, prefix: str,
+                   state: Optional[dict] = None) -> np.ndarray:
+    """Run the G-T-conv blocks ``{prefix}.gt{i}`` in table order, each as
+    one :func:`_gtconv_block`."""
+    for block, _ in plan.blocks:
+        if block.startswith(f"{prefix}.gt"):
             x = _gtconv_block(x, plan, block, state)
     return x
 
@@ -505,7 +517,7 @@ def _gtconv_block(x: np.ndarray, plan: Plan, prefix: str,
     if ch % 2 != 0:
         raise InvalidInputError("gtconv block needs an even channel count")
     half = ch // 2
-    t = _run(x[:, half:], plan, prefix, state)
+    t = _rows(x[:, half:], plan, prefix, state)
     out = np.empty(x.shape, dtype=np.result_type(x, t))
     pairs = out.reshape(b, half, 2, *x.shape[2:])
     pairs[:, :, 0] = x[:, :half]
@@ -513,19 +525,47 @@ def _gtconv_block(x: np.ndarray, plan: Plan, prefix: str,
     return out
 
 
+def _branches(cfg: ModelConfig):
+    """Each encoder branch's prefix and the SFE stack channels it reads: a
+    dual encoder's main branch the noisy planes', its aux branch the IVA
+    planes'."""
+    if cfg.encoder == "single":
+        return (("enc", slice(None)),)
+    n_main = 4 * cfg.sfe_kernel
+    return (("enc.main", slice(None, n_main)), ("enc.aux", slice(n_main, None)))
+
+
+def _encoder_front(x: np.ndarray, plan: Plan) -> list:
+    """The frame-local front of :func:`encode`: the two strided convs that
+    open each branch, batch norm folded in and PReLU in place, one
+    [batch, C, time, 33] array per branch.  Their time kernel is 1, so each
+    output frame reads its own input frame only and needs no state."""
+    return [_rows(x[:, channels], plan, prefix) for prefix, channels in _branches(plan.cfg)]
+
+
+def _encoder_back(fronts: list, plan: Plan, state: Optional[dict] = None) -> np.ndarray:
+    """The rest of :func:`encode` on :func:`_encoder_front`'s arrays: each
+    branch's G-T-conv blocks, then a dual encoder's fusion of its two
+    branches."""
+    xs = [_gtconv_blocks(front, plan, prefix, state)
+          for front, (prefix, _) in zip(fronts, _branches(plan.cfg))]
+    if len(xs) == 1:
+        return xs[0]
+    return _rows(np.concatenate(xs, axis=1), plan, "enc", state)
+
+
 def encode(x: np.ndarray, w: Weights, cfg: ModelConfig,
            state: Optional[dict] = None):
     """Feature tensor [batch, 3P, time, 129] to ``(latent, skip)``, both
     [batch, 16, time, 33]; the skip is the latent itself.  A dual encoder
-    fuses the outputs of its noisy-plane and IVA-plane branches."""
+    fuses the outputs of its noisy-plane and IVA-plane branches.  The
+    encoder is its frame-local front (:func:`_encoder_front`) followed by
+    the rest (:func:`_encoder_back`), the two parts
+    :func:`_forward_block` runs on pieces and on whole blocks."""
     plan = prepare(w, cfg)
     if x.ndim != 4:
         raise InvalidInputError(f"expected [batch, channel, time, freq], got {x.shape}")
-    if cfg.encoder == "dual":
-        n_main = 4 * cfg.sfe_kernel
-        x = np.concatenate([_run(x[:, :n_main], plan, "enc.main", state),
-                            _run(x[:, n_main:], plan, "enc.aux", state)], axis=1)
-    latent = _run(x, plan, "enc", state)
+    latent = _encoder_back(_encoder_front(x, plan), plan, state)
     return latent, latent
 
 
@@ -599,7 +639,8 @@ def decode(z: np.ndarray, w: Weights, cfg: ModelConfig,
            state: Optional[dict] = None) -> np.ndarray:
     """Latent-plus-skip [batch, 16, time, 33] to a two-plane mask at 129
     bands, squashed to (-1, 1) by the final tanh."""
-    out = _run(z, prepare(w, cfg), "dec", state)
+    plan = prepare(w, cfg)
+    out = _rows(_gtconv_blocks(z, plan, "dec", state), plan, "dec", state)
     return np.tanh(out, out=out)
 
 
@@ -607,35 +648,66 @@ def decode(z: np.ndarray, w: Weights, cfg: ModelConfig,
 # forward pass
 
 
-def _forward_block(y: np.ndarray, y_iva: np.ndarray, plan: Plan,
+def _cuts(start: int, stop: int, most: int) -> list:
+    """The edges that cut the frames ``start:stop`` into ``ceil(n / most)``
+    runs, at least one, whose lengths differ by at most one."""
+    n = stop - start
+    count = max(-(-n // most), 1)
+    return [start + n * i // count for i in range(count + 1)]
+
+
+def _forward_block(y: np.ndarray, block: slice, iva_block, plan: Plan,
                    state: Optional[dict]) -> np.ndarray:
-    """The float32 mask [2, frames, 257] of the frames that follow the ones
-    ``state`` has seen, which it then carries past these; ``None`` is the
-    zero state and keeps nothing."""
-    cfg = plan.cfg
-    x = build_features(y, y_iva, cfg)
-    del y_iva              # the block's IVA spectrum is read for its features only
+    """The float32 mask [2, frames, 257] of the ``block`` of frames of the
+    noisy spectrogram ``y`` that follows the frames ``state`` has seen,
+    which it then carries past these; ``None`` is the zero state and keeps
+    nothing.  ``iva_block(frames)`` is the IVA spectrum of a slice of
+    frames.
+
+    The frame-local front (the IVA spectrum, the features, the band merge,
+    the SFE stack and :func:`_encoder_front`) runs over pieces of at most
+    :data:`~hybridse.dsp.PASS_FRAMES` frames, cut near-equal as
+    :func:`forward` cuts its blocks, and each piece's front output is
+    written into one whole-block array per encoder branch.  So the SFE
+    stack and the strided convs' planes exist for one piece at a time,
+    and a block over 64 frames has no piece shorter than 32 frames, well
+    above the 18 rows or fewer that the band merge's product rounds
+    otherwise.  The G-T-conv blocks, the G-DPRNN and the decoder run on
+    the whole block: the depthwise time convs cost more per frame below
+    about 80 frames.  The fronts are dropped before the G-DPRNN runs, and
+    the latent, once added as the skip, before the decoder runs."""
+    edges = _cuts(block.start, block.stop, PASS_FRAMES)
+    fronts = [_front(y, slice(a, b), iva_block, plan) for a, b in zip(edges, edges[1:])]
+    fronts = [np.concatenate(branch, axis=2) for branch in zip(*fronts)]
+    latent = _encoder_back(fronts, plan, state)
+    del fronts
+    z = gdprnn(latent, plan, plan.cfg, state)
+    z += latent            # the skip is the latent itself
+    del latent
+    return band_split(decode(z, plan, plan.cfg, state))[0]
+
+
+def _front(y: np.ndarray, frames: slice, iva_block, plan: Plan) -> list:
+    """:func:`_encoder_front` of the SFE stack of the ``frames`` of ``y``
+    and of their IVA spectrum ``iva_block(frames)``, each array dropped
+    once the next is built from it."""
+    x = build_features(y[:, frames], iva_block(frames), plan.cfg)
     x = band_merge(x)
-    x = sfe(x[None], cfg.sfe_kernel)
-    latent, skip = encode(x, plan, cfg, state)
-    del x                  # neither the bands nor their stack is held past encode
-    z = gdprnn(latent, plan, cfg, state)
-    z += skip
-    return band_split(decode(z, plan, cfg, state))[0]
+    x = sfe(x[None], plan.cfg.sfe_kernel)
+    return _encoder_front(x, plan)
 
 
 def _masks(y: np.ndarray, iva_block, plan: Plan):
     """The one block loop of :func:`forward` and :func:`enhance`: yields,
     block by block in frame order, the ``slice`` of frames a block covers
-    and its float32 mask [2, frames, 257].  Each block's IVA spectrum is
-    ``iva_block(frames)``."""
-    frames = y.shape[1]
-    n_blocks = max(-(-frames // BLOCK_FRAMES), 1)
-    edges = [frames * i // n_blocks for i in range(n_blocks + 1)]
+    and its float32 mask [2, frames, 257].  The IVA spectrum of a slice of
+    frames is ``iva_block(frames)``, which :func:`_forward_block` reads a
+    piece at a time."""
+    edges = _cuts(0, y.shape[1], BLOCK_FRAMES)
     state: dict = {}
     for a, b in zip(edges, edges[1:]):
         block = slice(a, b)
-        yield block, _forward_block(y[:, block], iva_block(block), plan, state)
+        yield block, _forward_block(y, block, iva_block, plan, state)
 
 
 def forward(y: np.ndarray, y_iva: np.ndarray, w: Weights,
@@ -649,16 +721,18 @@ def forward(y: np.ndarray, y_iva: np.ndarray, w: Weights,
 
     The network runs over consecutive blocks from one carried state, each
     block's mask written into the output, so the memory it needs beyond its
-    input and output does not grow with the frame count.  Each block's
-    features are written once into one float32 array, and the band merge,
-    the SFE stack and the network all run in float32 from there.  The
-    frames are cut into ``ceil(frames / BLOCK_FRAMES)`` blocks whose
-    lengths differ by at most one, so no block is shorter than half of
-    :data:`BLOCK_FRAMES`: BLAS rounds a product of 18 rows or fewer (the
-    band merge's frames) differently from a tall one, and long blocks keep
-    the mask byte for byte the one a single block over all frames gives.
-    :func:`enhance` runs the same block loop, with each block's IVA
-    spectrum demixed from that block's noisy frames instead of sliced.
+    input and output does not grow with the frame count.  A block's front
+    runs over pieces of at most :data:`~hybridse.dsp.PASS_FRAMES` frames
+    (:func:`_forward_block`): each piece's features are written once into
+    one float32 array, and the band merge, the SFE stack and the network
+    all run in float32 from there.  The frames are cut into
+    ``ceil(frames / BLOCK_FRAMES)`` blocks whose lengths differ by at most
+    one, so no block is shorter than half of :data:`BLOCK_FRAMES`: BLAS
+    rounds a product of 18 rows or fewer (the band merge's frames)
+    differently from a tall one, and long blocks keep the mask byte for
+    byte the one a single block over all frames gives.  :func:`enhance`
+    runs the same block loop, with each piece's IVA spectrum demixed from
+    that piece's noisy frames instead of sliced.
     """
     plan = prepare(w, cfg)
     y, y_iva = _spectrograms(y, y_iva)
@@ -755,8 +829,9 @@ def enhance(wave: np.ndarray, w: Weights, cfg: ModelConfig,
     (:func:`check_reference`).
 
     The one whole-file spectrogram is the noisy one.  IVA hands over a
-    :class:`Demixer`, and :func:`forward`'s block loop demixes each block's
-    IVA spectrum from that block's noisy frames.  Each block then ends in
+    :class:`Demixer`, and :func:`forward`'s block loop demixes the IVA
+    spectrum of each piece of a block's front from that piece's noisy
+    frames.  Each block then ends in
     the output wave: its mask is applied to its own target with
     :func:`apply_mask` (a ``mask1_iva`` config demixes the block's speech
     source alone) and the estimate is overlap-added by

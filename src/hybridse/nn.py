@@ -134,6 +134,7 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: Optional[np.ndarray] = None,
             v, c = _phase_start(e, pf_l, sf)
             src = x[:, :, r::st, c::sf]
             plane[:, :, u:u + src.shape[2], v:v + src.shape[3]] = src
+        del plane          # a view of the planes, which must not outlive them
     else:                                  # a 1x1 conv reads x in place
         fq, phases, planes = f_in, [(0, 0)], x[None]
     flat = planes.reshape(len(phases), b, groups, in_per_g, -1)
@@ -218,6 +219,7 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray,
             u, v = t_in + lt - da - dst.shape[2], f_in + lf - de - dst.shape[3]
             y = conv2d(x_rev, phase, bias, groups=groups)
             dst[...] = y[:, :, u:u + dst.shape[2], v:v + dst.shape[3]][:, :, ::-1, ::-1]
+            del y          # freed before the next phase's conv2d runs
     return out
 
 

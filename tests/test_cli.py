@@ -361,15 +361,38 @@ def test_each_error_class_exits_with_its_code(capsys, monkeypatch, error, code):
     assert capsys.readouterr() == ("", "error: the message\n")
 
 
+def test_peak_memory_of_a_3s_file_without_iva(tmp_path, capsys):
+    # a 3 s file is one 188-frame forward block: 4.65 MB measured (numpy 2,
+    # one BLAS thread), so the bound leaves 0.60 MB; 6.75 MB while the
+    # block's whole SFE stack and the first encoder conv's planes were
+    # built at once and the block's front, its latent and a transposed
+    # conv's previous phase outlived their last reader
+    rng = np.random.default_rng(11)
+    write_wav(tmp_path / "warm.wav", FS, 0.1 * rng.standard_normal((2, FS)))
+    write_wav(tmp_path / "in.wav", FS, 0.1 * rng.standard_normal((2, 3 * FS)))
+    # a first call builds the parser and the seeded weights, which stay cached
+    assert main(["enhance", str(tmp_path / "warm.wav"), "--no-iva"]) == 0
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        assert main(["enhance", str(tmp_path / "in.wav"), "--no-iva"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 5_250_000
+
+
 def test_peak_memory_of_a_10s_file_with_iva(tmp_path, capsys, monkeypatch):
-    # traced peak above entry of one in-process call: 12.30 MB measured
-    # (numpy 2, one BLAS thread), so the bound leaves 0.70 MB; 14.18 MB
-    # while the call built the whole-file mask and estimate, the
-    # statistics' whole-file temporaries and each intra scan's states,
-    # 15.90 MB when each forward block kept its IVA spectrum past its
-    # features, 19.29 MB while IVA handed over whole-file sources, and
-    # 22.16 MB while the call also held the input past stft, the result's
-    # spectra past enhance and every inverse-STFT frame at once
+    # traced peak above entry of one in-process call: 10.89 MB measured
+    # (numpy 2, one BLAS thread), where IVA's sweeps read the spectrogram
+    # and its statistics, so the bound leaves 0.61 MB; 12.30 MB while each
+    # forward block built its whole SFE stack at once, 14.18 MB while the
+    # call built the whole-file mask and estimate, the statistics'
+    # whole-file temporaries and each intra scan's states, 15.90 MB when
+    # each forward block kept its IVA spectrum past its features, 19.29 MB
+    # while IVA handed over whole-file sources, and 22.16 MB while the call
+    # also held the input past stft, the result's spectra past enhance and
+    # every inverse-STFT frame at once
     rng = np.random.default_rng(10)
     write_wav(tmp_path / "warm.wav", FS, 0.1 * rng.standard_normal((2, FS)))
     write_wav(tmp_path / "in.wav", FS, 0.1 * rng.standard_normal((2, 10 * FS)))
@@ -389,7 +412,7 @@ def test_peak_memory_of_a_10s_file_with_iva(tmp_path, capsys, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - entry <= 13_000_000
+    assert peak - entry <= 11_500_000
     # at the write only the output wave is left: 1.28 MB of overlap-add
     # blocks, 1.29 MB held measured, where the result's spectra would add
     # 15.4 MB
@@ -399,11 +422,14 @@ def test_peak_memory_of_a_10s_file_with_iva(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["enhance", "separate"])
 def test_two_files_peak_as_one(tmp_path, capsys, command):
     # each file's result is dropped before the next file runs: traced
-    # peaks above entry of 12.30 MB (enhance) and 10.89 MB (separate) for
-    # one and for two 10 s files measured (numpy 2, one BLAS thread), where
+    # peaks above entry of 10.89 MB (enhance) and 10.89 MB (separate) for
+    # one and for two 10 s files measured (numpy 2, one BLAS thread), both
+    # set by IVA's sweeps over the spectrogram and its statistics, where
     # separate once kept a file's sources and waves while the next ran and
-    # two files peaked at 20.76 MB; 14.18 and 13.01 MB while each file
-    # built its whole-file mask and estimate, or its whole-file sources
+    # two files peaked at 20.76 MB; 12.30 MB (enhance) while each forward
+    # block built its whole SFE stack at once, and 14.18 and 13.01 MB while
+    # each file built its whole-file mask and estimate, or its whole-file
+    # sources
     rng = np.random.default_rng(13)
     write_wav(tmp_path / "warm.wav", FS, 0.1 * rng.standard_normal((2, FS)))
     paths = [str(tmp_path / f"in{i}.wav") for i in range(2)]

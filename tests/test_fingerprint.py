@@ -59,6 +59,8 @@ def test_same_lines_twice_on_a_reduced_input():
         "gru_scan", "image_rir", "render_scene", "simulate", "inspect"}
     assert {f"image_rir seed {seed} {source}" for seed in (0, 1, 142, 1132, 1827)
             for source in ("speech", "noise")} <= set(names)
+    assert {f"enhance lps-sn-m2 {iva} {frames} frames {artifact}" for iva in ("iva", "no-iva")
+            for frames in (65, 129) for artifact in ("wave", "mask")} <= set(names)
     assert {"separate scene-10s noise", "separate cli scene-10s.noise.wav",
             "separate scene-40-frames speech", "enhance 30s cli scene-30s.enhanced.wav",
             "separate 30s cli scene-30s.speech.wav", "separate 30s cli scene-30s.noise.wav",

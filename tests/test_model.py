@@ -18,7 +18,7 @@ import oracles
 from hybridse import loss, model, nn, simkit
 from hybridse.auxiva import IvaConfig, auxiva_separate, iva_macs_per_second
 from hybridse.bands import ErbFilterbank, band_merge, band_split
-from hybridse.dsp import StftConfig, istft, log_power, stft
+from hybridse.dsp import PASS_FRAMES, StftConfig, istft, log_power, stft
 from hybridse.errors import InvalidInputError, WeightFormatError
 from hybridse.model import (DEFAULT_PRESET, PRESETS, ModelConfig, apply_mask,
                             build_features, count_params, decode, encode,
@@ -593,8 +593,14 @@ _PRESET_WEIGHTS = {name: init_random(cfg, 0) for name, cfg in PRESETS.items()}
 
 def one_block_mask(y, yi, w, cfg):
     """The mask of the whole input run as one block from the zero state, in
-    ``forward``'s float64."""
-    return model._forward_block(y, yi, model.prepare(w, cfg), None).astype(np.float64)
+    ``forward``'s float64: the public ``build_features``, ``band_merge``,
+    ``sfe``, ``encode``, ``gdprnn``, ``decode`` and ``band_split`` over every
+    frame at once, with ``state=None``."""
+    x = sfe(band_merge(build_features(y, yi, cfg))[None], cfg.sfe_kernel)
+    latent, skip = encode(x, w, cfg)
+    z = gdprnn(latent, w, cfg)
+    z += skip
+    return band_split(decode(z, w, cfg))[0].astype(np.float64)
 
 
 class TestBlockedForward:
@@ -612,7 +618,8 @@ class TestBlockedForward:
         y, yi = rand_specs(seed, frames=frames)
         edges = sorted({0, frames, *(c for c in cuts if c < frames)})
         plan, state = model.prepare(w, cfg), {}
-        blocked = np.concatenate([model._forward_block(y[:, a:b], yi[:, a:b], plan, state)
+        blocked = np.concatenate([model._forward_block(y, slice(a, b), lambda f: yi[:, f],
+                                                       plan, state)
                                   for a, b in zip(edges, edges[1:])], axis=1)
         whole = one_block_mask(y, yi, w, cfg)
         assert blocked.shape == whole.shape == (2, frames, 257)
@@ -625,9 +632,9 @@ class TestBlockedForward:
         seen = []
         block = model._forward_block
 
-        def recording(y, *args):
-            seen.append(y.shape[1])
-            return block(y, *args)
+        def recording(y, frames, *args):
+            seen.append(frames.stop - frames.start)
+            return block(y, frames, *args)
 
         monkeypatch.setattr(model, "_forward_block", recording)
         cfg = ModelConfig()
@@ -647,6 +654,56 @@ class TestBlockedForward:
         assert r.used_iva == use_iva and r.mask.shape == (2, 625, 257)
         whole = one_block_mask(r.noisy_spec, r.iva_spec, w, cfg)
         assert r.mask.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("use_iva", [True, False], ids=["iva", "no_iva"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_pass_block_front_gives_the_whole_block_composition(self, preset, use_iva):
+        # a block's front (IVA spectrum, features, merge, SFE and the
+        # strided convs of each encoder branch) runs 64 frames at a time,
+        # the IVA spectrum demixed per piece by enhance and sliced per
+        # piece by forward; the mask is the whole-block composition's, at
+        # one piece and across the piece edges of 65, 128, 129, 208 and 256
+        cfg = PRESETS[preset]
+        w = _PRESET_WEIGHTS[preset]
+        for frames in (18, 19, 64, 65, 128, 129, 208, 256):
+            n = frames * 256 - 100
+            rng = np.random.default_rng(frames)
+            wave = 0.05 * rng.standard_normal((2, 2)) @ np.stack(
+                [rng.laplace(size=n), rng.standard_normal(n)])
+            r = enhance(wave, w, cfg, IvaConfig(iterations=3), use_iva)
+            assert r.used_iva == use_iva and r.mask.shape == (2, frames, 257)
+            whole = one_block_mask(r.noisy_spec, r.iva_spec, w, cfg)
+            assert r.mask.tobytes() == whole.tobytes()
+            y, yi = rand_specs(frames, frames=frames)
+            assert forward(y, yi, w, cfg).tobytes() == one_block_mask(y, yi, w, cfg).tobytes()
+
+    @pytest.mark.parametrize("frames, pieces", [
+        (18, [18]), (64, [64]), (65, [32, 33]), (129, [43, 43, 43]), (208, [52] * 4),
+        (256, [64] * 4), (625, [52] * 11 + [53])])
+    def test_front_pieces_are_near_equal(self, frames, pieces, monkeypatch):
+        # no piece of a block over 64 frames is shorter than 32 frames, so
+        # none reaches the band merge's 18-row rounding; enhance demixes
+        # both IVA sources of each piece and of nothing longer
+        seen, demixed = [], []
+        front, call = model._front, model.Demixer.__call__
+
+        def recording_front(y, piece, *args):
+            seen.append(piece.stop - piece.start)
+            return front(y, piece, *args)
+
+        def recording_demixer(demixer, spec, sources=2):
+            if sources == 2:
+                demixed.append(spec.shape[1])
+            return call(demixer, spec, sources)
+
+        monkeypatch.setattr(model, "_front", recording_front)
+        monkeypatch.setattr(model.Demixer, "__call__", recording_demixer)
+        cfg = ModelConfig()
+        n = frames * 256 - 100
+        wave = 0.05 * np.random.default_rng(frames).standard_normal((2, n))
+        enhance(wave, _PRESET_WEIGHTS[DEFAULT_PRESET], cfg, IvaConfig(iterations=1))
+        assert seen == pieces
+        assert demixed[-len(pieces):] == pieces and max(demixed) <= 64
 
     @pytest.mark.parametrize("frames", [1, 255, 256, 257, 270, 513, 530])
     def test_block_edges(self, frames):
@@ -943,8 +1000,10 @@ class TestEnhance:
 
     def test_iva_holds_one_block_beyond_the_bypass(self):
         # at the entry of each forward block, what IVA keeps alive beyond a
-        # bypassed run is that block's demixed sources and the demixer, less
-        # than one full block's sources; whole-file sources held 10.3 MB
+        # bypassed run is the demixer, 40 KB measured, less than one pass
+        # block's sources: each piece's sources are demixed inside the
+        # block; the block's demixed sources held 2.09 MB, whole-file
+        # sources 10.3 MB
         cfg = ModelConfig()
         w = _PRESET_WEIGHTS[DEFAULT_PRESET]
         wave = self.scene(20)
@@ -968,9 +1027,9 @@ class TestEnhance:
 
         enhance(self.scene(2), w, cfg)      # what a first call caches is not counted
         with_iva, bypassed = live_at_block_entries(True), live_at_block_entries(False)
-        block_sources = 2 * model.BLOCK_FRAMES * 257 * np.dtype(np.complex128).itemsize
+        piece_sources = 2 * PASS_FRAMES * 257 * np.dtype(np.complex128).itemsize
         assert len(with_iva) == len(bypassed) == 5
-        assert max(a - b for a, b in zip(with_iva, bypassed)) < block_sources
+        assert max(a - b for a, b in zip(with_iva, bypassed)) < piece_sources
 
     @pytest.mark.parametrize("use_iva", [True, False], ids=["iva", "no_iva"])
     @pytest.mark.parametrize("preset", sorted(PRESETS))

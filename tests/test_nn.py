@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hybridse import nn
 from hybridse.errors import InvalidInputError
 from hybridse.nn import (GruParams, batch_norm_infer, conv2d, conv_transpose2d,
                          gru_gate_major, gru_scan, gru_sequence, prelu)
@@ -131,6 +132,44 @@ class TestConv2d:
             tracemalloc.stop()
         assert out.shape == x.shape
         assert peak - entry <= plane + 2 * acc + (1 << 20)
+
+
+    @pytest.mark.parametrize("shape, kernel, stride", [
+        ((1, 18, 208, 129), (16, 18, 1, 5), (1, 2)),
+        ((1, 32, 128, 129), (32, 32, 2, 3), (1, 1))], ids=["first-encoder-conv", "2x3"])
+    def test_only_the_accumulator_is_live_at_the_output_allocation(
+            self, shape, kernel, stride, monkeypatch):
+        # the peak cannot show it, since the product buffer is as large as
+        # the output: a loop variable that viewed the planes once kept the
+        # first encoder conv's 2.02 MB planes of a 208-frame block alive
+        # when its output was allocated
+        allocations = []
+
+        class RecordingNumpy:
+            """numpy, with the traced memory and size of each np.empty."""
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(*args, **kwargs):
+                live = tracemalloc.get_traced_memory()[0]
+                out = np.empty(*args, **kwargs)
+                allocations.append((live, out.nbytes))
+                return out
+
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal(shape).astype(np.float32)
+        k = rng.standard_normal(kernel).astype(np.float32)
+        monkeypatch.setattr(nn, "np", RecordingNumpy())
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            conv2d(x, k, stride=stride)
+        finally:
+            tracemalloc.stop()
+        (_, acc), *_, (at_output, _) = allocations
+        assert len(allocations) == 3        # accumulator, product buffer, output
+        assert at_output - entry <= acc + (64 << 10)
 
 
 class TestConvTranspose2d:
