@@ -39,6 +39,8 @@ The artifacts, one line each:
   one ``hybridse separate`` run over both scenes writes;
 - the WAVs of one ``hybridse enhance`` and one ``hybridse separate`` run
   on a 30 s scene, which the network runs in eight blocks;
+- the WAVs of one ``hybridse enhance --no-iva`` run over the 2 s, the
+  10 s and the 30 s scene;
 - the WAVs of four ``hybridse enhance`` runs on the 2 s scene in one
   process: seed 0, seed 1, a ``--config`` file that switches the preset,
   then seed 0 again, so a setting one call leaves behind shows as a
@@ -261,6 +263,12 @@ def fingerprints(rir_seeds=range(600), presets=tuple(sorted(PRESETS))):
             for path in sorted((root / command).iterdir()):
                 data = path.read_bytes()
                 yield f"{command} 30s cli {path.name} {hashlib.sha256(data).hexdigest()}"
+        # without IVA each piece's frames are transformed from the waveform
+        run_cli(["enhance", *(str(root / f"{name}.wav") for name in
+                              ("scene", "scene-10s", "scene-30s")),
+                 "--no-iva", "--out", str(root / "no-iva")])
+        for path in sorted((root / "no-iva").iterdir()):
+            yield f"enhance no-iva cli {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

@@ -31,9 +31,10 @@ _COLA_FLOOR = 1e-11
 # builds its statistics, recomputes its cancelled envelopes and gathers its
 # ordering envelopes this many at a time, and its demixer's blocks are this
 # long; the network runs each forward block's frame-local front, from the
-# IVA spectrum to the strided encoder convs, over pieces of at most this
-# many.  So no pass holds a windowed copy, an inverse or a temporary of
-# every frame.
+# noisy frames and their IVA spectrum to the strided encoder convs, over
+# pieces of at most this many, and without IVA enhance transforms each
+# piece's frames from the waveform.  So no pass holds a windowed copy, an
+# inverse or a temporary of every frame.
 PASS_FRAMES = 64
 
 # log_power clamps |Y|^2 here, so digital silence maps to ln(1e-12) = -27.6

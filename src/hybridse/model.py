@@ -35,14 +35,18 @@ block, and the inter path keeps the inter-GRU's hidden state, which
 (features, band merge and split, SFE, the strided ``kt = 1`` convs and
 deconvs, the intra-GRU) is local to a frame.  ``state=None`` is the zero
 state and keeps nothing: one call over all frames.  Within a block, the
-frame-local front (the IVA spectrum, the features, the band merge, the
-SFE stack and the strided convs that open each encoder branch) runs
-:data:`~hybridse.dsp.PASS_FRAMES` frames at a time, so the SFE stack,
-which triples the merged features, is built for one piece at a time; the
-G-T-conv blocks, the G-DPRNN and the decoder run on the whole block.  In
-:func:`enhance` each block goes on to its estimate and ends in the output
-wave, so no whole-file mask or estimate is needed beyond what the result
-returns.
+frame-local front (the noisy frames and their IVA spectrum, the features,
+the band merge, the SFE stack and the strided convs that open each
+encoder branch) runs :data:`~hybridse.dsp.PASS_FRAMES` frames at a time,
+so the SFE stack, which triples the merged features, is built for one
+piece at a time; the G-T-conv blocks, the G-DPRNN and the decoder run on
+the whole block.  Each piece reads its frames from a frame source: slices
+of the given spectrograms in :func:`forward`, slices of the noisy
+spectrogram in :func:`enhance` with IVA, whose statistics need every
+frame, and, without IVA, frames transformed from the waveform, so that no
+whole-file spectrogram is built.  In :func:`enhance` each block goes on
+to its estimate and ends in the output wave, so no whole-file mask or
+estimate is needed beyond what the result returns.
 """
 
 import itertools
@@ -656,15 +660,16 @@ def _cuts(start: int, stop: int, most: int) -> list:
     return [start + n * i // count for i in range(count + 1)]
 
 
-def _forward_block(y: np.ndarray, block: slice, iva_block, plan: Plan,
-                   state: Optional[dict]) -> np.ndarray:
-    """The float32 mask [2, frames, 257] of the ``block`` of frames of the
-    noisy spectrogram ``y`` that follows the frames ``state`` has seen,
-    which it then carries past these; ``None`` is the zero state and keeps
-    nothing.  ``iva_block(frames)`` is the IVA spectrum of a slice of
-    frames.
+def _forward_block(read, block: slice, plan: Plan, state: Optional[dict],
+                   reference: Optional[np.ndarray] = None) -> np.ndarray:
+    """The float32 mask [2, frames, 257] of the ``block`` of frames that
+    follows the frames ``state`` has seen, which it then carries past
+    these; ``None`` is the zero state and keeps nothing.  ``read(frames)``
+    returns the noisy frames [2, frames, 257] of a slice of frames and
+    their IVA spectrum.  With a ``reference`` [frames, 257], the block's
+    noisy channel 0 is written into it as its pieces are read.
 
-    The frame-local front (the IVA spectrum, the features, the band merge,
+    The frame-local front (the frames read, the features, the band merge,
     the SFE stack and :func:`_encoder_front`) runs over pieces of at most
     :data:`~hybridse.dsp.PASS_FRAMES` frames, cut near-equal as
     :func:`forward` cuts its blocks, and each piece's front output is
@@ -677,7 +682,9 @@ def _forward_block(y: np.ndarray, block: slice, iva_block, plan: Plan,
     about 80 frames.  The fronts are dropped before the G-DPRNN runs, and
     the latent, once added as the skip, before the decoder runs."""
     edges = _cuts(block.start, block.stop, PASS_FRAMES)
-    fronts = [_front(y, slice(a, b), iva_block, plan) for a, b in zip(edges, edges[1:])]
+    fronts = [_front(read, slice(a, b), plan,
+                     None if reference is None else reference[a - block.start:b - block.start])
+              for a, b in zip(edges, edges[1:])]
     fronts = [np.concatenate(branch, axis=2) for branch in zip(*fronts)]
     latent = _encoder_back(fronts, plan, state)
     del fronts
@@ -687,27 +694,36 @@ def _forward_block(y: np.ndarray, block: slice, iva_block, plan: Plan,
     return band_split(decode(z, plan, plan.cfg, state))[0]
 
 
-def _front(y: np.ndarray, frames: slice, iva_block, plan: Plan) -> list:
-    """:func:`_encoder_front` of the SFE stack of the ``frames`` of ``y``
-    and of their IVA spectrum ``iva_block(frames)``, each array dropped
+def _front(read, frames: slice, plan: Plan, reference: Optional[np.ndarray] = None) -> list:
+    """:func:`_encoder_front` of the SFE stack of the noisy frames and the
+    IVA spectrum that ``read(frames)`` returns, after the noisy channel 0
+    is written into ``reference`` if one is given; each array is dropped
     once the next is built from it."""
-    x = build_features(y[:, frames], iva_block(frames), plan.cfg)
+    y, y_iva = read(frames)
+    if reference is not None:
+        reference[...] = y[0]
+    x = build_features(y, y_iva, plan.cfg)
+    del y, y_iva
     x = band_merge(x)
     x = sfe(x[None], plan.cfg.sfe_kernel)
     return _encoder_front(x, plan)
 
 
-def _masks(y: np.ndarray, iva_block, plan: Plan):
-    """The one block loop of :func:`forward` and :func:`enhance`: yields,
-    block by block in frame order, the ``slice`` of frames a block covers
-    and its float32 mask [2, frames, 257].  The IVA spectrum of a slice of
-    frames is ``iva_block(frames)``, which :func:`_forward_block` reads a
-    piece at a time."""
-    edges = _cuts(0, y.shape[1], BLOCK_FRAMES)
+def _masks(n_frames: int, read, plan: Plan, references: bool = False):
+    """The one block loop of :func:`forward` and :func:`enhance` over the
+    frame source ``read`` (see :func:`_forward_block`), which
+    :func:`_forward_block` reads a piece at a time: yields, block by block
+    in frame order over ``n_frames`` frames, the ``slice`` of frames a
+    block covers, its float32 mask [2, frames, 257] and, with
+    ``references``, its noisy channel 0 [frames, 257] as the pieces were
+    read (``None`` without)."""
+    edges = _cuts(0, n_frames, BLOCK_FRAMES)
     state: dict = {}
     for a, b in zip(edges, edges[1:]):
         block = slice(a, b)
-        yield block, _forward_block(y, block, iva_block, plan, state)
+        reference = np.empty((b - a, N_BINS), dtype=np.complex128) if references else None
+        yield block, _forward_block(read, block, plan, state, reference), reference
+        del reference               # dropped before the next block is made
 
 
 def forward(y: np.ndarray, y_iva: np.ndarray, w: Weights,
@@ -723,21 +739,23 @@ def forward(y: np.ndarray, y_iva: np.ndarray, w: Weights,
     block's mask written into the output, so the memory it needs beyond its
     input and output does not grow with the frame count.  A block's front
     runs over pieces of at most :data:`~hybridse.dsp.PASS_FRAMES` frames
-    (:func:`_forward_block`): each piece's features are written once into
-    one float32 array, and the band merge, the SFE stack and the network
-    all run in float32 from there.  The frames are cut into
-    ``ceil(frames / BLOCK_FRAMES)`` blocks whose lengths differ by at most
-    one, so no block is shorter than half of :data:`BLOCK_FRAMES`: BLAS
-    rounds a product of 18 rows or fewer (the band merge's frames)
-    differently from a tall one, and long blocks keep the mask byte for
-    byte the one a single block over all frames gives.  :func:`enhance`
-    runs the same block loop, with each piece's IVA spectrum demixed from
-    that piece's noisy frames instead of sliced.
+    (:func:`_forward_block`), each a slice of ``y`` and ``y_iva``: each
+    piece's features are written once into one float32 array, and the band
+    merge, the SFE stack and the network all run in float32 from there.
+    The frames are cut into ``ceil(frames / BLOCK_FRAMES)`` blocks whose
+    lengths differ by at most one, so no block is shorter than half of
+    :data:`BLOCK_FRAMES`: BLAS rounds a product of 18 rows or fewer (the
+    band merge's frames) differently from a tall one, and long blocks keep
+    the mask byte for byte the one a single block over all frames gives.
+    :func:`enhance` runs the same block loop over another frame source:
+    each piece's noisy frames are a slice of the noisy spectrogram, or,
+    without IVA, transformed from the waveform, and its IVA spectrum is
+    demixed from them.
     """
     plan = prepare(w, cfg)
     y, y_iva = _spectrograms(y, y_iva)
     mask = np.empty((2, y.shape[1], N_BINS))
-    for frames, block in _masks(y, lambda frames: y_iva[:, frames], plan):
+    for frames, block, _ in _masks(y.shape[1], lambda f: (y[:, f], y_iva[:, f]), plan):
         mask[:, frames] = block
     return mask
 
@@ -828,17 +846,20 @@ def enhance(wave: np.ndarray, w: Weights, cfg: ModelConfig,
     reference microphone beside a live one is invalid input
     (:func:`check_reference`).
 
-    The one whole-file spectrogram is the noisy one.  IVA hands over a
-    :class:`Demixer`, and :func:`forward`'s block loop demixes the IVA
-    spectrum of each piece of a block's front from that piece's noisy
-    frames.  Each block then ends in
-    the output wave: its mask is applied to its own target with
+    With IVA, the one whole-file spectrogram is the noisy one, which IVA's
+    statistics read.  IVA hands over a :class:`Demixer`, and
+    :func:`forward`'s block loop demixes the IVA spectrum of each piece of
+    a block's front from that piece's noisy frames, a slice of the noisy
+    spectrogram.  Without IVA, no spectrogram is built whole: each piece
+    transforms its noisy frames from the waveform.  Each block then ends
+    in the output wave: its mask is applied to its own target with
     :func:`apply_mask` (a ``mask1_iva`` config demixes the block's speech
     source alone) and the estimate is overlap-added by
     :func:`~hybridse.dsp.istft_blocks`.  The mask and estimate blocks are
-    collected for the result.  The result has the same bytes as
-    :func:`forward`, :func:`apply_mask` and :func:`istft` on the whole
-    :func:`auxiva_separate` output."""
+    collected for the result, and so, without IVA, are the pieces'
+    noisy frames, written into ``noisy_spec``.  The result has the same
+    bytes as :func:`stft`, :func:`forward`, :func:`apply_mask` and
+    :func:`istft` on the whole :func:`auxiva_separate` output."""
     kept: list = []
     out, y, demixer = _enhance(wave, w, cfg, iva_cfg, use_iva, kept)
     masks, ests = zip(*kept)
@@ -851,44 +872,88 @@ def _enhance(wave: np.ndarray, w: Weights, cfg: ModelConfig, iva_cfg: IvaConfig,
     """:func:`enhance`'s pipeline, returning the output wave, the noisy
     spectrogram and the demixer (``None`` if IVA was bypassed); each
     forward block's mask and estimate are appended to ``kept`` as a pair
-    when it is a list, and dropped otherwise.  The input is freed once
-    :func:`stft` has read it when this call holds its one reference, as the
-    CLI's call does."""
+    when it is a list, and dropped otherwise.  Without IVA the pieces'
+    noisy frames are written into the noisy spectrogram when ``kept`` is
+    a list, and it is ``None`` otherwise.  The input is freed when
+    this call holds its one reference, as the CLI's call does: with IVA
+    once :func:`stft` has read it, without once the last piece has."""
     wave = np.asarray(wave, dtype=np.float64)
     if wave.ndim != 2 or wave.shape[0] != 2:
         raise InvalidInputError(f"expected a [2, n] waveform, got shape {wave.shape}")
+    if wave.size == 0:
+        raise InvalidInputError("empty waveform")
     if not np.all(np.isfinite(wave)):
         raise InvalidInputError("waveform contains non-finite samples")
     check_reference(wave)
-    y, n = stft(wave), wave.shape[1]
-    del wave                        # nothing reads the input after stft
-    demixer = None
+    n, n_frames = wave.shape[1], StftConfig().n_frames(wave.shape[1])
+    y = demixer = noisy_spec = None
     if use_iva:
+        y = noisy_spec = stft(wave)
+        del wave                    # nothing reads the input after stft
+        noisy = lambda frames: y[:, frames]
         try:
             demixer = auxiva_demixer(y, iva_cfg)
         except DegenerateInputError as exc:
             warnings.warn(f"{exc}; skipping IVA", stacklevel=3)
-    blocks = _estimates(y, demixer, prepare(w, cfg), kept)
-    return istft_blocks(blocks, y.shape[1], length=n), y, demixer
+    else:
+        if kept is not None:
+            noisy_spec = np.empty((2, n_frames, N_BINS), dtype=np.complex128)
+        noisy = _wave_reader(wave, n_frames, noisy_spec)
+        del wave                    # the reader drops it after the last piece
+    blocks = _estimates(noisy, n_frames, y, demixer, prepare(w, cfg), kept)
+    return istft_blocks(blocks, n_frames, length=n), noisy_spec, demixer
 
 
-def _estimates(y: np.ndarray, demixer: Optional[Demixer], plan: Plan,
-               kept: Optional[list]):
+def _wave_frames(wave: np.ndarray, frames: slice) -> np.ndarray:
+    """The ``frames`` of :func:`stft` of ``wave`` [n] or [channels, n], the
+    bytes of ``stft(wave)[..., frames, :]``, transformed from only the
+    samples they cover: :func:`stft` of those samples, one frame longer,
+    with its last frame dropped."""
+    a, b = frames.start, frames.stop
+    samples = slice(a * StftConfig.hop, (b - 1) * StftConfig.hop + StftConfig.fft_size)
+    return stft(wave[..., samples])[..., :b - a, :]
+
+
+def _wave_reader(wave: np.ndarray, n_frames: int, into: Optional[np.ndarray] = None):
+    """The frame source of the waveform ``wave`` [2, n] of ``n_frames``
+    frames: ``read(frames)`` is :func:`_wave_frames`, also written into
+    ``into`` [2, n_frames, 257] when one is given.  Runs of frames are
+    read once each in frame order, so the reader drops the waveform once
+    the run that ends at the last frame is read."""
+    held = [wave]
+
+    def read(frames: slice) -> np.ndarray:
+        spec = _wave_frames(held[0], frames)
+        if frames.stop == n_frames:
+            held.clear()
+        if into is not None:
+            into[:, frames] = spec
+        return spec
+    return read
+
+
+def _estimates(noisy, n_frames: int, y: Optional[np.ndarray],
+               demixer: Optional[Demixer], plan: Plan, kept: Optional[list]):
     """Each forward block's estimate [frames, 257] in frame order: the
     block's mask applied to the block's target, the noisy reference or,
-    for ``mask1_iva``, the block's IVA speech source."""
+    for ``mask1_iva``, the block's IVA speech source.  ``noisy(frames)``
+    is the frame source, the noisy frames of a run, from which each piece
+    of a block's front demixes its IVA spectrum.  A block's noisy frames
+    are a view of the whole noisy spectrogram ``y``, or, without one,
+    the block's reference channel as its pieces were read."""
     masking = plan.cfg.masking
     speech = demixer is not None and masking == "mask1_iva"
 
-    def iva_block(frames):
-        return y[:, frames] if demixer is None else demixer(y[:, frames])
+    def read(frames):
+        spec = noisy(frames)
+        return spec, spec if demixer is None else demixer(spec)
 
-    for frames, mask in _masks(y, iva_block, plan):
-        noisy = y[:, frames]
-        target = demixer(noisy, 1) if speech else noisy
-        est = apply_mask(mask, noisy, target, masking)
+    for frames, mask, reference in _masks(n_frames, read, plan, references=y is None):
+        block = y[:, frames] if reference is None else reference[None]
+        target = demixer(block, 1) if speech else block
+        est = apply_mask(mask, block, target, masking)
         if kept is not None:
             kept.append((mask, est))
-        del target
+        del block, target, reference
         yield est
         del mask, est               # dropped before the next block is made

@@ -64,6 +64,8 @@ def test_same_lines_twice_on_a_reduced_input():
     assert {"separate scene-10s noise", "separate cli scene-10s.noise.wav",
             "separate scene-40-frames speech", "enhance 30s cli scene-30s.enhanced.wav",
             "separate 30s cli scene-30s.speech.wav", "separate 30s cli scene-30s.noise.wav",
+            "enhance no-iva cli scene.enhanced.wav", "enhance no-iva cli scene-10s.enhanced.wav",
+            "enhance no-iva cli scene-30s.enhanced.wav",
             "istft stereo length 3328", "conv2d depthwise float32 2000 frames",
             "conv2d 1x1 depthwise zeros bias", "conv2d 1x5 stride 2 zeros no-bias"} <= set(names)
     for frames in (125, 208):

@@ -7,6 +7,7 @@ import itertools
 import pickle
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -618,8 +619,8 @@ class TestBlockedForward:
         y, yi = rand_specs(seed, frames=frames)
         edges = sorted({0, frames, *(c for c in cuts if c < frames)})
         plan, state = model.prepare(w, cfg), {}
-        blocked = np.concatenate([model._forward_block(y, slice(a, b), lambda f: yi[:, f],
-                                                       plan, state)
+        blocked = np.concatenate([model._forward_block(lambda f: (y[:, f], yi[:, f]),
+                                                       slice(a, b), plan, state)
                                   for a, b in zip(edges, edges[1:])], axis=1)
         whole = one_block_mask(y, yi, w, cfg)
         assert blocked.shape == whole.shape == (2, frames, 257)
@@ -946,6 +947,60 @@ class TestCostAccounting:
         assert "auxiva" not in macs_breakdown(cfg, None)
 
 
+class TestWaveFrames:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 20000), layout=st.sampled_from(["transposed", "float32", "int16"]),
+           seed=st.integers(0, 2 ** 16), data=st.data())
+    @example(n=1, layout="transposed", seed=0, data=None)
+    @example(n=512, layout="int16", seed=1, data=None)
+    def test_any_run_is_the_whole_transform_of_it(self, n, layout, seed, data):
+        # the frames a:b transformed from the samples they cover are the
+        # bytes of stft over the whole waveform, at every run and every tail
+        rng = np.random.default_rng(seed)
+        if layout == "transposed":
+            wave = rng.standard_normal((n, 2)).T
+        elif layout == "float32":
+            wave = rng.standard_normal((2, n)).astype(np.float32)
+        else:
+            wave = rng.integers(-32768, 32768, size=(2, n)).astype(np.int16)
+        spec = stft(wave)
+        frames = spec.shape[1]
+        if data is None:
+            a, b = 0, frames
+        else:
+            a = data.draw(st.integers(0, frames - 1))
+            b = data.draw(st.integers(a + 1, frames))
+        got = model._wave_frames(wave, slice(a, b))
+        assert got.shape == (2, b - a, 257) and got.dtype == spec.dtype
+        assert got.tobytes() == spec[:, a:b].tobytes()
+        assert model._wave_frames(wave[1], slice(a, b)).tobytes() == spec[1, a:b].tobytes()
+
+    @pytest.mark.parametrize("use_iva", [True, False], ids=["iva", "no_iva"])
+    def test_empty_waveform_rejected(self, use_iva):
+        cfg = ModelConfig()
+        with pytest.raises(InvalidInputError, match="^empty waveform$"):
+            enhance(np.zeros((2, 0)), _PRESET_WEIGHTS[DEFAULT_PRESET], cfg, use_iva=use_iva)
+
+    def test_input_is_freed_after_the_last_piece(self, monkeypatch):
+        # without IVA the frame source holds the input, handed over as its
+        # one reference, until the last piece is read: 300 frames are two
+        # blocks of three 50-frame pieces
+        held = [0.1 * np.random.default_rng(3).standard_normal((2, 300 * 256))]
+        ref = weakref.ref(held[0])
+        alive = []
+        front = model._front
+
+        def recording(*args):
+            x = front(*args)
+            alive.append(ref() is not None)
+            return x
+
+        monkeypatch.setattr(model, "_front", recording)
+        model._enhance(held.pop(), _PRESET_WEIGHTS[DEFAULT_PRESET], ModelConfig(),
+                       IvaConfig(), False)
+        assert alive == [True] * 5 + [False]
+
+
 class TestEnhance:
     def test_output_shape_and_fields(self):
         cfg = ModelConfig()
@@ -999,8 +1054,10 @@ class TestEnhance:
         assert r.est_spec.tobytes() == est.tobytes()
 
     def test_iva_holds_one_block_beyond_the_bypass(self):
-        # at the entry of each forward block, what IVA keeps alive beyond a
-        # bypassed run is the demixer, 40 KB measured, less than one pass
+        # at the entry of each forward block of the CLI's pipeline, what IVA
+        # keeps alive beyond a bypassed run is the noisy spectrogram, which
+        # the bypass never builds (it holds the block's reference channel
+        # instead), and the demixer, 40 KB measured, less than one pass
         # block's sources: each piece's sources are demixed inside the
         # block; the block's demixed sources held 2.09 MB, whole-file
         # sources 10.3 MB
@@ -1020,16 +1077,20 @@ class TestEnhance:
             try:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(model, "_forward_block", at_entry)
-                    enhance(wave, w, cfg, use_iva=use_iva)
+                    model._enhance(wave, w, cfg, IvaConfig(), use_iva)
             finally:
                 tracemalloc.stop()
             return seen
 
         enhance(self.scene(2), w, cfg)      # what a first call caches is not counted
         with_iva, bypassed = live_at_block_entries(True), live_at_block_entries(False)
-        piece_sources = 2 * PASS_FRAMES * 257 * np.dtype(np.complex128).itemsize
+        item = np.dtype(np.complex128).itemsize
+        spectrogram = 2 * 1250 * 257 * item
+        reference = 250 * 257 * item        # 1250 frames are five 250-frame blocks
+        piece_sources = 2 * PASS_FRAMES * 257 * item
         assert len(with_iva) == len(bypassed) == 5
-        assert max(a - b for a, b in zip(with_iva, bypassed)) < piece_sources
+        assert max(a - b for a, b in zip(with_iva, bypassed)) < \
+            spectrogram - reference + piece_sources
 
     @pytest.mark.parametrize("use_iva", [True, False], ids=["iva", "no_iva"])
     @pytest.mark.parametrize("preset", sorted(PRESETS))
